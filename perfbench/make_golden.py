@@ -12,7 +12,6 @@ every later commit against these files.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -20,17 +19,14 @@ import neucrit as nc
 
 import workloads
 
+SEEDS = (0, 1, 7, 42)
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default=",".join(workloads.WHY))
-    parser.add_argument("--seeds", default="0,1,7,42")
-    args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+
+def main() -> int:
     status = 0
-    for name in args.workloads.split(","):
+    for name in workloads.WHY:
         first = None
-        for seed in seeds:
+        for seed in SEEDS:
             report = nc.run_pipeline(workloads.config(name, seed))
             records = workloads.summarize(report)
             problems = [] if report.ok and report.deficiency == 0 else [
@@ -50,7 +46,7 @@ def main(argv=None) -> int:
             path.parent.mkdir(exist_ok=True)
             with open(path, "w") as fh:
                 json.dump({"workload": name, "neucrit_version": nc.__version__,
-                           "seeds_checked": seeds, "records": first}, fh, indent=1)
+                           "seeds_checked": list(SEEDS), "records": first}, fh, indent=1)
                 fh.write("\n")
             print(f"wrote {path}")
     return status

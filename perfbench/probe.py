@@ -16,12 +16,9 @@ import workloads
 
 def main(workload: str, seed: int) -> int:
     sampler = speed.Sampler()
-    for _ in range(5):
-        sampler.sample()
-    with sampler:
-        setup = _setup(workload, seed) - sampler.overhead
-    for _ in range(5):
-        sampler.sample()
+    sampler.sample()
+    setup = _setup(workload, seed)
+    sampler.sample()
     print(json.dumps({"setup_s": setup, "scaled_setup_s": sampler.scaled(setup)}))
     return 0
 

@@ -2,25 +2,25 @@
 
 On a shared machine the speed of one core drifts by up to ±20%, and by
 more in some phases, which last several minutes: longer than a run, so more
-solves per run do not average it out.  A fixed pure-Python loop slows with
-it, because it runs on the same core in the same phase, and neucrit's
-solves are bound by interpreter overhead as much as by numpy.  A `Sampler`
-therefore times the loop every `INTERVAL_S` while a measurement runs (from
-a SIGALRM handler, whose own time is subtracted) and once on each side of
-it.  `solve_s` and `setup_s` are wall times rescaled to a core on which the
-loop takes `NOMINAL_S`: `seconds * NOMINAL_S / median(loop samples)`.
+solves per run do not average it out, but far longer than one measurement
+(a solve takes 2–15 s, a set-up under 1 s).  A fixed pure-Python loop slows
+with the core, and neucrit's solves are bound by interpreter overhead as
+much as by numpy.  A `Sampler` therefore times the loop `SAMPLES` times
+just before and just after a measurement, in the same phase.  Faster
+changes during one solve are not followed.  `solve_s` and `setup_s` are
+wall times rescaled to a core on which the loop takes `NOMINAL_S`:
+`seconds * NOMINAL_S / median(loop samples)`.
 
-The loop does not touch neucrit, so a change to the program moves a
-rescaled time by the same factor as the raw one.  Raw wall times are kept
-in every result file.
+The loop does not touch neucrit and does not run while neucrit does, so a
+change to the program moves a rescaled time by the same factor as the raw
+one.  Raw wall times are kept in every result file.
 """
 
-import signal
 import statistics
 import time
 
 LOOPS = 50_000
-INTERVAL_S = 0.25
+SAMPLES = 5
 # the loop's time on the 2-vCPU Xeon where the benchmark was built, in a
 # quiet phase; it only fixes the scale, so it never needs updating
 NOMINAL_S = 0.0032
@@ -35,40 +35,17 @@ def _loop() -> float:
 
 
 class Sampler:
-    """Loop timings taken around and, inside `with`, during a measurement."""
+    """Loop timings taken on each side of one measurement."""
 
     def __init__(self):
         self.samples = []
-        self.overhead = 0.0  # seconds the alarm handler took inside `with`
 
     def sample(self):
-        self.samples.append(_loop())
-
-    def _tick(self, signum, frame):
-        t0 = time.perf_counter()
-        self.sample()
-        self.overhead += time.perf_counter() - t0
-
-    def __enter__(self):
-        self._previous = signal.signal(signal.SIGALRM, self._tick)
-        signal.setitimer(signal.ITIMER_REAL, INTERVAL_S, INTERVAL_S)
-        return self
-
-    def __exit__(self, *exc):
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, self._previous)
-        return False
-
-    def around(self, fn):
-        """`fn` with the alarm sampling running during each call."""
-        def sampled(*args, **kwargs):
-            with self:
-                return fn(*args, **kwargs)
-        return sampled
-
-    def scaled(self, seconds: float) -> float:
-        """`seconds` on a core where the loop takes NOMINAL_S."""
-        return seconds * NOMINAL_S / statistics.median(self.samples)
+        self.samples.extend(_loop() for _ in range(SAMPLES))
 
     def reference(self) -> float:
         return statistics.median(self.samples)
+
+    def scaled(self, seconds: float) -> float:
+        """`seconds` on a core where the loop takes NOMINAL_S."""
+        return seconds * NOMINAL_S / self.reference()
