@@ -29,7 +29,6 @@ from .errors import (
 from .ledger import (
     DegreeLedger,
     LedgerConfig,
-    hess_kato_check,
     local_degree,
     qualitative_classify,
     transfer_to_original,
@@ -123,7 +122,6 @@ __all__ = [
     "DegreeLedger",
     "LedgerConfig",
     "local_degree",
-    "hess_kato_check",
     "qualitative_classify",
     "transfer_to_original",
     "reference_config",

@@ -19,16 +19,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from ._version import __version__
-from .energy import EnergyFunctional
 from .errors import ConfigError, NeucritError
-from .nonlinearity import build_nonlinearity, check_hypotheses
+from .nonlinearity import check_hypotheses
 from .pipeline import (
     STAGES,
+    build_problem,
     reference_config,
     run_pipeline,
     validate_config,
 )
-from .spectrum import Domain, build_spectrum, split_spectrum
 
 __all__ = ["main"]
 
@@ -111,15 +110,7 @@ def _emit(args, payload: dict):
 
 
 def _cmd_spectrum(args, cfg) -> int:
-    dom = cfg["domain"]
-    domain = Domain(dom["kind"], tuple(dom["lengths"]), dom.get("quad_points"))
-    spec = build_spectrum(domain, cfg["modes"])
-    slope = cfg["nonlinearity"]["slope_plus_inf"]
-    try:
-        spec = split_spectrum(spec, slope)
-    except NeucritError as e:
-        print(f"split failed: {e}", file=sys.stderr)
-        return 2
+    spec, _ = build_problem(cfg)
     if args.format == "json":
         _emit(args, spec.summary())
     else:
@@ -132,21 +123,12 @@ def _cmd_spectrum(args, cfg) -> int:
 
 
 def _cmd_check(args, cfg) -> int:
-    dom = cfg["domain"]
-    domain = Domain(dom["kind"], tuple(dom["lengths"]), dom.get("quad_points"))
-    spec = build_spectrum(domain, cfg["modes"])
-    nl = cfg["nonlinearity"]
-    f = build_nonlinearity([tuple(k) for k in nl["knots"]],
-                           nl["slope_minus_inf"], nl["slope_plus_inf"],
-                           shape_points=[tuple(s) for s in nl.get("shape_points", ())],
-                           blend_margin=nl.get("blend_margin", 1.0))
     try:
-        spec = split_spectrum(spec, f.slope_plus_inf)
+        spec, f = build_problem(cfg)
     except NeucritError as e:
         _emit(args, {"error": {"type": type(e).__name__, "message": str(e)}})
         return 2
-    report = check_hypotheses(f, spec)
-    _emit(args, report.to_dict())
+    _emit(args, check_hypotheses(f, spec).to_dict())
     return 0
 
 
@@ -156,13 +138,17 @@ def _run_stages(cfg, stage_list):
     return run_pipeline(cfg)
 
 
-def _finish_run(args, report, payload) -> int:
-    _emit(args, payload)
+def _exit_code(args, report) -> int:
     if report.errors:
         return 2
     if args.strict and report.deficiency not in (0, None):
         return 3
     return 0
+
+
+def _finish_run(args, report, payload) -> int:
+    _emit(args, payload)
+    return _exit_code(args, report)
 
 
 def _cmd_solve(args, cfg) -> int:
@@ -189,14 +175,10 @@ def _cmd_reduce(args, cfg) -> int:
 
 def _cmd_ledger(args, cfg) -> int:
     report = run_pipeline(cfg)
-    d = report.to_dict()
     if args.format == "csv" and report.ledger is not None:
         print(report.ledger.to_csv(), end="")
-        if report.errors:
-            return 2
-        if args.strict and report.deficiency not in (0, None):
-            return 3
-        return 0
+        return _exit_code(args, report)
+    d = report.to_dict()
     payload = {"ledger": d["ledger"], "errors": d["errors"], "warnings": d["warnings"]}
     return _finish_run(args, report, payload)
 
@@ -211,11 +193,7 @@ def _cmd_run(args, cfg) -> int:
         print(report.ledger.to_csv(), end="")
     else:
         print(report.to_json())
-    if report.errors:
-        return 2
-    if args.strict and report.deficiency not in (0, None):
-        return 3
-    return 0
+    return _exit_code(args, report)
 
 
 def _cmd_plot(args, cfg) -> int:
@@ -231,10 +209,7 @@ def _cmd_plot(args, cfg) -> int:
         print(f"error: cannot read report: {e}", file=sys.stderr)
         return 1
     try:
-        rcfg = rep["config"]
-        dom = rcfg["domain"]
-        domain = Domain(dom["kind"], tuple(dom["lengths"]), dom.get("quad_points"))
-        spec = build_spectrum(domain, rcfg["modes"])
+        spec, _ = build_problem(rep["config"])
         recs = [
             SimpleNamespace(
                 coeffs=np.asarray(r["coeffs"], dtype=float),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeEscape, UnclassifiedDegenerate
-from .records import make_record, principal_simple_signdef
+from .records import make_record
 
 __all__ = [
     "LedgerConfig",
@@ -25,7 +25,6 @@ __all__ = [
     "LedgerReport",
     "QualReport",
     "local_degree",
-    "hess_kato_check",
     "qualitative_classify",
     "transfer_to_original",
 ]
@@ -33,11 +32,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LedgerConfig:
-    degeneracy_tol: float = 1e-7
-    simplicity_tol: float = 1e-6
+    """Tolerances of the ledger's admission checks.
+
+    qual_tol is the sign margin of the qualitative checks; range_margin is
+    how far inside the coincidence region a transferred truncation record
+    must stay.  Degeneracy, simplicity and dedup tolerances live in
+    SolverConfig only.
+    """
+
     qual_tol: float = 1e-8
     range_margin: float = 1e-3
-    dedup_radius: float = 1e-4
 
 
 # classification priority when two stages land on the same point: keep the
@@ -62,14 +66,6 @@ def local_degree(record, k: int) -> int:
     raise UnclassifiedDegenerate(
         f"degenerate record at energy {record.energy:.6g} has no degree recipe"
     )
-
-
-def hess_kato_check(record, functional, simplicity_tol=1e-6) -> bool:
-    """True iff the lowest Hessian eigenvalue is negative, simple (relative
-    gap >= simplicity_tol) and its eigenfield has one strict sign on the
-    grid.  Returns False when there is no negative direction (the check is
-    about principal eigenpairs of saddles)."""
-    return principal_simple_signdef(functional, record, simplicity_tol)
 
 
 @dataclass
@@ -211,11 +207,11 @@ class DegreeLedger:
     on the ball of radius R.
     """
 
-    def __init__(self, k, R, spectrum, config: LedgerConfig | None = None):
+    def __init__(self, k, R, spectrum, dedup_radius: float = 1e-4):
         self.k = int(k)
         self.R = float(R)
         self.spectrum = spectrum
-        self.config = config or LedgerConfig()
+        self.dedup_radius = float(dedup_radius)
         self.records = []
         self.flags = []
 
@@ -227,7 +223,7 @@ class DegreeLedger:
         coefficients and upgrades the classification if the newcomer's label
         carries more degree information.  Returns a short disposition."""
         for i, old in enumerate(self.records):
-            if self.spectrum.h1_dist(record.coeffs, old.coeffs) <= self.config.dedup_radius:
+            if self.spectrum.h1_dist(record.coeffs, old.coeffs) <= self.dedup_radius:
                 stage = record.provenance.get("stage", "?")
                 merged = old.with_notes(f"also reached by stage {stage}")
                 if _PRIORITY.get(record.classification, 0) > _PRIORITY.get(old.classification, 0):

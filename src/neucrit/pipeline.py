@@ -11,9 +11,12 @@ stages can still make sense; config errors abort.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import time
+import typing
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,19 +33,19 @@ from .nonlinearity import build_nonlinearity, check_hypotheses, truncate
 from .records import SolverConfig
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
-    dedup_records,
     find_constants,
     homotopy_bound,
     mountain_pass,
     multistart,
 )
-from .spectrum import Domain, build_spectrum, split_spectrum
+from .spectrum import Domain, build_spectrum, quad_points_per_axis, split_spectrum
 
 __all__ = [
     "SCHEMA_VERSION",
     "STAGES",
     "reference_config",
     "validate_config",
+    "build_problem",
     "run_pipeline",
     "RunReport",
 ]
@@ -82,80 +85,111 @@ def reference_config() -> dict:
     }
 
 
-_SECTION_KEYS = {
-    "domain": {"kind", "lengths", "quad_points"},
-    "nonlinearity": {"knots", "slope_minus_inf", "slope_plus_inf",
-                     "shape_points", "blend_margin"},
-    "solver": {"grad_tol", "max_iters", "path_nodes", "dedup_radius",
-               "multistart_budget", "rng_seed", "mp_offset", "safety_factor",
-               "degeneracy_tol", "simplicity_tol", "lambda_count",
-               "homotopy_budget", "homotopy_start_radius"},
-    "reduction": {"inner_tol", "max_inner", "grid_radius"},
-    "ledger": {"degeneracy_tol", "simplicity_tol", "qual_tol", "range_margin",
-               "dedup_radius"},
-    "output": {"dir"},
+def _fields(cls) -> dict:
+    """Setting name -> annotated type, read off a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+# settable keys of each section with their types; the reduction section is
+# passed to make_reduction_context as keyword arguments
+_SECTIONS = {
+    "domain": _fields(Domain),
+    "nonlinearity": {"knots": list, "slope_minus_inf": float, "slope_plus_inf": float,
+                     "shape_points": list, "blend_margin": float},
+    "solver": _fields(SolverConfig),
+    "reduction": {"inner_tol": float, "max_inner": int},
+    "ledger": _fields(LedgerConfig),
 }
+# tolerances, budgets, counts, radii and seeds: none of them may be negative
+_NONNEGATIVE = ("solver", "reduction", "ledger")
+_TYPE_NAMES = {int: "an integer", float: "a number", list: "a list", tuple: "a list",
+               str: "a string", type(None): "null"}
+
+
+def _conforms(value, hint) -> bool:
+    """Does a config value have the annotated type?  Lists and tuples both
+    stand for JSON arrays, integers pass as numbers, booleans pass as
+    neither, and numbers must be finite."""
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None:
+        return type(None) in allowed
+    if isinstance(value, bool):
+        return False
+    if float in allowed:
+        return isinstance(value, Integral) or (isinstance(value, Real) and math.isfinite(value))
+    if int in allowed:
+        return isinstance(value, Integral)
+    if list in allowed or tuple in allowed:
+        return isinstance(value, (list, tuple))
+    return isinstance(value, allowed)
+
+
+def _check_section(name: str, section, schema: dict):
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    bad = set(section) - set(schema)
+    if bad:
+        raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad, key=str)}")
+    for key, value in section.items():
+        hint = schema[key]
+        if not _conforms(value, hint):
+            names = " or ".join(_TYPE_NAMES[t] for t in typing.get_args(hint) or (hint,))
+            raise ConfigError(f"{name}.{key} must be {names}, got {value!r}")
+        if name in _NONNEGATIVE and value is not None and value < 0:
+            raise ConfigError(f"{name}.{key} must not be negative, got {value!r}")
+
+
+def _check_points(name: str, points, size: int):
+    for p in points:
+        if not (isinstance(p, (list, tuple)) and len(p) == size
+                and all(_conforms(v, float) for v in p)):
+            raise ConfigError(f"bad {name} entry {p!r}")
 
 
 def validate_config(config: dict) -> dict:
-    """Normalize and type-check a config dict.  Raises ConfigError."""
+    """Check a config dict; raises ConfigError on the first fault.
+
+    Returns a deep copy with `schema_version` and `modes` filled in when
+    absent and `stages` spelled out as a list.  Every value it accepts comes
+    back as given.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    known_top = {"schema_version", "modes", "domain", "nonlinearity", "solver",
-                 "reduction", "ledger", "output", "stages"}
-    unknown = set(config) - known_top
+    unknown = set(config) - {"schema_version", "modes", "stages", *_SECTIONS}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
     cfg = copy.deepcopy(config)
-    if cfg.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg.get('schema_version')}")
-    cfg["schema_version"] = SCHEMA_VERSION
-
-    for name in ("domain", "nonlinearity"):
-        if name not in cfg or not isinstance(cfg[name], dict):
-            raise ConfigError(f"missing required section {name!r}")
-    for name, keys in _SECTION_KEYS.items():
-        sec = cfg.get(name)
-        if sec is None:
-            continue
-        if not isinstance(sec, dict):
-            raise ConfigError(f"section {name!r} must be an object")
-        bad = set(sec) - keys
-        if bad:
-            raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
-
-    try:
-        modes = int(cfg.get("modes", 16))
-    except (TypeError, ValueError):
-        raise ConfigError("modes must be an integer")
+    version = cfg.setdefault("schema_version", SCHEMA_VERSION)
+    if not _conforms(version, int) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}")
+    modes = cfg.setdefault("modes", 16)
+    if not _conforms(modes, int):
+        raise ConfigError(f"modes must be an integer, got {modes!r}")
     if modes < 2:
         raise ConfigError("modes must be at least 2")
-    cfg["modes"] = modes
 
-    dom = cfg["domain"]
-    if dom.get("kind") not in ("interval", "rectangle"):
-        raise ConfigError("domain.kind must be 'interval' or 'rectangle'")
-    lengths = dom.get("lengths")
-    if not isinstance(lengths, (list, tuple)) or not lengths:
-        raise ConfigError("domain.lengths must be a non-empty list")
-    qp = dom.get("quad_points")
-    if qp is not None:
-        per_axis = modes
-        if int(qp) < 4 * per_axis:
-            raise ConfigError(
-                f"quad_points={qp} is below the anti-aliasing floor {4 * per_axis}"
-            )
+    for name in ("domain", "nonlinearity"):
+        if not isinstance(cfg.get(name), dict):
+            raise ConfigError(f"missing required section {name!r}")
+    for name, schema in _SECTIONS.items():
+        _check_section(name, cfg.get(name, {}), schema)
+
+    try:
+        quad_points_per_axis(Domain(**cfg["domain"]), modes)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad domain: {e}")
 
     nl = cfg["nonlinearity"]
-    knots = nl.get("knots")
-    if not isinstance(knots, (list, tuple)) or not knots:
-        raise ConfigError("nonlinearity.knots must be a non-empty list of [t, slope]")
-    for kn in knots:
-        if not isinstance(kn, (list, tuple)) or len(kn) != 2:
-            raise ConfigError(f"bad knot entry {kn!r}")
-    for key in ("slope_minus_inf", "slope_plus_inf"):
+    for key in ("knots", "slope_minus_inf", "slope_plus_inf"):
         if key not in nl:
             raise ConfigError(f"nonlinearity.{key} is required")
+    if not nl["knots"]:
+        raise ConfigError("nonlinearity.knots must be a non-empty list of [t, slope]")
+    _check_points("knot", nl["knots"], 2)
+    _check_points("shape point", nl.get("shape_points", []), 3)
+    if nl.get("blend_margin", 1.0) <= 0:
+        raise ConfigError("nonlinearity.blend_margin must be positive")
 
     stages = cfg.get("stages", "all")
     if stages == "all":
@@ -167,13 +201,20 @@ def validate_config(config: dict) -> dict:
         if bad:
             raise ConfigError(f"unknown stages: {bad}; known: {list(STAGES)}")
         cfg["stages"] = list(stages)
-
-    try:
-        SolverConfig(**cfg.get("solver", {}))
-        LedgerConfig(**cfg.get("ledger", {}))
-    except TypeError as e:
-        raise ConfigError(f"bad solver/ledger section: {e}")
     return cfg
+
+
+def build_problem(config: dict):
+    """The split spectrum and the nonlinearity of a validated config."""
+    spec = build_spectrum(Domain(**config["domain"]), config["modes"])
+    nl = config["nonlinearity"]
+    f = build_nonlinearity(
+        [tuple(kn) for kn in nl["knots"]],
+        nl["slope_minus_inf"], nl["slope_plus_inf"],
+        shape_points=[tuple(sp) for sp in nl.get("shape_points", ())],
+        blend_margin=nl.get("blend_margin", 1.0),
+    )
+    return split_spectrum(spec, f.slope_plus_inf), f
 
 
 def _jsonable(obj):
@@ -218,6 +259,18 @@ class RunReport:
     @property
     def deficiency(self):
         return None if self.ledger_report is None else self.ledger_report.deficiency
+
+    def run(self, name, fn, *args):
+        """Call one stage and time it under `name`.  A NeucritError or
+        ValueError it raises is recorded under `name`; the stage then
+        yields None."""
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        except (NeucritError, ValueError) as e:
+            self.errors[name] = {"type": type(e).__name__, "message": str(e)}
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
     def to_dict(self) -> dict:
         out = {
@@ -269,38 +322,32 @@ def _min_type_zeros(f):
     return sorted(t for t, s in f.zeros() if s < 0)
 
 
-def _truncation_stage(report, kind, anchors, scfg, transfer_cfg, range_margin):
+def _truncation_stage(report, kind, anchors, scfg, range_margin):
     """One truncated mountain pass plus the transfer back.  Returns the
-    transferred record or None (error recorded on the report)."""
+    transferred record."""
     stage = f"truncation_{kind}"
     func = report.functional
     spec = report.spectrum
-    try:
-        g = truncate(func.nonlinearity, kind, *anchors)
-        tfunc = EnergyFunctional(spec, g)
-        if kind == "below":
-            a = spec.constant_field(anchors[0])
-            b = spec.constant_field(anchors[0] - scfg.mp_offset)
-        elif kind == "above":
-            a = spec.constant_field(anchors[0])
-            b = spec.constant_field(anchors[0] + scfg.mp_offset)
-        else:
-            a = spec.constant_field(anchors[0])
-            b = spec.constant_field(anchors[1])
-        rec = mountain_pass(tfunc, a, b, scfg)
-        rec.provenance.update({"stage": stage, "kind": kind,
-                               "anchors": [float(x) for x in anchors]})
-        transferred = transfer_to_original(rec, func, tfunc, transfer_cfg,
-                                           range_margin=range_margin)
-        report.stages[stage] = {
-            "anchors": [float(x) for x in anchors],
-            "truncated_record": rec.to_dict(),
-            "transferred_record": transferred.to_dict(),
-        }
-        return transferred
-    except (NeucritError, ValueError) as e:
-        report.errors[stage] = {"type": type(e).__name__, "message": str(e)}
-        return None
+    g = truncate(func.nonlinearity, kind, *anchors)
+    tfunc = EnergyFunctional(spec, g)
+    a = spec.constant_field(anchors[0])
+    if kind == "below":
+        b = spec.constant_field(anchors[0] - scfg.mp_offset)
+    elif kind == "above":
+        b = spec.constant_field(anchors[0] + scfg.mp_offset)
+    else:
+        b = spec.constant_field(anchors[1])
+    rec = mountain_pass(tfunc, a, b, scfg)
+    rec.provenance.update({"stage": stage, "kind": kind,
+                           "anchors": [float(x) for x in anchors]})
+    transferred = transfer_to_original(rec, func, tfunc, scfg,
+                                       range_margin=range_margin)
+    report.stages[stage] = {
+        "anchors": [float(x) for x in anchors],
+        "truncated_record": rec.to_dict(),
+        "transferred_record": transferred.to_dict(),
+    }
+    return transferred
 
 
 def run_pipeline(config: dict) -> RunReport:
@@ -314,46 +361,32 @@ def run_pipeline(config: dict) -> RunReport:
     report = RunReport(config)
     t_start = time.perf_counter()
 
-    def clock(stage, t0):
-        report.timings[stage] = time.perf_counter() - t0
-
-    # stage 1: spectrum + split + hypotheses (mandatory)
-    t0 = time.perf_counter()
-    try:
-        dom_cfg = config["domain"]
-        domain = Domain(dom_cfg["kind"], tuple(dom_cfg["lengths"]),
-                        dom_cfg.get("quad_points"))
-        spec0 = build_spectrum(domain, config["modes"])
-        nl = config["nonlinearity"]
-        f = build_nonlinearity(
-            [tuple(kn) for kn in nl["knots"]],
-            nl["slope_minus_inf"], nl["slope_plus_inf"],
-            shape_points=[tuple(sp) for sp in nl.get("shape_points", ())],
-            blend_margin=nl.get("blend_margin", 1.0),
-        )
-        spec = split_spectrum(spec0, f.slope_plus_inf)
+    # spectrum, split and hypotheses; nothing runs without them
+    def problem():
+        spec, f = build_problem(config)
         report.spectrum = spec
         report.functional = EnergyFunctional(spec, f)
         report.hypotheses = check_hypotheses(f, spec)
         report.stages["spectrum"] = spec.summary()
-    except (NeucritError, ValueError) as e:
-        report.errors["spectrum"] = {"type": type(e).__name__, "message": str(e)}
-        clock("spectrum", t0)
-        return report
-    clock("spectrum", t0)
+        return f
 
+    f = report.run("spectrum", problem)
+    if f is None:
+        return report
+    spec = report.spectrum
+    func = report.functional
     scfg = SolverConfig(**config.get("solver", {}))
     lcfg = LedgerConfig(**config.get("ledger", {}))
-    red_cfg = config.get("reduction", {})
     stages = set(config["stages"])
-    func = report.functional
+
+    def constants_stage():
+        found = find_constants(func, scfg)
+        report.stages["constants"] = [r.to_dict() for r in found]
+        return found
 
     constants = []
     if "constants" in stages:
-        t0 = time.perf_counter()
-        constants = find_constants(func, scfg)
-        report.stages["constants"] = [r.to_dict() for r in constants]
-        clock("constants", t0)
+        constants = report.run("constants", constants_stage) or []
 
     mins = _min_type_zeros(f)
     transferred = []
@@ -361,34 +394,24 @@ def run_pipeline(config: dict) -> RunReport:
         stage = f"truncation_{kind}"
         if stage not in stages:
             continue
-        t0 = time.perf_counter()
         if kind in ("below", "above") and not mins:
             report.skips[stage] = "no minimum-type zero to anchor the truncation"
         elif kind == "interval" and len(mins) < 2:
             report.skips[stage] = "interval truncation needs two minimum-type zeros"
         else:
-            anchors = {
-                "below": (mins[0],) if mins else (),
-                "above": (mins[-1],) if mins else (),
-                "interval": (mins[0], mins[-1]) if len(mins) >= 2 else (),
-            }[kind]
-            rec = _truncation_stage(report, kind, anchors, scfg, scfg,
-                                    lcfg.range_margin)
+            anchors = {"below": (mins[0],), "above": (mins[-1],),
+                       "interval": (mins[0], mins[-1])}[kind]
+            rec = report.run(stage, _truncation_stage, report, kind, anchors, scfg,
+                             lcfg.range_margin)
             if rec is not None:
                 transferred.append(rec)
-        clock(stage, t0)
 
-    R = None
-    if "homotopy" in stages:
-        t0 = time.perf_counter()
-        try:
-            lambdas = np.linspace(0.0, 1.0, scfg.lambda_count)
-            hres = homotopy_bound(f, spec, lambdas, scfg)
-            R = hres.R
-            report.stages["homotopy"] = hres.to_dict()
-        except (NeucritError, ValueError) as e:
-            report.errors["homotopy"] = {"type": type(e).__name__, "message": str(e)}
-        clock("homotopy", t0)
+    def homotopy_stage():
+        hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, scfg.lambda_count), scfg)
+        report.stages["homotopy"] = hres.to_dict()
+        return hres.R
+
+    R = report.run("homotopy", homotopy_stage) if "homotopy" in stages else None
     if R is None:
         known = constants + transferred
         top = max((r.h1_norm for r in known), default=1.0)
@@ -397,33 +420,25 @@ def run_pipeline(config: dict) -> RunReport:
             f"homotopy bound unavailable; fallback R={R:.6g} from found records"
         )
 
+    def reduction_stage():
+        ctx = make_reduction_context(func, **config.get("reduction", {}))
+        rec = maximize_reduced(ctx, scfg, R=R)
+        report.stages["reduction"] = rec.to_dict()
+        return rec
+
     reduction_rec = None
     if "reduction" in stages:
-        t0 = time.perf_counter()
         if not report.hypotheses.reduction_applicable:
             report.skips["reduction"] = (
                 "ReductionInapplicable: gamma reaches the complement spectrum"
             )
         else:
-            try:
-                ctx = make_reduction_context(
-                    func,
-                    inner_tol=red_cfg.get("inner_tol", 1e-9),
-                    max_inner=red_cfg.get("max_inner", 20000),
-                )
-                grid_R = red_cfg.get("grid_radius") or R
-                reduction_rec = maximize_reduced(ctx, scfg, R=grid_R)
-                report.stages["reduction"] = reduction_rec.to_dict()
-            except (NeucritError, ValueError, np.linalg.LinAlgError) as e:
-                report.errors["reduction"] = {"type": type(e).__name__,
-                                              "message": str(e)}
-        clock("reduction", t0)
+            reduction_rec = report.run("reduction", reduction_stage)
 
     if "ledger" not in stages:
         return report
 
-    t0 = time.perf_counter()
-    ledger = DegreeLedger(spec.k, R, spec, lcfg)
+    ledger = DegreeLedger(spec.k, R, spec, scfg.dedup_radius)
     report.ledger = ledger
     qual = {}
 
@@ -440,19 +455,17 @@ def run_pipeline(config: dict) -> RunReport:
             idx = len(ledger.records) - 1
             qual[idx] = rep.to_dict()
 
-    for rec in constants:
-        admit(rec)
-    for rec in transferred:
-        admit(rec)
-    if reduction_rec is not None:
-        admit(reduction_rec)
-    lrep = ledger.reconcile(func)
-    report.ledger_report = lrep
-    report.stages["ledger"] = {"initial_reconciliation": lrep.to_dict()}
-    clock("ledger", t0)
+    def ledger_stage():
+        for rec in (*constants, *transferred, reduction_rec):
+            if rec is not None:
+                admit(rec)
+        lrep = ledger.reconcile(func)
+        report.ledger_report = lrep
+        report.stages["ledger"] = {"initial_reconciliation": lrep.to_dict()}
+        return lrep
 
-    if "multistart" in stages and lrep.deficiency != 0:
-        t0 = time.perf_counter()
+    def multistart_stage():
+        lrep = report.ledger_report
         new_found = []
         chunks = 0
         budget_left = scfg.multistart_budget
@@ -485,10 +498,14 @@ def run_pipeline(config: dict) -> RunReport:
             "final_deficiency": lrep.deficiency,
         }
         report.stages["ledger"]["final_reconciliation"] = lrep.to_dict()
-        clock("multistart", t0)
+
+    if report.run("ledger", ledger_stage) is None:
+        return report
+    if "multistart" in stages and report.ledger_report.deficiency != 0:
+        report.run("multistart", multistart_stage)
 
     report.records = list(ledger.records)
     report.stages["ledger"]["qualitative"] = qual
-    report.stages["ledger"]["reconciliation"] = lrep.to_dict()
+    report.stages["ledger"]["reconciliation"] = report.ledger_report.to_dict()
     report.timings["total"] = time.perf_counter() - t_start
     return report

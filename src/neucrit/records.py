@@ -15,6 +15,8 @@ class SolverConfig:
     """Tolerances and budgets for the search stages.
 
     grad_tol is the Sobolev residual every returned record must meet.
+    dedup_radius is the Sobolev distance below which two records are the
+    same point, in the searches and in the ledger alike.
     path_nodes counts the mountain-pass polyline nodes, endpoints included.
     mp_offset places the outer mountain-pass endpoint that many units past
     the anchor zero.  safety_factor scales the homotopy bound into the

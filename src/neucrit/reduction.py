@@ -64,8 +64,6 @@ def make_reduction_context(functional, inner_tol=1e-9, max_inner=20000) -> Reduc
     uniqueness guarantee.
     """
     spec = functional.spectrum
-    if not hasattr(spec, "k"):
-        raise ValueError("spectrum carries no X/Y split; call split_spectrum first")
     f = functional.nonlinearity
     lam_min_y = spec.lambda_min_y
     if not np.isfinite(lam_min_y) or f.gamma >= lam_min_y:

@@ -284,6 +284,16 @@ def _finish_mp(functional, coeffs, cfg, sweeps, end_a, end_b) -> CriticalPointRe
 
 
 def _random_ball_starts(spec, rng, count, radius):
+    """`count` random starts in the Sobolev ball of the given radius.
+
+    Directions are standard normal coefficient vectors scaled to unit
+    Sobolev norm; radii are radius * sqrt(U) with U uniform on [0, 1).  The sqrt is the uniform law for a disk, not for the
+    n-dimensional ball, where uniform radii would be radius * U**(1/n); so
+    with more than two modes the starts cluster toward the centre.  The law
+    stays as it is: every seed's random stream, and with it the records a
+    run finds and the stored golden records it is checked against, depend
+    on these exact draws.
+    """
     starts = []
     for _ in range(count):
         g = rng.standard_normal(spec.n_modes)

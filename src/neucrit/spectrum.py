@@ -17,6 +17,7 @@ basis is the identity up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "EigenPair",
     "SpectrumSlice",
     "build_spectrum",
+    "quad_points_per_axis",
     "split_spectrum",
 ]
 
@@ -55,14 +57,17 @@ class Domain:
         if self.kind not in ("interval", "rectangle"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         need = 1 if self.kind == "interval" else 2
+        if not all(isinstance(L, Real) and not isinstance(L, bool) for L in self.lengths):
+            raise ValueError("side lengths must be numbers")
         lengths = tuple(float(L) for L in self.lengths)
         if len(lengths) != need:
             raise ValueError(f"{self.kind} needs {need} length(s), got {len(lengths)}")
         if any(not np.isfinite(L) or L <= 0 for L in lengths):
             raise ValueError("side lengths must be positive and finite")
         object.__setattr__(self, "lengths", lengths)
-        if self.quad_points is not None and int(self.quad_points) < 2:
-            raise ValueError("quad_points must be at least 2")
+        qp = self.quad_points
+        if qp is not None and (isinstance(qp, bool) or not isinstance(qp, Integral) or qp < 2):
+            raise ValueError(f"quad_points must be an integer of at least 2, got {qp!r}")
 
     @property
     def ndim(self) -> int:
@@ -95,15 +100,27 @@ def _axis_nodes_weights(length: float, n: int):
 def _axis_basis(length: float, x: np.ndarray, mode_max: int):
     """Columns phi_j(x), j = 0..mode_max, L2-normalized on [0, length]."""
     cols = np.empty((x.size, mode_max + 1))
-    dcols = np.empty_like(cols)
     cols[:, 0] = np.sqrt(1.0 / length)
-    dcols[:, 0] = 0.0
     for j in range(1, mode_max + 1):
         freq = j * np.pi / length
         amp = np.sqrt(2.0 / length)
         cols[:, j] = amp * np.cos(freq * x)
-        dcols[:, j] = -amp * freq * np.sin(freq * x)
-    return cols, dcols
+    return cols
+
+
+def quad_points_per_axis(domain: Domain, n_modes: int) -> int:
+    """Quadrature points per axis for the first `n_modes` eigenpairs.
+
+    The candidate modes use axis indices below `n_modes`, so 4 x n_modes
+    points per axis keep every basis product alias-free.  That floor is the
+    default when `domain.quad_points` is None; an explicit count below it
+    raises ValueError.
+    """
+    floor = 4 * int(n_modes)
+    qp = floor if domain.quad_points is None else int(domain.quad_points)
+    if qp < floor:
+        raise ValueError(f"quad_points={qp} is below the anti-aliasing floor {floor}")
+    return qp
 
 
 class SpectrumSlice:
@@ -131,27 +148,18 @@ class SpectrumSlice:
         self.n_modes = int(n_modes)
 
         per_axis = self.n_modes  # candidate pool; the n smallest use indices < n
-        qp = domain.quad_points if domain.quad_points is not None else 4 * per_axis
-        qp = int(qp)
-        if qp < 4 * per_axis:
-            raise ValueError(
-                f"quad_points={qp} is below the anti-aliasing floor 4*{per_axis}"
-            )
-        self.quad_points = qp
+        self.quad_points = qp = quad_points_per_axis(domain, self.n_modes)
 
         axes = []
         for L in domain.lengths:
             x, w = _axis_nodes_weights(L, qp)
-            c, dc = _axis_basis(L, x, per_axis - 1)
-            axes.append((x, w, c, dc))
-        self._axes = axes
+            axes.append((x, w, _axis_basis(L, x, per_axis - 1)))
 
         lam_axis = [
             np.array([(j * np.pi / L) ** 2 for j in range(per_axis)])
             for L in domain.lengths
         ]
         if domain.ndim == 1:
-            cand = [((lam_axis[0][j],), (j,)) for j in range(per_axis)]
             modes = sorted(range(per_axis), key=lambda j: (lam_axis[0][j], j))
             modes = [(j,) for j in modes][: self.n_modes]
         else:
@@ -164,34 +172,24 @@ class SpectrumSlice:
             modes = [m for _, m in pool[: self.n_modes]]
 
         if domain.ndim == 1:
-            x, w, c, dc = axes[0]
+            x, w, c = axes[0]
             self.points = x[:, None]
             self.weights = w
             basis = np.stack([c[:, m[0]] for m in modes], axis=1)
-            grads = [np.stack([dc[:, m[0]] for m in modes], axis=1)]
             eigs = np.array([lam_axis[0][m[0]] for m in modes])
         else:
-            (x1, w1, c1, dc1), (x2, w2, c2, dc2) = axes
+            (x1, w1, c1), (x2, w2, c2) = axes
             X1, X2 = np.meshgrid(x1, x2, indexing="ij")
             self.points = np.stack([X1.ravel(), X2.ravel()], axis=1)
             self.weights = np.outer(w1, w2).ravel()
             basis = np.stack(
                 [np.outer(c1[:, a], c2[:, b]).ravel() for a, b in modes], axis=1
             )
-            grads = [
-                np.stack(
-                    [np.outer(dc1[:, a], c2[:, b]).ravel() for a, b in modes], axis=1
-                ),
-                np.stack(
-                    [np.outer(c1[:, a], dc2[:, b]).ravel() for a, b in modes], axis=1
-                ),
-            ]
             eigs = np.array([lam_axis[0][a] + lam_axis[1][b] for a, b in modes])
 
         self.modes = [tuple(int(i) for i in m) for m in modes]
         self.eigenvalues = eigs
         self.basis = basis
-        self.basis_grads = grads
         norm0 = 1.0 / np.sqrt(domain.measure)
         self.pairs = [
             EigenPair(
@@ -216,11 +214,6 @@ class SpectrumSlice:
         """Values of the field on the quadrature grid."""
         return self.basis @ np.asarray(coeffs, dtype=float)
 
-    def evaluate_gradient(self, coeffs: np.ndarray) -> list:
-        """Per-axis spatial derivative values on the quadrature grid."""
-        c = np.asarray(coeffs, dtype=float)
-        return [g @ c for g in self.basis_grads]
-
     def project(self, values: np.ndarray) -> np.ndarray:
         """L2 projection of grid values onto the basis, as coefficients."""
         return self.basis.T @ (self.weights * np.asarray(values, dtype=float))
@@ -232,12 +225,6 @@ class SpectrumSlice:
         c = np.zeros(self.n_modes)
         c[0] = float(value) * np.sqrt(self.domain.measure)
         return c
-
-    def l2_inner(self, a, b) -> float:
-        return float(np.dot(a, b))
-
-    def l2_norm(self, a) -> float:
-        return float(np.linalg.norm(a))
 
     def h1_inner(self, a, b) -> float:
         return float(np.sum((1.0 + self.eigenvalues) * np.asarray(a) * np.asarray(b)))

@@ -113,6 +113,11 @@ def test_config_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--stage", "warp_drive"]) == 1
     capsys.readouterr()
+    qp = write_config(tmp_path, lambda cfg: cfg["domain"].update(quad_points="x"),
+                      name="quad_points.json")
+    assert main(["check", "--config", qp]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys):

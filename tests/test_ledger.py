@@ -8,11 +8,11 @@ import neucrit as nc
 from neucrit.ledger import (
     DegreeLedger,
     LedgerConfig,
-    hess_kato_check,
     local_degree,
     qualitative_classify,
     transfer_to_original,
 )
+from neucrit.records import principal_simple_signdef
 
 TRANSFER_SHIFT = 25.0 * np.pi / 24.0
 
@@ -62,11 +62,11 @@ def test_hess_kato_at_constants(ref5, solver_cfg):
     spec, f, func = ref5
     rec = nc.make_record(func, spec.constant_field(-2.0), solver_cfg,
                          "constant", {"stage": "t"})
-    assert hess_kato_check(rec, func)
+    assert principal_simple_signdef(func, rec)
     # index-0 constant: no negative direction, the check does not apply
     rec1 = nc.make_record(func, spec.constant_field(1.0), solver_cfg,
                           "constant", {"stage": "t"})
-    assert not hess_kato_check(rec1, func)
+    assert not principal_simple_signdef(func, rec1)
 
 
 def test_hess_kato_positive_definite_square(solver_cfg):
@@ -77,7 +77,7 @@ def test_hess_kato_positive_definite_square(solver_cfg):
     func = nc.EnergyFunctional(spec, f)
     rec = nc.make_record(func, np.zeros(9), solver_cfg, "constant", {"stage": "t"})
     assert np.all(rec.hessian_eigs > 0)
-    assert not hess_kato_check(rec, func)
+    assert not principal_simple_signdef(func, rec)
 
 
 def test_hess_kato_simplicity_and_sign(ref5, solver_cfg):
@@ -87,12 +87,12 @@ def test_hess_kato_simplicity_and_sign(ref5, solver_cfg):
     # near-double lowest pair: simplicity fails
     forged = dataclasses.replace(
         rec, hessian_eigs=np.array([-1.0, -1.0 + 1e-9, 0.5]))
-    assert not hess_kato_check(forged, func)
+    assert not principal_simple_signdef(func, forged)
     # sign-changing principal eigenfield: definiteness fails
     e1 = np.zeros(spec.n_modes)
     e1[1] = 1.0
     forged2 = dataclasses.replace(rec, principal_vec=e1)
-    assert not hess_kato_check(forged2, func)
+    assert not principal_simple_signdef(func, forged2)
 
 
 def test_qualitative_constant_vacuous(ref5, solver_cfg):

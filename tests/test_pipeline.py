@@ -191,6 +191,24 @@ def test_validate_config_errors():
     with pytest.raises(nc.ConfigError):
         validate_config("not a dict")
 
+    # values of the wrong type or shape, and keys that no setting reads
+    for section, key, value, match in (
+        ("domain", "quad_points", "x", "quad_points"),
+        ("domain", "lengths", [np.pi, 1.0], "length"),
+        ("solver", "grad_tol", "abc", "grad_tol"),
+        ("solver", "max_iters", 1.5, "max_iters"),
+        (None, "modes", True, "modes"),
+        ("ledger", "degeneracy_tol", 1e-7, "unknown keys in section"),
+        ("ledger", "simplicity_tol", 1e-6, "unknown keys in section"),
+        ("ledger", "dedup_radius", 1e-4, "unknown keys in section"),
+        ("reduction", "grid_radius", 10.0, "unknown keys in section"),
+        (None, "output", {"dir": "out"}, "unknown config keys"),
+    ):
+        bad = reference_config()
+        (bad.setdefault(section, {}) if section else bad)[key] = value
+        with pytest.raises(nc.ConfigError, match=match):
+            validate_config(bad)
+
 
 def test_stage_subset_runs_partial():
     cfg = reference_config()

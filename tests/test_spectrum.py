@@ -45,12 +45,18 @@ def test_project_evaluate_roundtrip():
 
 
 def test_h1_norm_matches_gradient_quadrature():
-    # |u|_H1^2 = int |grad u|^2 + int u^2, computed two ways
+    # |u|_H1^2 = int |grad u|^2 + int u^2, computed two ways; the gradient
+    # comes from differentiating the closed-form cosine modes
     spec = build_spectrum(Domain("rectangle", (np.pi, 1.5)), 9)
     rng = np.random.default_rng(4)
     c = rng.standard_normal(9)
     u = spec.evaluate(c)
-    grads = spec.evaluate_gradient(c)
+    norms = np.array([pair.norm_constant for pair in spec.pairs])
+    freq = np.pi * np.array(spec.modes) / np.array(spec.domain.lengths)
+    arg = spec.points[:, None, :] * freq  # (points, modes, axes)
+    cos, dcos = np.cos(arg), -freq * np.sin(arg)
+    grads = [(dcos[..., 0] * cos[..., 1] * norms) @ c,
+             (cos[..., 0] * dcos[..., 1] * norms) @ c]
     quad = spec.integrate(u**2) + sum(spec.integrate(g**2) for g in grads)
     assert abs(spec.h1_norm(c) ** 2 - quad) < 1e-10 * max(1.0, quad)
 
