@@ -28,6 +28,8 @@ __all__ = [
     "ReductionContext",
     "make_reduction_context",
     "psi",
+    "PopulationSolve",
+    "psi_population",
     "reduced_value",
     "reduced_gradient",
     "maximize_reduced",
@@ -37,6 +39,12 @@ __all__ = [
 ]
 
 _MODULUS_SLACK = 1e-10
+# float64 elements per batched array of the population solve (256 KB); at
+# 1 MB the solve's temporaries raised the peak memory of a run by 7 MB
+_BLOCK_ELEMENTS = 1 << 15
+# relative energy change below which a Newton step counts as no rise: two
+# energies of nearly equal fields differ by rounding near convergence
+_ENERGY_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,13 +91,14 @@ def _y_block_gradient(ctx, u):
 
 
 def psi(ctx: ReductionContext, x, y0=None):
-    """The unique Y-supported minimizer of y -> J(x + y).
+    """The unique Y-supported minimizer of y -> J(x + y), for one x.
 
     Fixed-step descent with the certified step 2/(m + Lam) until the
     residual drops below 1e-4, then Newton on the Y block.  Along the way
-    consecutive iterates double as probes of the strong-convexity
+    consecutive descent iterates double as probes of the strong-convexity
     inequality; a violation raises ModulusViolated, which means gamma was
-    certified wrong.
+    certified wrong.  This is the warm-started solve of the ascent and the
+    final polish; `psi_population` solves many seeds at once.
     """
     spec = ctx.spectrum
     func = ctx.functional
@@ -127,6 +136,100 @@ def psi(ctx: ReductionContext, x, y0=None):
         y = y.copy()
         y[yi] += delta
     raise MaxItersExceeded("Newton phase of the inner minimization stalled")
+
+
+@dataclass(frozen=True)
+class PopulationSolve:
+    """psi for a population of X rows, with the steps taken to get there."""
+
+    y: np.ndarray         # psi of each row, zero off the Y block
+    values: np.ndarray    # reduced values J(x + psi(x))
+    newton_steps: int     # accepted Newton steps, summed over rows
+    fallback_steps: int   # certified fixed steps taken instead of Newton
+
+
+def psi_population(ctx: ReductionContext, xs) -> PopulationSolve:
+    """psi of every row of `xs` (coefficient rows, X-projected here).
+
+    Newton on the Y block runs for a block of rows at once, from y = 0:
+    each iteration costs one field transform, one f, one f' and one
+    primitive call for the block and one batched solve of the Y-block
+    Hessians.  A row whose Newton step does not lower J(x + y) takes the
+    certified step 2/(m + Lam) instead.  Every pair of consecutive iterates
+    of every row probes the strong-convexity inequality; a violation
+    raises ModulusViolated.  Blocks are sized so that each batched array
+    holds about 256 KB.
+    """
+    spec = ctx.spectrum
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    rows = np.zeros_like(xs)
+    rows[:, spec.x_indices] = xs[:, spec.x_indices]
+    values = np.empty(len(rows))
+    newton = fallback = 0
+    block = max(1, _BLOCK_ELEMENTS // spec.basis.shape[0])
+    for lo in range(0, len(rows), block):
+        values[lo:lo + block], n, b = _newton_block(ctx, rows[lo:lo + block])
+        newton, fallback = newton + n, fallback + b
+    rows[:, spec.x_indices] = 0.0
+    return PopulationSolve(rows, values, newton, fallback)
+
+
+def _newton_block(ctx, c):
+    """Minimize over the Y block of each row of `c` in place.  Returns the
+    energies and the Newton and fallback step counts."""
+    spec = ctx.spectrum
+    f = ctx.functional.nonlinearity
+    yi = spec.y_indices
+    lam = spec.eigenvalues
+    h1_y = 1.0 + lam[yi]
+    basis, w = spec.basis, spec.weights
+    basis_y = basis[:, yi]
+    diag_y = np.diag(lam[yi])
+    hess_rows = max(1, _BLOCK_ELEMENTS // basis_y.size)
+    fixed_step = 2.0 / (ctx.m + ctx.lam)
+
+    def state(rows):
+        # field values, J and the Y-block partial derivatives of J per row
+        u = rows @ basis.T
+        energy = 0.5 * (rows * rows) @ lam - f.primitive(u) @ w
+        grad = rows[:, yi] * lam[yi] - (f(u) * w) @ basis_y
+        return u, energy, grad
+
+    values = np.empty(len(c))
+    newton = fallback = 0
+    live = np.arange(len(c))
+    u, energy, grad = state(c)
+    for _ in range(ctx.max_inner):
+        done = np.sqrt(np.sum(grad * grad / h1_y, axis=1)) <= ctx.inner_tol
+        values[live[done]] = energy[done]
+        live, u, energy, grad = live[~done], u[~done], energy[~done], grad[~done]
+        if live.size == 0:
+            return values, newton, fallback
+        wd = f.deriv(u) * w
+        hess = np.empty((live.size, yi.size, yi.size))
+        for lo in range(0, live.size, hess_rows):
+            weighted = basis_y.T * wd[lo:lo + hess_rows, None, :]
+            hess[lo:lo + hess_rows] = diag_y - weighted @ basis_y
+        trial = c[live]
+        y = trial[:, yi]
+        trial[:, yi] = y + np.linalg.solve(hess, -grad[..., None])[..., 0]
+        u_new, e_new, g_new = state(trial)
+        rise = ~(e_new <= energy + _ENERGY_ROUNDING * (1.0 + np.abs(energy)))
+        if np.any(rise):
+            back = np.flatnonzero(rise)
+            trial[np.ix_(back, yi)] = y[back] - fixed_step * grad[back] / h1_y
+            u_new[back], e_new[back], g_new[back] = state(trial[back])
+        dy = trial[:, yi] - y
+        gap = np.sum((g_new - grad) * dy, axis=1) - ctx.m * np.sum(h1_y * dy * dy, axis=1)
+        if np.min(gap) < -_MODULUS_SLACK:
+            raise ModulusViolated(
+                f"monotonicity gap {np.min(gap):.3e} along the population iterates"
+            )
+        fallback += int(np.count_nonzero(rise))
+        newton += live.size - int(np.count_nonzero(rise))
+        c[live] = trial
+        u, energy, grad = u_new, e_new, g_new
+    raise MaxItersExceeded("population Newton solve of the inner minimization stalled")
 
 
 def reduced_value(ctx: ReductionContext, x, y0=None) -> float:
@@ -175,9 +278,12 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
 
     Seeds: a regular grid of (2*ceil(R)+1)^k points over [-R, R]^k for
     k <= 4 (random seeds beyond that), plus the X-projections of every
-    constant solution.  The best seeds get a quasi-Newton ascent on the k
-    reduced variables, and the winner is polished as a critical point of
-    the full functional.
+    constant solution.  One population solve (`psi_population`) ranks all
+    seeds, probing strong convexity on each of its steps.  The six best
+    seeds get a quasi-Newton ascent on the k reduced variables, with
+    warm-started `psi` calls, and the winner is polished as a critical
+    point of the full functional.  The record's provenance counts the
+    seeds and the Newton and fallback steps of the population solve.
     """
     spec = ctx.spectrum
     func = ctx.functional
@@ -200,6 +306,11 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
         note_grid = f"k={k} > 4: grid seeding replaced by random seeds"
     for t in zeros:
         seeds.append(spec.constant_field(t)[spec.x_indices])
+    rows = np.zeros((len(seeds), spec.n_modes))
+    rows[:, spec.x_indices] = seeds
+    grid = psi_population(ctx, rows)
+    order = np.argsort(grid.values)[::-1]
+    top = [np.asarray(seeds[i], dtype=float) for i in order[:6]]
 
     y_cache = [None]
 
@@ -208,10 +319,6 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
         y = psi(ctx, x, y_cache[0])
         y_cache[0] = y
         return func.value(x + y)
-
-    vals = np.array([value_at(np.asarray(s, dtype=float)) for s in seeds])
-    order = np.argsort(vals)[::-1]
-    top = [np.asarray(seeds[i], dtype=float) for i in order[:6]]
 
     def neg_val(xi):
         return -value_at(xi)
@@ -237,7 +344,8 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
     rec = make_record(
         func, u, cfg, "reduction_max",
         {"stage": "reduction", "functional": func.nonlinearity.label,
-         "reduced_value": float(func.value(u)), "k": k},
+         "reduced_value": float(func.value(u)), "k": k, "seeds": len(seeds),
+         "newton_steps": grid.newton_steps, "fallback_steps": grid.fallback_steps},
     )
     notes = []
     if note_grid:

@@ -212,8 +212,10 @@ def mountain_pass(functional, end_a, end_b, cfg: SolverConfig) -> CriticalPointR
 
     steps = np.full(n, 0.2)
     best = None
+    # node energies: a moved node keeps the energy its accepted step
+    # computed, and every node is re-evaluated after redistribution
+    energies = np.array([functional.value(p) for p in path])
     for sweep in range(cfg.max_iters):
-        energies = np.array([functional.value(p) for p in path])
         i = int(np.argmax(energies))
         if i in (0, n - 1):
             raise PathCollapse("the maximal node is an endpoint; no interior barrier")
@@ -251,17 +253,20 @@ def mountain_pass(functional, end_a, end_b, cfg: SolverConfig) -> CriticalPointR
         moved = False
         for _ in range(40):
             cand = path[i] - step * d
-            if functional.value(cand) < Ji - 1e-6 * step * dn2:
+            Jc = functional.value(cand)
+            if Jc < Ji - 1e-6 * step * dn2:
                 moved = True
                 break
             step *= 0.5
         if moved:
             path[i] = cand
+            energies[i] = Jc
             steps[i] = min(step * 1.5, 5.0)
         else:
             steps[i] = max(step, 1e-8)
         if sweep % 5 == 4:
             path = _redistribute(spec, path)
+            energies = np.array([functional.value(p) for p in path])
     raise MaxItersExceeded(f"mountain pass did not settle in {cfg.max_iters} sweeps")
 
 

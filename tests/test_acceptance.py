@@ -252,16 +252,41 @@ def test_08_degree_reconciliation(ref5, solver_cfg, reference_report):
 
 # ---------------------------------------------------------------- 9
 
+def _tail_offset_sup(f):
+    """M = sup |f(t) - s t| with s the common tail slope, exact from the
+    cubic pieces: the outer pieces are affine with slope s, so f - s t is
+    constant on them and beyond."""
+    s = f.slope_plus_inf
+    pp = f.ppoly
+    M = 0.0
+    for i in range(pp.c.shape[1]):
+        c3, c2, c1, c0 = pp.c[:, i]
+        h = pp.x[i + 1] - pp.x[i]
+        g = np.poly1d([c3, c2, c1 - s, c0 - s * pp.x[i]])
+        crit = [r.real for r in np.roots([3.0 * c3, 2.0 * c2, c1 - s])
+                if r.imag == 0 and 0.0 < r.real < h]
+        M = max(M, *(abs(g(t)) for t in [0.0, h, *crit]))
+    return float(M)
+
+
 def test_09_homotopy_bound(reference_report):
     """At the linear end only u = 0 survives, and solution norms along the
-    whole homotopy stay below the reported R / safety."""
+    whole homotopy stay below the reported R / safety and below the
+    closed-form bound M sqrt(|Omega| max_j (1 + lam_j) / (lam_j - s)^2)."""
     h = reference_report.stages["homotopy"]
     cap = h["R"] / h["safety_factor"]
     worst = max(row["max_norm"] for row in h["per_lambda"])
     end_norm = h["per_lambda"][-1]["max_norm"]
-    ok = h["lambda_one_clean"] and end_norm < 1e-6 and worst <= cap + 1e-9
+    f = reference_report.functional.nonlinearity
+    lam = reference_report.spectrum.eigenvalues
+    s = f.slope_plus_inf
+    proven = _tail_offset_sup(f) * math.sqrt(
+        reference_report.spectrum.domain.measure * np.max((1.0 + lam) / (lam - s) ** 2))
+    ok = (h["lambda_one_clean"] and end_norm < 1e-6 and worst <= cap + 1e-9
+          and worst <= proven)
     _verdict(9, "homotopy norm bound", ok,
-             f"max norm {worst:.4f} <= {cap:.4f}, end-point norm {end_norm:.1e}")
+             f"max norm {worst:.4f} <= {cap:.4f} and <= closed form {proven:.4f},"
+             f" end-point norm {end_norm:.1e}")
 
 
 # ---------------------------------------------------------------- 10

@@ -10,6 +10,7 @@ from neucrit.reduction import (
     maximize_reduced,
     monotonicity_certificate,
     psi,
+    psi_population,
     reduced_gradient,
     reduced_value,
 )
@@ -130,6 +131,64 @@ def test_forged_modulus_trips_probes(ref5, ref5_ctx):
         psi(bad, x)
 
 
+def _small_rectangle_ctx(ref5):
+    _, f, _ = ref5
+    dom = nc.Domain("rectangle", (np.pi, 1.5))
+    spec = nc.split_spectrum(nc.build_spectrum(dom, 8), 2.5)
+    return make_reduction_context(nc.EnergyFunctional(spec, f))
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_psi_population_matches_psi(ref5, ref5_ctx, domain):
+    ctx = ref5_ctx if domain == "interval" else _small_rectangle_ctx(ref5)
+    spec, func = ctx.spectrum, ctx.functional
+    R = 10.0
+    rng = np.random.default_rng(39)
+    rows = np.zeros((20, spec.n_modes))
+    rows[:, spec.x_indices] = rng.uniform(-R, R, size=(20, ctx.k))
+    consts = [spec.x_projection(spec.constant_field(t)) for t, _ in func.nonlinearity.zeros()]
+    rows = np.vstack([rows, consts])
+    sol = psi_population(ctx, rows)
+    assert sol.y.shape == rows.shape
+    for x, y, val in zip(rows, sol.y, sol.values):
+        ref = psi(ctx, x)
+        assert spec.h1_dist(y, ref) <= 10 * ctx.inner_tol
+        assert np.all(spec.x_projection(y) == 0.0)
+        assert val == pytest.approx(func.value(x + y), rel=1e-12, abs=1e-12)
+    assert sol.newton_steps > 0
+
+
+def test_psi_population_forged_modulus(ref5, ref5_ctx):
+    spec, _, _ = ref5
+    bad = dataclasses.replace(ref5_ctx, m=10.0)
+    rng = np.random.default_rng(40)
+    rows = np.zeros((8, spec.n_modes))
+    rows[:, spec.x_indices] = rng.uniform(-5.0, 5.0, size=(8, bad.k))
+    with pytest.raises(nc.ModulusViolated):
+        psi_population(bad, rows)
+
+
+def test_psi_population_falls_back_on_rising_steps(ref5, ref5_ctx, monkeypatch):
+    """Newton steps turned uphill raise the energy; the certified fixed
+    step then takes over and the rows still reach psi."""
+    spec, _, _ = ref5
+    rng = np.random.default_rng(41)
+    rows = np.zeros((6, spec.n_modes))
+    rows[:, spec.x_indices] = rng.uniform(-8.0, 8.0, size=(6, ref5_ctx.k))
+    expected = [psi(ref5_ctx, x) for x in rows]
+    solve = np.linalg.solve
+
+    def uphill_while_far(a, b):
+        step = solve(a, b)
+        return -step if np.abs(b).max() > 1e-2 else step
+
+    monkeypatch.setattr(np.linalg, "solve", uphill_while_far)
+    sol = psi_population(ref5_ctx, rows)
+    assert sol.fallback_steps > 0
+    for y, ref in zip(sol.y, expected):
+        assert spec.h1_dist(y, ref) <= 10 * ref5_ctx.inner_tol
+
+
 def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
     rec = maximize_reduced(ref5_ctx, solver_cfg, R=10.0)
     assert rec.classification == "reduction_max"
@@ -141,6 +200,17 @@ def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
     assert rec.morse_index == 2 and not rec.degenerate
     assert rec.residual <= solver_cfg.grad_tol
     assert not any("differs from the block dimension" in n for n in rec.notes)
+
+
+def test_maximize_reduced_counts_repeat(ref5_ctx, solver_cfg):
+    counts = []
+    for _ in range(2):
+        prov = maximize_reduced(ref5_ctx, solver_cfg, R=10.0).provenance
+        counts.append((prov["seeds"], prov["newton_steps"], prov["fallback_steps"]))
+    assert counts[0] == counts[1]
+    seeds, newton, _ = counts[0]
+    assert seeds == 21 ** 2 + 5   # the grid over [-10, 10]^2 and the five constants
+    assert newton > 0
 
 
 def test_maximize_reduced_linear(ref5, solver_cfg):

@@ -124,6 +124,28 @@ def test_mountain_pass_outer_wells(ref5, solver_cfg):
     assert rec2.urange[1] == pytest.approx(-WELL_SADDLE_RANGE[0], abs=2e-4)
 
 
+def test_mountain_pass_caches_node_energies(ref5, solver_cfg):
+    """The reference truncation_below pass evaluates J once per node after
+    each redistribution and once per backtracking trial, not per node and
+    sweep."""
+    spec, f, _ = ref5
+
+    class Counting(nc.EnergyFunctional):
+        value_calls = 0
+
+        def value(self, u):
+            self.value_calls += 1
+            return super().value(u)
+
+    func = Counting(spec, nc.truncate_below(f, -1.0))
+    rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0),
+                        solver_cfg)
+    assert rec.classification == "mp_type"
+    assert rec.iterations == 51
+    assert func.value_calls == 511
+    assert func.value_calls < solver_cfg.path_nodes * rec.iterations
+
+
 def test_refine_critical_polishes(ref5, solver_cfg):
     spec, f, func = ref5
     rng = np.random.default_rng(21)
