@@ -255,7 +255,9 @@ class DegreeLedger:
                 d = local_degree(rec, self.k)
             except UnclassifiedDegenerate as e:
                 flagged.append((i, str(e)))
-                self.flags.append((i, "degenerate without signature; no degree"))
+                flag = (i, "degenerate without signature; no degree")
+                if flag not in self.flags:
+                    self.flags.append(flag)
                 continue
             rec.local_degree = d
             total += d

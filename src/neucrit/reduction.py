@@ -93,49 +93,12 @@ def _y_block_gradient(ctx, u):
 def psi(ctx: ReductionContext, x, y0=None):
     """The unique Y-supported minimizer of y -> J(x + y), for one x.
 
-    Fixed-step descent with the certified step 2/(m + Lam) until the
-    residual drops below 1e-4, then Newton on the Y block.  Along the way
-    consecutive descent iterates double as probes of the strong-convexity
-    inequality; a violation raises ModulusViolated, which means gamma was
-    certified wrong.  This is the warm-started solve of the ascent and the
-    final polish; `psi_population` solves many seeds at once.
+    The one-row case of `psi_population`, started from the Y block of `y0`
+    (y = 0 when it is None).  This is the warm-started solve of the ascent
+    and of the final polish.
     """
-    spec = ctx.spectrum
-    func = ctx.functional
-    x = spec.x_projection(np.asarray(x, dtype=float))
-    y = spec.y_projection(np.zeros(spec.n_modes) if y0 is None else np.asarray(y0, dtype=float))
-    yi = spec.y_indices
-
-    step = 2.0 / (ctx.m + ctx.lam)
-    g = _y_block_gradient(ctx, x + y)
-    for _ in range(ctx.max_inner):
-        res = spec.h1_norm(g)
-        if res <= ctx.inner_tol:
-            return y
-        if res <= 1e-4:
-            break
-        y_new = y - step * g
-        g_new = _y_block_gradient(ctx, x + y_new)
-        dy = y_new - y
-        lhs = spec.h1_inner(g_new - g, dy)
-        rhs = ctx.m * spec.h1_inner(dy, dy)
-        if lhs < rhs - _MODULUS_SLACK:
-            raise ModulusViolated(
-                f"monotonicity gap {lhs - rhs:.3e} along the descent iterates"
-            )
-        y, g = y_new, g_new
-    else:
-        raise MaxItersExceeded("fixed-step phase of the inner minimization stalled")
-
-    for _ in range(60):
-        if spec.h1_norm(_y_block_gradient(ctx, x + y)) <= ctx.inner_tol:
-            return y
-        A, _ = func.hessian_pencil(x + y)
-        G = func.l2_gradient(x + y)
-        delta = np.linalg.solve(A[np.ix_(yi, yi)], -G[yi])
-        y = y.copy()
-        y[yi] += delta
-    raise MaxItersExceeded("Newton phase of the inner minimization stalled")
+    y0 = None if y0 is None else np.asarray(y0, dtype=float)[None]
+    return psi_population(ctx, np.asarray(x, dtype=float)[None], y0).y[0]
 
 
 @dataclass(frozen=True)
@@ -148,22 +111,25 @@ class PopulationSolve:
     fallback_steps: int   # certified fixed steps taken instead of Newton
 
 
-def psi_population(ctx: ReductionContext, xs) -> PopulationSolve:
+def psi_population(ctx: ReductionContext, xs, y0=None) -> PopulationSolve:
     """psi of every row of `xs` (coefficient rows, X-projected here).
 
-    Newton on the Y block runs for a block of rows at once, from y = 0:
-    each iteration costs one field transform, one f, one f' and one
-    primitive call for the block and one batched solve of the Y-block
-    Hessians.  A row whose Newton step does not lower J(x + y) takes the
-    certified step 2/(m + Lam) instead.  Every pair of consecutive iterates
-    of every row probes the strong-convexity inequality; a violation
-    raises ModulusViolated.  Blocks are sized so that each batched array
-    holds about 256 KB.
+    Newton on the Y block runs for a block of rows at once, from the Y
+    block of the matching row of `y0` (y = 0 when it is None): each
+    iteration costs one field transform, one f, one f' and one primitive
+    call for the block and one batched solve of the Y-block Hessians.  A
+    row whose Newton step does not lower J(x + y) takes the certified step
+    2/(m + Lam) instead.  Every pair of consecutive iterates of every row
+    probes the strong-convexity inequality; a violation raises
+    ModulusViolated.  Blocks are sized so that each batched array holds
+    about 256 KB.
     """
     spec = ctx.spectrum
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     rows = np.zeros_like(xs)
     rows[:, spec.x_indices] = xs[:, spec.x_indices]
+    if y0 is not None:
+        rows[:, spec.y_indices] = np.atleast_2d(y0)[:, spec.y_indices]
     values = np.empty(len(rows))
     newton = fallback = 0
     block = max(1, _BLOCK_ELEMENTS // spec.basis.shape[0])
@@ -273,15 +239,18 @@ def _compact_to_field(spec, xi):
     return x
 
 
-def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
+def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     """Global maximizer of the reduced functional.
 
     Seeds: a regular grid of (2*ceil(R)+1)^k points over [-R, R]^k for
     k <= 4 (random seeds beyond that), plus the X-projections of every
     constant solution.  One population solve (`psi_population`) ranks all
     seeds, probing strong convexity on each of its steps.  The six best
-    seeds get a quasi-Newton ascent on the k reduced variables, with
-    warm-started `psi` calls, and the winner is polished as a critical
+    seeds get a BFGS ascent on the k reduced variables; each evaluation is
+    one warm-started `psi` call that yields the reduced value and its
+    partial derivatives, which are those of J at x + psi(x) because the Y
+    block is stationary there.  BFGS stops at a gradient of 10 x inner_tol,
+    the noise floor `psi` leaves, and the winner is polished as a critical
     point of the full functional.  The record's provenance counts the
     seeds and the Newton and fallback steps of the population solve.
     """
@@ -289,9 +258,6 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
     func = ctx.functional
     k = ctx.k
     zeros = [t for t, _ in func.nonlinearity.zeros()]
-    if R is None:
-        span = max((abs(t) for t in zeros), default=1.0)
-        R = 2.0 * span * np.sqrt(spec.domain.measure) + 5.0
 
     seeds = []
     per_axis = 2 * int(np.ceil(R)) + 1
@@ -314,25 +280,16 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R=None):
 
     y_cache = [None]
 
-    def value_at(xi):
+    def neg_value_and_grad(xi):
         x = _compact_to_field(spec, xi)
-        y = psi(ctx, x, y_cache[0])
-        y_cache[0] = y
-        return func.value(x + y)
-
-    def neg_val(xi):
-        return -value_at(xi)
-
-    def neg_grad(xi):
-        x = _compact_to_field(spec, xi)
-        y = psi(ctx, x, y_cache[0])
-        y_cache[0] = y
-        return -spec.x_projection(func.gradient(x + y))[spec.x_indices]
+        y_cache[0] = psi(ctx, x, y_cache[0])
+        u = x + y_cache[0]
+        return -func.value(u), -func.l2_gradient(u)[spec.x_indices]
 
     best_xi, best_val = None, -np.inf
     for s in top:
-        out = scipy_minimize(neg_val, s, jac=neg_grad, method="BFGS",
-                             options={"gtol": 1e-10, "maxiter": 400})
+        out = scipy_minimize(neg_value_and_grad, s, jac=True, method="BFGS",
+                             options={"gtol": 10.0 * ctx.inner_tol, "maxiter": 400})
         if -out.fun > best_val:
             best_val, best_xi = -out.fun, out.x
 

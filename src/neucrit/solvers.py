@@ -360,15 +360,16 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
     for coeffs, method, idx in found:
         if functional.residual(coeffs) > cfg.grad_tol:
             continue
-        lo, hi = spec.field_range(coeffs)
-        is_const = hi - lo <= 1e-9 * (1.0 + max(abs(lo), abs(hi)))
-        evals, _, index, _ = functional.morse_data(coeffs, cfg.degeneracy_tol)
-        cls = "constant" if is_const else ("minimizer" if index == 0 else "other")
-        records.append(make_record(
-            functional, coeffs, cfg, cls,
+        rec = make_record(
+            functional, coeffs, cfg, "other",
             {"stage": "multistart", "method": method, "start_index": idx,
              "functional": functional.nonlinearity.label},
-        ))
+        )
+        if rec.is_constant():
+            rec.classification = "constant"
+        elif rec.morse_index == 0:
+            rec.classification = "minimizer"
+        records.append(rec)
     return dedup_records(spec, records, cfg.dedup_radius)
 
 

@@ -280,11 +280,14 @@ def test_ledger_flags_unclassified_degenerate(ref5, solver_cfg):
     rec = nc.make_record(func, spec.constant_field(1.0), solver_cfg,
                          "other", {"stage": "t"})
     led.add(dataclasses.replace(rec, degenerate=True))
+    led.reconcile(func)
     rep = led.reconcile(func)
     assert rep.flagged and rep.flagged[0][0] == 0
     assert rep.counted == 0
     assert not rep.balanced  # flags block the balanced verdict
     assert led.records[0].local_degree is None
+    # reconciling again reports the record once, not once per pass
+    assert led.flags == [(0, "degenerate without signature; no degree")]
 
 
 def test_ledger_serialization(ref5, solver_cfg):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+from neucrit import reduction
 from neucrit.reduction import (
     local_max_min_at_constant,
     make_reduction_context,
@@ -140,6 +141,9 @@ def _small_rectangle_ctx(ref5):
 
 @pytest.mark.parametrize("domain", ["interval", "rectangle"])
 def test_psi_population_matches_psi(ref5, ref5_ctx, domain):
+    """Every row's Y-block gradient, from the full functional, is below
+    inner_tol; by strong convexity y is then within inner_tol / m of the
+    true minimizer psi(x)."""
     ctx = ref5_ctx if domain == "interval" else _small_rectangle_ctx(ref5)
     spec, func = ctx.spectrum, ctx.functional
     R = 10.0
@@ -151,8 +155,7 @@ def test_psi_population_matches_psi(ref5, ref5_ctx, domain):
     sol = psi_population(ctx, rows)
     assert sol.y.shape == rows.shape
     for x, y, val in zip(rows, sol.y, sol.values):
-        ref = psi(ctx, x)
-        assert spec.h1_dist(y, ref) <= 10 * ctx.inner_tol
+        assert spec.h1_norm(spec.y_projection(func.gradient(x + y))) <= ctx.inner_tol
         assert np.all(spec.x_projection(y) == 0.0)
         assert val == pytest.approx(func.value(x + y), rel=1e-12, abs=1e-12)
     assert sol.newton_steps > 0
@@ -200,6 +203,41 @@ def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
     assert rec.morse_index == 2 and not rec.degenerate
     assert rec.residual <= solver_cfg.grad_tol
     assert not any("differs from the block dimension" in n for n in rec.notes)
+
+
+def test_maximize_reduced_objective(ref5, ref5_ctx, solver_cfg, monkeypatch):
+    """BFGS gets the reduced value with its true partial derivatives, from
+    one psi call per evaluation; the polish adds one more psi call."""
+    spec = ref5_ctx.spectrum
+    objectives, evals, psi_calls = [], [0], [0]
+    minimize, solve = reduction.scipy_minimize, reduction.psi
+
+    def capture(fun, x0, **kw):
+        def counted(xi):
+            evals[0] += 1
+            return fun(xi)
+        objectives.append(fun)
+        return minimize(counted, x0, **kw)
+
+    def counted_psi(*args, **kw):
+        psi_calls[0] += 1
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(reduction, "scipy_minimize", capture)
+    monkeypatch.setattr(reduction, "psi", counted_psi)
+    rec = maximize_reduced(ref5_ctx, solver_cfg, R=10.0)
+    assert psi_calls[0] == evals[0] + 1
+    assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
+
+    h = 1e-5
+    for xi in ([0.0, -4.807], rec.coeffs[spec.x_indices]):
+        xi = np.asarray(xi, dtype=float)
+        _, grad = objectives[0](xi)
+        for j in range(ref5_ctx.k):
+            e = np.zeros(ref5_ctx.k)
+            e[j] = h
+            fd = (objectives[0](xi + e)[0] - objectives[0](xi - e)[0]) / (2 * h)
+            assert grad[j] == pytest.approx(fd, abs=1e-6)
 
 
 def test_maximize_reduced_counts_repeat(ref5_ctx, solver_cfg):
