@@ -14,7 +14,8 @@ __all__ = ["SolverConfig", "CriticalPointRecord", "make_record", "principal_simp
 class SolverConfig:
     """Tolerances and budgets for the search stages.
 
-    grad_tol is the Sobolev residual every returned record must meet.
+    grad_tol is the Sobolev residual every returned record must meet; it is
+    also where every root solve stops (see `refine_critical`).
     dedup_radius is the Sobolev distance below which two records are the
     same point, in the searches and in the ledger alike.
     path_nodes counts the mountain-pass polyline nodes, endpoints included.

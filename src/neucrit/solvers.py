@@ -6,7 +6,15 @@ descent loop is hand-rolled backtracking on the metric gradient so the
 energy sequence is provably nonincreasing; once the residual is small the
 iterate is polished by a Newton-type root solve on the gradient system
 (MINPACK's dogleg trust region, plus a plain Newton fallback), which
-converges to saddles as happily as to minima.
+converges to saddles as happily as to minima.  The root solve stops at the
+first point it evaluates whose Sobolev residual meets grad_tol: MINPACK's
+own step test (xtol = 1e-13) lies below the rounding noise of the
+iterates, so without that stop hybr keeps iterating on a converged point
+until it reports poor progress.
+
+Multistart builds full records (Morse data included) only for the points
+that survive deduplication; candidates are compared by energy and
+coefficients alone.
 
 The mountain pass is a discrete path method: keep a polyline between two
 low-energy endpoints, repeatedly pick the maximal-energy node, slide it
@@ -17,6 +25,8 @@ the flow and full of index-2 traps.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 from scipy.optimize import root
@@ -100,6 +110,14 @@ def _descend(functional, start, cfg, radius_guard=None, tol=None, trace=None):
     raise MaxItersExceeded(f"descent did not reach tol={tol:g} in {cfg.max_iters} iters")
 
 
+class _Converged(Exception):
+    """Raised inside the root solve at the first point that meets grad_tol."""
+
+    def __init__(self, u):
+        super().__init__()
+        self.u = u
+
+
 def refine_critical(functional, start, cfg: SolverConfig):
     """Newton-type polish of the gradient system from `start`.
 
@@ -107,15 +125,32 @@ def refine_critical(functional, start, cfg: SolverConfig):
     solve stalls.  MINPACK hybr (Newton direction inside a dogleg trust
     region, so indefinite Hessians are fine) does the heavy lifting; a few
     plain Newton steps mop up if it returns slightly above tolerance.
+
+    hybr stops at the first point it evaluates whose Sobolev residual
+    sqrt(sum g_j^2 / (1 + lam_j)) of the L2 gradient g meets grad_tol, and
+    that point is the answer.  Its path up to there is the one it would
+    take anyway, so every start ends in the same basin; the stop only drops
+    the evaluations hybr would spend on a converged point chasing xtol,
+    which rounding keeps out of reach.
     """
-    sol = root(
-        functional.l2_gradient,
-        np.asarray(start, dtype=float),
-        jac=lambda c: functional.hessian_pencil(c)[0],
-        method="hybr",
-        options={"xtol": 1e-13, "maxfev": 200 * (len(start) + 1)},
-    )
-    u = sol.x
+    weight = 1.0 / (1.0 + functional.spectrum.eigenvalues)
+
+    def gradient(c):
+        g = functional.l2_gradient(c)
+        if np.sqrt(np.sum(weight * g * g)) <= cfg.grad_tol:
+            raise _Converged(np.array(c, dtype=float))
+        return g
+
+    try:
+        u = root(
+            gradient,
+            np.asarray(start, dtype=float),
+            jac=lambda c: functional.hessian_pencil(c)[0],
+            method="hybr",
+            options={"xtol": 1e-13, "maxfev": 200 * (len(start) + 1)},
+        ).x
+    except _Converged as stop:
+        u = stop.u
     if not np.all(np.isfinite(u)):
         return None
     for _ in range(8):
@@ -140,26 +175,25 @@ def minimize(functional, start, cfg: SolverConfig, radius_guard=None,
     The energy sequence along the iterates is nonincreasing.  A start that
     already meets grad_tol is returned as-is with zero iterations.
     """
-    start = np.asarray(start, dtype=float)
-    if functional.residual(start) <= cfg.grad_tol:
-        _, _, index0, _ = functional.morse_data(start, cfg.degeneracy_tol)
-        return make_record(functional, start, cfg,
-                           "minimizer" if index0 == 0 else "other",
-                           {"stage": "minimize", "functional": functional.nonlinearity.label},
-                           iterations=0)
-    u, iters = _descend(functional, start, cfg, radius_guard=radius_guard,
-                        tol=max(cfg.grad_tol, 1e-7), trace=trace)
-    polished = refine_critical(functional, u, cfg)
-    if polished is not None and functional.spectrum.h1_dist(polished, u) < 1.0:
-        u = polished
-    else:
-        u, _ = _descend(functional, u, cfg, radius_guard=radius_guard, tol=cfg.grad_tol)
-    evals, _, index, _ = functional.morse_data(u, cfg.degeneracy_tol)
-    cls = "minimizer" if index == 0 else "other"
-    notes = () if index == 0 else (f"descent stopped at index {index}",)
-    return make_record(functional, u, cfg, cls,
-                       {"stage": "minimize", "functional": functional.nonlinearity.label},
-                       iterations=iters, notes=notes)
+    u = np.asarray(start, dtype=float)
+    iters = 0
+    descended = functional.residual(u) > cfg.grad_tol
+    if descended:
+        u, iters = _descend(functional, u, cfg, radius_guard=radius_guard,
+                            tol=max(cfg.grad_tol, 1e-7), trace=trace)
+        polished = refine_critical(functional, u, cfg)
+        if polished is not None and functional.spectrum.h1_dist(polished, u) < 1.0:
+            u = polished
+        else:
+            u, _ = _descend(functional, u, cfg, radius_guard=radius_guard, tol=cfg.grad_tol)
+    rec = make_record(functional, u, cfg, "other",
+                      {"stage": "minimize", "functional": functional.nonlinearity.label},
+                      iterations=iters)
+    if rec.morse_index == 0:
+        rec.classification = "minimizer"
+    elif descended:
+        rec = rec.with_notes(f"descent stopped at index {rec.morse_index}")
+    return rec
 
 
 def _redistribute(spec, path):
@@ -312,7 +346,9 @@ def _random_ball_starts(spec, rng, count, radius):
 
 def dedup_records(spec, records, dedup_radius):
     """Deterministic merge: sort by energy then coefficients, keep the first
-    of every Sobolev-ball cluster."""
+    of every Sobolev-ball cluster.  Any item with `.energy` and `.coeffs`
+    will do: records, or multistart's candidates before their records are
+    built."""
     ordered = sorted(
         records,
         key=lambda r: (round(r.energy, 12), tuple(np.round(r.coeffs, 10))),
@@ -324,6 +360,10 @@ def dedup_records(spec, records, dedup_radius):
     return kept
 
 
+# a converged multistart point before its record is built
+_Candidate = namedtuple("_Candidate", "energy coeffs method start_index")
+
+
 def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
                rng=None, descent=True) -> list:
     """Random starts in the Sobolev ball of the given radius, each refined by
@@ -331,7 +371,9 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
     deduplicated and deterministically ordered (energy, then coefficients).
 
     Seeds are extra deterministic starts prepended to the random ones and do
-    not count against the budget.
+    not count against the budget.  Points that meet grad_tol are
+    deduplicated on their energy and coefficients; only the survivors get a
+    full record with Morse data.
     """
     spec = functional.spectrum
     budget = cfg.multistart_budget if budget is None else budget
@@ -356,13 +398,16 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
                 if polished is not None:
                     found.append((polished, "descent", idx))
 
+    candidates = [
+        _Candidate(functional.value(coeffs), coeffs, method, idx)
+        for coeffs, method, idx in found
+        if functional.residual(coeffs) <= cfg.grad_tol
+    ]
     records = []
-    for coeffs, method, idx in found:
-        if functional.residual(coeffs) > cfg.grad_tol:
-            continue
+    for cand in dedup_records(spec, candidates, cfg.dedup_radius):
         rec = make_record(
-            functional, coeffs, cfg, "other",
-            {"stage": "multistart", "method": method, "start_index": idx,
+            functional, cand.coeffs, cfg, "other",
+            {"stage": "multistart", "method": cand.method, "start_index": cand.start_index,
              "functional": functional.nonlinearity.label},
         )
         if rec.is_constant():
@@ -370,7 +415,7 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
         elif rec.morse_index == 0:
             rec.classification = "minimizer"
         records.append(rec)
-    return dedup_records(spec, records, cfg.dedup_radius)
+    return records
 
 
 class HomotopyBoundResult:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+import neucrit.solvers as solvers
 from neucrit.solvers import dedup_records, mountain_pass, multistart
 
 # frozen search outcomes for the reference problem, independently recomputed
@@ -56,6 +57,25 @@ def test_minimize_zero_iterations_at_critical(ref5, solver_cfg):
     # a critical start that is a saddle is not called a minimizer
     rec2 = nc.minimize(func, spec.constant_field(0.0), solver_cfg)
     assert rec2.iterations == 0 and rec2.classification == "other"
+
+
+def test_minimize_builds_one_record(ref5, solver_cfg, monkeypatch):
+    """Each branch computes the Morse data once, inside make_record."""
+    spec, f, func = ref5
+    calls = []
+    morse_data = nc.EnergyFunctional.morse_data
+
+    def counted(self, *args):
+        calls.append(1)
+        return morse_data(self, *args)
+
+    monkeypatch.setattr(nc.EnergyFunctional, "morse_data", counted)
+    start = spec.constant_field(1.0)
+    nc.minimize(func, start, solver_cfg)
+    start[2] = 0.4
+    rec = nc.minimize(func, start, solver_cfg)
+    assert rec.classification == "minimizer" and rec.iterations > 0
+    assert len(calls) == 2
 
 
 def test_minimize_diverging_iterates():
@@ -144,6 +164,70 @@ def test_mountain_pass_caches_node_energies(ref5, solver_cfg):
     assert rec.iterations == 51
     assert func.value_calls == 511
     assert func.value_calls < solver_cfg.path_nodes * rec.iterations
+
+
+class TrialPoints(nc.EnergyFunctional):
+    """Keeps every point the L2 gradient is evaluated at."""
+
+    def __init__(self, spectrum, nonlinearity):
+        super().__init__(spectrum, nonlinearity)
+        self.points = []
+
+    def l2_gradient(self, u):
+        self.points.append(np.array(u, dtype=float))
+        return super().l2_gradient(u)
+
+
+def test_refine_critical_stops_at_first_converged_point(ref5, solver_cfg):
+    """The root solve returns the first trial point that meets grad_tol
+    instead of iterating on past it."""
+    spec, f, _ = ref5
+    func = TrialPoints(spec, f)
+    rng = np.random.default_rng(21)
+    u0 = spec.constant_field(0.0) + 1e-3 * rng.standard_normal(spec.n_modes)
+    u = nc.refine_critical(func, u0, solver_cfg)
+    assert np.array_equal(u, func.points[-1])
+    assert func.residual(u) <= solver_cfg.grad_tol
+    assert all(func.residual(p) > solver_cfg.grad_tol for p in func.points[:-1])
+    assert len(func.points) == 6
+
+
+def test_refine_critical_returns_exact_start(ref5, solver_cfg):
+    spec, f, _ = ref5
+    func = TrialPoints(spec, f)
+    start = spec.constant_field(1.0)
+    u = nc.refine_critical(func, start, solver_cfg)
+    assert len(func.points) == 1
+    assert np.array_equal(u, start)
+
+
+def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
+    """The sweep builds its own functionals, so count at the class."""
+    spec, f, _ = ref5
+    calls = []
+    l2_gradient = nc.EnergyFunctional.l2_gradient
+
+    def counted(self, u):
+        calls.append(1)
+        return l2_gradient(self, u)
+
+    monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
+    nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
+    assert len(calls) == 1674
+
+
+def test_multistart_builds_one_record_per_result(ref5, solver_cfg, monkeypatch):
+    spec, f, func = ref5
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return nc.make_record(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "make_record", counted)
+    recs = multistart(func, solver_cfg, radius=3.0, budget=15)
+    assert len(recs) > 0
+    assert len(built) == len(recs)
 
 
 def test_refine_critical_polishes(ref5, solver_cfg):
