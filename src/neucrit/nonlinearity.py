@@ -7,7 +7,8 @@ blend piece of configurable width, so the whole function is C1 by
 construction and exactly affine outside a bounded window.  The primitive F
 (with F(0) = 0) is the exact piecewise antiderivative, and the certified
 bounds sup f' / inf f' are computed from the quadratic derivative pieces,
-not sampled.
+not sampled.  So is M = sup |f(t) - s t| for a common tail slope s: the
+tails are affine with slope s, so f - s t is constant beyond the window.
 
 Truncations flatten the function to its tangent line beyond an anchor zero
 of negative slope; they are the standard device for confining solutions to
@@ -75,6 +76,28 @@ def _extreme_slopes(dpp: PPoly):
     return float(hi), float(lo)
 
 
+def _tail_offset_sup(pp: PPoly, s: float) -> float:
+    """Exact sup |f(t) - s t| when both affine tails have slope s: the
+    cubic pieces' extremes are at their ends or at the real roots of the
+    quadratic derivative, and g = f - s t is constant on the tails."""
+    top = 0.0
+    for i in range(pp.c.shape[1]):
+        a, b, c, d = pp.c[:, i]
+        x0, h = pp.x[i], pp.x[i + 1] - pp.x[i]
+        c = c - s
+        ts = [0.0, h]
+        if a != 0.0:
+            disc = b * b - 3.0 * a * c
+            if disc >= 0.0:
+                ts += [(-b + r) / (3.0 * a) for r in (np.sqrt(disc), -np.sqrt(disc))]
+        elif b != 0.0:
+            ts.append(-c / (2.0 * b))
+        for t in ts:
+            if 0.0 <= t <= h:
+                top = max(top, abs(((a * t + b) * t + c) * t + d - s * x0))
+    return float(top)
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Callable piecewise-cubic nonlinearity.  Use the module builders."""
@@ -86,6 +109,7 @@ class Nonlinearity:
     blend_margin: float
     gamma: float  # certified sup f'
     min_slope: float  # certified inf f'
+    M: float  # certified sup |f(t) - s t| for the common tail slope s; inf if the tails differ
     untouched: tuple | None  # (lo, hi) where this member coincides with its base
     label: str = "base"
     dppoly: PPoly = field(repr=False, default=None)
@@ -110,6 +134,7 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
     dpp = ppoly.derivative()
     fpp = ppoly.antiderivative()
     gamma, lo = _extreme_slopes(dpp)
+    M = _tail_offset_sup(ppoly, s_plus) if s_minus == s_plus else np.inf
     # defensive C1 audit at the breakpoints; exact construction never trips this
     xb = ppoly.x[1:-1]
     if xb.size:
@@ -127,6 +152,7 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
         blend_margin=float(margin),
         gamma=gamma,
         min_slope=lo,
+        M=M,
         untouched=untouched,
         label=label,
         dppoly=dpp,

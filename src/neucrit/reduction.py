@@ -45,6 +45,12 @@ _BLOCK_ELEMENTS = 1 << 15
 # relative energy change below which a Newton step counts as no rise: two
 # energies of nearly equal fields differ by rounding near convergence
 _ENERGY_ROUNDING = 1e-12
+# seeds per axis of the reduction's seed box.  On the reference interval,
+# the reference rectangle and the k = 3 variant (slopes 5), 5, 7 and 9
+# points over the box each find the maximizer at R = 3, 10, 40 and 1000.
+# The same counts over [-R, R] do not: they return the constant 0 at
+# R = 40 on the interval and at R = 1000 on the rectangle and at k = 3.
+_SEEDS_PER_AXIS = 9
 
 
 @dataclass(frozen=True)
@@ -239,36 +245,55 @@ def _compact_to_field(spec, xi):
     return x
 
 
+def _seed_box(ctx: ReductionContext, R):
+    """Half-widths b_j of a box that holds the X coefficients of every
+    critical point in the ball of radius R.
+
+    With f(t) = s t + g(t) and M = sup|g|, a Galerkin critical point has
+    (lambda_j - s) u_j = P_j g(u).  The Gram matrix is the identity and the
+    quadrature weights sum to |Omega|, so by Cauchy-Schwarz
+    |u_j| <= M sqrt(|Omega|) / |s - lambda_j|.  b_j is the smaller of that
+    and R; with asymmetric tails M is infinite and b_j = R.
+    """
+    spec = ctx.spectrum
+    f = ctx.functional.nonlinearity
+    gap = np.abs(f.slope_plus_inf - spec.eigenvalues[spec.x_indices])
+    return np.minimum(float(R), f.M * np.sqrt(spec.domain.measure) / gap)
+
+
 def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     """Global maximizer of the reduced functional.
 
-    Seeds: a regular grid of (2*ceil(R)+1)^k points over [-R, R]^k for
-    k <= 4 (random seeds beyond that), plus the X-projections of every
-    constant solution.  One population solve (`psi_population`) ranks all
-    seeds, probing strong convexity on each of its steps.  The six best
-    seeds get a BFGS ascent on the k reduced variables; each evaluation is
-    one warm-started `psi` call that yields the reduced value and its
-    partial derivatives, which are those of J at x + psi(x) because the Y
-    block is stationary there.  BFGS stops at a gradient of 10 x inner_tol,
-    the noise floor `psi` leaves, and the winner is polished as a critical
-    point of the full functional.  The record's provenance counts the
-    seeds and the Newton and fallback steps of the population solve.
+    The maximizer is a critical point of J, so its X coefficients lie in
+    the closed-form box of `_seed_box`.  Seeds: a regular grid of 9 points
+    per axis over that box for k <= 4 (9^4 random points in it beyond
+    that), plus the X-projections of every constant solution, so their
+    number does not grow with R.  One population solve (`psi_population`)
+    ranks all seeds, probing strong convexity on each of its steps.  The
+    six best seeds get a BFGS ascent on the k reduced variables; each
+    evaluation is one warm-started `psi` call that yields the reduced value
+    and its partial derivatives, which are those of J at x + psi(x) because
+    the Y block is stationary there.  BFGS stops at a gradient of
+    10 x inner_tol, the noise floor `psi` leaves, and the winner is polished
+    as a critical point of the full functional.  The record's provenance
+    gives the box, the seed count and the Newton and fallback steps of the
+    population solve.
     """
     spec = ctx.spectrum
     func = ctx.functional
     k = ctx.k
     zeros = [t for t, _ in func.nonlinearity.zeros()]
+    box = _seed_box(ctx, R)
 
     seeds = []
-    per_axis = 2 * int(np.ceil(R)) + 1
     note_grid = None
     if k <= 4:
-        axis = np.linspace(-R, R, per_axis)
-        mesh = np.meshgrid(*([axis] * k), indexing="ij")
+        axes = [np.linspace(-b, b, _SEEDS_PER_AXIS) for b in box]
+        mesh = np.meshgrid(*axes, indexing="ij")
         seeds.extend(np.stack([m.ravel() for m in mesh], axis=-1))
     else:
         rng = np.random.default_rng(cfg.rng_seed + 77)
-        seeds.extend(rng.uniform(-R, R, size=(per_axis ** 4, k)))
+        seeds.extend(rng.uniform(-box, box, size=(_SEEDS_PER_AXIS ** 4, k)))
         note_grid = f"k={k} > 4: grid seeding replaced by random seeds"
     for t in zeros:
         seeds.append(spec.constant_field(t)[spec.x_indices])
@@ -301,7 +326,8 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     rec = make_record(
         func, u, cfg, "reduction_max",
         {"stage": "reduction", "functional": func.nonlinearity.label,
-         "reduced_value": float(func.value(u)), "k": k, "seeds": len(seeds),
+         "reduced_value": float(func.value(u)), "k": k, "seed_box": box.tolist(),
+         "seeds": len(seeds),
          "newton_steps": grid.newton_steps, "fallback_steps": grid.fallback_steps},
     )
     notes = []

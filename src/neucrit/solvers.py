@@ -128,10 +128,10 @@ def refine_critical(functional, start, cfg: SolverConfig):
 
     hybr stops at the first point it evaluates whose Sobolev residual
     sqrt(sum g_j^2 / (1 + lam_j)) of the L2 gradient g meets grad_tol, and
-    that point is the answer.  Its path up to there is the one it would
-    take anyway, so every start ends in the same basin; the stop only drops
-    the evaluations hybr would spend on a converged point chasing xtol,
-    which rounding keeps out of reach.
+    that point is returned as it is, with no second residual check.  Its
+    path up to there is the one it would take anyway, so every start ends
+    in the same basin; the stop only drops the evaluations hybr would spend
+    on a converged point chasing xtol, which rounding keeps out of reach.
     """
     weight = 1.0 / (1.0 + functional.spectrum.eigenvalues)
 
@@ -150,7 +150,7 @@ def refine_critical(functional, start, cfg: SolverConfig):
             options={"xtol": 1e-13, "maxfev": 200 * (len(start) + 1)},
         ).x
     except _Converged as stop:
-        u = stop.u
+        return stop.u
     if not np.all(np.isfinite(u)):
         return None
     for _ in range(8):
@@ -371,9 +371,10 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
     deduplicated and deterministically ordered (energy, then coefficients).
 
     Seeds are extra deterministic starts prepended to the random ones and do
-    not count against the budget.  Points that meet grad_tol are
-    deduplicated on their energy and coefficients; only the survivors get a
-    full record with Morse data.
+    not count against the budget.  The converged points (refine_critical
+    returns only points that meet grad_tol) are deduplicated on their
+    energy and coefficients; only the survivors get a full record with
+    Morse data.
     """
     spec = functional.spectrum
     budget = cfg.multistart_budget if budget is None else budget
@@ -401,7 +402,6 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
     candidates = [
         _Candidate(functional.value(coeffs), coeffs, method, idx)
         for coeffs, method, idx in found
-        if functional.residual(coeffs) <= cfg.grad_tol
     ]
     records = []
     for cand in dedup_records(spec, candidates, cfg.dedup_radius):

@@ -87,6 +87,32 @@ def test_certified_bound_beats_knot_sampling():
     assert g.deriv(ts).max() == pytest.approx(1.5, abs=1e-3)
 
 
+def test_tail_offset_sup_exact(f5):
+    """M = sup |f(t) - s t| from the cubic pieces agrees with the
+    independent np.roots oracle of acceptance 09, and it is 5 on the
+    reference (the offset 2.5 * 2 at the outer crossing zeros)."""
+    from test_acceptance import _tail_offset_sup
+
+    assert f5.M == pytest.approx(5.0, abs=1e-12)
+    hump = build_nonlinearity([(-1.0, -3.0), (1.0, -3.0)], 2.5, 2.5,
+                              shape_points=[(0.0, 1.0, 0.5)])
+    for g in (f5, hump, homotopy(f5, 0.3), homotopy(hump, 0.6),
+              truncate_interval(f5, -1.0, 1.0)):
+        assert np.isfinite(g.M)
+        assert g.M == pytest.approx(_tail_offset_sup(g), rel=1e-12, abs=1e-12)
+        ts = np.linspace(-8.0, 8.0, 4001)
+        assert np.max(np.abs(g(ts) - g.slope_plus_inf * ts)) <= g.M + 1e-12
+
+
+def test_tail_offset_sup_unbounded_or_zero(f5):
+    """M is infinite when the tail slopes differ (one-sided truncations,
+    asymmetric tails) and exactly 0 for the linear homotopy end."""
+    assert truncate_below(f5, -1.0).M == np.inf
+    assert truncate_above(f5, 1.0).M == np.inf
+    assert build_nonlinearity(REF5_KNOTS, 2.5, 3.0).M == np.inf
+    assert homotopy(f5, 1.0).M == 0.0
+
+
 def test_shape_points_interpolated():
     g = build_nonlinearity(
         [(-1.0, -1.0), (1.0, -1.0)], 0.5, 0.5, shape_points=[(0.0, 0.7, 0.0)]

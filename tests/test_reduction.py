@@ -247,8 +247,56 @@ def test_maximize_reduced_counts_repeat(ref5_ctx, solver_cfg):
         counts.append((prov["seeds"], prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
     seeds, newton, _ = counts[0]
-    assert seeds == 21 ** 2 + 5   # the grid over [-10, 10]^2 and the five constants
+    assert seeds == 9 ** 2 + 5   # the grid over the seed box and the five constants
     assert newton > 0
+
+
+def _box_bound(ctx):
+    """M sqrt(|Omega|) / |s - lambda_j| over the X block."""
+    spec, f = ctx.spectrum, ctx.functional.nonlinearity
+    lam_x = spec.eigenvalues[spec.x_indices]
+    return f.M * np.sqrt(spec.domain.measure) / np.abs(f.slope_plus_inf - lam_x)
+
+
+@pytest.mark.parametrize("R", [3.0, 10.0, 40.0, 1000.0])
+def test_maximize_reduced_seed_box(ref5_ctx, solver_cfg, monkeypatch, R):
+    """The seed set is 9 x 9 points over the closed-form box plus the five
+    constants, whatever R is (the [-R, R] grid had 4M seeds at R = 1000),
+    the grid lies in the box, and the maximum is found every time.  The
+    constants are critical points, so they lie in the box before the clip
+    to R."""
+    spec = ref5_ctx.spectrum
+    box = np.minimum(R, _box_bound(ref5_ctx))
+    ranked = []
+    population = reduction.psi_population
+
+    def capture(ctx, rows, y0=None):
+        ranked.append(np.array(rows))
+        return population(ctx, rows, y0)
+
+    monkeypatch.setattr(reduction, "psi_population", capture)
+    rec = maximize_reduced(ref5_ctx, solver_cfg, R=R)
+    assert rec.provenance["seeds"] == 86
+    assert rec.provenance["seed_box"] == pytest.approx(box, rel=1e-15)
+    assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
+    assert rec.morse_index == 2
+    seeds = ranked[0][:, spec.x_indices]
+    assert len(seeds) == 86
+    assert np.all(np.abs(seeds[:81]) <= box * (1 + 1e-12))
+    assert np.all(np.abs(seeds[81:]) <= _box_bound(ref5_ctx) * (1 + 1e-12))
+
+
+def test_seed_box_holds_reference_records(reference_report):
+    """The box holds the X coefficients of every critical point: on the
+    reference run, 3.54 x 5.91; the constants +-2 sit on its first edge."""
+    spec = reference_report.spectrum
+    red = reference_report.stages["reduction"]["provenance"]
+    box = np.asarray(red["seed_box"])
+    assert box == pytest.approx([2.0 * np.sqrt(np.pi), 2.0 * np.sqrt(np.pi) * 5.0 / 3.0],
+                                rel=1e-14)
+    assert len(reference_report.records) == 13
+    for rec in reference_report.records:
+        assert np.all(np.abs(rec.coeffs[spec.x_indices]) <= box * (1 + 1e-9))
 
 
 def test_maximize_reduced_linear(ref5, solver_cfg):
