@@ -13,6 +13,7 @@ problem after an energy relabel.
 import numpy as np
 
 import neucrit as nc
+from neucrit.pipeline import MP_OFFSET
 
 KNOTS = [(-2.0, 2.5), (-1.0, -3.0), (0.0, 2.5), (1.0, -3.0), (2.0, 2.5)]
 
@@ -22,21 +23,20 @@ def main():
     spec = nc.split_spectrum(nc.build_spectrum(dom, 16), 2.5)
     f = nc.build_nonlinearity(KNOTS, 2.5, 2.5)
     func = nc.EnergyFunctional(spec, f)
-    cfg = nc.SolverConfig(rng_seed=7)
 
     g = nc.truncate(f, "below", -1.0)
     gfunc = nc.EnergyFunctional(spec, g)
     a = spec.constant_field(-1.0)
-    b = spec.constant_field(-1.0 - cfg.mp_offset)
+    b = spec.constant_field(-1.0 - MP_OFFSET)
     print(f"endpoints of the path, under the truncated energy [{g.label}]:")
     print(f"  u = -1    J = {gfunc.value(a):+.6f}   (the only local minimizer)")
-    print(f"  u = {-1 - cfg.mp_offset:g}    J = {gfunc.value(b):+.6f}   (far anchor, well below)")
+    print(f"  u = {-1 - MP_OFFSET:g}    J = {gfunc.value(b):+.6f}   (far anchor, well below)")
     c2 = spec.constant_field(-2.0)
     print(f"  the constant -2 sits on the barrier between them with"
           f" J = {gfunc.value(c2):+.6f} and index"
           f" {gfunc.morse_data(c2)[2]}, too unstable to be the pass")
 
-    rec = nc.mountain_pass(gfunc, a, b, cfg)
+    rec = nc.mountain_pass(gfunc, a, b)
     lo, hi = rec.urange
     print(f"\nsaddle found after {rec.iterations} path sweeps:")
     print(f"  J = {rec.energy:+.6f}, residual {rec.residual:.1e}")
@@ -44,7 +44,7 @@ def main():
           f" classification {rec.classification!r}")
 
     rec.provenance.update(stage="truncation", kind="below", anchors=(-1.0,))
-    orig = nc.transfer_to_original(rec, func, gfunc, cfg)
+    orig = nc.transfer_to_original(rec, func, gfunc)
     print(f"\nsame field under the original energy:")
     print(f"  J = {orig.energy:+.6f} (shift is the primitive mismatch"
           f" on the coincidence region times the measure)")
@@ -53,7 +53,7 @@ def main():
 
     # mirror image: reflecting across the interval midpoint is an isometry
     # of the problem, so the reflected coefficients solve it too
-    mir = nc.refine_critical(func, spec.mirror(orig.coeffs), cfg)
+    mir = nc.refine_critical(func, spec.mirror(orig.coeffs))
     print(f"\nmirror of the saddle refines to J = {func.value(mir):+.6f},"
           f" distance {spec.h1_dist(mir, orig.coeffs):.3f} from the original")
 

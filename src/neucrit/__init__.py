@@ -28,7 +28,6 @@ from .errors import (
 )
 from .ledger import (
     DegreeLedger,
-    LedgerConfig,
     local_degree,
     qualitative_classify,
     transfer_to_original,
@@ -120,7 +119,6 @@ __all__ = [
     "local_max_min_at_constant",
     "LocalMaxMinReport",
     "DegreeLedger",
-    "LedgerConfig",
     "local_degree",
     "qualitative_classify",
     "transfer_to_original",

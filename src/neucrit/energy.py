@@ -28,6 +28,10 @@ from scipy.linalg import eigh
 
 __all__ = ["EnergyFunctional"]
 
+# Hessian eigenvalues within this of zero count as degenerate; only those
+# below -DEGENERACY_TOL count toward the Morse index
+DEGENERACY_TOL = 1e-7
+
 
 class EnergyFunctional:
     def __init__(self, spectrum, nonlinearity):
@@ -91,9 +95,9 @@ class EnergyFunctional:
         evals, evecs = eigh(A, B)
         return evals, evecs
 
-    def morse_data(self, u, degeneracy_tol: float = 1e-7):
+    def morse_data(self, u):
         """(eigenvalues, eigenfields, morse index, degenerate flag)."""
         evals, evecs = self.hessian_spectrum(u)
-        index = int(np.count_nonzero(evals < -degeneracy_tol))
-        degenerate = bool(np.min(np.abs(evals)) < degeneracy_tol)
+        index = int(np.count_nonzero(evals < -DEGENERACY_TOL))
+        degenerate = bool(np.min(np.abs(evals)) < DEGENERACY_TOL)
         return evals, evecs, index, degenerate

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeEscape, UnclassifiedDegenerate
-from .records import make_record
+from .records import DEDUP_RADIUS, make_record
 
 __all__ = [
-    "LedgerConfig",
     "DegreeLedger",
     "LedgerReport",
     "QualReport",
@@ -30,18 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LedgerConfig:
-    """Tolerances of the ledger's admission checks.
-
-    qual_tol is the sign margin of the qualitative checks; range_margin is
-    how far inside the coincidence region a transferred truncation record
-    must stay.  Degeneracy, simplicity and dedup tolerances live in
-    SolverConfig only.
-    """
-
-    qual_tol: float = 1e-8
-    range_margin: float = 1e-3
+# sign margin of the qualitative checks: f must be this far from zero at
+# the extremes of a nonconstant record's range
+QUAL_TOL = 1e-8
+# how far inside the coincidence region a transferred truncation record's
+# grid range must stay, against the continuum range poking past it
+RANGE_MARGIN = 1e-3
 
 
 # classification priority when two stages land on the same point: keep the
@@ -84,10 +77,10 @@ class QualReport:
                 "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in self.checks]}
 
 
-def qualitative_classify(record, functional, qual_tol=1e-8) -> QualReport:
+def qualitative_classify(record, functional) -> QualReport:
     """Sign and ordering checks a genuine solution must satisfy.
 
-    Nonconstant records: f(max u) > qual_tol and f(min u) < -qual_tol (a
+    Nonconstant records: f(max u) > QUAL_TOL and f(min u) < -QUAL_TOL (a
     touching extremum would force constancy).  Truncation provenance adds
     the strict ordering against the anchors: below -> max u < anchor,
     above -> min u > anchor, interval -> anchor_lo < min <= max < anchor_hi.
@@ -100,8 +93,8 @@ def qualitative_classify(record, functional, qual_tol=1e-8) -> QualReport:
         rep.add("constant", True, "nonconstant checks vacuous")
         return rep
     fmax, fmin = f(hi), f(lo)
-    rep.add("f_at_max_positive", fmax > qual_tol, f"f({hi:.6g}) = {fmax:.3e}")
-    rep.add("f_at_min_negative", fmin < -qual_tol, f"f({lo:.6g}) = {fmin:.3e}")
+    rep.add("f_at_max_positive", fmax > QUAL_TOL, f"f({hi:.6g}) = {fmax:.3e}")
+    rep.add("f_at_min_negative", fmin < -QUAL_TOL, f"f({lo:.6g}) = {fmin:.3e}")
     kind = record.provenance.get("kind")
     anchors = record.provenance.get("anchors", ())
     if kind == "below" and anchors:
@@ -115,11 +108,10 @@ def qualitative_classify(record, functional, qual_tol=1e-8) -> QualReport:
     return rep
 
 
-def transfer_to_original(record, functional_original, functional_truncated,
-                         cfg, range_margin=1e-3):
+def transfer_to_original(record, functional_original, functional_truncated):
     """Re-express a truncated-functional record under the original one.
 
-    Valid only when the record's grid range stays at least range_margin
+    Valid only when the record's grid range stays at least RANGE_MARGIN
     inside the region where the two nonlinearities coincide; then the
     solution, residual, and Hessian are literally unchanged and only the
     energy shifts (the primitives differ by a constant on that region).
@@ -130,13 +122,12 @@ def transfer_to_original(record, functional_original, functional_truncated,
         raise RangeEscape("the truncated nonlinearity reports no coincidence region")
     a, b = region
     lo, hi = record.urange
-    # margin guards against the continuum range poking past the grid range;
     # constants need only closed containment up to roundoff (both
     # nonlinearities agree at an anchor to first order)
     if record.is_constant():
         margin = -1e-12 * (1.0 + max(abs(lo), abs(hi)))
     else:
-        margin = range_margin
+        margin = RANGE_MARGIN
     if not (lo >= a + margin and hi <= b - margin):
         raise RangeEscape(
             f"record range ({lo:.6g}, {hi:.6g}) is not inside "
@@ -144,10 +135,8 @@ def transfer_to_original(record, functional_original, functional_truncated,
         )
     prov = dict(record.provenance)
     prov["transferred_from"] = functional_truncated.nonlinearity.label
-    fresh = make_record(functional_original, record.coeffs, cfg,
-                        record.classification, prov,
-                        iterations=record.iterations, notes=record.notes)
-    return fresh
+    return make_record(functional_original, record.coeffs, record.classification, prov,
+                       iterations=record.iterations, notes=record.notes)
 
 
 def _suggest_regions(ledger, functional):
@@ -207,32 +196,41 @@ class DegreeLedger:
     on the ball of radius R.
     """
 
-    def __init__(self, k, R, spectrum, dedup_radius: float = 1e-4):
+    def __init__(self, k, R, spectrum):
         self.k = int(k)
         self.R = float(R)
         self.spectrum = spectrum
-        self.dedup_radius = float(dedup_radius)
         self.records = []
         self.flags = []
 
     def __len__(self):
         return len(self.records)
 
-    def add(self, record) -> str:
-        """Insert with Sobolev-ball dedup.  A coincidence keeps the incumbent
-        coefficients and upgrades the classification if the newcomer's label
-        carries more degree information.  Returns a short disposition."""
+    def match(self, record) -> int | None:
+        """Index of the first held record within DEDUP_RADIUS of `record`
+        in the Sobolev distance, or None when it is a new point."""
         for i, old in enumerate(self.records):
-            if self.spectrum.h1_dist(record.coeffs, old.coeffs) <= self.dedup_radius:
-                stage = record.provenance.get("stage", "?")
-                merged = old.with_notes(f"also reached by stage {stage}")
-                if _PRIORITY.get(record.classification, 0) > _PRIORITY.get(old.classification, 0):
-                    merged.classification = record.classification
-                    merged.provenance = dict(record.provenance)
-                    merged = merged.with_notes(
-                        f"classification upgraded to {record.classification}")
-                self.records[i] = merged
-                return f"merged into record {i}"
+            if self.spectrum.h1_dist(record.coeffs, old.coeffs) <= DEDUP_RADIUS:
+                return i
+        return None
+
+    def add(self, record) -> str:
+        """Insert with Sobolev-ball dedup (`match`).  A coincidence keeps the
+        incumbent coefficients and upgrades the classification if the
+        newcomer's label carries more degree information.  Returns a short
+        disposition."""
+        i = self.match(record)
+        if i is not None:
+            old = self.records[i]
+            stage = record.provenance.get("stage", "?")
+            merged = old.with_notes(f"also reached by stage {stage}")
+            if _PRIORITY.get(record.classification, 0) > _PRIORITY.get(old.classification, 0):
+                merged.classification = record.classification
+                merged.provenance = dict(record.provenance)
+                merged = merged.with_notes(
+                    f"classification upgraded to {record.classification}")
+            self.records[i] = merged
+            return f"merged into record {i}"
         record.in_ball = bool(
             self.spectrum.h1_norm(record.coeffs) <= self.R + 1e-9)
         self.records.append(record)

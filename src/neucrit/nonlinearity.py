@@ -32,6 +32,7 @@ from .errors import (
     NonC1Blend,
     ResonantSlope,
 )
+from .spectrum import RESONANCE_TOL
 
 __all__ = [
     "Nonlinearity",
@@ -408,7 +409,7 @@ class HypothesisReport:
         return out
 
 
-def check_hypotheses(f: Nonlinearity, spec, resonance_tol: float = 1e-8) -> HypothesisReport:
+def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
     """Audit the structural hypotheses the solver stages rely on.
 
     Checks nonresonance of the asymptotic slope, counts crossed eigenvalues,
@@ -425,7 +426,7 @@ def check_hypotheses(f: Nonlinearity, spec, resonance_tol: float = 1e-8) -> Hypo
 
     eigs = spec.eigenvalues
     margin = float(np.min(np.abs(eigs - s_plus)))
-    nonresonant = margin > resonance_tol
+    nonresonant = margin > RESONANCE_TOL
     k = int(np.count_nonzero(eigs < s_plus))
     crossed = tuple(float(v) for v in eigs[eigs < s_plus])
 
@@ -478,12 +479,13 @@ def check_hypotheses(f: Nonlinearity, spec, resonance_tol: float = 1e-8) -> Hypo
     )
 
 
-def require_nonresonant(f: Nonlinearity, spec, tol: float = 1e-8):
-    """Raise ResonantSlope unless the asymptotic slope clears every eigenvalue."""
+def require_nonresonant(f: Nonlinearity, spec):
+    """Raise ResonantSlope unless the asymptotic slope clears every
+    eigenvalue by RESONANCE_TOL."""
     gaps = np.abs(spec.eigenvalues - f.slope_plus_inf)
-    if np.any(gaps < tol):
+    if np.any(gaps < RESONANCE_TOL):
         j = int(np.argmin(gaps))
         raise ResonantSlope(
-            f"asymptotic slope {f.slope_plus_inf} within {tol} of eigenvalue "
+            f"asymptotic slope {f.slope_plus_inf} within {RESONANCE_TOL} of eigenvalue "
             f"{spec.eigenvalues[j]}"
         )

@@ -23,16 +23,12 @@ import numpy as np
 from ._version import __version__
 from .energy import EnergyFunctional
 from .errors import ConfigError, NeucritError
-from .ledger import (
-    DegreeLedger,
-    LedgerConfig,
-    qualitative_classify,
-    transfer_to_original,
-)
+from .ledger import DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, truncate
 from .records import SolverConfig
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
+    SAFETY_FACTOR,
     find_constants,
     homotopy_bound,
     mountain_pass,
@@ -64,6 +60,11 @@ STAGES = (
 )
 
 _MULTISTART_CHUNK = 50
+# the outer endpoint of the one-sided truncated mountain passes lies this
+# many units past the anchor zero
+MP_OFFSET = 5.0
+# homotopy members h_lam, lam evenly spaced on [0, 1]
+LAMBDA_COUNT = 11
 
 
 def reference_config() -> dict:
@@ -91,18 +92,15 @@ def _fields(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-# settable keys of each section with their types; the reduction section is
-# passed to make_reduction_context as keyword arguments
+# settable keys of each section with their types
 _SECTIONS = {
     "domain": _fields(Domain),
     "nonlinearity": {"knots": list, "slope_minus_inf": float, "slope_plus_inf": float,
                      "shape_points": list, "blend_margin": float},
     "solver": _fields(SolverConfig),
-    "reduction": {"inner_tol": float, "max_inner": int},
-    "ledger": _fields(LedgerConfig),
 }
-# tolerances, budgets, counts, radii and seeds: none of them may be negative
-_NONNEGATIVE = ("solver", "reduction", "ledger")
+# the budget and the seed may not be negative
+_NONNEGATIVE = ("solver",)
 _TYPE_NAMES = {int: "an integer", float: "a number", list: "a list", tuple: "a list",
                str: "a string", type(None): "null"}
 
@@ -322,7 +320,7 @@ def _min_type_zeros(f):
     return sorted(t for t, s in f.zeros() if s < 0)
 
 
-def _truncation_stage(report, kind, anchors, scfg, range_margin):
+def _truncation_stage(report, kind, anchors):
     """One truncated mountain pass plus the transfer back.  Returns the
     transferred record."""
     stage = f"truncation_{kind}"
@@ -332,16 +330,15 @@ def _truncation_stage(report, kind, anchors, scfg, range_margin):
     tfunc = EnergyFunctional(spec, g)
     a = spec.constant_field(anchors[0])
     if kind == "below":
-        b = spec.constant_field(anchors[0] - scfg.mp_offset)
+        b = spec.constant_field(anchors[0] - MP_OFFSET)
     elif kind == "above":
-        b = spec.constant_field(anchors[0] + scfg.mp_offset)
+        b = spec.constant_field(anchors[0] + MP_OFFSET)
     else:
         b = spec.constant_field(anchors[1])
-    rec = mountain_pass(tfunc, a, b, scfg)
+    rec = mountain_pass(tfunc, a, b)
     rec.provenance.update({"stage": stage, "kind": kind,
                            "anchors": [float(x) for x in anchors]})
-    transferred = transfer_to_original(rec, func, tfunc, scfg,
-                                       range_margin=range_margin)
+    transferred = transfer_to_original(rec, func, tfunc)
     report.stages[stage] = {
         "anchors": [float(x) for x in anchors],
         "truncated_record": rec.to_dict(),
@@ -376,11 +373,10 @@ def run_pipeline(config: dict) -> RunReport:
     spec = report.spectrum
     func = report.functional
     scfg = SolverConfig(**config.get("solver", {}))
-    lcfg = LedgerConfig(**config.get("ledger", {}))
     stages = set(config["stages"])
 
     def constants_stage():
-        found = find_constants(func, scfg)
+        found = find_constants(func)
         report.stages["constants"] = [r.to_dict() for r in found]
         return found
 
@@ -401,13 +397,12 @@ def run_pipeline(config: dict) -> RunReport:
         else:
             anchors = {"below": (mins[0],), "above": (mins[-1],),
                        "interval": (mins[0], mins[-1])}[kind]
-            rec = report.run(stage, _truncation_stage, report, kind, anchors, scfg,
-                             lcfg.range_margin)
+            rec = report.run(stage, _truncation_stage, report, kind, anchors)
             if rec is not None:
                 transferred.append(rec)
 
     def homotopy_stage():
-        hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, scfg.lambda_count), scfg)
+        hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, LAMBDA_COUNT), scfg)
         report.stages["homotopy"] = hres.to_dict()
         return hres.R
 
@@ -415,13 +410,13 @@ def run_pipeline(config: dict) -> RunReport:
     if R is None:
         known = constants + transferred
         top = max((r.h1_norm for r in known), default=1.0)
-        R = scfg.safety_factor * max(top, 1.0)
+        R = SAFETY_FACTOR * max(top, 1.0)
         report.warnings.append(
             f"homotopy bound unavailable; fallback R={R:.6g} from found records"
         )
 
     def reduction_stage():
-        ctx = make_reduction_context(func, **config.get("reduction", {}))
+        ctx = make_reduction_context(func)
         rec = maximize_reduced(ctx, scfg, R=R)
         report.stages["reduction"] = rec.to_dict()
         return rec
@@ -438,22 +433,23 @@ def run_pipeline(config: dict) -> RunReport:
     if "ledger" not in stages:
         return report
 
-    ledger = DegreeLedger(spec.k, R, spec, scfg.dedup_radius)
+    ledger = DegreeLedger(spec.k, R, spec)
     report.ledger = ledger
     qual = {}
 
     def admit(rec):
-        rep = qualitative_classify(rec, func, lcfg.qual_tol)
-        if not rep.passed:
-            report.warnings.append(
-                f"record from stage {rec.provenance.get('stage')} failed "
-                f"qualitative checks: {[n for n, ok, _ in rep.checks if not ok]}"
-            )
-            return
-        disposition = ledger.add(rec)
-        if disposition.startswith("added"):
-            idx = len(ledger.records) - 1
-            qual[idx] = rep.to_dict()
+        # a point the ledger already holds merges without the qualitative
+        # checks, which only a new point needs
+        if ledger.match(rec) is None:
+            rep = qualitative_classify(rec, func)
+            if not rep.passed:
+                report.warnings.append(
+                    f"record from stage {rec.provenance.get('stage')} failed "
+                    f"qualitative checks: {[n for n, ok, _ in rep.checks if not ok]}"
+                )
+                return
+            qual[len(ledger.records)] = rep.to_dict()
+        ledger.add(rec)
 
     def ledger_stage():
         for rec in (*constants, *transferred, reduction_rec):
@@ -483,7 +479,7 @@ def run_pipeline(config: dict) -> RunReport:
         rng = np.random.default_rng(scfg.rng_seed + 10_000)
         while budget_left > 0 and lrep.deficiency != 0:
             n = min(_MULTISTART_CHUNK, budget_left)
-            found = multistart(func, scfg, R, seeds=seeds, budget=n, rng=rng)
+            found = multistart(func, R, seeds=seeds, budget=n, rng=rng)
             seeds = []
             budget_left -= n
             chunks += 1

@@ -1,5 +1,5 @@
-"""Critical point records and solver configuration shared by the solver,
-reduction and ledger modules."""
+"""Critical point records, solver configuration and the tolerances shared by
+the solver, reduction and ledger modules."""
 
 from __future__ import annotations
 
@@ -9,34 +9,33 @@ import numpy as np
 
 __all__ = ["SolverConfig", "CriticalPointRecord", "make_record", "principal_simple_signdef"]
 
+# the Sobolev residual every returned record must meet; it is also where
+# every root solve stops (see `solvers.refine_critical`)
+GRAD_TOL = 1e-9
+# the Sobolev distance below which two records are the same point, in the
+# searches and in the ledger alike
+DEDUP_RADIUS = 1e-4
+# relative grid-range width up to which a record counts as a constant field
+CONSTANT_TOL = 1e-9
+# relative gap the smallest Hessian eigenvalue must keep from the next one
+# to count as simple
+SIMPLICITY_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets for the search stages.
+    """The two search settings a run may choose.
 
-    grad_tol is the Sobolev residual every returned record must meet; it is
-    also where every root solve stops (see `refine_critical`).
-    dedup_radius is the Sobolev distance below which two records are the
-    same point, in the searches and in the ledger alike.
-    path_nodes counts the mountain-pass polyline nodes, endpoints included.
-    mp_offset places the outer mountain-pass endpoint that many units past
-    the anchor zero.  safety_factor scales the homotopy bound into the
-    search radius R.
+    rng_seed seeds every random stream of a run.  multistart_budget caps the
+    random starts the multistart stage spends while the ledger is
+    unbalanced.  Tolerances, iteration budgets and path sizes are module
+    constants next to the code that reads them: GRAD_TOL and DEDUP_RADIUS
+    here, the rest in `solvers`, `energy`, `reduction`, `ledger`, `spectrum`
+    and `pipeline`.
     """
 
-    grad_tol: float = 1e-9
-    max_iters: int = 4000
-    path_nodes: int = 41
-    dedup_radius: float = 1e-4
     multistart_budget: int = 500
     rng_seed: int = 0
-    mp_offset: float = 5.0
-    safety_factor: float = 2.0
-    degeneracy_tol: float = 1e-7
-    simplicity_tol: float = 1e-6
-    lambda_count: int = 11
-    homotopy_budget: int = 32
-    homotopy_start_radius: float | None = None
 
 
 @dataclass
@@ -65,9 +64,9 @@ class CriticalPointRecord:
     in_ball: bool = True
     local_degree: int | None = None
 
-    def is_constant(self, tol: float = 1e-9) -> bool:
+    def is_constant(self) -> bool:
         lo, hi = self.urange
-        return hi - lo <= tol * (1.0 + max(abs(lo), abs(hi)))
+        return hi - lo <= CONSTANT_TOL * (1.0 + max(abs(lo), abs(hi)))
 
     def with_notes(self, *extra) -> "CriticalPointRecord":
         return replace(self, notes=self.notes + tuple(extra))
@@ -93,12 +92,12 @@ class CriticalPointRecord:
         return out
 
 
-def make_record(functional, coeffs, cfg: SolverConfig, classification: str,
-                provenance: dict, iterations: int = 0, notes: tuple = ()) -> CriticalPointRecord:
+def make_record(functional, coeffs, classification: str, provenance: dict,
+                iterations: int = 0, notes: tuple = ()) -> CriticalPointRecord:
     """Assemble a record: energy, residual, range and full Morse data."""
     coeffs = np.asarray(coeffs, dtype=float).copy()
     spec = functional.spectrum
-    evals, evecs, index, degenerate = functional.morse_data(coeffs, cfg.degeneracy_tol)
+    evals, evecs, index, degenerate = functional.morse_data(coeffs)
     return CriticalPointRecord(
         coeffs=coeffs,
         energy=functional.value(coeffs),
@@ -116,16 +115,16 @@ def make_record(functional, coeffs, cfg: SolverConfig, classification: str,
     )
 
 
-def principal_simple_signdef(functional, record, simplicity_tol: float = 1e-6) -> bool:
+def principal_simple_signdef(functional, record) -> bool:
     """Is the smallest Hessian eigenvalue simple with a sign-definite
     eigenfield?  The relative gap to the next eigenvalue must clear
-    simplicity_tol and the eigenfield must not change sign on the grid."""
+    SIMPLICITY_TOL and the eigenfield must not change sign on the grid."""
     evals = record.hessian_eigs
     if evals[0] >= 0:
         return False
     if len(evals) > 1:
         gap = evals[1] - evals[0]
-        if gap < simplicity_tol * max(1.0, abs(evals[0])):
+        if gap < SIMPLICITY_TOL * max(1.0, abs(evals[0])):
             return False
     vals = functional.spectrum.evaluate(record.principal_vec)
     vmin, vmax = float(vals.min()), float(vals.max())

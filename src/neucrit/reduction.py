@@ -23,6 +23,7 @@ from scipy.optimize import minimize as scipy_minimize
 from .errors import MaxItersExceeded, ModulusViolated, ReductionInapplicable
 from .records import SolverConfig, make_record
 from .solvers import refine_critical
+from .spectrum import RESONANCE_TOL
 
 __all__ = [
     "ReductionContext",
@@ -38,6 +39,10 @@ __all__ = [
     "LocalMaxMinReport",
 ]
 
+# Sobolev norm of the Y-block gradient at which psi's inner solve stops
+INNER_TOL = 1e-9
+# Newton iterations of the inner solve before it gives up
+MAX_INNER = 20000
 _MODULUS_SLACK = 1e-10
 # float64 elements per batched array of the population solve (256 KB); at
 # 1 MB the solve's temporaries raised the peak memory of a run by 7 MB
@@ -58,8 +63,6 @@ class ReductionContext:
     functional: object
     m: float            # strong convexity modulus of the Y block, H1 metric
     lam: float          # certified Lipschitz bound of the Y-block gradient
-    inner_tol: float
-    max_inner: int
 
     @property
     def spectrum(self):
@@ -70,7 +73,7 @@ class ReductionContext:
         return self.spectrum.k
 
 
-def make_reduction_context(functional, inner_tol=1e-9, max_inner=20000) -> ReductionContext:
+def make_reduction_context(functional) -> ReductionContext:
     """Validate applicability and package the certified constants.
 
     Raises ReductionInapplicable when gamma >= lambda_min(Y), where the
@@ -89,7 +92,7 @@ def make_reduction_context(functional, inner_tol=1e-9, max_inner=20000) -> Reduc
     # <H y, y> = |y|^2 - int (f'(u)+1) y^2, and on Y the L2 norm is
     # controlled by |y|^2 / (1 + lambda_min(Y)).
     lam = 1.0 + max(0.0, -(1.0 + f.min_slope)) / (1.0 + lam_min_y)
-    return ReductionContext(functional, m, lam, float(inner_tol), int(max_inner))
+    return ReductionContext(functional, m, lam)
 
 
 def _y_block_gradient(ctx, u):
@@ -171,8 +174,8 @@ def _newton_block(ctx, c):
     newton = fallback = 0
     live = np.arange(len(c))
     u, energy, grad = state(c)
-    for _ in range(ctx.max_inner):
-        done = np.sqrt(np.sum(grad * grad / h1_y, axis=1)) <= ctx.inner_tol
+    for _ in range(MAX_INNER):
+        done = np.sqrt(np.sum(grad * grad / h1_y, axis=1)) <= INNER_TOL
         values[live[done]] = energy[done]
         live, u, energy, grad = live[~done], u[~done], energy[~done], grad[~done]
         if live.size == 0:
@@ -274,7 +277,7 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     evaluation is one warm-started `psi` call that yields the reduced value
     and its partial derivatives, which are those of J at x + psi(x) because
     the Y block is stationary there.  BFGS stops at a gradient of
-    10 x inner_tol, the noise floor `psi` leaves, and the winner is polished
+    10 x INNER_TOL, the noise floor `psi` leaves, and the winner is polished
     as a critical point of the full functional.  The record's provenance
     gives the box, the seed count and the Newton and fallback steps of the
     population solve.
@@ -314,17 +317,17 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     best_xi, best_val = None, -np.inf
     for s in top:
         out = scipy_minimize(neg_value_and_grad, s, jac=True, method="BFGS",
-                             options={"gtol": 10.0 * ctx.inner_tol, "maxiter": 400})
+                             options={"gtol": 10.0 * INNER_TOL, "maxiter": 400})
         if -out.fun > best_val:
             best_val, best_xi = -out.fun, out.x
 
     x = _compact_to_field(spec, best_xi)
     u = x + psi(ctx, x, y_cache[0])
-    polished = refine_critical(func, u, cfg)
+    polished = refine_critical(func, u)
     if polished is not None and spec.h1_dist(polished, u) < 0.5:
         u = polished
     rec = make_record(
-        func, u, cfg, "reduction_max",
+        func, u, "reduction_max",
         {"stage": "reduction", "functional": func.nonlinearity.label,
          "reduced_value": float(func.value(u)), "k": k, "seed_box": box.tolist(),
          "seeds": len(seeds),
@@ -383,7 +386,7 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell, eps=1e-3) -> Lo
         )
     if ell >= spec.k:
         raise ValueError(f"ell={ell} must be < k={spec.k}")
-    if any(abs(lam - slope) < 1e-8 for lam in eig):
+    if any(abs(lam - slope) < RESONANCE_TOL for lam in eig):
         raise ValueError(f"f'({alpha})={slope:.6g} is resonant with an X eigenvalue")
 
     x0 = spec.x_projection(spec.constant_field(alpha))

@@ -7,7 +7,7 @@ energy sequence is provably nonincreasing; once the residual is small the
 iterate is polished by a Newton-type root solve on the gradient system
 (MINPACK's dogleg trust region, plus a plain Newton fallback), which
 converges to saddles as happily as to minima.  The root solve stops at the
-first point it evaluates whose Sobolev residual meets grad_tol: MINPACK's
+first point it evaluates whose Sobolev residual meets GRAD_TOL: MINPACK's
 own step test (xtol = 1e-13) lies below the rounding noise of the
 iterates, so without that stop hybr keeps iterating on a converged point
 until it reports poor progress.
@@ -37,7 +37,14 @@ from .errors import (
     PathCollapse,
 )
 from .nonlinearity import find_zeros, homotopy, require_nonresonant
-from .records import CriticalPointRecord, SolverConfig, make_record, principal_simple_signdef
+from .records import (
+    DEDUP_RADIUS,
+    GRAD_TOL,
+    CriticalPointRecord,
+    SolverConfig,
+    make_record,
+    principal_simple_signdef,
+)
 
 __all__ = [
     "SolverConfig",
@@ -52,14 +59,26 @@ __all__ = [
     "dedup_records",
 ]
 
+# iteration budget of a descent and sweep budget of a mountain pass
+MAX_ITERS = 4000
+# residual at which a descent hands over to the root solve's polish
+_DESCENT_TOL = max(GRAD_TOL, 1e-7)
+# mountain-pass polyline nodes, endpoints included
+PATH_NODES = 41
+# the homotopy bound scales the largest solution norm it sees by this
+# factor into the search radius R
+SAFETY_FACTOR = 2.0
+# random starts per homotopy member, on top of its deterministic seeds
+HOMOTOPY_BUDGET = 32
 
-def find_constants(functional, cfg: SolverConfig) -> list:
+
+def find_constants(functional) -> list:
     """One record per prescribed zero; constants solve the problem exactly."""
     out = []
     for t, s in functional.nonlinearity.zeros():
         coeffs = functional.spectrum.constant_field(t)
         rec = make_record(
-            functional, coeffs, cfg, "constant",
+            functional, coeffs, "constant",
             {"stage": "constants", "zero": t, "zero_slope": s,
              "functional": functional.nonlinearity.label},
         )
@@ -67,21 +86,20 @@ def find_constants(functional, cfg: SolverConfig) -> list:
     return out
 
 
-def _descend(functional, start, cfg, radius_guard=None, tol=None, trace=None):
+def _descend(functional, start, tol, radius_guard=None, trace=None):
     """Backtracking descent on the metric gradient.  Returns (coeffs, iters).
 
     Guarantees J never increases along the iterates.  Raises
     DivergingIterates when the iterate norm passes radius_guard and
-    MaxItersExceeded when the budget runs out before `tol`.
+    MaxItersExceeded when MAX_ITERS steps do not reach `tol`.
     """
     spec = functional.spectrum
-    tol = cfg.grad_tol if tol is None else tol
     u = np.asarray(start, dtype=float).copy()
     J = functional.value(u)
     if trace is not None:
         trace.append(J)
     step = 1.0
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         g = functional.gradient(u)
         gn2 = spec.h1_inner(g, g)
         if np.sqrt(gn2) <= tol:
@@ -107,27 +125,27 @@ def _descend(functional, start, cfg, radius_guard=None, tol=None, trace=None):
             raise DivergingIterates(
                 f"iterate norm {spec.h1_norm(u):.3g} passed the guard {radius_guard:.3g}"
             )
-    raise MaxItersExceeded(f"descent did not reach tol={tol:g} in {cfg.max_iters} iters")
+    raise MaxItersExceeded(f"descent did not reach tol={tol:g} in {MAX_ITERS} iters")
 
 
 class _Converged(Exception):
-    """Raised inside the root solve at the first point that meets grad_tol."""
+    """Raised inside the root solve at the first point that meets GRAD_TOL."""
 
     def __init__(self, u):
         super().__init__()
         self.u = u
 
 
-def refine_critical(functional, start, cfg: SolverConfig):
+def refine_critical(functional, start):
     """Newton-type polish of the gradient system from `start`.
 
-    Returns refined coefficients with residual <= grad_tol, or None if the
+    Returns refined coefficients with residual <= GRAD_TOL, or None if the
     solve stalls.  MINPACK hybr (Newton direction inside a dogleg trust
     region, so indefinite Hessians are fine) does the heavy lifting; a few
     plain Newton steps mop up if it returns slightly above tolerance.
 
     hybr stops at the first point it evaluates whose Sobolev residual
-    sqrt(sum g_j^2 / (1 + lam_j)) of the L2 gradient g meets grad_tol, and
+    sqrt(sum g_j^2 / (1 + lam_j)) of the L2 gradient g meets GRAD_TOL, and
     that point is returned as it is, with no second residual check.  Its
     path up to there is the one it would take anyway, so every start ends
     in the same basin; the stop only drops the evaluations hybr would spend
@@ -137,7 +155,7 @@ def refine_critical(functional, start, cfg: SolverConfig):
 
     def gradient(c):
         g = functional.l2_gradient(c)
-        if np.sqrt(np.sum(weight * g * g)) <= cfg.grad_tol:
+        if np.sqrt(np.sum(weight * g * g)) <= GRAD_TOL:
             raise _Converged(np.array(c, dtype=float))
         return g
 
@@ -154,7 +172,7 @@ def refine_critical(functional, start, cfg: SolverConfig):
     if not np.all(np.isfinite(u)):
         return None
     for _ in range(8):
-        if functional.residual(u) <= cfg.grad_tol:
+        if functional.residual(u) <= GRAD_TOL:
             return u
         A, _ = functional.hessian_pencil(u)
         G = functional.l2_gradient(u)
@@ -165,28 +183,27 @@ def refine_critical(functional, start, cfg: SolverConfig):
         if not np.all(np.isfinite(delta)):
             return None
         u = u + delta
-    return u if functional.residual(u) <= cfg.grad_tol else None
+    return u if functional.residual(u) <= GRAD_TOL else None
 
 
-def minimize(functional, start, cfg: SolverConfig, radius_guard=None,
-             trace=None) -> CriticalPointRecord:
+def minimize(functional, start, radius_guard=None, trace=None) -> CriticalPointRecord:
     """Descend from `start` to a critical point, then Newton-polish.
 
     The energy sequence along the iterates is nonincreasing.  A start that
-    already meets grad_tol is returned as-is with zero iterations.
+    already meets GRAD_TOL is returned as-is with zero iterations.
     """
     u = np.asarray(start, dtype=float)
     iters = 0
-    descended = functional.residual(u) > cfg.grad_tol
+    descended = functional.residual(u) > GRAD_TOL
     if descended:
-        u, iters = _descend(functional, u, cfg, radius_guard=radius_guard,
-                            tol=max(cfg.grad_tol, 1e-7), trace=trace)
-        polished = refine_critical(functional, u, cfg)
+        u, iters = _descend(functional, u, _DESCENT_TOL, radius_guard=radius_guard,
+                            trace=trace)
+        polished = refine_critical(functional, u)
         if polished is not None and functional.spectrum.h1_dist(polished, u) < 1.0:
             u = polished
         else:
-            u, _ = _descend(functional, u, cfg, radius_guard=radius_guard, tol=cfg.grad_tol)
-    rec = make_record(functional, u, cfg, "other",
+            u, _ = _descend(functional, u, GRAD_TOL, radius_guard=radius_guard)
+    rec = make_record(functional, u, "other",
                       {"stage": "minimize", "functional": functional.nonlinearity.label},
                       iterations=iters)
     if rec.morse_index == 0:
@@ -215,7 +232,7 @@ def _redistribute(spec, path):
     return out
 
 
-def mountain_pass(functional, end_a, end_b, cfg: SolverConfig) -> CriticalPointRecord:
+def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     """Choi-McKenna style discrete mountain pass between two anchors.
 
     Raises PathCollapse when no barrier exists above the endpoint energies
@@ -228,9 +245,7 @@ def mountain_pass(functional, end_a, end_b, cfg: SolverConfig) -> CriticalPointR
     spec = functional.spectrum
     a = np.asarray(end_a, dtype=float)
     b = np.asarray(end_b, dtype=float)
-    n = cfg.path_nodes
-    if n < 5:
-        raise ValueError("path_nodes must be at least 5")
+    n = PATH_NODES
     Ja, Jb = functional.value(a), functional.value(b)
     end_level = max(Ja, Jb)
 
@@ -249,24 +264,24 @@ def mountain_pass(functional, end_a, end_b, cfg: SolverConfig) -> CriticalPointR
     # node energies: a moved node keeps the energy its accepted step
     # computed, and every node is re-evaluated after redistribution
     energies = np.array([functional.value(p) for p in path])
-    for sweep in range(cfg.max_iters):
+    for sweep in range(MAX_ITERS):
         i = int(np.argmax(energies))
         if i in (0, n - 1):
             raise PathCollapse("the maximal node is an endpoint; no interior barrier")
         g = functional.gradient(path[i])
         res = spec.h1_norm(g)
         if res <= 1e-4 or (best is not None and sweep - best[2] > 50):
-            cand = refine_critical(functional, path[i], cfg)
+            cand = refine_critical(functional, path[i])
             if cand is not None:
                 d_end = min(spec.h1_dist(cand, a), spec.h1_dist(cand, b))
-                if d_end <= cfg.dedup_radius:
+                if d_end <= DEDUP_RADIUS:
                     raise PathCollapse("refined candidate fell into an endpoint")
                 Jc = functional.value(cand)
                 if Jc <= end_level + 1e-12:
                     raise PathCollapse(
                         f"candidate level {Jc:.6g} does not exceed the endpoints {end_level:.6g}"
                     )
-                return _finish_mp(functional, cand, cfg, sweep, end_a=a, end_b=b)
+                return _finish_mp(functional, cand, sweep, end_a=a, end_b=b)
             best = None  # refinement failed; keep sweeping
         if best is None or res < best[1]:
             best = (i, res, sweep)
@@ -301,18 +316,18 @@ def mountain_pass(functional, end_a, end_b, cfg: SolverConfig) -> CriticalPointR
         if sweep % 5 == 4:
             path = _redistribute(spec, path)
             energies = np.array([functional.value(p) for p in path])
-    raise MaxItersExceeded(f"mountain pass did not settle in {cfg.max_iters} sweeps")
+    raise MaxItersExceeded(f"mountain pass did not settle in {MAX_ITERS} sweeps")
 
 
-def _finish_mp(functional, coeffs, cfg, sweeps, end_a, end_b) -> CriticalPointRecord:
+def _finish_mp(functional, coeffs, sweeps, end_a, end_b) -> CriticalPointRecord:
     spec = functional.spectrum
     rec = make_record(
-        functional, coeffs, cfg, "other",
+        functional, coeffs, "other",
         {"stage": "mountain_pass", "functional": functional.nonlinearity.label,
          "endpoint_ranges": [list(spec.field_range(end_a)), list(spec.field_range(end_b))]},
         iterations=sweeps,
     )
-    is_mp = rec.morse_index == 1 and principal_simple_signdef(functional, rec, cfg.simplicity_tol)
+    is_mp = rec.morse_index == 1 and principal_simple_signdef(functional, rec)
     if is_mp:
         rec.classification = "mp_type"
     else:
@@ -364,38 +379,35 @@ def dedup_records(spec, records, dedup_radius):
 _Candidate = namedtuple("_Candidate", "energy coeffs method start_index")
 
 
-def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
-               rng=None, descent=True) -> list:
-    """Random starts in the Sobolev ball of the given radius, each refined by
-    a Newton-type root solve and optionally by descent.  Returns records
-    deduplicated and deterministically ordered (energy, then coefficients).
+def multistart(functional, radius, seeds=(), *, budget, rng, descent=True) -> list:
+    """`budget` random starts from `rng` in the Sobolev ball of the given
+    radius, each refined by a Newton-type root solve and optionally by
+    descent.  Returns records deduplicated and deterministically ordered
+    (energy, then coefficients).
 
     Seeds are extra deterministic starts prepended to the random ones and do
     not count against the budget.  The converged points (refine_critical
-    returns only points that meet grad_tol) are deduplicated on their
+    returns only points that meet GRAD_TOL) are deduplicated on their
     energy and coefficients; only the survivors get a full record with
     Morse data.
     """
     spec = functional.spectrum
-    budget = cfg.multistart_budget if budget is None else budget
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     starts = [np.asarray(s, dtype=float) for s in seeds]
     starts += _random_ball_starts(spec, rng, budget, radius)
 
     found = []
     for idx, start in enumerate(starts):
-        cand = refine_critical(functional, start, cfg)
+        cand = refine_critical(functional, start)
         if cand is not None and spec.h1_norm(cand) <= 4.0 * radius + 10.0:
             found.append((cand, "newton", idx))
         if descent:
             try:
-                u, _ = _descend(functional, start, cfg,
-                                radius_guard=2.0 * radius + 10.0,
-                                tol=max(cfg.grad_tol, 1e-7))
+                u, _ = _descend(functional, start, _DESCENT_TOL,
+                                radius_guard=2.0 * radius + 10.0)
             except (DivergingIterates, MaxItersExceeded):
                 u = None
             if u is not None:
-                polished = refine_critical(functional, u, cfg)
+                polished = refine_critical(functional, u)
                 if polished is not None:
                     found.append((polished, "descent", idx))
 
@@ -404,9 +416,9 @@ def multistart(functional, cfg: SolverConfig, radius, seeds=(), budget=None,
         for coeffs, method, idx in found
     ]
     records = []
-    for cand in dedup_records(spec, candidates, cfg.dedup_radius):
+    for cand in dedup_records(spec, candidates, DEDUP_RADIUS):
         rec = make_record(
-            functional, cand.coeffs, cfg, "other",
+            functional, cand.coeffs, "other",
             {"stage": "multistart", "method": cand.method, "start_index": cand.start_index,
              "functional": functional.nonlinearity.label},
         )
@@ -443,7 +455,7 @@ class HomotopyBoundResult:
 
 def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> HomotopyBoundResult:
     """Sweep the family h_lam = lam f'(inf) t + (1 - lam) f(t), multistart
-    each member, and return R = safety_factor x the largest solution norm.
+    each member, and return R = SAFETY_FACTOR x the largest solution norm.
 
     At lam = 1 the member is linear and nonresonant, so the only solution is
     0; lambda_one_clean reports whether the sweep respected that.  Raises
@@ -454,9 +466,7 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     require_nonresonant(nonlinearity, spectrum)
     knot_ts = [t for t, _ in nonlinearity.zeros()]
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
-    start_radius = cfg.homotopy_start_radius
-    if start_radius is None:
-        start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
+    start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
 
     per_lambda = []
     max_norm = 0.0
@@ -478,13 +488,13 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
                     e[j] = sgn * amp / amp_unit
                     seeds.append(e)
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
-        recs = multistart(func, cfg, start_radius, seeds=seeds,
-                          budget=cfg.homotopy_budget, rng=rng, descent=False)
+        recs = multistart(func, start_radius, seeds=seeds,
+                          budget=HOMOTOPY_BUDGET, rng=rng, descent=False)
         norms = [r.h1_norm for r in recs]
         top = max(norms) if norms else 0.0
         per_lambda.append((float(lam), len(recs), top))
         max_norm = max(max_norm, top)
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False
-    R = cfg.safety_factor * max_norm
-    return HomotopyBoundResult(R, max_norm, cfg.safety_factor, per_lambda, clean)
+    R = SAFETY_FACTOR * max_norm
+    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, per_lambda, clean)

@@ -32,6 +32,10 @@ __all__ = [
     "split_spectrum",
 ]
 
+# a slope closer than this to an eigenvalue is resonant: the eigenvalue
+# count below it, and with it the split and the degree, is ill-defined
+RESONANCE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -323,19 +327,20 @@ def build_spectrum(domain: Domain, n_modes: int) -> SpectrumSlice:
     return SpectrumSlice(domain, n_modes)
 
 
-def split_spectrum(spec: SpectrumSlice, slope: float, tol: float = 1e-8) -> SpectrumSlice:
+def split_spectrum(spec: SpectrumSlice, slope: float) -> SpectrumSlice:
     """Split the basis into X (eigenvalues below `slope`) and Y (the rest).
 
     Counting is strict and includes multiplicity.  Raises ResonantSlope if
-    `slope` sits within `tol` of an eigenvalue, where the count would be
-    ill-defined.  Returns a new slice; the input is untouched.
+    `slope` sits within RESONANCE_TOL of an eigenvalue, where the count
+    would be ill-defined.  Returns a new slice; the input is untouched.
     """
     slope = float(slope)
     gaps = np.abs(spec.eigenvalues - slope)
-    if np.any(gaps < tol):
+    if np.any(gaps < RESONANCE_TOL):
         j = int(np.argmin(gaps))
         raise ResonantSlope(
-            f"slope {slope} is within {tol} of eigenvalue {spec.eigenvalues[j]} (index {j})"
+            f"slope {slope} is within {RESONANCE_TOL} of eigenvalue "
+            f"{spec.eigenvalues[j]} (index {j})"
         )
     import copy
 

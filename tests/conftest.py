@@ -7,6 +7,18 @@ import neucrit as nc
 
 REF5_KNOTS = [(-2.0, 2.5), (-1.0, -3.0), (0.0, 2.5), (1.0, -3.0), (2.0, 2.5)]
 
+# config keys that once were settings and are now module constants; a config
+# that sets any of them is rejected
+REMOVED_SETTINGS = (
+    ("solver", "grad_tol"), ("solver", "max_iters"), ("solver", "path_nodes"),
+    ("solver", "dedup_radius"), ("solver", "mp_offset"), ("solver", "safety_factor"),
+    ("solver", "degeneracy_tol"), ("solver", "simplicity_tol"),
+    ("solver", "lambda_count"), ("solver", "homotopy_budget"),
+    ("solver", "homotopy_start_radius"),
+    ("reduction", "inner_tol"), ("reduction", "max_inner"),
+    ("ledger", "qual_tol"), ("ledger", "range_margin"),
+)
+
 
 @pytest.fixture(scope="session")
 def ref5():

@@ -15,6 +15,7 @@ import pytest
 import scipy.ndimage as ndi
 
 import neucrit as nc
+from neucrit.records import GRAD_TOL
 
 
 def _verdict(num, label, ok, detail=""):
@@ -116,7 +117,7 @@ def test_05_reduction_correspondence(ref5, ref5_ctx, reference_report):
     """Every pipeline solution reproduces its own complement part through
     psi within 10x the gradient tolerance (psi restarted from zero)."""
     spec, _, _ = ref5
-    tol = 10.0 * nc.SolverConfig().grad_tol
+    tol = 10.0 * GRAD_TOL
     worst = 0.0
     n = 0
     for rec in reference_report.records:
@@ -184,7 +185,7 @@ def test_07_saddle_signature(ref5, reference_report):
 
 # ---------------------------------------------------------------- 8
 
-def _grid_oracle(spec, f, func, cfg, radius):
+def _grid_oracle(spec, f, func, radius):
     """Brute-force enumeration: the coefficient-gradient norm is scanned
     over a 3-mode lattice, lattice-local minima are polished in the full
     space, and nondegenerate in-ball points are returned deduplicated."""
@@ -205,7 +206,7 @@ def _grid_oracle(spec, f, func, cfg, radius):
     is_min = cube <= ndi.minimum_filter(cube, size=3, mode="nearest")
     found = []
     for seed in coeffs[is_min.ravel()]:
-        c = nc.refine_critical(func, seed, cfg)
+        c = nc.refine_critical(func, seed)
         if c is None or spec.h1_norm(c) > radius + 1e-9:
             continue
         _, _, index, degenerate = func.morse_data(c)
@@ -216,7 +217,7 @@ def _grid_oracle(spec, f, func, cfg, radius):
     return found
 
 
-def test_08_degree_reconciliation(ref5, solver_cfg, reference_report):
+def test_08_degree_reconciliation(ref5, reference_report):
     """Stage-7 degree arithmetic shows a gap, multistart closes it, and an
     independent 3-mode grid enumeration finds nothing the ledger lacks."""
     spec, f, func = ref5
@@ -232,7 +233,7 @@ def test_08_degree_reconciliation(ref5, solver_cfg, reference_report):
     nonconstant = [r for r in rep.records if not r.is_constant() and r.in_ball]
 
     t0 = time.perf_counter()
-    oracle = _grid_oracle(spec, f, func, solver_cfg, rep.ledger_report.R)
+    oracle = _grid_oracle(spec, f, func, rep.ledger_report.R)
     missing = []
     for c, index in oracle:
         d = min(spec.h1_dist(c, r.coeffs) for r in rep.records)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neucrit as nc
+from conftest import REMOVED_SETTINGS
 from neucrit.pipeline import reference_config, validate_config
 
 
@@ -20,7 +21,7 @@ def _key_paths(cfg, prefix=()):
 PATHS = sorted(
     set(_key_paths(reference_config()))
     | {("solver", f.name) for f in dataclasses.fields(nc.SolverConfig)}
-    | {("ledger", f.name) for f in dataclasses.fields(nc.LedgerConfig)}
+    | set(REMOVED_SETTINGS)
 )
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)

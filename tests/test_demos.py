@@ -1,7 +1,7 @@
-"""Demos 01-04 run in-process and finish cleanly.  Demo 05 is left out: it
-writes the committed `demos/out` artifacts."""
+"""Demos 01-05 run in-process and finish cleanly."""
 
 import runpy
+import shutil
 from pathlib import Path
 
 import pytest
@@ -18,3 +18,14 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_full_ledger_demo_writes_report(tmp_path, capsys):
+    """Demo 05 writes next to itself, so a copy of it runs in tmp_path and
+    leaves the committed demos/out untouched."""
+    demo = tmp_path / "05_full_ledger.py"
+    shutil.copy(DEMOS / "05_full_ledger.py", demo)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+    for name in ("report.json", "summary.csv", "profiles.svg"):
+        assert (tmp_path / "out" / name).is_file()

@@ -51,3 +51,5 @@ def test_k3_reports_honest_deficiency():
     assert rep.stages["multistart"]["chunks"] == 10
     assert rep.stages["multistart"]["final_deficiency"] == 1
     assert len(rep.records) == 20
+    # a multistart copy of the constant 0 merges into it, not rejected
+    assert not any("failed qualitative checks" in w for w in rep.warnings)

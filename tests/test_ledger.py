@@ -5,36 +5,36 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+from neucrit import ledger
 from neucrit.ledger import (
     DegreeLedger,
-    LedgerConfig,
     local_degree,
     qualitative_classify,
     transfer_to_original,
 )
-from neucrit.records import principal_simple_signdef
+from neucrit.records import GRAD_TOL, principal_simple_signdef
 
 TRANSFER_SHIFT = 25.0 * np.pi / 24.0
 
 
 @pytest.fixture(scope="module")
-def interval_saddle(ref5, solver_cfg):
+def interval_saddle(ref5):
     spec, f, _ = ref5
     f_int = nc.truncate_interval(f, -1.0, 1.0)
     func_int = nc.EnergyFunctional(spec, f_int)
     rec = nc.mountain_pass(func_int, spec.constant_field(-1.0),
-                           spec.constant_field(1.0), solver_cfg)
+                           spec.constant_field(1.0))
     rec.provenance.update({"kind": "interval", "anchors": [-1.0, 1.0]})
     return rec, func_int
 
 
 @pytest.fixture(scope="module")
-def well_saddle(ref5, solver_cfg):
+def well_saddle(ref5):
     spec, f, _ = ref5
     f_lo = nc.truncate_below(f, -1.0)
     func_lo = nc.EnergyFunctional(spec, f_lo)
     rec = nc.mountain_pass(func_lo, spec.constant_field(-1.0),
-                           spec.constant_field(-6.0), solver_cfg)
+                           spec.constant_field(-6.0))
     rec.provenance.update({"kind": "below", "anchors": [-1.0]})
     return rec, func_lo
 
@@ -58,31 +58,31 @@ def test_local_degree_recipes():
         local_degree(fake(True, "minimizer", 0), k=2)
 
 
-def test_hess_kato_at_constants(ref5, solver_cfg):
+def test_hess_kato_at_constants(ref5):
     spec, f, func = ref5
-    rec = nc.make_record(func, spec.constant_field(-2.0), solver_cfg,
+    rec = nc.make_record(func, spec.constant_field(-2.0),
                          "constant", {"stage": "t"})
     assert principal_simple_signdef(func, rec)
     # index-0 constant: no negative direction, the check does not apply
-    rec1 = nc.make_record(func, spec.constant_field(1.0), solver_cfg,
+    rec1 = nc.make_record(func, spec.constant_field(1.0),
                           "constant", {"stage": "t"})
     assert not principal_simple_signdef(func, rec1)
 
 
-def test_hess_kato_positive_definite_square(solver_cfg):
+def test_hess_kato_positive_definite_square():
     # on the square with f(t) = -2t every pencil eigenvalue is
     # (lam + 2)/(1 + lam) > 0, so there is no principal negative direction
     spec = nc.build_spectrum(nc.Domain("rectangle", (np.pi, np.pi)), 9)
     f = nc.build_nonlinearity([(0.0, -2.0)], -2.0, -2.0)
     func = nc.EnergyFunctional(spec, f)
-    rec = nc.make_record(func, np.zeros(9), solver_cfg, "constant", {"stage": "t"})
+    rec = nc.make_record(func, np.zeros(9), "constant", {"stage": "t"})
     assert np.all(rec.hessian_eigs > 0)
     assert not principal_simple_signdef(func, rec)
 
 
-def test_hess_kato_simplicity_and_sign(ref5, solver_cfg):
+def test_hess_kato_simplicity_and_sign(ref5):
     spec, f, func = ref5
-    rec = nc.make_record(func, spec.constant_field(-2.0), solver_cfg,
+    rec = nc.make_record(func, spec.constant_field(-2.0),
                          "constant", {"stage": "t"})
     # near-double lowest pair: simplicity fails
     forged = dataclasses.replace(
@@ -95,9 +95,9 @@ def test_hess_kato_simplicity_and_sign(ref5, solver_cfg):
     assert not principal_simple_signdef(func, forged2)
 
 
-def test_qualitative_constant_vacuous(ref5, solver_cfg):
+def test_qualitative_constant_vacuous(ref5):
     spec, f, func = ref5
-    rec = nc.make_record(func, spec.constant_field(0.0), solver_cfg,
+    rec = nc.make_record(func, spec.constant_field(0.0),
                          "constant", {"stage": "t"})
     rep = qualitative_classify(rec, func)
     assert rep.passed
@@ -115,7 +115,7 @@ def test_qualitative_interval_saddle(ref5, interval_saddle):
     assert d["passed"] and len(d["checks"]) == 3
 
 
-def test_qualitative_ordering_failures(ref5, interval_saddle, solver_cfg):
+def test_qualitative_ordering_failures(ref5, interval_saddle):
     _, _, func = ref5
     rec, _ = interval_saddle
     # a range sticking past the lower anchor breaks both the ordering and
@@ -144,74 +144,74 @@ def test_qualitative_below_above_orderings(ref5, well_saddle):
     assert qualitative_classify(mirror, func).passed
 
 
-def test_transfer_interval_keeps_energy(ref5, interval_saddle, solver_cfg):
+def test_transfer_interval_keeps_energy(ref5, interval_saddle):
     _, _, func = ref5
     rec, func_int = interval_saddle
-    moved = transfer_to_original(rec, func, func_int, solver_cfg)
+    moved = transfer_to_original(rec, func, func_int)
     # the interval truncation has the same primitive on [-1, 1]
     assert moved.energy == pytest.approx(rec.energy, abs=1e-12)
-    assert moved.residual <= solver_cfg.grad_tol
+    assert moved.residual <= GRAD_TOL
     assert moved.classification == rec.classification
     assert moved.provenance["transferred_from"] == "interval(-1,1)"
     assert np.array_equal(moved.coeffs, rec.coeffs)
 
 
-def test_transfer_below_shifts_energy(ref5, well_saddle, solver_cfg):
+def test_transfer_below_shifts_energy(ref5, well_saddle):
     _, _, func = ref5
     rec, func_lo = well_saddle
-    moved = transfer_to_original(rec, func, func_lo, solver_cfg)
+    moved = transfer_to_original(rec, func, func_lo)
     assert moved.energy - rec.energy == pytest.approx(TRANSFER_SHIFT, abs=1e-10)
     assert moved.morse_index == rec.morse_index
-    assert moved.residual <= solver_cfg.grad_tol
+    assert moved.residual <= GRAD_TOL
 
 
-def test_transfer_constant_at_anchor(ref5, solver_cfg):
+def test_transfer_constant_at_anchor(ref5):
     spec, f, func = ref5
     f_lo = nc.truncate_below(f, -1.0)
     func_lo = nc.EnergyFunctional(spec, f_lo)
-    rec = nc.make_record(func_lo, spec.constant_field(-1.0), solver_cfg,
+    rec = nc.make_record(func_lo, spec.constant_field(-1.0),
                          "constant", {"stage": "t"})
-    moved = transfer_to_original(rec, func, func_lo, solver_cfg)
+    moved = transfer_to_original(rec, func, func_lo)
     assert moved.energy == pytest.approx(-11.0 * np.pi / 24.0, abs=1e-12)
     assert moved.residual < 1e-12
 
 
-def test_transfer_range_escape(ref5, well_saddle, interval_saddle, solver_cfg):
+def test_transfer_range_escape(ref5, well_saddle, interval_saddle, monkeypatch):
     _, _, func = ref5
     well_rec, _ = well_saddle
     _, func_int = interval_saddle
     # the well saddle lives outside the interval truncation's coincidence region
     with pytest.raises(nc.RangeEscape):
-        transfer_to_original(well_rec, func, func_int, solver_cfg)
+        transfer_to_original(well_rec, func, func_int)
     # a tight margin rejects even the interval saddle
     int_rec, _ = interval_saddle
+    monkeypatch.setattr(ledger, "RANGE_MARGIN", 0.3)
     with pytest.raises(nc.RangeEscape):
-        transfer_to_original(int_rec, func, func_int, solver_cfg,
-                             range_margin=0.3)
+        transfer_to_original(int_rec, func, func_int)
 
 
-def test_transfer_needs_coincidence_region(ref5, solver_cfg):
+def test_transfer_needs_coincidence_region(ref5):
     spec, f, func = ref5
     h = nc.homotopy(f, 0.5)  # blended member agrees with f nowhere specific
     func_h = nc.EnergyFunctional(spec, h)
-    rec = nc.make_record(func_h, spec.constant_field(0.0), solver_cfg,
+    rec = nc.make_record(func_h, spec.constant_field(0.0),
                          "other", {"stage": "t"})
     with pytest.raises(nc.RangeEscape):
-        transfer_to_original(rec, func, func_h, solver_cfg)
+        transfer_to_original(rec, func, func_h)
 
 
-def test_ledger_dedup_and_upgrade(ref5, solver_cfg):
+def test_ledger_dedup_and_upgrade(ref5):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=20.0, spectrum=spec)
-    base = nc.make_record(func, spec.constant_field(0.0), solver_cfg,
+    base = nc.make_record(func, spec.constant_field(0.0),
                           "constant", {"stage": "constants"})
     assert led.add(base) == "added as record 0"
-    again = nc.make_record(func, spec.constant_field(0.0), solver_cfg,
+    again = nc.make_record(func, spec.constant_field(0.0),
                            "other", {"stage": "multistart"})
     assert led.add(again) == "merged into record 0"
     assert led.records[0].classification == "constant"  # no downgrade
     assert any("also reached by stage multistart" in n for n in led.records[0].notes)
-    upgrade = nc.make_record(func, spec.constant_field(0.0), solver_cfg,
+    upgrade = nc.make_record(func, spec.constant_field(0.0),
                              "reduction_max", {"stage": "reduction"})
     led.add(upgrade)
     assert led.records[0].classification == "reduction_max"
@@ -219,10 +219,10 @@ def test_ledger_dedup_and_upgrade(ref5, solver_cfg):
     assert len(led) == 1
 
 
-def test_ledger_constants_only_arithmetic(ref5, solver_cfg):
+def test_ledger_constants_only_arithmetic(ref5):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=20.0, spectrum=spec)
-    for rec in nc.find_constants(func, solver_cfg):
+    for rec in nc.find_constants(func):
         led.add(rec)
     rep = led.reconcile(func)
     # all five constants have even index, so each contributes +1
@@ -236,16 +236,15 @@ def test_ledger_constants_only_arithmetic(ref5, solver_cfg):
     assert all("seed multistart" in s for s in rep.suggestions)
 
 
-def test_ledger_with_saddles_arithmetic(ref5, solver_cfg, interval_saddle,
-                                        well_saddle):
+def test_ledger_with_saddles_arithmetic(ref5, interval_saddle, well_saddle):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=20.0, spectrum=spec)
-    for rec in nc.find_constants(func, solver_cfg):
+    for rec in nc.find_constants(func):
         led.add(rec)
     int_rec, func_int = interval_saddle
     well_rec, func_lo = well_saddle
-    led.add(transfer_to_original(int_rec, func, func_int, solver_cfg))
-    led.add(transfer_to_original(well_rec, func, func_lo, solver_cfg))
+    led.add(transfer_to_original(int_rec, func, func_int))
+    led.add(transfer_to_original(well_rec, func, func_lo))
     rep = led.reconcile(func)
     assert rep.degree_sum == 3  # 5 - 2 saddles
     assert rep.deficiency == -2
@@ -256,12 +255,12 @@ def test_ledger_with_saddles_arithmetic(ref5, solver_cfg, interval_saddle,
     assert 0 < len(rep.suggestions) < 3
 
 
-def test_ledger_out_of_ball_excluded(ref5, solver_cfg):
+def test_ledger_out_of_ball_excluded(ref5):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=1.0, spectrum=spec)
-    inside = nc.make_record(func, spec.constant_field(0.0), solver_cfg,
+    inside = nc.make_record(func, spec.constant_field(0.0),
                             "constant", {"stage": "constants"})
-    outside = nc.make_record(func, spec.constant_field(2.0), solver_cfg,
+    outside = nc.make_record(func, spec.constant_field(2.0),
                              "constant", {"stage": "constants"})
     led.add(inside)
     led.add(outside)
@@ -274,10 +273,10 @@ def test_ledger_out_of_ball_excluded(ref5, solver_cfg):
     assert rep.deficiency == 0 and rep.balanced
 
 
-def test_ledger_flags_unclassified_degenerate(ref5, solver_cfg):
+def test_ledger_flags_unclassified_degenerate(ref5):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=20.0, spectrum=spec)
-    rec = nc.make_record(func, spec.constant_field(1.0), solver_cfg,
+    rec = nc.make_record(func, spec.constant_field(1.0),
                          "other", {"stage": "t"})
     led.add(dataclasses.replace(rec, degenerate=True))
     led.reconcile(func)
@@ -290,10 +289,10 @@ def test_ledger_flags_unclassified_degenerate(ref5, solver_cfg):
     assert led.flags == [(0, "degenerate without signature; no degree")]
 
 
-def test_ledger_serialization(ref5, solver_cfg):
+def test_ledger_serialization(ref5):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=20.0, spectrum=spec)
-    for rec in nc.find_constants(func, solver_cfg):
+    for rec in nc.find_constants(func):
         led.add(rec)
     rep = led.reconcile(func)
     blob = led.to_json_dict(rep)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+from conftest import REMOVED_SETTINGS
 from neucrit.pipeline import STAGES, reference_config, run_pipeline, validate_config
 
 
@@ -195,14 +196,18 @@ def test_validate_config_errors():
     for section, key, value, match in (
         ("domain", "quad_points", "x", "quad_points"),
         ("domain", "lengths", [np.pi, 1.0], "length"),
-        ("solver", "grad_tol", "abc", "grad_tol"),
-        ("solver", "max_iters", 1.5, "max_iters"),
+        ("solver", "rng_seed", "abc", "rng_seed"),
+        ("solver", "multistart_budget", 1.5, "multistart_budget"),
         (None, "modes", True, "modes"),
-        ("ledger", "degeneracy_tol", 1e-7, "unknown keys in section"),
-        ("ledger", "simplicity_tol", 1e-6, "unknown keys in section"),
-        ("ledger", "dedup_radius", 1e-4, "unknown keys in section"),
-        ("reduction", "grid_radius", 10.0, "unknown keys in section"),
+        ("ledger", "degeneracy_tol", 1e-7, "unknown config keys"),
+        ("ledger", "simplicity_tol", 1e-6, "unknown config keys"),
+        ("ledger", "dedup_radius", 1e-4, "unknown config keys"),
+        ("reduction", "grid_radius", 10.0, "unknown config keys"),
         (None, "output", {"dir": "out"}, "unknown config keys"),
+        # every former setting is an unknown key now
+        *((section, key, 1, f"unknown keys in section 'solver': \\['{key}'\\]"
+           if section == "solver" else f"unknown config keys: \\['{section}'\\]")
+          for section, key in REMOVED_SETTINGS),
     ):
         bad = reference_config()
         (bad.setdefault(section, {}) if section else bad)[key] = value

@@ -6,9 +6,9 @@ import pytest
 import neucrit as nc
 
 
-def test_render_profiles_structure(ref5, solver_cfg):
+def test_render_profiles_structure(ref5):
     spec, f, func = ref5
-    recs = nc.find_constants(func, solver_cfg)
+    recs = nc.find_constants(func)
     svg = nc.render_profiles(spec, recs)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
@@ -19,16 +19,16 @@ def test_render_profiles_structure(ref5, solver_cfg):
     assert any("J=" in t for t in texts)
 
 
-def test_render_profiles_deterministic(ref5, solver_cfg):
+def test_render_profiles_deterministic(ref5):
     spec, f, func = ref5
-    recs = nc.find_constants(func, solver_cfg)
+    recs = nc.find_constants(func)
     assert nc.render_profiles(spec, recs) == nc.render_profiles(spec, recs)
 
 
-def test_render_profiles_interval_only(solver_cfg):
+def test_render_profiles_interval_only():
     spec = nc.build_spectrum(nc.Domain("rectangle", (np.pi, np.pi)), 6)
     f = nc.build_nonlinearity([(0.0, -1.0)], 2.5, 2.5)
     func = nc.EnergyFunctional(spec, f)
-    rec = nc.make_record(func, np.zeros(6), solver_cfg, "constant", {"stage": "t"})
+    rec = nc.make_record(func, np.zeros(6), "constant", {"stage": "t"})
     with pytest.raises(ValueError, match="interval"):
         nc.render_profiles(spec, [rec])

@@ -15,6 +15,7 @@ from neucrit.reduction import (
     reduced_gradient,
     reduced_value,
 )
+from neucrit.records import GRAD_TOL
 
 BIG_ORBIT_J = 6.667327
 BIG_ORBIT_NORM = 7.2085
@@ -142,7 +143,7 @@ def _small_rectangle_ctx(ref5):
 @pytest.mark.parametrize("domain", ["interval", "rectangle"])
 def test_psi_population_matches_psi(ref5, ref5_ctx, domain):
     """Every row's Y-block gradient, from the full functional, is below
-    inner_tol; by strong convexity y is then within inner_tol / m of the
+    INNER_TOL; by strong convexity y is then within INNER_TOL / m of the
     true minimizer psi(x)."""
     ctx = ref5_ctx if domain == "interval" else _small_rectangle_ctx(ref5)
     spec, func = ctx.spectrum, ctx.functional
@@ -155,7 +156,7 @@ def test_psi_population_matches_psi(ref5, ref5_ctx, domain):
     sol = psi_population(ctx, rows)
     assert sol.y.shape == rows.shape
     for x, y, val in zip(rows, sol.y, sol.values):
-        assert spec.h1_norm(spec.y_projection(func.gradient(x + y))) <= ctx.inner_tol
+        assert spec.h1_norm(spec.y_projection(func.gradient(x + y))) <= reduction.INNER_TOL
         assert np.all(spec.x_projection(y) == 0.0)
         assert val == pytest.approx(func.value(x + y), rel=1e-12, abs=1e-12)
     assert sol.newton_steps > 0
@@ -189,7 +190,7 @@ def test_psi_population_falls_back_on_rising_steps(ref5, ref5_ctx, monkeypatch):
     sol = psi_population(ref5_ctx, rows)
     assert sol.fallback_steps > 0
     for y, ref in zip(sol.y, expected):
-        assert spec.h1_dist(y, ref) <= 10 * ref5_ctx.inner_tol
+        assert spec.h1_dist(y, ref) <= 10 * reduction.INNER_TOL
 
 
 def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
@@ -201,7 +202,7 @@ def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
     assert rec.urange[1] == pytest.approx(BIG_ORBIT_RANGE, abs=2e-4)
     # the distinguished point has full index k and clean second-order data
     assert rec.morse_index == 2 and not rec.degenerate
-    assert rec.residual <= solver_cfg.grad_tol
+    assert rec.residual <= GRAD_TOL
     assert not any("differs from the block dimension" in n for n in rec.notes)
 
 
