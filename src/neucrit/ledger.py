@@ -206,11 +206,11 @@ class DegreeLedger:
     def __len__(self):
         return len(self.records)
 
-    def match(self, record) -> int | None:
-        """Index of the first held record within DEDUP_RADIUS of `record`
-        in the Sobolev distance, or None when it is a new point."""
+    def match(self, coeffs) -> int | None:
+        """Index of the first held record within DEDUP_RADIUS of the point
+        `coeffs` in the Sobolev distance, or None when it is a new point."""
         for i, old in enumerate(self.records):
-            if self.spectrum.h1_dist(record.coeffs, old.coeffs) <= DEDUP_RADIUS:
+            if self.spectrum.h1_dist(coeffs, old.coeffs) <= DEDUP_RADIUS:
                 return i
         return None
 
@@ -219,7 +219,7 @@ class DegreeLedger:
         incumbent coefficients and upgrades the classification if the
         newcomer's label carries more degree information.  Returns a short
         disposition."""
-        i = self.match(record)
+        i = self.match(record.coeffs)
         if i is not None:
             old = self.records[i]
             stage = record.provenance.get("stage", "?")

@@ -9,6 +9,8 @@ construction and exactly affine outside a bounded window.  The primitive F
 bounds sup f' / inf f' are computed from the quadratic derivative pieces,
 not sampled.  So is M = sup |f(t) - s t| for a common tail slope s: the
 tails are affine with slope s, so f - s t is constant beyond the window.
+Oddness, f(-t) = -f(t), is read off the pieces the same way: breakpoints
+symmetric about 0 and each cubic piece the negated mirror of its partner.
 
 Truncations flatten the function to its tangent line beyond an anchor zero
 of negative slope; they are the standard device for confining solutions to
@@ -99,6 +101,31 @@ def _tail_offset_sup(pp: PPoly, s: float) -> float:
     return float(top)
 
 
+# relative tolerance of the piecewise oddness test
+_ODD_TOL = 1e-12
+
+
+def _is_odd(pp: PPoly, s_minus: float, s_plus: float) -> bool:
+    """Exact test of f(-t) = -f(t): breakpoints symmetric about 0, equal
+    tail slopes, and each cubic piece equal to minus its mirrored partner
+    at four points of the piece, which pins two cubics down.  The outer
+    pieces are the affine tails, so the test covers the whole line."""
+    x = pp.x
+    if abs(s_minus - s_plus) > _ODD_TOL * (1.0 + abs(s_plus)):
+        return False
+    if np.any(np.abs(x + x[::-1]) > _ODD_TOL * (1.0 + np.max(np.abs(x)))):
+        return False
+    h = np.diff(x)
+    # piece i at local offsets tau is t = x_i + tau; its partner, piece
+    # n - 1 - i, holds -t at local offset h_i - tau
+    tau = np.linspace(0.0, 1.0, 4)[:, None] * h
+    mirrored = h[::-1] - tau
+    ci, cj = pp.c, pp.c[:, ::-1]
+    vi = ((ci[0] * tau + ci[1]) * tau + ci[2]) * tau + ci[3]
+    vj = ((cj[0] * mirrored + cj[1]) * mirrored + cj[2]) * mirrored + cj[3]
+    return bool(np.all(np.abs(vi + vj) <= _ODD_TOL * (1.0 + np.abs(vi) + np.abs(vj))))
+
+
 @dataclass(frozen=True)
 class Nonlinearity:
     """Callable piecewise-cubic nonlinearity.  Use the module builders."""
@@ -111,6 +138,7 @@ class Nonlinearity:
     gamma: float  # certified sup f'
     min_slope: float  # certified inf f'
     M: float  # certified sup |f(t) - s t| for the common tail slope s; inf if the tails differ
+    odd: bool  # f(-t) = -f(t) for every t, decided from the pieces
     untouched: tuple | None  # (lo, hi) where this member coincides with its base
     label: str = "base"
     dppoly: PPoly = field(repr=False, default=None)
@@ -136,6 +164,7 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
     fpp = ppoly.antiderivative()
     gamma, lo = _extreme_slopes(dpp)
     M = _tail_offset_sup(ppoly, s_plus) if s_minus == s_plus else np.inf
+    odd = _is_odd(ppoly, s_minus, s_plus)
     # defensive C1 audit at the breakpoints; exact construction never trips this
     xb = ppoly.x[1:-1]
     if xb.size:
@@ -154,6 +183,7 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
         gamma=gamma,
         min_slope=lo,
         M=M,
+        odd=odd,
         untouched=untouched,
         label=label,
         dppoly=dpp,

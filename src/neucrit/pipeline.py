@@ -1,6 +1,8 @@
 """End-to-end orchestration: spectrum, constants, three truncated mountain
-passes, homotopy bound, reduction, degree ledger, and the conditional
-multistart that hunts for whatever the deficiency says is still missing.
+passes, homotopy bound, reduction, degree ledger, and, when the ledger
+reports a deficiency, a multistart stage that first closes the symmetry
+orbits of the records it holds and spends random starts only while a
+deficiency remains.
 
 Reports are plain dicts assembled from per-stage outputs, JSON-ready and
 deterministic for a fixed config + seed (timings excluded, they are wall
@@ -25,7 +27,7 @@ from .energy import EnergyFunctional
 from .errors import ConfigError, NeucritError
 from .ledger import DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, truncate
-from .records import SolverConfig
+from .records import DEDUP_RADIUS, SolverConfig
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
     SAFETY_FACTOR,
@@ -316,6 +318,18 @@ class RunReport:
         return paths
 
 
+def _images(spec, coeffs, odd: bool) -> list:
+    """The group images of a point other than itself: its mirrors across
+    each axis and, on a rectangle, across both; with an odd f also its
+    negation and the negated mirrors."""
+    images = [spec.mirror(coeffs, axis) for axis in range(spec.domain.ndim)]
+    if spec.domain.ndim == 2:
+        images.append(spec.mirror(images[0], 1))
+    if odd:
+        images += [-np.asarray(coeffs, dtype=float)] + [-m for m in images]
+    return images
+
+
 def _min_type_zeros(f):
     return sorted(t for t, s in f.zeros() if s < 0)
 
@@ -352,7 +366,8 @@ def run_pipeline(config: dict) -> RunReport:
 
     Stage order: spectrum and hypothesis audit, constants, the three
     truncated mountain passes, homotopy bound, reduction, ledger with
-    reconciliation, and multistart while the deficiency is nonzero.
+    reconciliation, and, while the deficiency is nonzero, orbit closure and
+    random multistart chunks.
     """
     config = validate_config(config)
     report = RunReport(config)
@@ -440,7 +455,7 @@ def run_pipeline(config: dict) -> RunReport:
     def admit(rec):
         # a point the ledger already holds merges without the qualitative
         # checks, which only a new point needs
-        if ledger.match(rec) is None:
+        if ledger.match(rec.coeffs) is None:
             rep = qualitative_classify(rec, func)
             if not rep.passed:
                 report.warnings.append(
@@ -460,37 +475,55 @@ def run_pipeline(config: dict) -> RunReport:
         report.stages["ledger"] = {"initial_reconciliation": lrep.to_dict()}
         return lrep
 
-    def multistart_stage():
-        lrep = report.ledger_report
-        new_found = []
-        chunks = 0
-        budget_left = scfg.multistart_budget
-        # reflections of known nonconstant solutions come first: on these
-        # symmetric boxes they are critical points too, usually the missing
-        # half of the count
+    def orbit_seeds(recs):
+        # group images of the given records that the ledger does not hold,
+        # one seed per distinct point
         seeds = []
-        for rec in ledger.records:
+        for rec in recs:
             if rec.is_constant():
                 continue
-            for axis in range(spec.domain.ndim):
-                seeds.append(spec.mirror(rec.coeffs, axis))
-            if spec.domain.ndim == 2:
-                seeds.append(spec.mirror(spec.mirror(rec.coeffs, 0), 1))
+            for img in _images(spec, rec.coeffs, f.odd):
+                if ledger.match(img) is None and all(
+                        spec.h1_dist(img, s) > DEDUP_RADIUS for s in seeds):
+                    seeds.append(img)
+        return seeds
+
+    def multistart_stage():
+        # the problem is equivariant under the domain mirrors, and under
+        # u -> -u when f is odd, so the images of a critical point are
+        # critical points with its energy and Morse index.  Orbits are
+        # closed first, by seeded passes that draw nothing from the random
+        # stream; a random chunk runs only while the deficiency stays
+        # nonzero, and the orbits of what it finds are closed in turn.
+        lrep = report.ledger_report
+        passes = []
+        last_found = []
+        budget_left = scfg.multistart_budget
         rng = np.random.default_rng(scfg.rng_seed + 10_000)
-        while budget_left > 0 and lrep.deficiency != 0:
-            n = min(_MULTISTART_CHUNK, budget_left)
+        fresh = list(ledger.records)
+        while True:
+            seeds = orbit_seeds(fresh)
+            if seeds:
+                kind, n = "orbit", 0
+            elif budget_left > 0 and lrep.deficiency != 0:
+                kind, n = "random", min(_MULTISTART_CHUNK, budget_left)
+                budget_left -= n
+            else:
+                break
+            held = len(ledger.records)
             found = multistart(func, R, seeds=seeds, budget=n, rng=rng)
-            seeds = []
-            budget_left -= n
-            chunks += 1
             for rec in found:
                 admit(rec)
             lrep = ledger.reconcile(func)
             report.ledger_report = lrep
-            new_found = [r.to_dict() for r in found]
+            fresh = ledger.records[held:]
+            last_found = [r.to_dict() for r in found]
+            passes.append({"kind": kind, "starts": len(seeds) + n, "added": len(fresh),
+                           "deficiency": lrep.deficiency})
         report.stages["multistart"] = {
-            "chunks": chunks,
-            "last_chunk_found": new_found,
+            "passes": passes,
+            "chunks": sum(p["kind"] == "random" for p in passes),
+            "last_chunk_found": last_found,
             "final_deficiency": lrep.deficiency,
         }
         report.stages["ledger"]["final_reconciliation"] = lrep.to_dict()

@@ -359,10 +359,11 @@ def _random_ball_starts(spec, rng, count, radius):
     return starts
 
 
-def dedup_records(spec, records, dedup_radius):
+def dedup_records(spec, records):
     """Deterministic merge: sort by energy then coefficients, keep the first
-    of every Sobolev-ball cluster.  Any item with `.energy` and `.coeffs`
-    will do: records, or multistart's candidates before their records are
+    of every cluster within DEDUP_RADIUS in the Sobolev distance, the radius
+    `DegreeLedger.match` uses.  Any item with `.energy` and `.coeffs` will
+    do: records, or multistart's candidates before their records are
     built."""
     ordered = sorted(
         records,
@@ -370,7 +371,7 @@ def dedup_records(spec, records, dedup_radius):
     )
     kept = []
     for rec in ordered:
-        if all(spec.h1_dist(rec.coeffs, k.coeffs) > dedup_radius for k in kept):
+        if all(spec.h1_dist(rec.coeffs, k.coeffs) > DEDUP_RADIUS for k in kept):
             kept.append(rec)
     return kept
 
@@ -416,7 +417,7 @@ def multistart(functional, radius, seeds=(), *, budget, rng, descent=True) -> li
         for coeffs, method, idx in found
     ]
     records = []
-    for cand in dedup_records(spec, candidates, DEDUP_RADIUS):
+    for cand in dedup_records(spec, candidates):
         rec = make_record(
             functional, cand.coeffs, "other",
             {"stage": "multistart", "method": cand.method, "start_index": cand.start_index,

@@ -35,21 +35,34 @@ def test_k3_balances():
         assert r.residual <= 1e-9
 
 
-def test_k3_reports_honest_deficiency():
-    """Seed 42 spends the whole multistart budget and still misses one
-    solution (the negation -u of an index-2 solution it found).  The run
-    must say so: an unbalanced ledger, the deficiency in the message, and
-    suggestions where to search."""
+def test_k3_seed42_balances():
+    """Seed 42 once ended one solution short: the negation -u of an index-2
+    solution it had found.  Closing every orbit under the mirrors and
+    u -> -u (f is odd) supplies it."""
     rep = nc.run_pipeline(_k3_config(42))
+    assert rep.ok, rep.errors
+    assert rep.ledger_report.balanced
+    assert rep.ledger_report.degree_sum == -1
+    assert len(rep.records) == 21
+    assert not any("failed qualitative checks" in w for w in rep.warnings)
+
+
+def test_k3_reports_honest_deficiency():
+    """A multistart budget of two chunks leaves seed 42 two solutions short.
+    The run must say so: an unbalanced ledger, the deficiency in the
+    message, and suggestions where to search."""
+    cfg = _k3_config(42)
+    cfg["solver"]["multistart_budget"] = 100
+    rep = nc.run_pipeline(cfg)
     assert rep.ok, rep.errors
     assert rep.stages["reduction"]["morse_index"] == 3
     lrep = rep.ledger_report
     assert not lrep.balanced
-    assert lrep.deficiency == 1
-    assert lrep.message.startswith("deficiency 1: at least one undiscovered solution")
+    assert lrep.deficiency == 2
+    assert lrep.message.startswith("deficiency 2: at least one undiscovered solution")
     assert lrep.suggestions
-    assert rep.stages["multistart"]["chunks"] == 10
-    assert rep.stages["multistart"]["final_deficiency"] == 1
-    assert len(rep.records) == 20
+    assert rep.stages["multistart"]["chunks"] == 2
+    assert rep.stages["multistart"]["final_deficiency"] == 2
+    assert len(rep.records) == 19
     # a multistart copy of the constant 0 merges into it, not rejected
     assert not any("failed qualitative checks" in w for w in rep.warnings)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neucrit as nc
 from neucrit.nonlinearity import (
@@ -47,6 +49,60 @@ def test_odd_symmetry(f5):
     ts = np.linspace(-4.0, 4.0, 401)
     assert np.max(np.abs(f5(ts) + f5(-ts))) < 1e-12
     assert np.max(np.abs(f5.primitive(ts) - f5.primitive(-ts))) < 1e-12
+
+
+def test_odd_flag_true_on_odd_instances(f5):
+    """The reference, the k = 3 instance (crossing and tail slopes 5), a
+    wider blend, the homotopy members of an odd base and a symmetric
+    interval truncation are odd."""
+    k3 = build_nonlinearity([(t, 5.0 if s > 0 else s) for t, s in REF5_KNOTS], 5.0, 5.0)
+    assert f5.odd and k3.odd
+    assert build_nonlinearity(REF5_KNOTS, 2.5, 2.5, blend_margin=1.5).odd
+    for lam in (0.0, 0.3, 1.0):
+        assert homotopy(f5, lam).odd and homotopy(k3, lam).odd
+    assert truncate_interval(f5, -1.0, 1.0).odd
+
+
+def test_odd_flag_false_when_a_piece_breaks_the_mirror(f5):
+    shifted = [(2.1 if t == 2.0 else t, s) for t, s in REF5_KNOTS]
+    steeper = [(t, 2.6 if t == 2.0 else s) for t, s in REF5_KNOTS]
+    cases = {
+        "asymmetric knots": build_nonlinearity(shifted, 2.5, 2.5),
+        "asymmetric knot slopes": build_nonlinearity(steeper, 2.5, 2.5),
+        "off-centre shape point": build_nonlinearity(
+            REF5_KNOTS, 2.5, 2.5, shape_points=[(0.5, 0.3, 0.0)]),
+        "asymmetric tails": build_nonlinearity(REF5_KNOTS, 2.5, 3.0),
+        "below(-1)": truncate_below(f5, -1.0),
+        "below(1)": truncate_below(f5, 1.0),
+        "above(-1)": truncate_above(f5, -1.0),
+        "above(1)": truncate_above(f5, 1.0),
+    }
+    for name, g in cases.items():
+        assert not g.odd, name
+
+
+_HALF_KNOTS = st.lists(
+    st.tuples(st.floats(0.1, 5.0), st.floats(-6.0, 6.0)),
+    min_size=1, max_size=4, unique_by=lambda k: round(k[0], 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots=_HALF_KNOTS, centre=st.none() | st.floats(-6.0, 6.0),
+       tail=st.floats(-6.0, 6.0), margin=st.floats(0.2, 3.0))
+def test_odd_flag_on_mirrored_knots(knots, centre, tail, margin):
+    """Knots (t, s) with their mirrors (-t, s), an optional knot at 0 and
+    equal tail slopes give an odd f, and the flag says so; f(-t) = -f(t)
+    holds at sampled points.  Changing the slope of one mirror breaks it."""
+    mirrored = knots + [(-t, s) for t, s in knots]
+    full = mirrored + ([] if centre is None else [(0.0, centre)])
+    g = build_nonlinearity(full, tail, tail, blend_margin=margin)
+    assert g.odd
+    ts = np.linspace(0.0, max(t for t, _ in knots) + margin + 2.0, 257)
+    assert np.all(np.abs(g(-ts) + g(ts)) <= 1e-10 * (1.0 + np.abs(g(ts))))
+    bent = list(full)
+    bent[len(knots)] = (-knots[0][0], knots[0][1] + 0.5)
+    assert not build_nonlinearity(bent, tail, tail, blend_margin=margin).odd
 
 
 def test_primitive_values(f5):

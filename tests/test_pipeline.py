@@ -61,6 +61,18 @@ def test_reference_run_stage_surface(reference_report):
     assert rep.warnings == []
 
 
+def test_reference_multistart_closes_orbits_without_random_starts(reference_report):
+    """The reference ledger balances after one orbit pass: the four group
+    images the ledger lacks, refined, and no random chunk.  The passes
+    repeat for the same seed."""
+    ms = reference_report.stages["multistart"]
+    assert ms["passes"] == [{"kind": "orbit", "starts": 4, "added": 4, "deficiency": 0}]
+    assert ms["chunks"] == 0
+    assert len(ms["last_chunk_found"]) == 4
+    again = run_pipeline(reference_config()).stages["multistart"]
+    assert again["passes"] == ms["passes"]
+
+
 def test_reference_run_report_dict(reference_report):
     d = reference_report.to_dict()
     # round-trips through json

@@ -265,15 +265,18 @@ def test_dedup_records(ref5):
     base = spec.constant_field(1.0)
     near = base.copy()
     near[4] += 1e-6  # inside the dedup ball
+    apart = base.copy()
+    apart[4] += 2.0 * DEDUP_RADIUS / spec.h1_norm(np.eye(spec.n_modes)[4])  # just outside it
     far = spec.constant_field(-2.0)
     recs = [
         nc.make_record(func, c, "constant", {"stage": "t"})
-        for c in (near, base, far)
+        for c in (near, base, far, apart)
     ]
-    kept = dedup_records(spec, recs, DEDUP_RADIUS)
-    assert len(kept) == 2
+    kept = dedup_records(spec, recs)
+    assert len(kept) == 3
     # lowest energy representative survives, ordering deterministic
-    assert kept[0].energy <= kept[1].energy
+    assert [r.energy for r in kept] == sorted(r.energy for r in kept)
+    assert all(a is b for a, b in zip(dedup_records(spec, recs[::-1]), kept))
 
 
 def test_homotopy_bound_reference(ref5, solver_cfg):
