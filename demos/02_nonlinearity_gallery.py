@@ -1,8 +1,8 @@
 """The five-zero nonlinearity and its modified companions.
 
 Builds the reference f with zeros at -2, -1, 0, 1, 2, prints its certified
-slope data, then walks through the three truncations and the homotopy that
-connects f to its linearization at infinity.
+slope data, then walks through the three truncation windows and the
+homotopy that connects f to its linearization at infinity.
 """
 
 import numpy as np
@@ -30,11 +30,14 @@ def main():
     print(f"  crossing count k = {rep.k}, modulus m = {rep.modulus:.4f},"
           f" extra-solution sign condition: {rep.extra_solution_condition}")
 
-    print("\ntruncations pin the range of every critical point they create:")
-    for kind, args in [("below", (-1.0,)), ("above", (1.0,)), ("interval", (-1.0, 1.0))]:
-        g = nc.truncate(f, kind, *args)
+    print("\ntruncations pin the range of every critical point they create;")
+    print("each keeps f on a window and follows the tangent at its ends:")
+    for lo, hi in [(None, -1.0), (1.0, None), (-1.0, 1.0)]:
+        g = nc.truncate(f, lo, hi)
         describe(g, [-3.0, -1.0, 0.0, 1.0, 3.0])
         print(f"           coincides with f on {g.untouched}")
+    g = nc.truncate(nc.truncate(f, hi=1.0), lo=-1.0)
+    print(f"  windows compose: truncating at 1, then at -1, gives [{g.label}]")
 
     print("\nhomotopy to the linearization at infinity:")
     for lam in (0.0, 0.5, 1.0):

@@ -24,7 +24,7 @@ def main():
     f = nc.build_nonlinearity(KNOTS, 2.5, 2.5)
     func = nc.EnergyFunctional(spec, f)
 
-    g = nc.truncate(f, "below", -1.0)
+    g = nc.truncate(f, hi=-1.0)  # f on (-inf, -1], the tangent beyond
     gfunc = nc.EnergyFunctional(spec, g)
     a = spec.constant_field(-1.0)
     b = spec.constant_field(-1.0 - MP_OFFSET)

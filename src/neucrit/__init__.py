@@ -42,9 +42,6 @@ from .nonlinearity import (
     homotopy,
     require_nonresonant,
     truncate,
-    truncate_above,
-    truncate_below,
-    truncate_interval,
 )
 from .pipeline import RunReport, reference_config, run_pipeline, validate_config
 from .plots import render_profiles
@@ -87,9 +84,6 @@ __all__ = [
     "Nonlinearity",
     "build_nonlinearity",
     "truncate",
-    "truncate_below",
-    "truncate_above",
-    "truncate_interval",
     "homotopy",
     "find_zeros",
     "check_hypotheses",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -178,14 +178,7 @@ class LedgerReport:
     suggestions: list
 
     def to_dict(self):
-        return {
-            "k": self.k, "R": self.R, "global_degree": self.global_degree,
-            "degree_sum": self.degree_sum, "deficiency": self.deficiency,
-            "balanced": self.balanced, "counted": self.counted,
-            "excluded_out_of_ball": list(self.excluded_out_of_ball),
-            "flagged": list(self.flagged), "message": self.message,
-            "suggestions": list(self.suggestions),
-        }
+        return asdict(self)
 
 
 class DegreeLedger:

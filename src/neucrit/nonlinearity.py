@@ -12,15 +12,18 @@ tails are affine with slope s, so f - s t is constant beyond the window.
 Oddness, f(-t) = -f(t), is read off the pieces the same way: breakpoints
 symmetric about 0 and each cubic piece the negated mirror of its partner.
 
-Truncations flatten the function to its tangent line beyond an anchor zero
-of negative slope; they are the standard device for confining solutions to
-one side of a minimum-type zero.  The homotopy member blends f toward the
-linear function with the asymptotic slope.
+A truncation keeps f on a window [lo, hi] whose given ends are zeros of
+negative slope and follows the tangent line at each end beyond it, the
+standard device for confining solutions to one side of a minimum-type zero.
+One builder covers every case: an open end leaves that side alone, and
+truncations compose, so a window is the intersection of the ones applied.
+The homotopy member blends f toward the linear function with the asymptotic
+slope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.interpolate import PPoly
@@ -39,9 +42,6 @@ from .spectrum import RESONANCE_TOL
 __all__ = [
     "Nonlinearity",
     "build_nonlinearity",
-    "truncate_below",
-    "truncate_above",
-    "truncate_interval",
     "truncate",
     "homotopy",
     "find_zeros",
@@ -273,65 +273,50 @@ def _breakpoint_index(pp: PPoly, t: float) -> int:
     return int(idx[0])
 
 
-def truncate_below(f: Nonlinearity, alpha: float) -> Nonlinearity:
-    """f on (-inf, alpha], the tangent line f'(alpha)(t - alpha) beyond."""
-    a, s = _anchor(f, alpha)
-    i = _breakpoint_index(f.ppoly, a)
-    xs = np.concatenate([f.ppoly.x[: i + 1], [a + 1.0]])
-    cs = np.concatenate([f.ppoly.c[:, :i], np.array([[0.0, 0.0, s, 0.0]]).T], axis=1)
-    pp = PPoly(cs, xs, extrapolate=True)
-    knots = tuple(z for z in f.knots if z[0] <= a + _ANCHOR_TOL)
-    lo = f.untouched[0] if f.untouched else -np.inf
-    return _finish(pp, knots, f.slope_minus_inf, s, f.blend_margin,
-                   (lo, a), f"below({a:g})")
+def truncate(f: Nonlinearity, lo: float | None = None,
+             hi: float | None = None) -> Nonlinearity:
+    """f on the window [lo, hi], the tangent line at each given anchor
+    beyond it.
 
-
-def truncate_above(f: Nonlinearity, alpha: float) -> Nonlinearity:
-    """The tangent line f'(alpha)(t - alpha) below alpha, f on [alpha, inf)."""
-    a, s = _anchor(f, alpha)
-    i = _breakpoint_index(f.ppoly, a)
-    xs = np.concatenate([[a - 1.0], f.ppoly.x[i:]])
-    cs = np.concatenate([np.array([[0.0, 0.0, s, -s]]).T, f.ppoly.c[:, i:]], axis=1)
-    pp = PPoly(cs, xs, extrapolate=True)
-    knots = tuple(z for z in f.knots if z[0] >= a - _ANCHOR_TOL)
-    hi = f.untouched[1] if f.untouched else np.inf
-    return _finish(pp, knots, s, f.slope_plus_inf, f.blend_margin,
-                   (a, hi), f"above({a:g})")
-
-
-def truncate_interval(f: Nonlinearity, alpha: float, beta: float) -> Nonlinearity:
-    """Tangent lines outside [alpha, beta], f inside.  Anchors must be
-    minimum-type zeros with alpha < beta."""
-    if not alpha < beta:
-        raise ValueError("need alpha < beta")
-    a, sa = _anchor(f, alpha)
-    b, sb = _anchor(f, beta)
-    ia = _breakpoint_index(f.ppoly, a)
-    ib = _breakpoint_index(f.ppoly, b)
-    xs = np.concatenate([[a - 1.0], f.ppoly.x[ia : ib + 1], [b + 1.0]])
-    cs = np.concatenate(
-        [
-            np.array([[0.0, 0.0, sa, -sa]]).T,
-            f.ppoly.c[:, ia:ib],
-            np.array([[0.0, 0.0, sb, 0.0]]).T,
-        ],
-        axis=1,
-    )
-    pp = PPoly(cs, xs, extrapolate=True)
-    knots = tuple(z for z in f.knots if a - _ANCHOR_TOL <= z[0] <= b + _ANCHOR_TOL)
-    return _finish(pp, knots, sa, sb, f.blend_margin, (a, b),
-                   f"interval({a:g},{b:g})")
-
-
-def truncate(f: Nonlinearity, kind: str, *anchors) -> Nonlinearity:
-    """Dispatch by kind: "below", "above" or "interval"."""
-    if kind == "below":
-        return truncate_below(f, *anchors)
-    if kind == "above":
-        return truncate_above(f, *anchors)
-    if kind == "interval":
-        return truncate_interval(f, *anchors)
-    raise ValueError(f"unknown truncation kind {kind!r}")
+    Each anchor must be a minimum-type zero of f; an open side (None) keeps
+    f, and so the window of f, on that side.  The label is read off the
+    window: below(hi) when it is open below, above(lo) when it is open
+    above, interval(lo,hi) otherwise.  So truncating f at hi and the result
+    at lo gives the same member as truncating f at both.
+    """
+    if lo is None and hi is None:
+        raise ValueError("need at least one anchor")
+    if lo is not None and hi is not None and not lo < hi:
+        raise ValueError("need lo < hi")
+    s_minus, s_plus = f.slope_minus_inf, f.slope_plus_inf
+    win_lo, win_hi = f.untouched or (-np.inf, np.inf)
+    x, c = f.ppoly.x, f.ppoly.c
+    i, j = 0, x.size - 1  # f keeps the breakpoints x[i..j] and pieces c[:, i:j]
+    if lo is not None:
+        win_lo, s_minus = _anchor(f, lo)
+        i = _breakpoint_index(f.ppoly, win_lo)
+    if hi is not None:
+        win_hi, s_plus = _anchor(f, hi)
+        j = _breakpoint_index(f.ppoly, win_hi)
+    xs, cs = [x[i : j + 1]], [c[:, i:j]]
+    # a tangent piece spans one unit beyond its anchor
+    if lo is not None:
+        xs.insert(0, [win_lo - 1.0])
+        cs.insert(0, np.array([[0.0, 0.0, s_minus, -s_minus]]).T)
+    if hi is not None:
+        xs.append([win_hi + 1.0])
+        cs.append(np.array([[0.0, 0.0, s_plus, 0.0]]).T)
+    pp = PPoly(np.concatenate(cs, axis=1), np.concatenate(xs), extrapolate=True)
+    knots = tuple(z for z in f.knots
+                  if win_lo - _ANCHOR_TOL <= z[0] <= win_hi + _ANCHOR_TOL)
+    if win_lo == -np.inf:
+        label = f"below({win_hi:g})"
+    elif win_hi == np.inf:
+        label = f"above({win_lo:g})"
+    else:
+        label = f"interval({win_lo:g},{win_hi:g})"
+    return _finish(pp, knots, s_minus, s_plus, f.blend_margin,
+                   (win_lo, win_hi), label)
 
 
 def homotopy(f: Nonlinearity, lam: float) -> Nonlinearity:
@@ -359,12 +344,16 @@ def homotopy(f: Nonlinearity, lam: float) -> Nonlinearity:
     return _finish(pp, knots, s, s, f.blend_margin, untouched, label)
 
 
-def find_zeros(f, lo: float, hi: float, samples: int = 2001) -> list:
+# sign changes are bracketed on this many evenly spaced points
+ZERO_SAMPLES = 2001
+
+
+def find_zeros(f, lo: float, hi: float) -> list:
     """Numeric zeros of a scalar callable on [lo, hi], knots included if any."""
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, ZERO_SAMPLES)
     vals = np.asarray(f(ts), dtype=float)
     out = []
-    for i in range(samples - 1):
+    for i in range(ZERO_SAMPLES - 1):
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             out.append(float(ts[i]))
@@ -413,30 +402,7 @@ class HypothesisReport:
     notes: tuple
 
     def to_dict(self) -> dict:
-        out = {
-            "slope_minus_inf": self.slope_minus_inf,
-            "slope_plus_inf": self.slope_plus_inf,
-            "symmetric_slopes": self.symmetric_slopes,
-            "nonresonant": self.nonresonant,
-            "resonance_margin": self.resonance_margin,
-            "k": self.k,
-            "crossed_eigenvalues": list(self.crossed_eigenvalues),
-            "gamma": self.gamma,
-            "min_slope": self.min_slope,
-            "lambda_min_y": self.lambda_min_y,
-            "reduction_applicable": self.reduction_applicable,
-            "modulus": self.modulus,
-            "zeros": [
-                {"t": z.t, "slope": z.slope, "kind": z.kind,
-                 "crossing_count": z.crossing_count}
-                for z in self.zeros
-            ],
-            "five_pattern": self.five_pattern,
-            "extra_solution_condition": self.extra_solution_condition,
-            "crossing_matches_k": self.crossing_matches_k,
-            "notes": list(self.notes),
-        }
-        return out
+        return asdict(self)
 
 
 def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:

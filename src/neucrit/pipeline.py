@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -320,11 +321,16 @@ class RunReport:
 
 def _images(spec, coeffs, odd: bool) -> list:
     """The group images of a point other than itself: its mirrors across
-    each axis and, on a rectangle, across both; with an odd f also its
-    negation and the negated mirrors."""
-    images = [spec.mirror(coeffs, axis) for axis in range(spec.domain.ndim)]
-    if spec.domain.ndim == 2:
-        images.append(spec.mirror(images[0], 1))
+    every nonempty set of axes and, with an odd f, its negation and the
+    negated mirrors."""
+    ndim = spec.domain.ndim
+    images = []
+    for r in range(1, ndim + 1):
+        for axes in itertools.combinations(range(ndim), r):
+            m = coeffs
+            for axis in axes:
+                m = spec.mirror(m, axis)
+            images.append(m)
     if odd:
         images += [-np.asarray(coeffs, dtype=float)] + [-m for m in images]
     return images
@@ -334,27 +340,28 @@ def _min_type_zeros(f):
     return sorted(t for t, s in f.zeros() if s < 0)
 
 
-def _truncation_stage(report, kind, anchors):
-    """One truncated mountain pass plus the transfer back.  Returns the
-    transferred record."""
+def _truncation_stage(report, kind, mins):
+    """One truncated mountain pass plus the transfer back, on the window
+    of stage `kind` between the sorted minimum-type zeros `mins`.  Returns
+    the transferred record."""
     stage = f"truncation_{kind}"
+    lo, hi = {"below": (None, mins[0]), "above": (mins[-1], None),
+              "interval": (mins[0], mins[-1])}[kind]
+    anchors = [float(x) for x in (lo, hi) if x is not None]
+    # the path runs from the first anchor to the second, or MP_OFFSET past
+    # the anchor on the open side
+    if len(anchors) == 2:
+        end = anchors[1]
+    else:
+        end = anchors[0] + (MP_OFFSET if hi is None else -MP_OFFSET)
     func = report.functional
     spec = report.spectrum
-    g = truncate(func.nonlinearity, kind, *anchors)
-    tfunc = EnergyFunctional(spec, g)
-    a = spec.constant_field(anchors[0])
-    if kind == "below":
-        b = spec.constant_field(anchors[0] - MP_OFFSET)
-    elif kind == "above":
-        b = spec.constant_field(anchors[0] + MP_OFFSET)
-    else:
-        b = spec.constant_field(anchors[1])
-    rec = mountain_pass(tfunc, a, b)
-    rec.provenance.update({"stage": stage, "kind": kind,
-                           "anchors": [float(x) for x in anchors]})
+    tfunc = EnergyFunctional(spec, truncate(func.nonlinearity, lo, hi))
+    rec = mountain_pass(tfunc, spec.constant_field(anchors[0]), spec.constant_field(end))
+    rec.provenance.update({"stage": stage, "kind": kind, "anchors": anchors})
     transferred = transfer_to_original(rec, func, tfunc)
     report.stages[stage] = {
-        "anchors": [float(x) for x in anchors],
+        "anchors": anchors,
         "truncated_record": rec.to_dict(),
         "transferred_record": transferred.to_dict(),
     }
@@ -410,9 +417,7 @@ def run_pipeline(config: dict) -> RunReport:
         elif kind == "interval" and len(mins) < 2:
             report.skips[stage] = "interval truncation needs two minimum-type zeros"
         else:
-            anchors = {"below": (mins[0],), "above": (mins[-1],),
-                       "interval": (mins[0], mins[-1])}[kind]
-            rec = report.run(stage, _truncation_stage, report, kind, anchors)
+            rec = report.run(stage, _truncation_stage, report, kind, mins)
             if rec is not None:
                 transferred.append(rec)
 

@@ -34,12 +34,17 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return [float(t) for t in raw]
 
 
-def render_profiles(spectrum, records, samples: int = 401, title: str = "solution profiles") -> str:
+# points per profile polyline
+PROFILE_SAMPLES = 401
+PROFILE_TITLE = "solution profiles"
+
+
+def render_profiles(spectrum, records) -> str:
     """SVG text for the profiles u(x) of the given records."""
     if spectrum.domain.ndim != 1:
         raise ValueError("profile plots are defined for interval domains only")
     L = spectrum.domain.lengths[0]
-    xs = np.linspace(0.0, L, samples)
+    xs = np.linspace(0.0, L, PROFILE_SAMPLES)
     curves = []
     for rec in records:
         ys = spectrum.evaluate_at(rec.coeffs, xs[:, None])
@@ -67,7 +72,7 @@ def render_profiles(spectrum, records, samples: int = 401, title: str = "solutio
     out.append(f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>')
     out.append(
         f'<text x="{_ML}" y="18" font-family="sans-serif" font-size="13" '
-        f'fill="#333333">{title}</text>'
+        f'fill="#333333">{PROFILE_TITLE}</text>'
     )
     # frame
     out.append(

@@ -71,8 +71,8 @@ class CriticalPointRecord:
     def with_notes(self, *extra) -> "CriticalPointRecord":
         return replace(self, notes=self.notes + tuple(extra))
 
-    def to_dict(self, coeffs: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "energy": self.energy,
             "residual": self.residual,
             "h1_norm": self.h1_norm,
@@ -86,10 +86,8 @@ class CriticalPointRecord:
             "notes": list(self.notes),
             "in_ball": self.in_ball,
             "local_degree": self.local_degree,
+            "coeffs": [float(c) for c in self.coeffs],
         }
-        if coeffs:
-            out["coeffs"] = [float(c) for c in self.coeffs]
-        return out
 
 
 def make_record(functional, coeffs, classification: str, provenance: dict,

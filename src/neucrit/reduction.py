@@ -15,7 +15,7 @@ index is expected to be k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -221,7 +221,11 @@ def reduced_gradient(ctx: ReductionContext, x, y0=None):
     return ctx.spectrum.x_projection(ctx.functional.gradient(u))
 
 
-def monotonicity_certificate(ctx: ReductionContext, trials=200, rng=None, scale=3.0):
+# standard deviation of the random coefficients the certificate samples
+CERTIFICATE_SCALE = 3.0
+
+
+def monotonicity_certificate(ctx: ReductionContext, trials=200, rng=None):
     """Sampled check of the strong-convexity inequality on random triples
     (x, y1, y2).  Returns the worst margin lhs - m*|dy|^2 (should be
     >= -1e-10); raises ModulusViolated if any sample breaks it."""
@@ -229,9 +233,9 @@ def monotonicity_certificate(ctx: ReductionContext, trials=200, rng=None, scale=
     rng = np.random.default_rng(0) if rng is None else rng
     worst = np.inf
     for _ in range(trials):
-        x = spec.x_projection(rng.normal(scale=scale, size=spec.n_modes))
-        y1 = spec.y_projection(rng.normal(scale=scale, size=spec.n_modes))
-        y2 = spec.y_projection(rng.normal(scale=scale, size=spec.n_modes))
+        x = spec.x_projection(rng.normal(scale=CERTIFICATE_SCALE, size=spec.n_modes))
+        y1 = spec.y_projection(rng.normal(scale=CERTIFICATE_SCALE, size=spec.n_modes))
+        y2 = spec.y_projection(rng.normal(scale=CERTIFICATE_SCALE, size=spec.n_modes))
         dy = y1 - y2
         g1 = _y_block_gradient(ctx, x + y1)
         g2 = _y_block_gradient(ctx, x + y2)
@@ -354,13 +358,14 @@ class LocalMaxMinReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha, "ell": self.ell, "eps": self.eps,
-            "directions": list(self.directions), "passed": self.passed,
-        }
+        return asdict(self)
 
 
-def local_max_min_at_constant(ctx: ReductionContext, alpha, ell, eps=1e-3) -> LocalMaxMinReport:
+# step of the centered differences in the scan around a constant
+SCAN_EPS = 1e-3
+
+
+def local_max_min_at_constant(ctx: ReductionContext, alpha, ell) -> LocalMaxMinReport:
     """Scan the reduced functional around a crossing constant.
 
     Along X directions whose eigenvalue sits below f'(alpha) (the low
@@ -398,9 +403,9 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell, eps=1e-3) -> Lo
         block = "low" if lamj < slope else "middle"
         e = np.zeros(spec.n_modes)
         e[i] = 1.0
-        Jp = reduced_value(ctx, x0 + eps * e)
-        Jm = reduced_value(ctx, x0 - eps * e)
-        second = (Jp - 2.0 * J0 + Jm) / eps ** 2
+        Jp = reduced_value(ctx, x0 + SCAN_EPS * e)
+        Jm = reduced_value(ctx, x0 - SCAN_EPS * e)
+        second = (Jp - 2.0 * J0 + Jm) / SCAN_EPS ** 2
         hess = lamj - slope
         if block == "low":
             direction_ok = Jp < J0 and Jm < J0
@@ -413,4 +418,4 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell, eps=1e-3) -> Lo
             "second_difference": second, "hessian_diagonal": hess,
             "ok": direction_ok,
         })
-    return LocalMaxMinReport(float(alpha), int(ell), float(eps), rows, ok)
+    return LocalMaxMinReport(float(alpha), int(ell), SCAN_EPS, rows, ok)

@@ -16,6 +16,8 @@ basis is the identity up to roundoff.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -112,6 +114,11 @@ def _axis_basis(length: float, x: np.ndarray, mode_max: int):
     return cols
 
 
+def _tensor(factors):
+    """Flattened tensor product of per-axis vectors, the first axis slowest."""
+    return functools.reduce(lambda a, b: np.outer(a, b).ravel(), factors)
+
+
 def quad_points_per_axis(domain: Domain, n_modes: int) -> int:
     """Quadrature points per axis for the first `n_modes` eigenpairs.
 
@@ -154,57 +161,28 @@ class SpectrumSlice:
         per_axis = self.n_modes  # candidate pool; the n smallest use indices < n
         self.quad_points = qp = quad_points_per_axis(domain, self.n_modes)
 
-        axes = []
-        for L in domain.lengths:
-            x, w = _axis_nodes_weights(L, qp)
-            axes.append((x, w, _axis_basis(L, x, per_axis - 1)))
+        # the box is a product of intervals: its grid, weights, eigenvalues
+        # and eigenfunctions are tensor products of the axis ones
+        xs, ws = zip(*(_axis_nodes_weights(L, qp) for L in domain.lengths))
+        cols = [_axis_basis(L, x, per_axis - 1) for L, x in zip(domain.lengths, xs)]
+        lams = [[(j * np.pi / L) ** 2 for j in range(per_axis)] for L in domain.lengths]
 
-        lam_axis = [
-            np.array([(j * np.pi / L) ** 2 for j in range(per_axis)])
-            for L in domain.lengths
-        ]
-        if domain.ndim == 1:
-            modes = sorted(range(per_axis), key=lambda j: (lam_axis[0][j], j))
-            modes = [(j,) for j in modes][: self.n_modes]
-        else:
-            pool = [
-                (lam_axis[0][a] + lam_axis[1][b], (a, b))
-                for a in range(per_axis)
-                for b in range(per_axis)
-            ]
-            pool.sort(key=lambda t: (t[0], t[1]))
-            modes = [m for _, m in pool[: self.n_modes]]
+        def eigenvalue(mode):
+            return sum(lam[j] for lam, j in zip(lams, mode))
 
-        if domain.ndim == 1:
-            x, w, c = axes[0]
-            self.points = x[:, None]
-            self.weights = w
-            basis = np.stack([c[:, m[0]] for m in modes], axis=1)
-            eigs = np.array([lam_axis[0][m[0]] for m in modes])
-        else:
-            (x1, w1, c1), (x2, w2, c2) = axes
-            X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-            self.points = np.stack([X1.ravel(), X2.ravel()], axis=1)
-            self.weights = np.outer(w1, w2).ravel()
-            basis = np.stack(
-                [np.outer(c1[:, a], c2[:, b]).ravel() for a, b in modes], axis=1
-            )
-            eigs = np.array([lam_axis[0][a] + lam_axis[1][b] for a, b in modes])
-
-        self.modes = [tuple(int(i) for i in m) for m in modes]
-        self.eigenvalues = eigs
-        self.basis = basis
+        self.modes = sorted(itertools.product(range(per_axis), repeat=domain.ndim),
+                            key=lambda m: (eigenvalue(m), m))[: self.n_modes]
+        self.eigenvalues = eigs = np.array([eigenvalue(m) for m in self.modes])
+        self.points = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=1)
+        self.weights = _tensor(ws)
+        self.basis = np.stack(
+            [_tensor([c[:, j] for c, j in zip(cols, m)]) for m in self.modes], axis=1
+        )
         norm0 = 1.0 / np.sqrt(domain.measure)
         self.pairs = [
-            EigenPair(
-                index=i,
-                eigenvalue=float(eigs[i]),
-                mode=self.modes[i],
-                norm_constant=float(
-                    norm0 * np.prod([np.sqrt(2.0) if mi > 0 else 1.0 for mi in self.modes[i]])
-                ),
-            )
-            for i in range(self.n_modes)
+            EigenPair(index=i, eigenvalue=float(eigs[i]), mode=m, norm_constant=float(
+                norm0 * np.prod([np.sqrt(2.0) if j > 0 else 1.0 for j in m])))
+            for i, m in enumerate(self.modes)
         ]
         # splitting data, filled by split_spectrum
         self.split_slope = None
@@ -286,13 +264,6 @@ class SpectrumSlice:
         out = np.zeros_like(np.asarray(coeffs, dtype=float))
         out[self.y_indices] = np.asarray(coeffs)[self.y_indices]
         return out
-
-    @property
-    def lambda_max_x(self) -> float:
-        self._need_split()
-        if len(self.x_indices) == 0:
-            raise ValueError("X block is empty")
-        return float(self.eigenvalues[self.x_indices].max())
 
     @property
     def lambda_min_y(self) -> float:

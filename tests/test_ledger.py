@@ -20,7 +20,7 @@ TRANSFER_SHIFT = 25.0 * np.pi / 24.0
 @pytest.fixture(scope="module")
 def interval_saddle(ref5):
     spec, f, _ = ref5
-    f_int = nc.truncate_interval(f, -1.0, 1.0)
+    f_int = nc.truncate(f, -1.0, 1.0)
     func_int = nc.EnergyFunctional(spec, f_int)
     rec = nc.mountain_pass(func_int, spec.constant_field(-1.0),
                            spec.constant_field(1.0))
@@ -31,7 +31,7 @@ def interval_saddle(ref5):
 @pytest.fixture(scope="module")
 def well_saddle(ref5):
     spec, f, _ = ref5
-    f_lo = nc.truncate_below(f, -1.0)
+    f_lo = nc.truncate(f, hi=-1.0)
     func_lo = nc.EnergyFunctional(spec, f_lo)
     rec = nc.mountain_pass(func_lo, spec.constant_field(-1.0),
                            spec.constant_field(-6.0))
@@ -167,7 +167,7 @@ def test_transfer_below_shifts_energy(ref5, well_saddle):
 
 def test_transfer_constant_at_anchor(ref5):
     spec, f, func = ref5
-    f_lo = nc.truncate_below(f, -1.0)
+    f_lo = nc.truncate(f, hi=-1.0)
     func_lo = nc.EnergyFunctional(spec, f_lo)
     rec = nc.make_record(func_lo, spec.constant_field(-1.0),
                          "constant", {"stage": "t"})

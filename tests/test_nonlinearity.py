@@ -10,9 +10,6 @@ from neucrit.nonlinearity import (
     find_zeros,
     homotopy,
     truncate,
-    truncate_above,
-    truncate_below,
-    truncate_interval,
 )
 
 from conftest import REF5_KNOTS
@@ -60,7 +57,7 @@ def test_odd_flag_true_on_odd_instances(f5):
     assert build_nonlinearity(REF5_KNOTS, 2.5, 2.5, blend_margin=1.5).odd
     for lam in (0.0, 0.3, 1.0):
         assert homotopy(f5, lam).odd and homotopy(k3, lam).odd
-    assert truncate_interval(f5, -1.0, 1.0).odd
+    assert truncate(f5, -1.0, 1.0).odd
 
 
 def test_odd_flag_false_when_a_piece_breaks_the_mirror(f5):
@@ -72,10 +69,10 @@ def test_odd_flag_false_when_a_piece_breaks_the_mirror(f5):
         "off-centre shape point": build_nonlinearity(
             REF5_KNOTS, 2.5, 2.5, shape_points=[(0.5, 0.3, 0.0)]),
         "asymmetric tails": build_nonlinearity(REF5_KNOTS, 2.5, 3.0),
-        "below(-1)": truncate_below(f5, -1.0),
-        "below(1)": truncate_below(f5, 1.0),
-        "above(-1)": truncate_above(f5, -1.0),
-        "above(1)": truncate_above(f5, 1.0),
+        "below(-1)": truncate(f5, hi=-1.0),
+        "below(1)": truncate(f5, hi=1.0),
+        "above(-1)": truncate(f5, lo=-1.0),
+        "above(1)": truncate(f5, lo=1.0),
     }
     for name, g in cases.items():
         assert not g.odd, name
@@ -153,7 +150,7 @@ def test_tail_offset_sup_exact(f5):
     hump = build_nonlinearity([(-1.0, -3.0), (1.0, -3.0)], 2.5, 2.5,
                               shape_points=[(0.0, 1.0, 0.5)])
     for g in (f5, hump, homotopy(f5, 0.3), homotopy(hump, 0.6),
-              truncate_interval(f5, -1.0, 1.0)):
+              truncate(f5, -1.0, 1.0)):
         assert np.isfinite(g.M)
         assert g.M == pytest.approx(_tail_offset_sup(g), rel=1e-12, abs=1e-12)
         ts = np.linspace(-8.0, 8.0, 4001)
@@ -163,8 +160,8 @@ def test_tail_offset_sup_exact(f5):
 def test_tail_offset_sup_unbounded_or_zero(f5):
     """M is infinite when the tail slopes differ (one-sided truncations,
     asymmetric tails) and exactly 0 for the linear homotopy end."""
-    assert truncate_below(f5, -1.0).M == np.inf
-    assert truncate_above(f5, 1.0).M == np.inf
+    assert truncate(f5, hi=-1.0).M == np.inf
+    assert truncate(f5, lo=1.0).M == np.inf
     assert build_nonlinearity(REF5_KNOTS, 2.5, 3.0).M == np.inf
     assert homotopy(f5, 1.0).M == 0.0
 
@@ -184,7 +181,7 @@ def test_duplicate_knots_rejected():
 
 
 def test_truncate_below(f5):
-    g = truncate_below(f5, -1.0)
+    g = truncate(f5, hi=-1.0)
     ts = np.linspace(-5.0, -1.0, 101)
     assert np.max(np.abs(g(ts) - f5(ts))) < 1e-12
     for t in (-0.5, 0.0, 2.0, 10.0):
@@ -198,7 +195,7 @@ def test_truncate_below(f5):
 
 
 def test_truncate_above(f5):
-    g = truncate_above(f5, 1.0)
+    g = truncate(f5, lo=1.0)
     ts = np.linspace(1.0, 5.0, 101)
     assert np.max(np.abs(g(ts) - f5(ts))) < 1e-12
     for t in (0.5, 0.0, -2.0):
@@ -209,7 +206,7 @@ def test_truncate_above(f5):
 
 
 def test_truncate_interval(f5):
-    g = truncate_interval(f5, -1.0, 1.0)
+    g = truncate(f5, -1.0, 1.0)
     ts = np.linspace(-1.0, 1.0, 101)
     assert np.max(np.abs(g(ts) - f5(ts))) < 1e-12
     assert g(-2.0) == pytest.approx(-3.0 * (-2.0 + 1.0), abs=1e-12)
@@ -219,23 +216,53 @@ def test_truncate_interval(f5):
 
 
 def test_truncations_compose(f5):
-    g = truncate_above(truncate_below(f5, 1.0), -1.0)
-    h = truncate_interval(f5, -1.0, 1.0)
-    ts = np.linspace(-6.0, 6.0, 301)
-    assert np.max(np.abs(g(ts) - h(ts))) < 1e-12
-    assert g.untouched == (-1.0, 1.0)
+    """Truncating at 1 and then at -1 gives the interval member, in every
+    field: pieces, knots, window and label."""
+    g = truncate(truncate(f5, hi=1.0), lo=-1.0)
+    h = truncate(f5, -1.0, 1.0)
+    assert np.array_equal(g.ppoly.x, h.ppoly.x)
+    assert np.array_equal(g.ppoly.c, h.ppoly.c)
+    assert (g.knots, g.untouched, g.label) == (h.knots, h.untouched, h.label)
+    assert g.label == "interval(-1,1)"
 
 
-def test_truncate_dispatch_and_errors(f5):
-    assert truncate(f5, "below", -1.0).label == "below(-1)"
+def test_truncate_errors(f5):
     with pytest.raises(nc.AnchorNotZero):
-        truncate_below(f5, -1.5)
+        truncate(f5, hi=-1.5)
     with pytest.raises(nc.AnchorSlopeNonNegative):
-        truncate_below(f5, 0.0)  # crossing-type zero cannot anchor a truncation
-    with pytest.raises(ValueError):
-        truncate(f5, "sideways", 0.0)
-    with pytest.raises(ValueError):
-        truncate_interval(f5, 1.0, -1.0)
+        truncate(f5, hi=0.0)  # crossing-type zero cannot anchor a truncation
+    with pytest.raises(ValueError, match="at least one anchor"):
+        truncate(f5)
+    with pytest.raises(ValueError, match="lo < hi"):
+        truncate(f5, 1.0, -1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(knots=_HALF_KNOTS, centre=st.none() | st.floats(-6.0, 6.0),
+       tail=st.floats(-6.0, 6.0), margin=st.floats(0.2, 3.0))
+def test_window_composition_property(knots, centre, tail, margin):
+    """On the mirrored knots of the oddness property, every pair of
+    minimum-type zeros a < b gives equal composed and direct windows; f is
+    unchanged on [a, b] and the tangent line beyond."""
+    full = knots + [(-t, s) for t, s in knots]
+    full += [] if centre is None else [(0.0, centre)]
+    f = build_nonlinearity(full, tail, tail, blend_margin=margin)
+    wells = sorted((t, s) for t, s in f.knots if s < 0)
+    for i, (a, sa) in enumerate(wells):
+        for b, sb in wells[i + 1:]:
+            g = truncate(truncate(f, hi=b), lo=a)
+            h = truncate(f, a, b)
+            assert np.array_equal(g.ppoly.x, h.ppoly.x)
+            assert np.array_equal(g.ppoly.c, h.ppoly.c)
+            assert (g.knots, g.untouched, g.label) == (h.knots, h.untouched, h.label)
+            assert h.untouched == (a, b)
+            inside = np.linspace(a, b, 65)
+            assert np.array_equal(h(inside), f(inside))
+            left = a - np.linspace(0.0, 4.0, 17)[1:]
+            right = b + np.linspace(0.0, 4.0, 17)[1:]
+            scale = 1.0 + np.abs(sa) + np.abs(sb)
+            assert np.allclose(h(left), sa * (left - a), rtol=0, atol=1e-12 * scale)
+            assert np.allclose(h(right), sb * (right - b), rtol=0, atol=1e-12 * scale)
 
 
 def test_homotopy_blend(f5):

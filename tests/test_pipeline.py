@@ -7,7 +7,13 @@ import pytest
 
 import neucrit as nc
 from conftest import REMOVED_SETTINGS
-from neucrit.pipeline import STAGES, reference_config, run_pipeline, validate_config
+from neucrit.pipeline import (
+    STAGES,
+    _images,
+    reference_config,
+    run_pipeline,
+    validate_config,
+)
 
 
 def test_reference_run_balances(reference_report):
@@ -71,6 +77,29 @@ def test_reference_multistart_closes_orbits_without_random_starts(reference_repo
     assert len(ms["last_chunk_found"]) == 4
     again = run_pipeline(reference_config()).stages["multistart"]
     assert again["passes"] == ms["passes"]
+
+
+def test_images_close_the_symmetry_group():
+    """On a rectangle with odd f a point has 7 images besides itself: the
+    mirrors across axis 0, axis 1 and both, then -u and its three mirrors.
+    They are pairwise distinct and share its H1 norm.  On an interval with
+    a non-odd f the mirror is the only one."""
+    rng = np.random.default_rng(11)
+    rect = nc.build_spectrum(nc.Domain("rectangle", (np.pi, 1.5)), 9)
+    c = rng.standard_normal(9)
+    images = _images(rect, c, odd=True)
+    assert len(images) == 7
+    points = [c, *images]
+    for i, a in enumerate(points):
+        assert rect.h1_norm(a) == pytest.approx(rect.h1_norm(c), rel=1e-14)
+        for b in points[i + 1:]:
+            assert rect.h1_dist(a, b) > 1e-3
+    assert np.array_equal(images[2], rect.mirror(rect.mirror(c, 0), 1))
+    assert np.array_equal(images[3], -c)
+
+    line = nc.build_spectrum(nc.Domain("interval", (np.pi,)), 9)
+    (only,) = _images(line, c, odd=False)
+    assert np.array_equal(only, line.mirror(c, 0))
 
 
 def test_reference_run_report_dict(reference_report):

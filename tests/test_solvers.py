@@ -105,7 +105,7 @@ def test_mountain_pass_collapses_on_convex():
 
 def test_mountain_pass_interval_saddle(ref5):
     spec, f, func = ref5
-    f_int = nc.truncate_interval(f, -1.0, 1.0)
+    f_int = nc.truncate(f, -1.0, 1.0)
     func_int = nc.EnergyFunctional(spec, f_int)
     rec = mountain_pass(func_int, spec.constant_field(-1.0),
                         spec.constant_field(1.0))
@@ -123,7 +123,7 @@ def test_mountain_pass_interval_saddle(ref5):
 
 def test_mountain_pass_outer_wells(ref5):
     spec, f, func = ref5
-    f_lo = nc.truncate_below(f, -1.0)
+    f_lo = nc.truncate(f, hi=-1.0)
     rec = mountain_pass(nc.EnergyFunctional(spec, f_lo),
                         spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
@@ -132,7 +132,7 @@ def test_mountain_pass_outer_wells(ref5):
     assert rec.urange[1] == pytest.approx(WELL_SADDLE_RANGE[1], abs=2e-4)
     assert rec.h1_norm == pytest.approx(WELL_SADDLE_NORM, abs=2e-4)
 
-    f_hi = nc.truncate_above(f, 1.0)
+    f_hi = nc.truncate(f, lo=1.0)
     rec2 = mountain_pass(nc.EnergyFunctional(spec, f_hi),
                          spec.constant_field(1.0), spec.constant_field(6.0))
     assert rec2.classification == "mp_type"
@@ -155,7 +155,7 @@ def test_mountain_pass_caches_node_energies(ref5):
             self.value_calls += 1
             return super().value(u)
 
-    func = Counting(spec, nc.truncate_below(f, -1.0))
+    func = Counting(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
     assert rec.iterations == 51

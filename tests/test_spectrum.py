@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ def test_split_counts_and_blocks():
     sp = split_spectrum(spec, 2.5)
     assert sp.k == 2
     assert list(sp.x_indices) == [0, 1]
-    assert sp.lambda_max_x == 1.0
+    assert sp.eigenvalues[sp.x_indices].max() == 1.0
     assert sp.lambda_min_y == 4.0
     # multiplicity counts on the square: slope 2.5 crosses 0, 1, 1, 2
     sq = split_spectrum(build_spectrum(Domain("rectangle", (np.pi, np.pi)), 12), 2.5)
@@ -106,25 +108,40 @@ def test_projections_decompose():
     assert abs(sp.h1_inner(x, y)) < 1e-14
 
 
+_BOXES = (Domain("interval", (np.pi,)), Domain("rectangle", (np.pi, 1.5)))
+
+
 def test_evaluate_at_matches_grid():
-    spec = build_spectrum(Domain("interval", (np.pi,)), 8)
     rng = np.random.default_rng(1)
-    c = rng.standard_normal(8)
-    pts = spec.points
-    assert np.max(np.abs(spec.evaluate_at(c, pts) - spec.evaluate(c))) < 1e-12
+    for domain in _BOXES:
+        spec = build_spectrum(domain, 8)
+        c = rng.standard_normal(8)
+        pts = spec.points
+        assert np.max(np.abs(spec.evaluate_at(c, pts) - spec.evaluate(c))) < 1e-12
 
 
 def test_mirror_is_reflection():
-    spec = build_spectrum(Domain("interval", (np.pi,)), 8)
+    """Mirroring the coefficients across each axis of a set reflects the
+    field across those midlines, on the interval and, for each axis and
+    for both, on the rectangle; each mirror is an involution and every
+    composition an H1 isometry."""
     rng = np.random.default_rng(2)
-    c = rng.standard_normal(8)
-    xs = np.linspace(0.0, np.pi, 33)[:, None]
-    left = spec.evaluate_at(spec.mirror(c), xs)
-    right = spec.evaluate_at(c, np.pi - xs)
-    assert np.max(np.abs(left - right)) < 1e-12
-    # involution and isometry
-    assert np.allclose(spec.mirror(spec.mirror(c)), c)
-    assert abs(spec.h1_norm(spec.mirror(c)) - spec.h1_norm(c)) < 1e-14
+    for domain in _BOXES:
+        spec = build_spectrum(domain, 8)
+        c = rng.standard_normal(8)
+        pts = rng.uniform(size=(33, domain.ndim)) * domain.lengths
+        for r in range(1, domain.ndim + 1):
+            for axes in itertools.combinations(range(domain.ndim), r):
+                m, reflected = c, pts.copy()
+                for ax in axes:
+                    m = spec.mirror(m, ax)
+                    reflected[:, ax] = domain.lengths[ax] - reflected[:, ax]
+                left = spec.evaluate_at(m, pts)
+                right = spec.evaluate_at(c, reflected)
+                assert np.max(np.abs(left - right)) < 1e-12, axes
+                assert abs(spec.h1_norm(m) - spec.h1_norm(c)) < 1e-14
+        for ax in range(domain.ndim):
+            assert np.allclose(spec.mirror(spec.mirror(c, ax), ax), c)
 
 
 def test_domain_validation():
