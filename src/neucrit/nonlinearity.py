@@ -89,12 +89,18 @@ def _tail_offset_sup(pp: PPoly, s: float) -> float:
         x0, h = pp.x[i], pp.x[i + 1] - pp.x[i]
         c = c - s
         ts = [0.0, h]
-        if a != 0.0:
-            disc = b * b - 3.0 * a * c
+        # the derivative's roots are those of the coefficients scaled by a
+        # power of two, which is exact and keeps b * b - 3 a c from
+        # underflowing when the coefficients are tiny
+        p, q, r = np.ldexp([a, b, c], -np.frexp(max(abs(a), abs(b), abs(c)))[1])
+        if p != 0.0:
+            disc = q * q - 3.0 * p * r
             if disc >= 0.0:
-                ts += [(-b + r) / (3.0 * a) for r in (np.sqrt(disc), -np.sqrt(disc))]
-        elif b != 0.0:
-            ts.append(-c / (2.0 * b))
+                ts += [(-q + z) / (3.0 * p) for z in (np.sqrt(disc), -np.sqrt(disc))]
+        elif q != 0.0 and 0.0 <= -r * np.sign(q) <= 2.0 * abs(q) * h:
+            # the vertex lies in [0, h]; testing that before dividing keeps
+            # a subnormal b from overflowing the quotient
+            ts.append(-r / (2.0 * q))
         for t in ts:
             if 0.0 <= t <= h:
                 top = max(top, abs(((a * t + b) * t + c) * t + d - s * x0))

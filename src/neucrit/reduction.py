@@ -413,7 +413,7 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell) -> LocalMaxMinR
             direction_ok = Jp > J0 and Jm > J0
         ok = ok and direction_ok
         rows.append({
-            "mode": i, "eigenvalue": lamj, "block": block,
+            "mode": int(i), "eigenvalue": lamj, "block": block,
             "delta_plus": Jp - J0, "delta_minus": Jm - J0,
             "second_difference": second, "hessian_diagonal": hess,
             "ok": direction_ok,

@@ -22,11 +22,18 @@ along the negative gradient projected off the path tangent, and
 re-equalize node spacing.  A transverse perturbation of the initial
 straight path keeps it out of the constants line, which is invariant under
 the flow and full of index-2 traps.
+
+The homotopy bound multistarts the members h_lam of the homotopy to the
+linearization at infinity and takes R from the largest solution norm it
+finds.  Each member's solutions obey the closed-form bound
+||u||_H1 <= (1 - lam) M C, so a member whose bound lies below the largest
+norm already found is skipped: searching it could not change R.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import root
@@ -431,36 +438,45 @@ def multistart(functional, radius, seeds=(), *, budget, rng, descent=True) -> li
     return records
 
 
+@dataclass
 class HomotopyBoundResult:
-    """Outcome of the homotopy sweep: the certified search radius and the
-    per-member solution norms."""
+    """Outcome of the homotopy sweep: the search radius R, the closed-form
+    bound that decided which members were sampled, and one row per member
+    (lam, bound, sampled, n_found, max_norm; the last two None when the
+    member was skipped)."""
 
-    def __init__(self, R, max_norm, safety_factor, per_lambda, lambda_one_clean):
-        self.R = R
-        self.max_norm = max_norm
-        self.safety_factor = safety_factor
-        self.per_lambda = per_lambda  # [(lam, n_found, max_norm)]
-        self.lambda_one_clean = lambda_one_clean
+    R: float
+    max_norm: float
+    safety_factor: float
+    M: float  # sup |f(t) - s t| of the base member
+    mode: int  # index of the eigenvalue that maximises (1 + lam_j) / (lam_j - s)^2
+    bound: float  # B(0) = C * M, the proven norm bound of every member
+    per_lambda: list
+    lambda_one_clean: bool
 
     def to_dict(self):
-        return {
-            "R": self.R,
-            "max_norm": self.max_norm,
-            "safety_factor": self.safety_factor,
-            "per_lambda": [
-                {"lam": l, "n_found": n, "max_norm": m} for l, n, m in self.per_lambda
-            ],
-            "lambda_one_clean": self.lambda_one_clean,
-        }
+        return asdict(self)
 
 
 def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> HomotopyBoundResult:
     """Sweep the family h_lam = lam f'(inf) t + (1 - lam) f(t), multistart
-    each member, and return R = SAFETY_FACTOR x the largest solution norm.
+    each member that could raise the largest solution norm, and return
+    R = SAFETY_FACTOR x the largest solution norm.
+
+    Write h_lam(t) = s t + g_lam(t) with M_lam = sup |g_lam| = (1 - lam) M.
+    At a critical point (lam_j - s) u_j = P_j g_lam(u), and Gram = I gives
+    the proven bound ||u||_H1 <= B(lam) = C M_lam with
+    C = sqrt(|Omega| max_j (1 + lam_j) / (lam_j - s)^2).  A member with
+    B(lam) below the largest norm sampled so far cannot raise it, so it is
+    skipped: no functional, no seeds, no multistart.  B falls as lam rises,
+    so an ascending sweep samples a prefix of the members; a one-member
+    call always samples.  Skipped and sampled members alike keep their
+    random stream, rng_seed + 1000 + their index in `lambdas`.
 
     At lam = 1 the member is linear and nonresonant, so the only solution is
-    0; lambda_one_clean reports whether the sweep respected that.  Raises
-    ResonantSlope or AsymmetricSlopes before sweeping if the tails are bad.
+    0 (B(1) = 0 proves it when the member is skipped); lambda_one_clean
+    reports whether the sweep respected that.  Raises ResonantSlope or
+    AsymmetricSlopes before sweeping if the tails are bad.
     """
     from .energy import EnergyFunctional
 
@@ -468,12 +484,22 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     knot_ts = [t for t, _ in nonlinearity.zeros()]
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
     start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
+    lam_j = spectrum.eigenvalues
+    ratios = (1.0 + lam_j) / (lam_j - nonlinearity.slope_plus_inf) ** 2
+    mode = int(np.argmax(ratios))
+    C = float(np.sqrt(spectrum.domain.measure * ratios[mode]))
 
     per_lambda = []
     max_norm = 0.0
     clean = True
     for li, lam in enumerate(lambdas):
         g = homotopy(nonlinearity, float(lam))
+        bound = C * g.M
+        row = {"lam": float(lam), "bound": bound, "sampled": not bound < max_norm,
+               "n_found": None, "max_norm": None}
+        per_lambda.append(row)
+        if not row["sampled"]:
+            continue
         func = EnergyFunctional(spectrum, g)
         seeds = [
             spectrum.constant_field(t)
@@ -491,11 +517,11 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
         recs = multistart(func, start_radius, seeds=seeds,
                           budget=HOMOTOPY_BUDGET, rng=rng, descent=False)
-        norms = [r.h1_norm for r in recs]
-        top = max(norms) if norms else 0.0
-        per_lambda.append((float(lam), len(recs), top))
+        top = max((r.h1_norm for r in recs), default=0.0)
+        row.update(n_found=len(recs), max_norm=top)
         max_norm = max(max_norm, top)
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False
     R = SAFETY_FACTOR * max_norm
-    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, per_lambda, clean)
+    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, nonlinearity.M, mode,
+                               C * nonlinearity.M, per_lambda, clean)

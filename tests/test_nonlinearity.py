@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neucrit as nc
@@ -100,6 +102,42 @@ def test_odd_flag_on_mirrored_knots(knots, centre, tail, margin):
     bent = list(full)
     bent[len(knots)] = (-knots[0][0], knots[0][1] + 0.5)
     assert not build_nonlinearity(bent, tail, tail, blend_margin=margin).odd
+
+
+def test_tail_offset_sup_with_subnormal_quadratic_coefficient():
+    """Knot slopes s, -s, s at -1, 0, 1 leave each inner piece with a zero
+    cubic and a quadratic coefficient of order s; at s = 5e-324 the vertex
+    quotient used to overflow.  M is that of the flat knots."""
+    tiny = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_nonlinearity([(-1.0, tiny), (0.0, -tiny), (1.0, tiny)], 1.0, 1.0)
+    flat = build_nonlinearity([(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 1.0, 1.0)
+    assert g.M == pytest.approx(flat.M, rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(knots=_HALF_KNOTS, centre=st.none() | st.floats(-6.0, 6.0),
+       tail=st.floats(-6.0, 6.0), margin=st.floats(0.2, 3.0), lam=st.floats(0.0, 1.0))
+@example(knots=[(1.0, 1.8612954071127512e-162)], centre=None, tail=0.0, margin=1.0, lam=0.5)
+def test_homotopy_member_offset_scales(knots, centre, tail, margin, lam):
+    """M of the member h_lam = lam s t + (1 - lam) f is (1 - lam) M of f;
+    the homotopy sweep's skip rule rests on it.  The error is taken
+    relative to f's M: the blended coefficients carry rounding of order
+    eps |s t|, which does not shrink with 1 - lam.  Below the smallest
+    normal float values keep only an absolute precision, so a subnormal M
+    is measured against that floor.  Building f and h_lam (gamma,
+    min_slope and M) raises no numpy warning, subnormal knot slopes
+    included.  The example's slopes of order 1e-162 put b * b - 3 a c
+    below the normal range, where it used to drop M under sup |f|."""
+    mirrored = knots + [(-t, s) for t, s in knots]
+    full = mirrored + ([] if centre is None else [(0.0, centre)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_nonlinearity(full, tail, tail, blend_margin=margin)
+        h = homotopy(g, lam)
+    scale = max(g.M, np.finfo(float).tiny)
+    assert abs(h.M - (1.0 - lam) * g.M) <= 1e-12 * scale
 
 
 def test_primitive_values(f5):

@@ -67,6 +67,23 @@ def test_reference_run_stage_surface(reference_report):
     assert rep.warnings == []
 
 
+def test_reference_homotopy_samples_five_members(reference_report):
+    """lam = 0 ... 0.4 are sampled; from lam = 0.5 on the closed-form bound
+    B(lam) lies below the largest norm sampled, so those six members are
+    skipped with no count or norm.  The stage repeats for the same seed."""
+    h = reference_report.stages["homotopy"]
+    sampled = [row for row in h["per_lambda"] if row["sampled"]]
+    skipped = [row for row in h["per_lambda"] if not row["sampled"]]
+    assert len(sampled) == 5 and len(skipped) == 6
+    assert max(row["lam"] for row in sampled) < min(row["lam"] for row in skipped)
+    assert all(row["bound"] < h["max_norm"] for row in skipped)
+    assert all(row["n_found"] is None and row["max_norm"] is None for row in skipped)
+    assert h["max_norm"] == max(row["max_norm"] for row in sampled)
+    cfg = reference_config()
+    cfg["stages"] = ["homotopy"]
+    assert run_pipeline(cfg).stages["homotopy"] == h
+
+
 def test_reference_multistart_closes_orbits_without_random_starts(reference_report):
     """The reference ledger balances after one orbit pass: the four group
     images the ledger lacks, refined, and no random chunk.  The passes

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -334,6 +335,13 @@ def test_local_max_min_at_reference_well(ref5_ctx):
     # frozen diagonal entries lam_j - f'(-1) = lam_j + 3
     assert rep.directions[0]["hessian_diagonal"] == pytest.approx(3.0)
     assert rep.directions[1]["hessian_diagonal"] == pytest.approx(4.0)
+
+
+def test_local_max_min_report_dumps_as_plain_json(ref5_ctx):
+    """The scan's mode indices are plain ints, so json.dumps needs no
+    converter."""
+    d = json.loads(json.dumps(local_max_min_at_constant(ref5_ctx, alpha=-1.0, ell=0).to_dict()))
+    assert [row["mode"] for row in d["directions"]] == [0, 1]
 
 
 def test_local_max_min_split_blocks(ref5):

@@ -199,7 +199,8 @@ def test_refine_critical_returns_exact_start(ref5):
 
 
 def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
-    """The sweep builds its own functionals, so count at the class."""
+    """The sweep builds its own functionals, so count at the class.  Only
+    lam = 0 is sampled: its max_norm exceeds B(0.5) and B(1)."""
     spec, f, _ = ref5
     calls = []
     l2_gradient = nc.EnergyFunctional.l2_gradient
@@ -210,7 +211,7 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
 
     monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
     nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
-    assert len(calls) == 1674
+    assert len(calls) == 720
 
 
 def test_multistart_builds_one_record_per_result(ref5, monkeypatch):
@@ -280,15 +281,32 @@ def test_dedup_records(ref5):
 
 
 def test_homotopy_bound_reference(ref5, solver_cfg):
+    """The base member's widest orbit, norm 7.208, sets max_norm; the
+    closed-form bounds B(0.5) = 6.606 and B(1) = 0 lie below it, so those
+    members are skipped, and lam = 1 stays clean since B(1) = 0 leaves only
+    u = 0.  Alone, [1.0] is sampled and finds only u = 0."""
     spec, f, func = ref5
     res = nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
-    assert res.lambda_one_clean
-    assert res.per_lambda[-1][2] < 1e-6  # linear member has only u = 0
-    # the widest orbit of the base member sets the radius
     assert 7.0 < res.max_norm < 7.5
     assert res.R == pytest.approx(SAFETY_FACTOR * res.max_norm)
-    d = res.to_dict()
-    assert len(d["per_lambda"]) == 3
+    assert res.M == f.M and res.mode == 2
+    assert res.bound == pytest.approx(13.2111, abs=1e-4)
+    base, half, linear = res.per_lambda
+    assert base["sampled"] and base["max_norm"] == res.max_norm and base["bound"] == res.bound
+    assert not half["sampled"] and half["bound"] == pytest.approx(6.606, abs=1e-3)
+    assert not linear["sampled"] and linear["bound"] == 0.0
+    assert half["n_found"] is half["max_norm"] is linear["n_found"] is linear["max_norm"] is None
+    assert res.lambda_one_clean
+    assert res.to_dict()["per_lambda"] == res.per_lambda
+    # each bound is the member's own M times C, the constant of the closed form
+    lam_j = spec.eigenvalues
+    C = np.sqrt(spec.domain.measure * np.max((1.0 + lam_j) / (lam_j - 2.5) ** 2))
+    for row in res.per_lambda:
+        assert row["bound"] == pytest.approx(nc.homotopy(f, row["lam"]).M * C, rel=1e-14)
+
+    (alone,) = nc.homotopy_bound(f, spec, [1.0], solver_cfg).per_lambda
+    assert alone["sampled"] and alone["bound"] == 0.0
+    assert alone["n_found"] == 1 and alone["max_norm"] < 1e-6
 
 
 def test_homotopy_bound_preconditions(ref5, solver_cfg):
