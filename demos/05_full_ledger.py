@@ -6,7 +6,7 @@ bound confines all solutions to a ball of known degree +1 (members whose
 closed-form bound cannot raise the largest norm are skipped), each solution
 contributes its local degree, and a nonzero gap means something is still
 missing.  Artifacts (report JSON, CSV table, SVG profiles) land in
-demos/out/.
+demos/out/, which git ignores; each run rewrites them.
 """
 
 import pathlib

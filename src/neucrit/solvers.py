@@ -21,7 +21,9 @@ low-energy endpoints, repeatedly pick the maximal-energy node, slide it
 along the negative gradient projected off the path tangent, and
 re-equalize node spacing.  A transverse perturbation of the initial
 straight path keeps it out of the constants line, which is invariant under
-the flow and full of index-2 traps.
+the flow and full of index-2 traps.  After every redistribution the highest
+node is refined; a refined point that is a certified mountain-pass saddle
+ends the pass at once, and any other is dropped.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R from the largest solution norm it
@@ -72,6 +74,9 @@ MAX_ITERS = 4000
 _DESCENT_TOL = max(GRAD_TOL, 1e-7)
 # mountain-pass polyline nodes, endpoints included
 PATH_NODES = 41
+# sweeps between two redistributions of the polyline; each redistribution
+# is followed by one attempt to certify a saddle from the highest node
+REDISTRIBUTE_EVERY = 5
 # the homotopy bound scales the largest solution norm it sees by this
 # factor into the search radius R
 SAFETY_FACTOR = 2.0
@@ -143,6 +148,19 @@ class _Converged(Exception):
         self.u = u
 
 
+def _last_point_cached(fn):
+    """`fn` with a one-entry cache keyed on the bytes of its argument."""
+    last = [None, None]
+
+    def cached(c):
+        key = np.asarray(c, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, fn(c)
+        return last[1]
+
+    return cached
+
+
 def refine_critical(functional, start):
     """Newton-type polish of the gradient system from `start`.
 
@@ -157,6 +175,11 @@ def refine_critical(functional, start):
     path up to there is the one it would take anyway, so every start ends
     in the same basin; the stop only drops the evaluations hybr would spend
     on a converged point chasing xtol, which rounding keeps out of reach.
+
+    scipy evaluates the gradient and the Jacobian at the start once to
+    check their shapes, and MINPACK then evaluates both there again; each
+    closure keeps its last point and result, so every point is evaluated
+    once and the results are bit-identical.
     """
     weight = 1.0 / (1.0 + functional.spectrum.eigenvalues)
 
@@ -168,9 +191,9 @@ def refine_critical(functional, start):
 
     try:
         u = root(
-            gradient,
+            _last_point_cached(gradient),
             np.asarray(start, dtype=float),
-            jac=lambda c: functional.hessian_pencil(c)[0],
+            jac=_last_point_cached(lambda c: functional.hessian_pencil(c)[0]),
             method="hybr",
             options={"xtol": 1e-13, "maxfev": 200 * (len(start) + 1)},
         ).x
@@ -242,12 +265,22 @@ def _redistribute(spec, path):
 def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     """Choi-McKenna style discrete mountain pass between two anchors.
 
-    Raises PathCollapse when no barrier exists above the endpoint energies
-    (for instance when J is convex between the anchors) or when the refined
-    candidate falls back into an endpoint.  The returned record carries the
-    Morse data; classification is "mp_type" exactly when the index is 1 and
-    the principal Hessian eigenpair is simple with a sign-definite
-    eigenfield.
+    Every REDISTRIBUTE_EVERY sweeps the path is redistributed and its
+    highest node refined.  The pass returns that refined point at once when
+    it is certified: farther than DEDUP_RADIUS from both endpoints, above
+    the endpoint level, and "mp_type" (Morse index 1, principal Hessian
+    eigenpair simple with a sign-definite eigenfield).  A point that fails
+    any check is dropped and the sweeps go on; the record's `iterations`
+    counts the sweeps done.
+
+    Two triggers end the pass without that certificate: a node residual
+    <= 1e-4, or 50 sweeps without residual progress.  Either refines the
+    highest node and returns its refined point whatever its Morse data
+    (classification "other", with a note, when it is not "mp_type"), or
+    raises PathCollapse when that point falls back into an endpoint or
+    does not rise above the endpoint energies.  PathCollapse is also raised
+    when the maximal node is an endpoint (no barrier, for instance when J
+    is convex between the anchors).
     """
     spec = functional.spectrum
     a = np.asarray(end_a, dtype=float)
@@ -280,14 +313,9 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
         if res <= 1e-4 or (best is not None and sweep - best[2] > 50):
             cand = refine_critical(functional, path[i])
             if cand is not None:
-                d_end = min(spec.h1_dist(cand, a), spec.h1_dist(cand, b))
-                if d_end <= DEDUP_RADIUS:
-                    raise PathCollapse("refined candidate fell into an endpoint")
-                Jc = functional.value(cand)
-                if Jc <= end_level + 1e-12:
-                    raise PathCollapse(
-                        f"candidate level {Jc:.6g} does not exceed the endpoints {end_level:.6g}"
-                    )
+                fault = _candidate_fault(functional, cand, a, b, end_level)
+                if fault is not None:
+                    raise PathCollapse(fault)
                 return _finish_mp(functional, cand, sweep, end_a=a, end_b=b)
             best = None  # refinement failed; keep sweeping
         if best is None or res < best[1]:
@@ -320,10 +348,31 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
             steps[i] = min(step * 1.5, 5.0)
         else:
             steps[i] = max(step, 1e-8)
-        if sweep % 5 == 4:
+        if sweep % REDISTRIBUTE_EVERY == REDISTRIBUTE_EVERY - 1:
             path = _redistribute(spec, path)
             energies = np.array([functional.value(p) for p in path])
+            # a certified saddle from the new highest node ends the pass
+            i = int(np.argmax(energies))
+            if 0 < i < n - 1:
+                cand = refine_critical(functional, path[i])
+                if (cand is not None
+                        and _candidate_fault(functional, cand, a, b, end_level) is None):
+                    rec = _finish_mp(functional, cand, sweep + 1, end_a=a, end_b=b)
+                    if rec.classification == "mp_type":
+                        return rec
     raise MaxItersExceeded(f"mountain pass did not settle in {MAX_ITERS} sweeps")
+
+
+def _candidate_fault(functional, cand, a, b, end_level):
+    """Why a refined point cannot be the saddle between endpoints a and b
+    at level end_level, or None when it can."""
+    spec = functional.spectrum
+    if min(spec.h1_dist(cand, a), spec.h1_dist(cand, b)) <= DEDUP_RADIUS:
+        return "refined candidate fell into an endpoint"
+    Jc = functional.value(cand)
+    if Jc <= end_level + 1e-12:
+        return f"candidate level {Jc:.6g} does not exceed the endpoints {end_level:.6g}"
+    return None
 
 
 def _finish_mp(functional, coeffs, sweeps, end_a, end_b) -> CriticalPointRecord:

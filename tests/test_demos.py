@@ -21,8 +21,8 @@ def test_demo_runs(name, capsys):
 
 
 def test_full_ledger_demo_writes_report(tmp_path, capsys):
-    """Demo 05 writes next to itself, so a copy of it runs in tmp_path and
-    leaves the committed demos/out untouched."""
+    """Demo 05 writes its artifacts to out/ next to itself, so a copy of it
+    runs in tmp_path and leaves the checkout's demos/out alone."""
     demo = tmp_path / "05_full_ledger.py"
     shutil.copy(DEMOS / "05_full_ledger.py", demo)
     runpy.run_path(str(demo), run_name="__main__")

@@ -96,6 +96,37 @@ def test_reference_multistart_closes_orbits_without_random_starts(reference_repo
     assert again["passes"] == ms["passes"]
 
 
+def test_reference_search_counts(monkeypatch):
+    """Evaluation counts are deterministic, so the reference run pins them:
+    the sweeps of each truncated mountain pass and the energy, L2 gradient
+    and Hessian evaluations of the whole run, counted at the class since
+    every stage builds its own functionals.  A second run repeats them."""
+    counted = ("value", "l2_gradient", "hessian_pencil")
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(nc.EnergyFunctional, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(nc.EnergyFunctional, name, counting(name))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        rep = run_pipeline(reference_config())
+        sweeps = [rep.stages[f"truncation_{kind}"]["truncated_record"]["iterations"]
+                  for kind in ("below", "above", "interval")]
+        runs.append((sweeps, dict(calls)))
+    assert runs[0] == runs[1]
+    assert runs[0] == ([30, 25, 40],
+                       {"value": 1367, "l2_gradient": 3545, "hessian_pencil": 486})
+
+
 def test_images_close_the_symmetry_group():
     """On a rectangle with odd f a point has 7 images besides itself: the
     mirrors across axis 0, axis 1 and both, then -u and its three mirrors.

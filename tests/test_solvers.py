@@ -144,8 +144,8 @@ def test_mountain_pass_outer_wells(ref5):
 
 def test_mountain_pass_caches_node_energies(ref5):
     """The reference truncation_below pass evaluates J once per node after
-    each redistribution and once per backtracking trial, not per node and
-    sweep."""
+    each redistribution, once per backtracking trial and once per refined
+    candidate, not per node and sweep."""
     spec, f, _ = ref5
 
     class Counting(nc.EnergyFunctional):
@@ -158,21 +158,58 @@ def test_mountain_pass_caches_node_energies(ref5):
     func = Counting(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
-    assert rec.iterations == 51
-    assert func.value_calls == 511
+    assert rec.iterations == 30
+    assert func.value_calls == 331
     assert func.value_calls < PATH_NODES * rec.iterations
 
 
+def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
+    """The reference truncation_below pass tries to certify a saddle from
+    its highest node after every redistribution.  The attempts after sweeps
+    5 to 25 land on an index-2 point, which does not end the pass; the one
+    after sweep 30 is the well saddle, which does."""
+    spec, f, _ = ref5
+    finished = []
+    finish_mp = solvers._finish_mp
+
+    def kept(*args, **kwargs):
+        finished.append(finish_mp(*args, **kwargs))
+        return finished[-1]
+
+    monkeypatch.setattr(solvers, "_finish_mp", kept)
+    func = nc.EnergyFunctional(spec, nc.truncate(f, hi=-1.0))
+    rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
+    assert rec.classification == "mp_type" and rec.morse_index == 1
+    assert rec.iterations == 30
+    assert rec.energy == pytest.approx(WELL_SADDLE_J - TRANSFER_SHIFT, abs=2e-6)
+    assert rec.urange[0] == pytest.approx(WELL_SADDLE_RANGE[0], abs=2e-4)
+    assert rec.urange[1] == pytest.approx(WELL_SADDLE_RANGE[1], abs=2e-4)
+    assert rec.h1_norm == pytest.approx(WELL_SADDLE_NORM, abs=2e-4)
+    *dropped, last = finished
+    assert last is rec
+    assert [r.iterations for r in dropped] == [5, 10, 15, 20, 25]
+    assert all(r.morse_index == 2 and r.classification == "other" for r in dropped)
+
+
 class TrialPoints(nc.EnergyFunctional):
-    """Keeps every point the L2 gradient is evaluated at."""
+    """Keeps every point the L2 gradient and the Hessian are evaluated at."""
 
     def __init__(self, spectrum, nonlinearity):
         super().__init__(spectrum, nonlinearity)
         self.points = []
+        self.hessian_points = []
 
     def l2_gradient(self, u):
         self.points.append(np.array(u, dtype=float))
         return super().l2_gradient(u)
+
+    def hessian_pencil(self, u):
+        self.hessian_points.append(np.array(u, dtype=float))
+        return super().hessian_pencil(u)
+
+
+def _distinct(points):
+    return len({p.tobytes() for p in points}) == len(points)
 
 
 def test_refine_critical_stops_at_first_converged_point(ref5):
@@ -186,7 +223,22 @@ def test_refine_critical_stops_at_first_converged_point(ref5):
     assert np.array_equal(u, func.points[-1])
     assert func.residual(u) <= GRAD_TOL
     assert all(func.residual(p) > GRAD_TOL for p in func.points[:-1])
-    assert len(func.points) == 6
+    assert len(func.points) == 4
+    assert _distinct(func.points)
+
+
+def test_refine_critical_evaluates_each_point_once(ref5):
+    """scipy checks the shapes of the gradient and the Jacobian at the
+    start before MINPACK evaluates both there; neither is computed twice
+    at one point of a solve."""
+    spec, f, _ = ref5
+    rng = np.random.default_rng(3)
+    for start in solvers._random_ball_starts(spec, rng, 8, 8.0):
+        func = TrialPoints(spec, f)
+        assert nc.refine_critical(func, start) is not None
+        assert np.array_equal(func.points[0], start)
+        assert np.array_equal(func.hessian_points[0], start)
+        assert _distinct(func.points) and _distinct(func.hessian_points)
 
 
 def test_refine_critical_returns_exact_start(ref5):
@@ -211,7 +263,7 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
 
     monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
     nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
-    assert len(calls) == 720
+    assert len(calls) == 632
 
 
 def test_multistart_builds_one_record_per_result(ref5, monkeypatch):
