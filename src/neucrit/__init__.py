@@ -40,7 +40,6 @@ from .nonlinearity import (
     check_hypotheses,
     find_zeros,
     homotopy,
-    require_nonresonant,
     truncate,
 )
 from .pipeline import RunReport, reference_config, run_pipeline, validate_config
@@ -87,7 +86,6 @@ __all__ = [
     "homotopy",
     "find_zeros",
     "check_hypotheses",
-    "require_nonresonant",
     "HypothesisReport",
     "ZeroReport",
     "EnergyFunctional",

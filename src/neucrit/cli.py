@@ -217,7 +217,7 @@ def _cmd_plot(args, cfg) -> int:
                 energy=r.get("energy", 0.0),
                 in_ball=r.get("in_ball", True),
             )
-            for r in rep.get("ledger", {}).get("records", [])
+            for r in (rep.get("ledger") or {}).get("records", [])
         ]
         from .plots import render_profiles
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import RangeEscape, UnclassifiedDegenerate
-from .records import DEDUP_RADIUS, make_record
+from .records import DEDUP_RADIUS
 
 __all__ = [
     "DegreeLedger",
@@ -112,10 +112,13 @@ def transfer_to_original(record, functional_original, functional_truncated):
     """Re-express a truncated-functional record under the original one.
 
     Valid only when the record's grid range stays at least RANGE_MARGIN
-    inside the region where the two nonlinearities coincide; then the
-    solution, residual, and Hessian are literally unchanged and only the
-    energy shifts (the primitives differ by a constant on that region).
-    Classification carries over.  Raises RangeEscape otherwise.
+    inside the region where the two nonlinearities coincide.  There f and
+    f' agree, so the residual, norm, range, Hessian eigenvalues and
+    principal vector are those of the truncated record, bit for bit; only
+    the energy shifts, since the primitives differ by a constant on that
+    region.  The result is the truncated record with the original energy
+    and `transferred_from` added to its provenance; classification,
+    iterations and notes carry over.  Raises RangeEscape otherwise.
     """
     region = functional_truncated.nonlinearity.untouched
     if region is None:
@@ -135,15 +138,13 @@ def transfer_to_original(record, functional_original, functional_truncated):
         )
     prov = dict(record.provenance)
     prov["transferred_from"] = functional_truncated.nonlinearity.label
-    return make_record(functional_original, record.coeffs, record.classification, prov,
-                       iterations=record.iterations, notes=record.notes)
+    return replace(record, energy=functional_original.value(record.coeffs), provenance=prov)
 
 
 def _suggest_regions(ledger, functional):
     """Low-energy basins with no nonconstant representative yet: the wells
     between consecutive minimum-type zeros and the two tails."""
-    zeros = functional.nonlinearity.zeros()
-    mins = [t for t, s in zeros if s < 0]
+    mins = [t for t, s in functional.nonlinearity.knots if s < 0]
     edges = [-np.inf] + sorted(mins) + [np.inf]
     covered = []
     for rec in ledger.records:

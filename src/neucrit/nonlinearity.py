@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.interpolate import PPoly
-from scipy.optimize import brentq
 
 from .errors import (
     AnchorNotZero,
@@ -35,9 +34,8 @@ from .errors import (
     AsymmetricSlopes,
     DuplicateKnots,
     NonC1Blend,
-    ResonantSlope,
 )
-from .spectrum import RESONANCE_TOL
+from .spectrum import resonance_margin
 
 __all__ = [
     "Nonlinearity",
@@ -111,14 +109,13 @@ def _tail_offset_sup(pp: PPoly, s: float) -> float:
 _ODD_TOL = 1e-12
 
 
-def _is_odd(pp: PPoly, s_minus: float, s_plus: float) -> bool:
-    """Exact test of f(-t) = -f(t): breakpoints symmetric about 0, equal
-    tail slopes, and each cubic piece equal to minus its mirrored partner
-    at four points of the piece, which pins two cubics down.  The outer
-    pieces are the affine tails, so the test covers the whole line."""
+def _is_odd(pp: PPoly) -> bool:
+    """Exact test of f(-t) = -f(t) for f with equal tail slopes:
+    breakpoints symmetric about 0 and each cubic piece equal to minus its
+    mirrored partner at four points of the piece, which pins two cubics
+    down.  The outer pieces are the affine tails, so the test covers the
+    whole line."""
     x = pp.x
-    if abs(s_minus - s_plus) > _ODD_TOL * (1.0 + abs(s_plus)):
-        return False
     if np.any(np.abs(x + x[::-1]) > _ODD_TOL * (1.0 + np.max(np.abs(x)))):
         return False
     h = np.diff(x)
@@ -143,7 +140,9 @@ class Nonlinearity:
     blend_margin: float
     gamma: float  # certified sup f'
     min_slope: float  # certified inf f'
-    M: float  # certified sup |f(t) - s t| for the common tail slope s; inf if the tails differ
+    # certified sup |f(t) - s t| for the common tail slope s; finite exactly
+    # when the two tail slopes are equal, which is what "equal tails" means
+    M: float
     odd: bool  # f(-t) = -f(t) for every t, decided from the pieces
     untouched: tuple | None  # (lo, hi) where this member coincides with its base
     label: str = "base"
@@ -161,16 +160,13 @@ class Nonlinearity:
         """Exact antiderivative with primitive(0) = 0."""
         return self.fppoly(t) - self._f0
 
-    def zeros(self) -> tuple:
-        return self.knots
-
 
 def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
     dpp = ppoly.derivative()
     fpp = ppoly.antiderivative()
     gamma, lo = _extreme_slopes(dpp)
     M = _tail_offset_sup(ppoly, s_plus) if s_minus == s_plus else np.inf
-    odd = _is_odd(ppoly, s_minus, s_plus)
+    odd = bool(np.isfinite(M)) and _is_odd(ppoly)
     # defensive C1 audit at the breakpoints; exact construction never trips this
     xb = ppoly.x[1:-1]
     if xb.size:
@@ -328,12 +324,12 @@ def truncate(f: Nonlinearity, lo: float | None = None,
 def homotopy(f: Nonlinearity, lam: float) -> Nonlinearity:
     """The blend lam * f'(inf) * t + (1 - lam) * f(t).
 
-    Requires equal asymptotic slopes; at lam = 1 the result is the exact
-    linear function with that slope.
+    Requires equal asymptotic slopes (finite f.M); at lam = 1 the result is
+    the exact linear function with that slope.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    if abs(f.slope_plus_inf - f.slope_minus_inf) > 1e-12:
+    if not np.isfinite(f.M):
         raise AsymmetricSlopes(
             f"slopes {f.slope_minus_inf} / {f.slope_plus_inf} differ; "
             "the linear homotopy needs one asymptotic slope"
@@ -350,31 +346,19 @@ def homotopy(f: Nonlinearity, lam: float) -> Nonlinearity:
     return _finish(pp, knots, s, s, f.blend_margin, untouched, label)
 
 
-# sign changes are bracketed on this many evenly spaced points
-ZERO_SAMPLES = 2001
+def find_zeros(f: Nonlinearity, lo: float, hi: float) -> list:
+    """The real zeros of f in [lo, hi], ascending.
 
-
-def find_zeros(f, lo: float, hi: float) -> list:
-    """Numeric zeros of a scalar callable on [lo, hi], knots included if any."""
-    ts = np.linspace(lo, hi, ZERO_SAMPLES)
-    vals = np.asarray(f(ts), dtype=float)
+    They are the exact roots of the cubic pieces (`PPoly.roots`), so a
+    zero is found whether or not f changes sign there.  Roots within 1e-9
+    of each other are one zero, the first of them kept, as where a zero
+    sits on a breakpoint shared by two pieces.
+    """
     out = []
-    for i in range(ZERO_SAMPLES - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            out.append(float(ts[i]))
-        elif a * b < 0:
-            out.append(float(brentq(lambda t: float(f(t)), ts[i], ts[i + 1], xtol=1e-13)))
-    if vals[-1] == 0.0:
-        out.append(float(ts[-1]))
-    if isinstance(f, Nonlinearity):
-        out.extend(t for t, _ in f.knots if lo <= t <= hi)
-    out.sort()
-    dedup = []
-    for t in out:
-        if not dedup or abs(t - dedup[-1]) > 1e-9:
-            dedup.append(t)
-    return dedup
+    for t in f.ppoly.roots():
+        if lo <= t <= hi and (not out or t - out[-1] > 1e-9):
+            out.append(float(t))
+    return out
 
 
 @dataclass(frozen=True)
@@ -392,7 +376,7 @@ class HypothesisReport:
     slope_minus_inf: float
     slope_plus_inf: float
     symmetric_slopes: bool
-    nonresonant: bool
+    nonresonant: bool  # always True: a resonant slope raises instead
     resonance_margin: float
     k: int
     crossed_eigenvalues: tuple
@@ -414,21 +398,23 @@ class HypothesisReport:
 def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
     """Audit the structural hypotheses the solver stages rely on.
 
-    Checks nonresonance of the asymptotic slope, counts crossed eigenvalues,
-    classifies each prescribed zero, certifies the reduction modulus, and
-    tests the alternating five-zero pattern together with the degree-count
-    condition that forces an extra solution.
+    Counts crossed eigenvalues, classifies each prescribed zero, certifies
+    the reduction modulus, and tests the alternating five-zero pattern
+    together with the degree-count condition that forces an extra solution.
+    The tails are symmetric when they are equal, that is when f.M is
+    finite.  A resonant asymptotic slope raises ResonantSlope from
+    `spectrum.resonance_margin`, as in `split_spectrum`, so a returned
+    report is always nonresonant.
     """
     notes = []
     s_plus = f.slope_plus_inf
     s_minus = f.slope_minus_inf
-    symmetric = abs(s_plus - s_minus) <= 1e-12
+    symmetric = bool(np.isfinite(f.M))
     if not symmetric:
         notes.append("asymmetric tails: homotopy bound and global degree unavailable")
 
     eigs = spec.eigenvalues
-    margin = float(np.min(np.abs(eigs - s_plus)))
-    nonresonant = margin > RESONANCE_TOL
+    margin = resonance_margin(spec, s_plus)
     k = int(np.count_nonzero(eigs < s_plus))
     crossed = tuple(float(v) for v in eigs[eigs < s_plus])
 
@@ -464,7 +450,7 @@ def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
         slope_minus_inf=s_minus,
         slope_plus_inf=s_plus,
         symmetric_slopes=symmetric,
-        nonresonant=nonresonant,
+        nonresonant=True,
         resonance_margin=margin,
         k=k,
         crossed_eigenvalues=crossed,
@@ -479,15 +465,3 @@ def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
         crossing_matches_k=matches,
         notes=tuple(notes),
     )
-
-
-def require_nonresonant(f: Nonlinearity, spec):
-    """Raise ResonantSlope unless the asymptotic slope clears every
-    eigenvalue by RESONANCE_TOL."""
-    gaps = np.abs(spec.eigenvalues - f.slope_plus_inf)
-    if np.any(gaps < RESONANCE_TOL):
-        j = int(np.argmin(gaps))
-        raise ResonantSlope(
-            f"asymptotic slope {f.slope_plus_inf} within {RESONANCE_TOL} of eigenvalue "
-            f"{spec.eigenvalues[j]}"
-        )

@@ -337,7 +337,7 @@ def _images(spec, coeffs, odd: bool) -> list:
 
 
 def _min_type_zeros(f):
-    return sorted(t for t, s in f.zeros() if s < 0)
+    return sorted(t for t, s in f.knots if s < 0)
 
 
 def _truncation_stage(report, kind, mins):

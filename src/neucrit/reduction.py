@@ -289,7 +289,7 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     spec = ctx.spectrum
     func = ctx.functional
     k = ctx.k
-    zeros = [t for t, _ in func.nonlinearity.zeros()]
+    zeros = [t for t, _ in func.nonlinearity.knots]
     box = _seed_box(ctx, R)
 
     seeds = []

@@ -28,8 +28,9 @@ ends the pass at once, and any other is dropped.
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R from the largest solution norm it
 finds.  Each member's solutions obey the closed-form bound
-||u||_H1 <= (1 - lam) M C, so a member whose bound lies below the largest
-norm already found is skipped: searching it could not change R.
+||u||_H1 <= (1 - lam) C M, read off the base nonlinearity's M and C, so a
+member whose bound lies below the largest norm already found is skipped
+and never built: searching it could not change R.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ import numpy as np
 from scipy.optimize import root
 
 from .errors import (
+    AsymmetricSlopes,
     DivergingIterates,
     MaxItersExceeded,
     PathCollapse,
 )
-from .nonlinearity import find_zeros, homotopy, require_nonresonant
+from .nonlinearity import find_zeros, homotopy
 from .records import (
     DEDUP_RADIUS,
     GRAD_TOL,
@@ -54,6 +56,7 @@ from .records import (
     make_record,
     principal_simple_signdef,
 )
+from .spectrum import resonance_margin
 
 __all__ = [
     "SolverConfig",
@@ -87,7 +90,7 @@ HOMOTOPY_BUDGET = 32
 def find_constants(functional) -> list:
     """One record per prescribed zero; constants solve the problem exactly."""
     out = []
-    for t, s in functional.nonlinearity.zeros():
+    for t, s in functional.nonlinearity.knots:
         coeffs = functional.spectrum.constant_field(t)
         rec = make_record(
             functional, coeffs, "constant",
@@ -512,25 +515,30 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     each member that could raise the largest solution norm, and return
     R = SAFETY_FACTOR x the largest solution norm.
 
-    Write h_lam(t) = s t + g_lam(t) with M_lam = sup |g_lam| = (1 - lam) M.
-    At a critical point (lam_j - s) u_j = P_j g_lam(u), and Gram = I gives
-    the proven bound ||u||_H1 <= B(lam) = C M_lam with
+    Write h_lam(t) = s t + g_lam(t) with sup |g_lam| = (1 - lam) M, M the
+    base's certified offset.  At a critical point (lam_j - s) u_j =
+    P_j g_lam(u), and Gram = I gives the proven bound
+    ||u||_H1 <= B(lam) = (1 - lam) C M with
     C = sqrt(|Omega| max_j (1 + lam_j) / (lam_j - s)^2).  A member with
     B(lam) below the largest norm sampled so far cannot raise it, so it is
-    skipped: no functional, no seeds, no multistart.  B falls as lam rises,
-    so an ascending sweep samples a prefix of the members; a one-member
-    call always samples.  Skipped and sampled members alike keep their
-    random stream, rng_seed + 1000 + their index in `lambdas`.
+    skipped and never built: no member, functional, seeds or multistart.
+    B falls as lam rises, so an ascending sweep samples a prefix of the
+    members; a one-member call always samples.  Skipped and sampled members
+    alike keep their random stream, rng_seed + 1000 + their index in
+    `lambdas`.  A sampled member is seeded at its exact zeros.
 
     At lam = 1 the member is linear and nonresonant, so the only solution is
     0 (B(1) = 0 proves it when the member is skipped); lambda_one_clean
-    reports whether the sweep respected that.  Raises ResonantSlope or
-    AsymmetricSlopes before sweeping if the tails are bad.
+    reports whether the sweep respected that.  Raises ResonantSlope, or
+    AsymmetricSlopes when the tails differ (M is infinite), before sweeping.
     """
     from .energy import EnergyFunctional
 
-    require_nonresonant(nonlinearity, spectrum)
-    knot_ts = [t for t, _ in nonlinearity.zeros()]
+    resonance_margin(spectrum, nonlinearity.slope_plus_inf)
+    M = nonlinearity.M
+    if not np.isfinite(M):
+        raise AsymmetricSlopes("unequal tail slopes leave the member bounds infinite")
+    knot_ts = [t for t, _ in nonlinearity.knots]
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
     start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
     lam_j = spectrum.eigenvalues
@@ -542,13 +550,13 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     max_norm = 0.0
     clean = True
     for li, lam in enumerate(lambdas):
-        g = homotopy(nonlinearity, float(lam))
-        bound = C * g.M
+        bound = C * ((1.0 - float(lam)) * M)
         row = {"lam": float(lam), "bound": bound, "sampled": not bound < max_norm,
                "n_found": None, "max_norm": None}
         per_lambda.append(row)
         if not row["sampled"]:
             continue
+        g = homotopy(nonlinearity, float(lam))
         func = EnergyFunctional(spectrum, g)
         seeds = [
             spectrum.constant_field(t)
@@ -572,5 +580,4 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False
     R = SAFETY_FACTOR * max_norm
-    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, nonlinearity.M, mode,
-                               C * nonlinearity.M, per_lambda, clean)
+    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, M, mode, C * M, per_lambda, clean)

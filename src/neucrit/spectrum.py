@@ -31,6 +31,7 @@ __all__ = [
     "SpectrumSlice",
     "build_spectrum",
     "quad_points_per_axis",
+    "resonance_margin",
     "split_spectrum",
 ]
 
@@ -298,21 +299,33 @@ def build_spectrum(domain: Domain, n_modes: int) -> SpectrumSlice:
     return SpectrumSlice(domain, n_modes)
 
 
-def split_spectrum(spec: SpectrumSlice, slope: float) -> SpectrumSlice:
-    """Split the basis into X (eigenvalues below `slope`) and Y (the rest).
+def resonance_margin(spec: SpectrumSlice, slope: float) -> float:
+    """Distance from `slope` to the nearest eigenvalue of `spec`.
 
-    Counting is strict and includes multiplicity.  Raises ResonantSlope if
-    `slope` sits within RESONANCE_TOL of an eigenvalue, where the count
-    would be ill-defined.  Returns a new slice; the input is untouched.
+    Raises ResonantSlope when it is below RESONANCE_TOL: the eigenvalue
+    count below a resonant slope, and with it the split and the degree, is
+    ill-defined.
     """
     slope = float(slope)
     gaps = np.abs(spec.eigenvalues - slope)
-    if np.any(gaps < RESONANCE_TOL):
-        j = int(np.argmin(gaps))
+    j = int(np.argmin(gaps))
+    if gaps[j] < RESONANCE_TOL:
         raise ResonantSlope(
             f"slope {slope} is within {RESONANCE_TOL} of eigenvalue "
             f"{spec.eigenvalues[j]} (index {j})"
         )
+    return float(gaps[j])
+
+
+def split_spectrum(spec: SpectrumSlice, slope: float) -> SpectrumSlice:
+    """Split the basis into X (eigenvalues below `slope`) and Y (the rest).
+
+    Counting is strict and includes multiplicity.  Raises ResonantSlope if
+    `slope` is resonant (`resonance_margin`).  Returns a new slice; the
+    input is untouched.
+    """
+    slope = float(slope)
+    resonance_margin(spec, slope)
     import copy
 
     out = copy.copy(spec)

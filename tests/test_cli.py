@@ -99,6 +99,25 @@ def test_run_writes_artifacts_and_plot(tmp_path, capsys):
     assert (plot_dir / "profiles.svg").exists()
 
 
+def test_plot_report_without_ledger(tmp_path, capsys):
+    """A run without the ledger stage writes `"ledger": null`; plotting it
+    draws no profiles, the same SVG as a report with no ledger key."""
+    out_dir = tmp_path / "run"
+    assert main(["run", "--stage", "constants", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    report = out_dir / "report.json"
+    blob = json.loads(report.read_text())
+    assert blob["ledger"] is None
+    assert main(["plot", str(report)]) == 0
+    svg = capsys.readouterr().out
+    assert svg.startswith("<svg")
+    del blob["ledger"]
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text(json.dumps(blob))
+    assert main(["plot", str(keyless)]) == 0
+    assert capsys.readouterr().out == svg
+
+
 def test_plot_requires_report(capsys):
     assert main(["plot"]) == 1
     assert "report path" in capsys.readouterr().err

@@ -200,6 +200,26 @@ def test_transfer_needs_coincidence_region(ref5):
         transfer_to_original(rec, func, func_h)
 
 
+@pytest.mark.parametrize("kind, lo, hi", [("below", None, -1.0), ("above", 1.0, None),
+                                          ("interval", -1.0, 1.0)])
+def test_transfer_equals_a_fresh_record(ref5, reference_report, kind, lo, hi):
+    """On each reference truncation the transferred record is the record
+    the original functional builds afresh, bit for bit: f and f' agree on
+    the record's range, so the Morse data need not be assembled again."""
+    spec, f, func = ref5
+    coeffs = np.array(reference_report.stages[f"truncation_{kind}"]["truncated_record"]["coeffs"])
+    tfunc = nc.EnergyFunctional(spec, nc.truncate(f, lo, hi))
+    moved = transfer_to_original(nc.make_record(tfunc, coeffs, "mp_type", {"kind": kind}),
+                                 func, tfunc)
+    fresh = nc.make_record(func, coeffs, "mp_type", {})
+    assert np.array_equal(moved.coeffs, fresh.coeffs)
+    for name in ("energy", "residual", "h1_norm", "urange", "morse_index", "degenerate"):
+        assert getattr(moved, name) == getattr(fresh, name), name
+    assert np.array_equal(moved.hessian_eigs, fresh.hessian_eigs)
+    assert np.array_equal(moved.principal_vec, fresh.principal_vec)
+    assert moved.provenance == {"kind": kind, "transferred_from": tfunc.nonlinearity.label}
+
+
 def test_ledger_dedup_and_upgrade(ref5):
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=20.0, spectrum=spec)

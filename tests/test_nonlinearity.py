@@ -338,9 +338,24 @@ def test_find_zeros(f5):
     zs = find_zeros(f5, -4.0, 4.0)
     assert len(zs) == 5
     assert np.allclose(zs, [-2.0, -1.0, 0.0, 1.0, 2.0], atol=1e-9)
-    # plain callables work too
-    zs2 = find_zeros(lambda t: np.cos(t), 0.0, 8.0)
-    assert np.allclose(zs2, [np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2], atol=1e-9)
+
+
+def test_find_zeros_off_the_knots():
+    """A homotopy member's zeros move off the knots; the exact roots of
+    its pieces match brentq on the sign changes of a fine scan."""
+    from scipy.optimize import brentq
+
+    hump = build_nonlinearity([(-1.0, -3.0), (1.0, -3.0)], 2.5, 2.5,
+                              shape_points=[(0.0, 1.0, 0.5)])
+    g = homotopy(hump, 0.3)
+    ts = np.linspace(-5.0, 5.0, 4001)
+    vals = g(ts)
+    expect = [brentq(g, a, b, xtol=1e-14)
+              for a, b, va, vb in zip(ts, ts[1:], vals, vals[1:]) if va * vb < 0]
+    zs = find_zeros(g, -5.0, 5.0)
+    assert expect and len(zs) == len(expect)
+    assert np.max(np.abs(np.array(zs) - expect)) < 1e-12
+    assert min(abs(z - t) for z in zs for t, _ in hump.knots) > 0.5
 
 
 def test_check_hypotheses_reference(f5, ref5):
@@ -378,11 +393,3 @@ def test_check_hypotheses_empty_y_block(f5):
     assert rep.k == 2
     assert not rep.reduction_applicable
     assert np.isnan(rep.lambda_min_y)
-
-
-def test_require_nonresonant(f5, ref5):
-    spec, _, _ = ref5
-    nc.require_nonresonant(f5, spec)  # 2.5 clears every square eigenvalue
-    g = build_nonlinearity([(0.0, -1.0)], 4.0, 4.0)
-    with pytest.raises(nc.ResonantSlope):
-        nc.require_nonresonant(g, spec)

@@ -152,7 +152,7 @@ def test_psi_population_matches_psi(ref5, ref5_ctx, domain):
     rng = np.random.default_rng(39)
     rows = np.zeros((20, spec.n_modes))
     rows[:, spec.x_indices] = rng.uniform(-R, R, size=(20, ctx.k))
-    consts = [spec.x_projection(spec.constant_field(t)) for t, _ in func.nonlinearity.zeros()]
+    consts = [spec.x_projection(spec.constant_field(t)) for t, _ in func.nonlinearity.knots]
     rows = np.vstack([rows, consts])
     sol = psi_population(ctx, rows)
     assert sol.y.shape == rows.shape

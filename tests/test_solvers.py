@@ -6,6 +6,8 @@ import neucrit.solvers as solvers
 from neucrit.records import DEDUP_RADIUS, GRAD_TOL
 from neucrit.solvers import PATH_NODES, SAFETY_FACTOR, dedup_records, mountain_pass, multistart
 
+from conftest import REF5_KNOTS
+
 # frozen search outcomes for the reference problem, independently recomputed
 # before the solvers were written (brute-force coefficient grids plus Newton)
 WELL_SADDLE_J = -0.368210          # original-functional energy, outer wells
@@ -264,6 +266,41 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
     monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
     nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
     assert len(calls) == 632
+
+
+def test_homotopy_bound_builds_only_sampled_members(ref5, solver_cfg, monkeypatch):
+    """Every member's bound is (1 - lam) C M of the base, so only the
+    sampled members are built: 5 of the reference run's 11, and only
+    lam = 0 of [0, 0.5, 1]."""
+    spec, f, _ = ref5
+    built = []
+
+    def counted(g, lam):
+        built.append(lam)
+        return nc.homotopy(g, lam)
+
+    monkeypatch.setattr(solvers, "homotopy", counted)
+    cfg = nc.reference_config()
+    cfg["stages"] = ["homotopy"]
+    rows = nc.run_pipeline(cfg).stages["homotopy"]["per_lambda"]
+    assert built == [row["lam"] for row in rows if row["sampled"]]
+    assert len(built) == 5
+    built.clear()
+    nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
+    assert built == [0.0]
+
+
+def test_homotopy_bound_needs_exactly_equal_tails(ref5, solver_cfg):
+    """Equal tails means equal slopes, the case in which M is finite; a
+    difference of 1e-13 leaves M infinite and no member bound."""
+    spec, _, _ = ref5
+    near = nc.build_nonlinearity(REF5_KNOTS, 2.5, 2.5 + 1e-13)
+    assert near.M == np.inf
+    with pytest.raises(nc.AsymmetricSlopes):
+        nc.homotopy_bound(near, spec, [0.0, 1.0], solver_cfg)
+    with pytest.raises(nc.AsymmetricSlopes):
+        nc.homotopy(near, 0.5)
+    assert not nc.check_hypotheses(near, spec).symmetric_slopes
 
 
 def test_multistart_builds_one_record_per_result(ref5, monkeypatch):
