@@ -14,7 +14,6 @@ from .errors import (
     AnchorSlopeNonNegative,
     AsymmetricSlopes,
     ConfigError,
-    DivergingIterates,
     DuplicateKnots,
     MaxItersExceeded,
     ModulusViolated,
@@ -66,7 +65,6 @@ from .solvers import (
     dedup_records,
     find_constants,
     homotopy_bound,
-    minimize,
     mountain_pass,
     multistart,
     refine_critical,
@@ -94,7 +92,6 @@ __all__ = [
     "make_record",
     "principal_simple_signdef",
     "find_constants",
-    "minimize",
     "mountain_pass",
     "homotopy_bound",
     "HomotopyBoundResult",
@@ -128,7 +125,6 @@ __all__ = [
     "AnchorSlopeNonNegative",
     "AsymmetricSlopes",
     "MaxItersExceeded",
-    "DivergingIterates",
     "PathCollapse",
     "ModulusViolated",
     "ReductionInapplicable",

@@ -37,10 +37,6 @@ class MaxItersExceeded(NeucritError):
     """An iterative solver ran out of its iteration budget."""
 
 
-class DivergingIterates(NeucritError):
-    """Descent iterates left the trust ball; the functional is unbounded below there."""
-
-
 class PathCollapse(NeucritError):
     """The mountain-pass path found no barrier between the endpoints."""
 

@@ -23,7 +23,7 @@ from scipy.optimize import minimize as scipy_minimize
 from .errors import MaxItersExceeded, ModulusViolated, ReductionInapplicable
 from .records import SolverConfig, make_record
 from .solvers import refine_critical
-from .spectrum import RESONANCE_TOL
+from .spectrum import resonance_margin
 
 __all__ = [
     "ReductionContext",
@@ -375,6 +375,10 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell) -> LocalMaxMinR
     difference compared against the coefficient-space Hessian diagonal
     lambda_j - f'(alpha): the full Hessian is diagonal at a constant, so
     its Schur complement onto X is exactly that block.
+
+    Raises ResonantSlope when f'(alpha) is resonant (`resonance_margin`),
+    and ValueError when alpha is not a zero of f or ell does not count the
+    X eigenvalues below f'(alpha).
     """
     spec = ctx.spectrum
     f = ctx.functional.nonlinearity
@@ -382,6 +386,7 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell) -> LocalMaxMinR
     if abs(falpha) > 1e-10:
         raise ValueError(f"f({alpha}) = {falpha:.3g} != 0; not a constant solution")
     slope = f.deriv(alpha)
+    resonance_margin(spec, slope)
     eig = [spec.pairs[i].eigenvalue for i in spec.x_indices]
     ell_true = sum(1 for lam in eig if lam < slope)
     if ell != ell_true:
@@ -391,8 +396,6 @@ def local_max_min_at_constant(ctx: ReductionContext, alpha, ell) -> LocalMaxMinR
         )
     if ell >= spec.k:
         raise ValueError(f"ell={ell} must be < k={spec.k}")
-    if any(abs(lam - slope) < RESONANCE_TOL for lam in eig):
-        raise ValueError(f"f'({alpha})={slope:.6g} is resonant with an X eigenvalue")
 
     x0 = spec.x_projection(spec.constant_field(alpha))
     J0 = reduced_value(ctx, x0)

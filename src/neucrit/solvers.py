@@ -1,12 +1,13 @@
-"""Search stages: constants, descent, mountain pass, homotopy bound,
-multistart.
+"""Search stages: constants, mountain pass, homotopy bound, multistart.
 
-All solvers work on coefficient vectors and report Sobolev residuals.  The
-descent loop is hand-rolled backtracking on the metric gradient so the
-energy sequence is provably nonincreasing; once the residual is small the
-iterate is polished by a Newton-type root solve on the gradient system
-(MINPACK's dogleg trust region, plus a plain Newton fallback), which
-converges to saddles as happily as to minima.  The root solve stops at the
+All solvers work on coefficient vectors and report Sobolev residuals.
+Every search polishes a start with the same Newton-type root solve on the
+gradient system, `refine_critical` (MINPACK's dogleg trust region, plus a
+plain Newton fallback), which converges to saddles as happily as to
+minima.  No search descends to a minimum: a descent reaches only stable
+critical points, and on a convex domain every stable Neumann solution is
+constant (Casten and Holland, JDE 27, 1978; Matano, Publ. RIMS 15, 1979),
+which `find_constants` gives in closed form.  The root solve stops at the
 first point it evaluates whose Sobolev residual meets GRAD_TOL: MINPACK's
 own step test (xtol = 1e-13) lies below the rounding noise of the
 iterates, so without that stop hybr keeps iterating on a converged point
@@ -41,12 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import root
 
-from .errors import (
-    AsymmetricSlopes,
-    DivergingIterates,
-    MaxItersExceeded,
-    PathCollapse,
-)
+from .errors import AsymmetricSlopes, MaxItersExceeded, PathCollapse
 from .nonlinearity import find_zeros, homotopy
 from .records import (
     DEDUP_RADIUS,
@@ -62,7 +58,6 @@ __all__ = [
     "SolverConfig",
     "CriticalPointRecord",
     "find_constants",
-    "minimize",
     "refine_critical",
     "mountain_pass",
     "homotopy_bound",
@@ -71,10 +66,8 @@ __all__ = [
     "dedup_records",
 ]
 
-# iteration budget of a descent and sweep budget of a mountain pass
+# sweep budget of a mountain pass
 MAX_ITERS = 4000
-# residual at which a descent hands over to the root solve's polish
-_DESCENT_TOL = max(GRAD_TOL, 1e-7)
 # mountain-pass polyline nodes, endpoints included
 PATH_NODES = 41
 # sweeps between two redistributions of the polyline; each redistribution
@@ -99,48 +92,6 @@ def find_constants(functional) -> list:
         )
         out.append(rec)
     return out
-
-
-def _descend(functional, start, tol, radius_guard=None, trace=None):
-    """Backtracking descent on the metric gradient.  Returns (coeffs, iters).
-
-    Guarantees J never increases along the iterates.  Raises
-    DivergingIterates when the iterate norm passes radius_guard and
-    MaxItersExceeded when MAX_ITERS steps do not reach `tol`.
-    """
-    spec = functional.spectrum
-    u = np.asarray(start, dtype=float).copy()
-    J = functional.value(u)
-    if trace is not None:
-        trace.append(J)
-    step = 1.0
-    for it in range(MAX_ITERS):
-        g = functional.gradient(u)
-        gn2 = spec.h1_inner(g, g)
-        if np.sqrt(gn2) <= tol:
-            return u, it
-        # Armijo backtracking in the Sobolev metric
-        accepted = False
-        for _ in range(60):
-            cand = u - step * g
-            Jc = functional.value(cand)
-            if Jc <= J - 1e-4 * step * gn2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # gradient direction gives no decrease at tiny steps: converged
-            # to working precision
-            return u, it
-        u, J = cand, Jc
-        step = min(step * 1.6, 1e3)
-        if trace is not None:
-            trace.append(J)
-        if radius_guard is not None and spec.h1_norm(u) > radius_guard:
-            raise DivergingIterates(
-                f"iterate norm {spec.h1_norm(u):.3g} passed the guard {radius_guard:.3g}"
-            )
-    raise MaxItersExceeded(f"descent did not reach tol={tol:g} in {MAX_ITERS} iters")
 
 
 class _Converged(Exception):
@@ -217,33 +168,6 @@ def refine_critical(functional, start):
             return None
         u = u + delta
     return u if functional.residual(u) <= GRAD_TOL else None
-
-
-def minimize(functional, start, radius_guard=None, trace=None) -> CriticalPointRecord:
-    """Descend from `start` to a critical point, then Newton-polish.
-
-    The energy sequence along the iterates is nonincreasing.  A start that
-    already meets GRAD_TOL is returned as-is with zero iterations.
-    """
-    u = np.asarray(start, dtype=float)
-    iters = 0
-    descended = functional.residual(u) > GRAD_TOL
-    if descended:
-        u, iters = _descend(functional, u, _DESCENT_TOL, radius_guard=radius_guard,
-                            trace=trace)
-        polished = refine_critical(functional, u)
-        if polished is not None and functional.spectrum.h1_dist(polished, u) < 1.0:
-            u = polished
-        else:
-            u, _ = _descend(functional, u, GRAD_TOL, radius_guard=radius_guard)
-    rec = make_record(functional, u, "other",
-                      {"stage": "minimize", "functional": functional.nonlinearity.label},
-                      iterations=iters)
-    if rec.morse_index == 0:
-        rec.classification = "minimizer"
-    elif descended:
-        rec = rec.with_notes(f"descent stopped at index {rec.morse_index}")
-    return rec
 
 
 def _redistribute(spec, path):
@@ -436,14 +360,13 @@ def dedup_records(spec, records):
 
 
 # a converged multistart point before its record is built
-_Candidate = namedtuple("_Candidate", "energy coeffs method start_index")
+_Candidate = namedtuple("_Candidate", "energy coeffs start_index")
 
 
-def multistart(functional, radius, seeds=(), *, budget, rng, descent=True) -> list:
+def multistart(functional, radius, seeds=(), *, budget, rng) -> list:
     """`budget` random starts from `rng` in the Sobolev ball of the given
-    radius, each refined by a Newton-type root solve and optionally by
-    descent.  Returns records deduplicated and deterministically ordered
-    (energy, then coefficients).
+    radius, each refined by one Newton-type root solve.  Returns records
+    deduplicated and deterministically ordered (energy, then coefficients).
 
     Seeds are extra deterministic starts prepended to the random ones and do
     not count against the budget.  The converged points (refine_critical
@@ -455,31 +378,17 @@ def multistart(functional, radius, seeds=(), *, budget, rng, descent=True) -> li
     starts = [np.asarray(s, dtype=float) for s in seeds]
     starts += _random_ball_starts(spec, rng, budget, radius)
 
-    found = []
+    candidates = []
     for idx, start in enumerate(starts):
         cand = refine_critical(functional, start)
         if cand is not None and spec.h1_norm(cand) <= 4.0 * radius + 10.0:
-            found.append((cand, "newton", idx))
-        if descent:
-            try:
-                u, _ = _descend(functional, start, _DESCENT_TOL,
-                                radius_guard=2.0 * radius + 10.0)
-            except (DivergingIterates, MaxItersExceeded):
-                u = None
-            if u is not None:
-                polished = refine_critical(functional, u)
-                if polished is not None:
-                    found.append((polished, "descent", idx))
+            candidates.append(_Candidate(functional.value(cand), cand, idx))
 
-    candidates = [
-        _Candidate(functional.value(coeffs), coeffs, method, idx)
-        for coeffs, method, idx in found
-    ]
     records = []
     for cand in dedup_records(spec, candidates):
         rec = make_record(
             functional, cand.coeffs, "other",
-            {"stage": "multistart", "method": cand.method, "start_index": cand.start_index,
+            {"stage": "multistart", "start_index": cand.start_index,
              "functional": functional.nonlinearity.label},
         )
         if rec.is_constant():
@@ -573,7 +482,7 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
                     seeds.append(e)
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
         recs = multistart(func, start_radius, seeds=seeds,
-                          budget=HOMOTOPY_BUDGET, rng=rng, descent=False)
+                          budget=HOMOTOPY_BUDGET, rng=rng)
         top = max((r.h1_norm for r in recs), default=0.0)
         row.update(n_found=len(recs), max_norm=top)
         max_norm = max(max_norm, top)

@@ -98,10 +98,11 @@ def test_reference_multistart_closes_orbits_without_random_starts(reference_repo
 
 def test_reference_search_counts(monkeypatch):
     """Evaluation counts are deterministic, so the reference run pins them:
-    the sweeps of each truncated mountain pass and the energy, L2 gradient
-    and Hessian evaluations of the whole run, counted at the class since
-    every stage builds its own functionals.  A second run repeats them."""
-    counted = ("value", "l2_gradient", "hessian_pencil")
+    the sweeps of each truncated mountain pass and the energy, metric
+    gradient, L2 gradient and Hessian evaluations of the whole run, counted
+    at the class since every stage builds its own functionals.  A second
+    run repeats them."""
+    counted = ("value", "gradient", "l2_gradient", "hessian_pencil")
     calls = Counter()
 
     def counting(name):
@@ -126,7 +127,8 @@ def test_reference_search_counts(monkeypatch):
     # a transferred truncation record reuses the truncated record's Morse
     # data, so the three transfers assemble no Hessian
     assert runs[0] == ([30, 25, 40],
-                       {"value": 1367, "l2_gradient": 3545, "hessian_pencil": 483})
+                       {"value": 1359, "gradient": 231, "l2_gradient": 3541,
+                        "hessian_pencil": 483})
 
 
 def test_images_close_the_symmetry_group():

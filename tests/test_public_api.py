@@ -27,5 +27,6 @@ def test_star_import():
     exec("from neucrit import *", namespace)
     assert set(neucrit.__all__) <= set(namespace)
     assert "truncate" in namespace
-    for gone in ("truncate_below", "truncate_above", "truncate_interval"):
+    for gone in ("truncate_below", "truncate_above", "truncate_interval",
+                 "minimize", "DivergingIterates"):
         assert gone not in namespace

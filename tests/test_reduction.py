@@ -18,6 +18,8 @@ from neucrit.reduction import (
 )
 from neucrit.records import GRAD_TOL
 
+from conftest import REF5_KNOTS
+
 BIG_ORBIT_J = 6.667327
 BIG_ORBIT_NORM = 7.2085
 BIG_ORBIT_RANGE = 4.2322
@@ -212,14 +214,14 @@ def test_maximize_reduced_objective(ref5, ref5_ctx, solver_cfg, monkeypatch):
     one psi call per evaluation; the polish adds one more psi call."""
     spec = ref5_ctx.spectrum
     objectives, evals, psi_calls = [], [0], [0]
-    minimize, solve = reduction.scipy_minimize, reduction.psi
+    scipy_minimize, solve = reduction.scipy_minimize, reduction.psi
 
     def capture(fun, x0, **kw):
         def counted(xi):
             evals[0] += 1
             return fun(xi)
         objectives.append(fun)
-        return minimize(counted, x0, **kw)
+        return scipy_minimize(counted, x0, **kw)
 
     def counted_psi(*args, **kw):
         psi_calls[0] += 1
@@ -369,3 +371,14 @@ def test_local_max_min_validation(ref5_ctx):
         local_max_min_at_constant(ref5_ctx, alpha=-1.0, ell=1)
     with pytest.raises(ValueError, match="must be < k"):
         local_max_min_at_constant(ref5_ctx, alpha=0.0, ell=2)
+
+
+def test_local_max_min_resonant_slope(ref5):
+    """A crossing slope on an eigenvalue leaves the block split undefined:
+    the scan raises ResonantSlope, as every other resonance test does."""
+    spec, _, _ = ref5
+    knots = [(t, 1.0 if t == 0.0 else s) for t, s in REF5_KNOTS]
+    f = nc.build_nonlinearity(knots, 2.5, 2.5)
+    ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
+    with pytest.raises(nc.ResonantSlope):
+        local_max_min_at_constant(ctx, alpha=0.0, ell=1)

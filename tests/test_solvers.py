@@ -40,62 +40,14 @@ def test_find_constants(ref5):
     assert by_zero[1.0].morse_index == 0
 
 
-def test_minimize_descends_to_well(ref5):
-    spec, f, func = ref5
-    start = spec.constant_field(1.0)
-    start[2] = 0.4
-    trace = []
-    rec = nc.minimize(func, start, trace=trace)
-    assert rec.classification == "minimizer"
-    assert rec.residual <= GRAD_TOL
-    assert rec.energy == pytest.approx(-11.0 * np.pi / 24.0, abs=1e-10)
-    assert np.all(np.diff(trace) <= 1e-12)  # energy never increases
-    assert rec.iterations > 0
-
-
-def test_minimize_zero_iterations_at_critical(ref5):
-    spec, f, func = ref5
-    rec = nc.minimize(func, spec.constant_field(1.0))
-    assert rec.iterations == 0 and rec.classification == "minimizer"
-    # a critical start that is a saddle is not called a minimizer
-    rec2 = nc.minimize(func, spec.constant_field(0.0))
-    assert rec2.iterations == 0 and rec2.classification == "other"
-
-
-def test_minimize_builds_one_record(ref5, monkeypatch):
-    """Each branch computes the Morse data once, inside make_record."""
-    spec, f, func = ref5
-    calls = []
-    morse_data = nc.EnergyFunctional.morse_data
-
-    def counted(self, *args):
-        calls.append(1)
-        return morse_data(self, *args)
-
-    monkeypatch.setattr(nc.EnergyFunctional, "morse_data", counted)
-    start = spec.constant_field(1.0)
-    nc.minimize(func, start)
-    start[2] = 0.4
-    rec = nc.minimize(func, start)
-    assert rec.classification == "minimizer" and rec.iterations > 0
-    assert len(calls) == 2
-
-
-def test_minimize_diverging_iterates():
-    func = linear_functional(3.0)  # J = 1/2 sum (lam - 3) c^2, unbounded below
-    start = np.zeros(8)
-    start[0] = 0.1
-    with pytest.raises(nc.DivergingIterates):
-        nc.minimize(func, start, radius_guard=5.0)
-
-
-def test_minimize_iteration_budget(ref5, monkeypatch):
-    spec, f, func = ref5
-    monkeypatch.setattr(solvers, "MAX_ITERS", 2)
-    start = spec.constant_field(1.0)
-    start[3] = 1.0
+def test_mountain_pass_sweep_budget(ref5, monkeypatch):
+    """MAX_ITERS bounds the sweeps; the outer-well pass needs 30 of them,
+    so a budget of 3 runs out before any redistribution."""
+    spec, f, _ = ref5
+    monkeypatch.setattr(solvers, "MAX_ITERS", 3)
+    func = nc.EnergyFunctional(spec, nc.truncate(f, None, -1.0))
     with pytest.raises(nc.MaxItersExceeded):
-        nc.minimize(func, start)
+        mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
 
 
 def test_mountain_pass_collapses_on_convex():
@@ -329,8 +281,8 @@ def test_refine_critical_polishes(ref5):
 
 def test_multistart_deterministic(ref5):
     spec, f, func = ref5
-    a = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7), descent=False)
-    b = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7), descent=False)
+    a = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
+    b = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
     assert len(a) == len(b) > 0
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.coeffs, rb.coeffs)
@@ -344,10 +296,26 @@ def test_multistart_deterministic(ref5):
 def test_multistart_finds_constants(ref5):
     spec, f, func = ref5
     seeds = [spec.constant_field(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    recs = multistart(func, radius=3.0, seeds=seeds, budget=0, rng=np.random.default_rng(7),
-                      descent=False)
+    recs = multistart(func, radius=3.0, seeds=seeds, budget=0, rng=np.random.default_rng(7))
     assert len(recs) == 5
     assert all(r.classification == "constant" for r in recs)
+
+
+def test_multistart_one_root_solve_per_start(ref5, monkeypatch):
+    """Each start, seed or random, is polished by exactly one root solve."""
+    spec, f, func = ref5
+    calls = []
+    refine = solvers.refine_critical
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(solvers, "refine_critical", counted)
+    seeds = [spec.constant_field(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    recs = multistart(func, radius=3.0, seeds=seeds, budget=15, rng=np.random.default_rng(7))
+    assert len(calls) == 20
+    assert len(recs) == 5
 
 
 def test_dedup_records(ref5):
