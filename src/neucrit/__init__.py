@@ -47,6 +47,7 @@ from .records import (
     CriticalPointRecord,
     SolverConfig,
     make_record,
+    newton_radius,
     principal_simple_signdef,
 )
 from .reduction import (
@@ -90,6 +91,7 @@ __all__ = [
     "SolverConfig",
     "CriticalPointRecord",
     "make_record",
+    "newton_radius",
     "principal_simple_signdef",
     "find_constants",
     "mountain_pass",

@@ -7,8 +7,9 @@ blend piece of configurable width, so the whole function is C1 by
 construction and exactly affine outside a bounded window.  The primitive F
 (with F(0) = 0) is the exact piecewise antiderivative, and the certified
 bounds sup f' / inf f' are computed from the quadratic derivative pieces,
-not sampled.  So is M = sup |f(t) - s t| for a common tail slope s: the
-tails are affine with slope s, so f - s t is constant beyond the window.
+not sampled; sup |f''| is read off their linear derivatives.  So is
+M = sup |f(t) - s t| for a common tail slope s: the tails are affine with
+slope s, so f - s t is constant beyond the window.
 Oddness, f(-t) = -f(t), is read off the pieces the same way: breakpoints
 symmetric about 0 and each cubic piece the negated mirror of its partner.
 
@@ -77,6 +78,13 @@ def _extreme_slopes(dpp: PPoly):
     return float(hi), float(lo)
 
 
+def _curvature_sup(dpp: PPoly) -> float:
+    """Exact sup |f''|: on each piece f'' = 2 a t + b is linear, so its
+    sup is at an end of the piece."""
+    a, b = dpp.c[0], dpp.c[1]
+    return float(np.max(np.maximum(np.abs(b), np.abs(2.0 * a * np.diff(dpp.x) + b))))
+
+
 def _tail_offset_sup(pp: PPoly, s: float) -> float:
     """Exact sup |f(t) - s t| when both affine tails have slope s: the
     cubic pieces' extremes are at their ends or at the real roots of the
@@ -140,6 +148,7 @@ class Nonlinearity:
     blend_margin: float
     gamma: float  # certified sup f'
     min_slope: float  # certified inf f'
+    curvature: float  # certified sup |f''|
     # certified sup |f(t) - s t| for the common tail slope s; finite exactly
     # when the two tail slopes are equal, which is what "equal tails" means
     M: float
@@ -184,6 +193,7 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
         blend_margin=float(margin),
         gamma=gamma,
         min_slope=lo,
+        curvature=_curvature_sup(dpp),
         M=M,
         odd=odd,
         untouched=untouched,

@@ -516,15 +516,15 @@ def run_pipeline(config: dict) -> RunReport:
             else:
                 break
             held = len(ledger.records)
-            found = multistart(func, R, seeds=seeds, budget=n, rng=rng)
+            found, outcomes = multistart(func, R, seeds=seeds, budget=n, rng=rng)
             for rec in found:
                 admit(rec)
             lrep = ledger.reconcile(func)
             report.ledger_report = lrep
             fresh = ledger.records[held:]
             last_found = [r.to_dict() for r in found]
-            passes.append({"kind": kind, "starts": len(seeds) + n, "added": len(fresh),
-                           "deficiency": lrep.deficiency})
+            passes.append({"kind": kind, "starts": len(seeds) + n, "outcomes": outcomes,
+                           "added": len(fresh), "deficiency": lrep.deficiency})
         report.stages["multistart"] = {
             "passes": passes,
             "chunks": sum(p["kind"] == "random" for p in passes),

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["SolverConfig", "CriticalPointRecord", "make_record", "principal_simple_signdef"]
+__all__ = ["SolverConfig", "CriticalPointRecord", "make_record", "newton_radius",
+           "principal_simple_signdef"]
 
 # the Sobolev residual every returned record must meet; it is also where
 # every root solve stops (see `solvers.refine_critical`)
@@ -111,6 +112,27 @@ def make_record(functional, coeffs, classification: str, provenance: dict,
         iterations=iterations,
         notes=tuple(notes),
     )
+
+
+def newton_radius(functional, record) -> float:
+    """Sobolev radius of the certified Newton basin of a record's zero.
+
+    Plain Newton converges to a zero x* from every point within
+    2 / (3 beta L) of it, beta a bound on the inverse Hessian at x* and L
+    the Lipschitz constant of the Hessian (Rall, SIAM J. Numer. Anal. 11,
+    1974).  In the Sobolev metric beta = 1 / min |nu| over the record's
+    `hessian_eigs`, the eigenvalues of the pencil.  Gram = I and positive
+    quadrature weights give |<(A(u) - A(v)) h, k>| <= sup |f''|
+    max_i |u(x_i) - v(x_i)| ||h|| ||k||, so L = sup |f''| C with C the
+    spectrum's `embedding_constant`.  An affine f has L = 0 and an infinite
+    radius; a degenerate record has no certified basin, radius 0.
+    """
+    if record.degenerate:
+        return 0.0
+    L = functional.nonlinearity.curvature * functional.spectrum.embedding_constant
+    if L == 0.0:
+        return np.inf
+    return 2.0 * float(np.min(np.abs(record.hessian_eigs))) / (3.0 * L)
 
 
 def principal_simple_signdef(functional, record) -> bool:

@@ -13,9 +13,14 @@ own step test (xtol = 1e-13) lies below the rounding noise of the
 iterates, so without that stop hybr keeps iterating on a converged point
 until it reports poor progress.
 
-Multistart builds full records (Morse data included) only for the points
-that survive deduplication; candidates are compared by energy and
-coefficients alone.
+Every point a search finds has a certified Newton basin, the Sobolev ball
+of radius `records.newton_radius` from which plain Newton provably
+converges to it.  A root solve passed such basins stops at the first point
+that enters one and returns that basin's zero, with no further evaluation.
+Multistart builds a point's full record (Morse data included, which gives
+the radius) when it finds the point, and passes the basins of the points
+it holds to every later start; a start that ends at a held point adds
+nothing.
 
 The mountain pass is a discrete path method: keep a polyline between two
 low-energy endpoints, repeatedly pick the maximal-energy node, slide it
@@ -24,7 +29,9 @@ re-equalize node spacing.  A transverse perturbation of the initial
 straight path keeps it out of the constants line, which is invariant under
 the flow and full of index-2 traps.  After every redistribution the highest
 node is refined; a refined point that is a certified mountain-pass saddle
-ends the pass at once, and any other is dropped.
+ends the pass at once, and any other is dropped.  A dropped point's basin
+is passed to the later refines, and one that ends there is dropped without
+rebuilding its record.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R from the largest solution norm it
@@ -36,7 +43,6 @@ and never built: searching it could not change R.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,6 +56,7 @@ from .records import (
     CriticalPointRecord,
     SolverConfig,
     make_record,
+    newton_radius,
     principal_simple_signdef,
 )
 from .spectrum import resonance_margin
@@ -95,27 +102,37 @@ def find_constants(functional) -> list:
 
 
 class _Converged(Exception):
-    """Raised inside the root solve at the first point that meets GRAD_TOL."""
+    """Raised inside the root solve at the first point that meets GRAD_TOL
+    or lies in a held Newton basin; carries the coefficients to return."""
 
     def __init__(self, u):
         super().__init__()
         self.u = u
 
 
-def _last_point_cached(fn):
-    """`fn` with a one-entry cache keyed on the bytes of its argument."""
-    last = [None, None]
+class _LastPoint:
+    """`fn` with a one-entry cache keyed on the bytes of its argument.
 
-    def cached(c):
+    `release` drops `fn` and the cached value.  scipy's `root` keeps the
+    function it is given in a reference cycle (its counting wrapper refers
+    to itself), so without the release every root solve would keep its
+    functional, spectrum included, alive until a full garbage collection.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.key, self.value = fn, None, None
+
+    def __call__(self, c):
         key = np.asarray(c, dtype=float).tobytes()
-        if key != last[0]:
-            last[:] = key, fn(c)
-        return last[1]
+        if key != self.key:
+            self.key, self.value = key, self.fn(c)
+        return self.value
 
-    return cached
+    def release(self):
+        self.fn = self.value = None
 
 
-def refine_critical(functional, start):
+def refine_critical(functional, start, basins=()):
     """Newton-type polish of the gradient system from `start`.
 
     Returns refined coefficients with residual <= GRAD_TOL, or None if the
@@ -130,34 +147,61 @@ def refine_critical(functional, start):
     in the same basin; the stop only drops the evaluations hybr would spend
     on a converged point chasing xtol, which rounding keeps out of reach.
 
+    `basins` holds (coeffs, radius) pairs: zeros found earlier, each with
+    the radius of its certified Newton basin (`records.newton_radius`).
+    Every point is tested against them before it is evaluated, and the
+    first point that lies in a basin ends the solve, which returns that
+    zero's coefficients: plain Newton from there provably converges to it.
+
     scipy evaluates the gradient and the Jacobian at the start once to
     check their shapes, and MINPACK then evaluates both there again; each
-    closure keeps its last point and result, so every point is evaluated
-    once and the results are bit-identical.
+    keeps its last point and result (`_LastPoint`), so every point is
+    evaluated once and the results are bit-identical.
     """
-    weight = 1.0 / (1.0 + functional.spectrum.eigenvalues)
+    spec = functional.spectrum
+    one_plus_lam = 1.0 + spec.eigenvalues
+    weight = 1.0 / one_plus_lam
+    centers = np.array([c for c, _ in basins], dtype=float).reshape(-1, spec.n_modes)
+    radii = np.array([r for _, r in basins], dtype=float)
+
+    def held(c):
+        """The zero whose basin holds c, or None."""
+        inside = np.flatnonzero(np.sqrt((centers - c) ** 2 @ one_plus_lam) < radii)
+        return basins[inside[0]][0] if inside.size else None
 
     def gradient(c):
+        zero = held(c)
+        if zero is not None:
+            raise _Converged(zero)
         g = functional.l2_gradient(c)
         if np.sqrt(np.sum(weight * g * g)) <= GRAD_TOL:
             raise _Converged(np.array(c, dtype=float))
         return g
 
+    fun = _LastPoint(gradient)
     try:
         u = root(
-            _last_point_cached(gradient),
+            fun,
             np.asarray(start, dtype=float),
-            jac=_last_point_cached(lambda c: functional.hessian_pencil(c)[0]),
+            jac=_LastPoint(lambda c: functional.hessian_pencil(c)[0]),
             method="hybr",
             options={"xtol": 1e-13, "maxfev": 200 * (len(start) + 1)},
         ).x
     except _Converged as stop:
         return stop.u
+    finally:
+        fun.release()
     if not np.all(np.isfinite(u)):
         return None
-    for _ in range(8):
+    # up to 8 plain Newton steps, each point tested as hybr's are
+    for steps in range(9):
+        zero = held(u)
+        if zero is not None:
+            return zero
         if functional.residual(u) <= GRAD_TOL:
             return u
+        if steps == 8:
+            return None
         A, _ = functional.hessian_pencil(u)
         G = functional.l2_gradient(u)
         try:
@@ -167,7 +211,12 @@ def refine_critical(functional, start):
         if not np.all(np.isfinite(delta)):
             return None
         u = u + delta
-    return u if functional.residual(u) <= GRAD_TOL else None
+
+
+def _near(spec, u, basins) -> bool:
+    """Is u within DEDUP_RADIUS of the zero of one of the (coeffs, radius)
+    pairs in `basins`?"""
+    return any(spec.h1_dist(u, c) <= DEDUP_RADIUS for c, _ in basins)
 
 
 def _redistribute(spec, path):
@@ -198,7 +247,9 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     the endpoint level, and "mp_type" (Morse index 1, principal Hessian
     eigenpair simple with a sign-definite eigenfield).  A point that fails
     any check is dropped and the sweeps go on; the record's `iterations`
-    counts the sweeps done.
+    counts the sweeps done.  The Newton basins of the points dropped by the
+    shape check are passed to the later attempts, and an attempt that ends
+    at one of those points is dropped without building its record again.
 
     Two triggers end the pass without that certificate: a node residual
     <= 1e-4, or 50 sweeps without residual progress.  Either refines the
@@ -228,6 +279,9 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
 
     steps = np.full(n, 0.2)
     best = None
+    # (coeffs, Newton radius) of the refined points that failed the
+    # mountain-pass shape check; an attempt that ends at one is dropped
+    dropped = []
     # node energies: a moved node keeps the energy its accepted step
     # computed, and every node is re-evaluated after redistribution
     energies = np.array([functional.value(p) for p in path])
@@ -281,12 +335,13 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
             # a certified saddle from the new highest node ends the pass
             i = int(np.argmax(energies))
             if 0 < i < n - 1:
-                cand = refine_critical(functional, path[i])
-                if (cand is not None
+                cand = refine_critical(functional, path[i], dropped)
+                if (cand is not None and not _near(spec, cand, dropped)
                         and _candidate_fault(functional, cand, a, b, end_level) is None):
                     rec = _finish_mp(functional, cand, sweep + 1, end_a=a, end_b=b)
                     if rec.classification == "mp_type":
                         return rec
+                    dropped.append((rec.coeffs, newton_radius(functional, rec)))
     raise MaxItersExceeded(f"mountain pass did not settle in {MAX_ITERS} sweeps")
 
 
@@ -346,8 +401,7 @@ def dedup_records(spec, records):
     """Deterministic merge: sort by energy then coefficients, keep the first
     of every cluster within DEDUP_RADIUS in the Sobolev distance, the radius
     `DegreeLedger.match` uses.  Any item with `.energy` and `.coeffs` will
-    do: records, or multistart's candidates before their records are
-    built."""
+    do."""
     ordered = sorted(
         records,
         key=lambda r: (round(r.energy, 12), tuple(np.round(r.coeffs, 10))),
@@ -359,52 +413,58 @@ def dedup_records(spec, records):
     return kept
 
 
-# a converged multistart point before its record is built
-_Candidate = namedtuple("_Candidate", "energy coeffs start_index")
-
-
-def multistart(functional, radius, seeds=(), *, budget, rng) -> list:
+def multistart(functional, radius, seeds=(), *, budget, rng) -> tuple:
     """`budget` random starts from `rng` in the Sobolev ball of the given
-    radius, each refined by one Newton-type root solve.  Returns records
-    deduplicated and deterministically ordered (energy, then coefficients).
+    radius, each refined by one Newton-type root solve.  Returns the records
+    of the distinct points found, deterministically ordered (energy, then
+    coefficients), and the outcome counts of the starts.
 
     Seeds are extra deterministic starts prepended to the random ones and do
-    not count against the budget.  The converged points (refine_critical
-    returns only points that meet GRAD_TOL) are deduplicated on their
-    energy and coefficients; only the survivors get a full record with
-    Morse data.
+    not count against the budget.  A point is given its full record, Morse
+    data included, when it is found, and with it the radius of its
+    certified Newton basin (`records.newton_radius`); every later start's
+    root solve is passed those basins and stops on entering one.  Each
+    start counts once in the outcomes: "new" when it finds a point, "basin"
+    when it ends in the basin of, or within DEDUP_RADIUS of, a point the
+    call already holds, and "failed" when its solve stalls or converges
+    outside the Sobolev ball of radius 4 radius + 10.
     """
     spec = functional.spectrum
     starts = [np.asarray(s, dtype=float) for s in seeds]
     starts += _random_ball_starts(spec, rng, budget, radius)
 
-    candidates = []
+    records, basins = [], []
+    outcomes = {"new": 0, "basin": 0, "failed": 0}
     for idx, start in enumerate(starts):
-        cand = refine_critical(functional, start)
-        if cand is not None and spec.h1_norm(cand) <= 4.0 * radius + 10.0:
-            candidates.append(_Candidate(functional.value(cand), cand, idx))
-
-    records = []
-    for cand in dedup_records(spec, candidates):
-        rec = make_record(
-            functional, cand.coeffs, "other",
-            {"stage": "multistart", "start_index": cand.start_index,
-             "functional": functional.nonlinearity.label},
-        )
-        if rec.is_constant():
-            rec.classification = "constant"
-        elif rec.morse_index == 0:
-            rec.classification = "minimizer"
-        records.append(rec)
-    return records
+        u = refine_critical(functional, start, basins)
+        if u is None or spec.h1_norm(u) > 4.0 * radius + 10.0:
+            outcomes["failed"] += 1
+        elif _near(spec, u, basins):
+            outcomes["basin"] += 1
+        else:
+            rec = make_record(
+                functional, u, "other",
+                {"stage": "multistart", "start_index": idx,
+                 "functional": functional.nonlinearity.label},
+            )
+            if rec.is_constant():
+                rec.classification = "constant"
+            elif rec.morse_index == 0:
+                rec.classification = "minimizer"
+            records.append(rec)
+            basins.append((rec.coeffs, newton_radius(functional, rec)))
+            outcomes["new"] += 1
+    # the records lie pairwise farther apart than DEDUP_RADIUS, so this
+    # only orders them
+    return dedup_records(spec, records), outcomes
 
 
 @dataclass
 class HomotopyBoundResult:
     """Outcome of the homotopy sweep: the search radius R, the closed-form
     bound that decided which members were sampled, and one row per member
-    (lam, bound, sampled, n_found, max_norm; the last two None when the
-    member was skipped)."""
+    (lam, bound, sampled, n_found, max_norm and the multistart's start
+    outcomes; the last three None when the member was skipped)."""
 
     R: float
     max_norm: float
@@ -461,7 +521,7 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     for li, lam in enumerate(lambdas):
         bound = C * ((1.0 - float(lam)) * M)
         row = {"lam": float(lam), "bound": bound, "sampled": not bound < max_norm,
-               "n_found": None, "max_norm": None}
+               "n_found": None, "max_norm": None, "outcomes": None}
         per_lambda.append(row)
         if not row["sampled"]:
             continue
@@ -481,10 +541,10 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
                     e[j] = sgn * amp / amp_unit
                     seeds.append(e)
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
-        recs = multistart(func, start_radius, seeds=seeds,
-                          budget=HOMOTOPY_BUDGET, rng=rng)
+        recs, outcomes = multistart(func, start_radius, seeds=seeds,
+                                    budget=HOMOTOPY_BUDGET, rng=rng)
         top = max((r.h1_norm for r in recs), default=0.0)
-        row.update(n_found=len(recs), max_norm=top)
+        row.update(n_found=len(recs), max_norm=top, outcomes=outcomes)
         max_norm = max(max_norm, top)
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False

@@ -149,6 +149,11 @@ class SpectrumSlice:
         Eigenfunction values on the quadrature grid.
     weights : ndarray
         Quadrature weights for the flattened grid.
+    embedding_constant : float
+        C = sqrt(max_i sum_j phi_j(x_i)^2 / (1 + lam_j)), the discrete
+        Sobolev embedding constant: max_i |u(x_i)| <= C ||u||_H1 by
+        Cauchy-Schwarz, with equality at u_j = phi_j(x_i) / (1 + lam_j)
+        for the maximizing grid point x_i.
     k, x_indices, y_indices
         Populated by `split_spectrum`; None before that.
     """
@@ -179,6 +184,7 @@ class SpectrumSlice:
         self.basis = np.stack(
             [_tensor([c[:, j] for c, j in zip(cols, m)]) for m in self.modes], axis=1
         )
+        self.embedding_constant = float(np.sqrt(np.max(self.basis**2 @ (1.0 / (1.0 + eigs)))))
         norm0 = 1.0 / np.sqrt(domain.measure)
         self.pairs = [
             EigenPair(index=i, eigenvalue=float(eigs[i]), mode=m, norm_constant=float(

@@ -62,6 +62,8 @@ def test_k3_reports_honest_deficiency():
     assert lrep.message.startswith("deficiency 2: at least one undiscovered solution")
     assert lrep.suggestions
     assert rep.stages["multistart"]["chunks"] == 2
+    for p in rep.stages["multistart"]["passes"]:
+        assert sum(p["outcomes"].values()) == p["starts"]
     assert rep.stages["multistart"]["final_deficiency"] == 2
     assert len(rep.records) == 19
     # a multistart copy of the constant 0 merges into it, not rejected

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+import neucrit.solvers as solvers
 from conftest import REMOVED_SETTINGS
 from neucrit.pipeline import (
     STAGES,
@@ -77,7 +78,7 @@ def test_reference_homotopy_samples_five_members(reference_report):
     assert len(sampled) == 5 and len(skipped) == 6
     assert max(row["lam"] for row in sampled) < min(row["lam"] for row in skipped)
     assert all(row["bound"] < h["max_norm"] for row in skipped)
-    assert all(row["n_found"] is None and row["max_norm"] is None for row in skipped)
+    assert all(row["n_found"] is row["max_norm"] is row["outcomes"] is None for row in skipped)
     assert h["max_norm"] == max(row["max_norm"] for row in sampled)
     cfg = reference_config()
     cfg["stages"] = ["homotopy"]
@@ -86,23 +87,42 @@ def test_reference_homotopy_samples_five_members(reference_report):
 
 def test_reference_multistart_closes_orbits_without_random_starts(reference_report):
     """The reference ledger balances after one orbit pass: the four group
-    images the ledger lacks, refined, and no random chunk.  The passes
-    repeat for the same seed."""
+    images the ledger lacks, refined, and no random chunk.  Each image is
+    a new point.  The passes repeat for the same seed."""
     ms = reference_report.stages["multistart"]
-    assert ms["passes"] == [{"kind": "orbit", "starts": 4, "added": 4, "deficiency": 0}]
+    assert ms["passes"] == [{"kind": "orbit", "starts": 4, "added": 4, "deficiency": 0,
+                             "outcomes": {"new": 4, "basin": 0, "failed": 0}}]
     assert ms["chunks"] == 0
     assert len(ms["last_chunk_found"]) == 4
     again = run_pipeline(reference_config()).stages["multistart"]
     assert again["passes"] == ms["passes"]
 
 
+def test_start_outcomes_sum_to_the_starts(reference_report):
+    """Every multistart call sorts its starts into new points, ends in a
+    held point's basin, and failures.  A sampled homotopy member's starts
+    are its exact zeros, 12 low-mode seeds and HOMOTOPY_BUDGET random
+    ones; every multistart pass reports its own starts.  The counts repeat
+    for the same seed (`test_reference_homotopy_samples_five_members`)."""
+    f = reference_report.functional.nonlinearity
+    rows = [r for r in reference_report.stages["homotopy"]["per_lambda"] if r["sampled"]]
+    for row in rows:
+        zeros = nc.find_zeros(nc.homotopy(f, row["lam"]), -5.0, 5.0)
+        assert sum(row["outcomes"].values()) == len(zeros) + 12 + solvers.HOMOTOPY_BUDGET
+        assert row["outcomes"]["new"] == row["n_found"]
+    # most starts of the base member end at a point it already holds
+    assert rows[0]["outcomes"] == {"new": 12, "basin": 37, "failed": 0}
+    for p in reference_report.stages["multistart"]["passes"]:
+        assert sum(p["outcomes"].values()) == p["starts"]
+
+
 def test_reference_search_counts(monkeypatch):
     """Evaluation counts are deterministic, so the reference run pins them:
     the sweeps of each truncated mountain pass and the energy, metric
-    gradient, L2 gradient and Hessian evaluations of the whole run, counted
-    at the class since every stage builds its own functionals.  A second
-    run repeats them."""
-    counted = ("value", "gradient", "l2_gradient", "hessian_pencil")
+    gradient, L2 gradient, Hessian and Morse data evaluations of the whole
+    run, counted at the class since every stage builds its own functionals.
+    A second run repeats them."""
+    counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data")
     calls = Counter()
 
     def counting(name):
@@ -125,10 +145,12 @@ def test_reference_search_counts(monkeypatch):
         runs.append((sweeps, dict(calls)))
     assert runs[0] == runs[1]
     # a transferred truncation record reuses the truncated record's Morse
-    # data, so the three transfers assemble no Hessian
+    # data, so the three transfers assemble no Hessian; a root solve that
+    # enters the Newton basin of a point its search already holds stops
+    # there, and a mountain pass builds no record for a point it dropped
     assert runs[0] == ([30, 25, 40],
-                       {"value": 1359, "gradient": 231, "l2_gradient": 3541,
-                        "hessian_pencil": 483})
+                       {"value": 1102, "gradient": 212, "l2_gradient": 1920,
+                        "hessian_pencil": 464, "morse_data": 55})
 
 
 def test_images_close_the_symmetry_group():

@@ -99,7 +99,8 @@ def test_mountain_pass_outer_wells(ref5):
 def test_mountain_pass_caches_node_energies(ref5):
     """The reference truncation_below pass evaluates J once per node after
     each redistribution, once per backtracking trial and once per refined
-    candidate, not per node and sweep."""
+    candidate outside the basins of the points it dropped, not per node
+    and sweep."""
     spec, f, _ = ref5
 
     class Counting(nc.EnergyFunctional):
@@ -113,24 +114,33 @@ def test_mountain_pass_caches_node_energies(ref5):
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
     assert rec.iterations == 30
-    assert func.value_calls == 331
+    assert func.value_calls == 323
     assert func.value_calls < PATH_NODES * rec.iterations
 
 
 def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     """The reference truncation_below pass tries to certify a saddle from
-    its highest node after every redistribution.  The attempts after sweeps
-    5 to 25 land on an index-2 point, which does not end the pass; the one
-    after sweep 30 is the well saddle, which does."""
+    its highest node after every redistribution.  The attempt after sweep 5
+    lands on an index-2 point, which does not end the pass and is dropped;
+    the attempts after sweeps 10 to 25 end in that point's Newton basin, so
+    they return its coefficients and build no record.  The one after sweep
+    30 is the well saddle, which ends the pass."""
     spec, f, _ = ref5
     finished = []
+    refined = []
     finish_mp = solvers._finish_mp
+    refine = solvers.refine_critical
 
     def kept(*args, **kwargs):
         finished.append(finish_mp(*args, **kwargs))
         return finished[-1]
 
+    def refined_from(functional, start, basins=()):
+        refined.append((refine(functional, start, basins), list(basins)))
+        return refined[-1][0]
+
     monkeypatch.setattr(solvers, "_finish_mp", kept)
+    monkeypatch.setattr(solvers, "refine_critical", refined_from)
     func = nc.EnergyFunctional(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type" and rec.morse_index == 1
@@ -139,10 +149,15 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     assert rec.urange[0] == pytest.approx(WELL_SADDLE_RANGE[0], abs=2e-4)
     assert rec.urange[1] == pytest.approx(WELL_SADDLE_RANGE[1], abs=2e-4)
     assert rec.h1_norm == pytest.approx(WELL_SADDLE_NORM, abs=2e-4)
-    *dropped, last = finished
+    dropped, last = finished
     assert last is rec
-    assert [r.iterations for r in dropped] == [5, 10, 15, 20, 25]
-    assert all(r.morse_index == 2 and r.classification == "other" for r in dropped)
+    assert dropped.iterations == 5
+    assert dropped.morse_index == 2 and dropped.classification == "other"
+    assert len(refined) == 6
+    for u, basins in refined[1:5]:
+        ((center, radius),) = basins
+        assert u is center and np.array_equal(center, dropped.coeffs)
+        assert radius == nc.newton_radius(func, dropped) > 0
 
 
 class TrialPoints(nc.EnergyFunctional):
@@ -217,7 +232,7 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
 
     monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
     nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
-    assert len(calls) == 632
+    assert len(calls) == 367
 
 
 def test_homotopy_bound_builds_only_sampled_members(ref5, solver_cfg, monkeypatch):
@@ -264,9 +279,9 @@ def test_multistart_builds_one_record_per_result(ref5, monkeypatch):
         return nc.make_record(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "make_record", counted)
-    recs = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
+    recs, outcomes = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
     assert len(recs) > 0
-    assert len(built) == len(recs)
+    assert len(built) == len(recs) == outcomes["new"]
 
 
 def test_refine_critical_polishes(ref5):
@@ -281,9 +296,11 @@ def test_refine_critical_polishes(ref5):
 
 def test_multistart_deterministic(ref5):
     spec, f, func = ref5
-    a = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
-    b = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
+    a, outcomes_a = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
+    b, outcomes_b = multistart(func, radius=3.0, budget=15, rng=np.random.default_rng(7))
     assert len(a) == len(b) > 0
+    assert outcomes_a == outcomes_b
+    assert sum(outcomes_a.values()) == 15
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.coeffs, rb.coeffs)
     for r in a:
@@ -296,8 +313,10 @@ def test_multistart_deterministic(ref5):
 def test_multistart_finds_constants(ref5):
     spec, f, func = ref5
     seeds = [spec.constant_field(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    recs = multistart(func, radius=3.0, seeds=seeds, budget=0, rng=np.random.default_rng(7))
+    recs, outcomes = multistart(func, radius=3.0, seeds=seeds, budget=0,
+                                rng=np.random.default_rng(7))
     assert len(recs) == 5
+    assert outcomes == {"new": 5, "basin": 0, "failed": 0}
     assert all(r.classification == "constant" for r in recs)
 
 
@@ -313,9 +332,11 @@ def test_multistart_one_root_solve_per_start(ref5, monkeypatch):
 
     monkeypatch.setattr(solvers, "refine_critical", counted)
     seeds = [spec.constant_field(t) for t in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    recs = multistart(func, radius=3.0, seeds=seeds, budget=15, rng=np.random.default_rng(7))
+    recs, outcomes = multistart(func, radius=3.0, seeds=seeds, budget=15,
+                                rng=np.random.default_rng(7))
     assert len(calls) == 20
     assert len(recs) == 5
+    assert outcomes == {"new": 5, "basin": 15, "failed": 0}
 
 
 def test_dedup_records(ref5):
