@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import itertools
 import json
 import math
 import time
@@ -28,7 +27,7 @@ from .energy import EnergyFunctional
 from .errors import ConfigError, NeucritError
 from .ledger import DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, truncate
-from .records import DEDUP_RADIUS, SolverConfig
+from .records import DEDUP_RADIUS, SolverConfig, newton_radius
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
     SAFETY_FACTOR,
@@ -320,20 +319,10 @@ class RunReport:
 
 
 def _images(spec, coeffs, odd: bool) -> list:
-    """The group images of a point other than itself: its mirrors across
-    every nonempty set of axes and, with an odd f, its negation and the
-    negated mirrors."""
-    ndim = spec.domain.ndim
-    images = []
-    for r in range(1, ndim + 1):
-        for axes in itertools.combinations(range(ndim), r):
-            m = coeffs
-            for axis in axes:
-                m = spec.mirror(m, axis)
-            images.append(m)
-    if odd:
-        images += [-np.asarray(coeffs, dtype=float)] + [-m for m in images]
-    return images
+    """The group images of a point other than itself, in the order of
+    `SpectrumSlice.symmetry_signs`: its mirrors across every nonempty set
+    of axes and, with an odd f, its negation and the negated mirrors."""
+    return list(spec.symmetry_signs(odd)[1:] * np.asarray(coeffs, dtype=float))
 
 
 def _min_type_zeros(f):
@@ -500,6 +489,8 @@ def run_pipeline(config: dict) -> RunReport:
         # closed first, by seeded passes that draw nothing from the random
         # stream; a random chunk runs only while the deficiency stays
         # nonzero, and the orbits of what it finds are closed in turn.
+        # Every pass holds the Newton basins of the ledger's records, so a
+        # start that ends at a point the ledger holds builds no record.
         lrep = report.ledger_report
         passes = []
         last_found = []
@@ -516,7 +507,9 @@ def run_pipeline(config: dict) -> RunReport:
             else:
                 break
             held = len(ledger.records)
-            found, outcomes = multistart(func, R, seeds=seeds, budget=n, rng=rng)
+            known = [(r.coeffs, newton_radius(func, r)) for r in ledger.records]
+            found, outcomes = multistart(func, R, seeds=seeds, budget=n, rng=rng,
+                                         basins=known)
             for rec in found:
                 admit(rec)
             lrep = ledger.reconcile(func)

@@ -268,6 +268,30 @@ def _seed_box(ctx: ReductionContext, R):
     return np.minimum(float(R), f.M * np.sqrt(spec.domain.measure) / gap)
 
 
+def _orbit_representatives(signs, grid, zeros):
+    """The lowest seed index in the orbit of every seed of `maximize_reduced`.
+
+    `signs` holds the group's sign vectors on the X block, mode 0 (the
+    constant mode) first.  The orbits come from index arithmetic, not from
+    distances: a sign -1 on X coordinate j maps index i of the grid axis
+    over [-b_j, b_j] to 8 - i, and a sign -1 on mode 0 maps the constant t
+    to the constant -t when -t is a zero as well.  Random seeds (`grid`
+    False) are their own orbits.
+    """
+    n = _SEEDS_PER_AXIS
+    if grid:
+        shape = (n,) * signs.shape[1]
+        idx = np.indices(shape).reshape(len(shape), -1)
+        rep = np.min([np.ravel_multi_index(np.where(s[:, None] < 0, n - 1 - idx, idx), shape)
+                      for s in signs], axis=0)
+    else:
+        rep = np.arange(n ** 4)
+    position = {t: i for i, t in enumerate(zeros)}
+    const = [min(i if s[0] > 0 else position.get(-t, i) for s in signs)
+             for i, t in enumerate(zeros)]
+    return np.concatenate([rep, len(rep) + np.array(const, dtype=int)])
+
+
 def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     """Global maximizer of the reduced functional.
 
@@ -275,15 +299,24 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
     the closed-form box of `_seed_box`.  Seeds: a regular grid of 9 points
     per axis over that box for k <= 4 (9^4 random points in it beyond
     that), plus the X-projections of every constant solution, so their
-    number does not grow with R.  One population solve (`psi_population`)
-    ranks all seeds, probing strong convexity on each of its steps.  The
-    six best seeds get a BFGS ascent on the k reduced variables; each
-    evaluation is one warm-started `psi` call that yields the reduced value
-    and its partial derivatives, which are those of J at x + psi(x) because
-    the Y block is stationary there.  BFGS stops at a gradient of
-    10 x INNER_TOL, the noise floor `psi` leaves, and the winner is polished
-    as a critical point of the full functional.  The record's provenance
-    gives the box, the seed count and the Newton and fallback steps of the
+    number does not grow with R.
+
+    J is invariant under the symmetry group (`symmetry_signs`: the domain
+    mirrors, and u -> -u when f is odd), which acts on X rows by signs,
+    and psi maps the image of x to the image of psi(x), the unique
+    minimizer.  The grid and the constants are closed under the group (the
+    random seeds are not), so one population solve (`psi_population`)
+    ranks one representative row per orbit, probing strong convexity on
+    each of its steps, and every image takes its representative's value.
+    The six best seeds get a BFGS ascent on the k reduced variables, except
+    a seed in the orbit of one already ascended: it ends at an image of the
+    same maximizer.  Each evaluation is one warm-started `psi` call that
+    yields the reduced value and its partial derivatives, which are those
+    of J at x + psi(x) because the Y block is stationary there.  BFGS stops
+    at a gradient of 10 x INNER_TOL, the noise floor `psi` leaves, and the
+    winner is polished as a critical point of the full functional.  The
+    record's provenance gives the box, the numbers of seeds, orbits (rows
+    solved) and ascents, and the Newton and fallback steps of the
     population solve.
     """
     spec = ctx.spectrum
@@ -304,11 +337,15 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
         note_grid = f"k={k} > 4: grid seeding replaced by random seeds"
     for t in zeros:
         seeds.append(spec.constant_field(t)[spec.x_indices])
-    rows = np.zeros((len(seeds), spec.n_modes))
-    rows[:, spec.x_indices] = seeds
-    grid = psi_population(ctx, rows)
-    order = np.argsort(grid.values)[::-1]
-    top = [np.asarray(seeds[i], dtype=float) for i in order[:6]]
+    signs = spec.symmetry_signs(func.nonlinearity.odd)[:, spec.x_indices]
+    rep = _orbit_representatives(signs, k <= 4, zeros)
+    solved, orbit = np.unique(rep, return_inverse=True)
+    rows = np.zeros((len(solved), spec.n_modes))
+    rows[:, spec.x_indices] = [seeds[i] for i in solved]
+    ranked = psi_population(ctx, rows)
+    values = ranked.values[orbit]
+    # ties (images) keep their seed order, so an orbit's first seed leads it
+    order = np.argsort(-values, kind="stable")
 
     y_cache = [None]
 
@@ -319,8 +356,12 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
         return -func.value(u), -func.l2_gradient(u)[spec.x_indices]
 
     best_xi, best_val = None, -np.inf
-    for s in top:
-        out = scipy_minimize(neg_value_and_grad, s, jac=True, method="BFGS",
+    ascended = set()
+    for i in order[:6]:
+        if rep[i] in ascended:
+            continue
+        ascended.add(rep[i])
+        out = scipy_minimize(neg_value_and_grad, seeds[i], jac=True, method="BFGS",
                              options={"gtol": 10.0 * INNER_TOL, "maxiter": 400})
         if -out.fun > best_val:
             best_val, best_xi = -out.fun, out.x
@@ -334,8 +375,8 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
         func, u, "reduction_max",
         {"stage": "reduction", "functional": func.nonlinearity.label,
          "reduced_value": float(func.value(u)), "k": k, "seed_box": box.tolist(),
-         "seeds": len(seeds),
-         "newton_steps": grid.newton_steps, "fallback_steps": grid.fallback_steps},
+         "seeds": len(seeds), "orbits": len(solved), "ascents": len(ascended),
+         "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
     )
     notes = []
     if note_grid:

@@ -19,8 +19,8 @@ converges to it.  A root solve passed such basins stops at the first point
 that enters one and returns that basin's zero, with no further evaluation.
 Multistart builds a point's full record (Morse data included, which gives
 the radius) when it finds the point, and passes the basins of the points
-it holds to every later start; a start that ends at a held point adds
-nothing.
+it holds, those its caller passed in included, to every later start; a
+start that ends at a held point adds nothing.
 
 The mountain pass is a discrete path method: keep a polyline between two
 low-energy endpoints, repeatedly pick the maximal-energy node, slide it
@@ -283,7 +283,8 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     # mountain-pass shape check; an attempt that ends at one is dropped
     dropped = []
     # node energies: a moved node keeps the energy its accepted step
-    # computed, and every node is re-evaluated after redistribution
+    # computed, and every interior node is re-evaluated after
+    # redistribution; the endpoints never move and keep theirs
     energies = np.array([functional.value(p) for p in path])
     for sweep in range(MAX_ITERS):
         i = int(np.argmax(energies))
@@ -331,7 +332,7 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
             steps[i] = max(step, 1e-8)
         if sweep % REDISTRIBUTE_EVERY == REDISTRIBUTE_EVERY - 1:
             path = _redistribute(spec, path)
-            energies = np.array([functional.value(p) for p in path])
+            energies[1:-1] = [functional.value(p) for p in path[1:-1]]
             # a certified saddle from the new highest node ends the pass
             i = int(np.argmax(energies))
             if 0 < i < n - 1:
@@ -379,9 +380,10 @@ def _random_ball_starts(spec, rng, count, radius):
     """`count` random starts in the Sobolev ball of the given radius.
 
     Directions are standard normal coefficient vectors scaled to unit
-    Sobolev norm; radii are radius * sqrt(U) with U uniform on [0, 1).  The sqrt is the uniform law for a disk, not for the
-    n-dimensional ball, where uniform radii would be radius * U**(1/n); so
-    with more than two modes the starts cluster toward the centre.  The law
+    Sobolev norm; radii are radius * sqrt(U) with U uniform on [0, 1).
+    The sqrt is the uniform law for a disk, not for the n-dimensional
+    ball, where uniform radii would be radius * U**(1/n); so with more
+    than two modes the starts cluster toward the centre.  The law
     stays as it is: every seed's random stream, and with it the records a
     run finds and the stored golden records it is checked against, depend
     on these exact draws.
@@ -413,7 +415,7 @@ def dedup_records(spec, records):
     return kept
 
 
-def multistart(functional, radius, seeds=(), *, budget, rng) -> tuple:
+def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple:
     """`budget` random starts from `rng` in the Sobolev ball of the given
     radius, each refined by one Newton-type root solve.  Returns the records
     of the distinct points found, deterministically ordered (energy, then
@@ -423,17 +425,19 @@ def multistart(functional, radius, seeds=(), *, budget, rng) -> tuple:
     not count against the budget.  A point is given its full record, Morse
     data included, when it is found, and with it the radius of its
     certified Newton basin (`records.newton_radius`); every later start's
-    root solve is passed those basins and stops on entering one.  Each
-    start counts once in the outcomes: "new" when it finds a point, "basin"
-    when it ends in the basin of, or within DEDUP_RADIUS of, a point the
-    call already holds, and "failed" when its solve stalls or converges
+    root solve is passed those basins and stops on entering one.
+    `basins` holds the (coeffs, radius) pairs of points the caller already
+    holds; the call starts out holding them, and builds no record for them.
+    Each start counts once in the outcomes: "new" when it finds a point,
+    "basin" when it ends in the basin of, or within DEDUP_RADIUS of, a
+    point the call holds, and "failed" when its solve stalls or converges
     outside the Sobolev ball of radius 4 radius + 10.
     """
     spec = functional.spectrum
     starts = [np.asarray(s, dtype=float) for s in seeds]
     starts += _random_ball_starts(spec, rng, budget, radius)
 
-    records, basins = [], []
+    records, basins = [], list(basins)
     outcomes = {"new": 0, "basin": 0, "failed": 0}
     for idx, start in enumerate(starts):
         u = refine_critical(functional, start, basins)
@@ -494,7 +498,15 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     B falls as lam rises, so an ascending sweep samples a prefix of the
     members; a one-member call always samples.  Skipped and sampled members
     alike keep their random stream, rng_seed + 1000 + their index in
-    `lambdas`.  A sampled member is seeded at its exact zeros.
+    `lambdas`.
+
+    A sampled member is seeded at every real zero of h_lam on the whole
+    line, the constant fields that solve it exactly, and at three
+    amplitudes of either sign of the first nonconstant mode.  No other
+    start lies on the line of constant fields: h_lam of a constant field is
+    constant, and Gram = I projects it onto the constant mode alone, so a
+    root solve from there never leaves that line and can only end at a
+    constant zero, which the member already seeds.
 
     At lam = 1 the member is linear and nonresonant, so the only solution is
     0 (B(1) = 0 proves it when the member is skipped); lambda_one_clean
@@ -527,18 +539,15 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
             continue
         g = homotopy(nonlinearity, float(lam))
         func = EnergyFunctional(spectrum, g)
-        seeds = [
-            spectrum.constant_field(t)
-            for t in find_zeros(g, -span - 3.0, span + 3.0)
-        ]
-        # large-amplitude low-mode seeds: the norm-extremal solutions of
+        seeds = [spectrum.constant_field(t) for t in find_zeros(g, -np.inf, np.inf)]
+        # large-amplitude first-mode seeds: the norm-extremal solutions of
         # asymptotically linear problems live in this family
-        for j in range(min(2, spectrum.n_modes)):
-            amp_unit = spectrum.pairs[j].norm_constant
+        if spectrum.n_modes > 1:
+            amp_unit = spectrum.pairs[1].norm_constant
             for amp in (span + 1.0, 2.0 * span + 2.0, 3.0 * span + 3.0):
                 for sgn in (1.0, -1.0):
                     e = np.zeros(spectrum.n_modes)
-                    e[j] = sgn * amp / amp_unit
+                    e[1] = sgn * amp / amp_unit
                     seeds.append(e)
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
         recs, outcomes = multistart(func, start_radius, seeds=seeds,

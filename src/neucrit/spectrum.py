@@ -178,6 +178,8 @@ class SpectrumSlice:
 
         self.modes = sorted(itertools.product(range(per_axis), repeat=domain.ndim),
                             key=lambda m: (eigenvalue(m), m))[: self.n_modes]
+        # 1 where a mode is odd along an axis, one row per mode
+        self.parity = np.array(self.modes) % 2
         self.eigenvalues = eigs = np.array([eigenvalue(m) for m in self.modes])
         self.points = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=1)
         self.weights = _tensor(ws)
@@ -252,11 +254,24 @@ class SpectrumSlice:
         sign flip on the odd modes of that axis.  Reflected critical points
         are again critical points on these symmetric domains.
         """
-        c = np.asarray(coeffs, dtype=float).copy()
-        for i, m in enumerate(self.modes):
-            if m[axis] % 2 == 1:
-                c[i] = -c[i]
-        return c
+        return np.asarray(coeffs, dtype=float) * (1.0 - 2.0 * self.parity[:, axis])
+
+    def symmetry_signs(self, odd: bool) -> np.ndarray:
+        """The symmetry group of the problem as sign vectors on coefficients.
+
+        One row per group element, the identity first: then the mirrors
+        across every nonempty set of axes, and, when f is odd, u -> -u and
+        the negated mirrors.  A mirror flips the modes odd along an odd
+        number of its axes (`mirror`); `signs[g] * coeffs` is the image of
+        a field under element g.
+        """
+        rows = [np.ones(self.n_modes)]
+        for r in range(1, self.domain.ndim + 1):
+            for axes in itertools.combinations(range(self.domain.ndim), r):
+                rows.append(1.0 - 2.0 * (self.parity[:, axes].sum(axis=1) % 2))
+        if odd:
+            rows += [-row for row in rows]
+        return np.array(rows)
 
     # -- splitting --------------------------------------------------------
 

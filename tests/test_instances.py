@@ -35,16 +35,35 @@ def test_k3_balances():
         assert r.residual <= 1e-9
 
 
-def test_k3_seed42_balances():
+@pytest.fixture(scope="module")
+def k3_seed42():
+    return nc.run_pipeline(_k3_config(42))
+
+
+def test_k3_seed42_balances(k3_seed42):
     """Seed 42 once ended one solution short: the negation -u of an index-2
     solution it had found.  Closing every orbit under the mirrors and
     u -> -u (f is odd) supplies it."""
-    rep = nc.run_pipeline(_k3_config(42))
+    rep = k3_seed42
     assert rep.ok, rep.errors
     assert rep.ledger_report.balanced
     assert rep.ledger_report.degree_sum == -1
     assert len(rep.records) == 21
     assert not any("failed qualitative checks" in w for w in rep.warnings)
+
+
+def test_k3_seed42_multistart_builds_no_known_record(k3_seed42):
+    """Every multistart pass holds the Newton basins of the ledger's
+    records, so a start that ends at a point the ledger holds counts as
+    "basin" and builds no record: each pass reports as new exactly the
+    points it adds.  Five of the seven random chunks find nothing new."""
+    passes = k3_seed42.stages["multistart"]["passes"]
+    assert [p["kind"] for p in passes] == ["orbit", "random", "orbit", *["random"] * 6, "orbit"]
+    for p in passes:
+        assert p["outcomes"]["new"] == p["added"]
+        assert p["outcomes"]["failed"] == 0
+    assert [p["added"] for p in passes if p["kind"] == "random"] == [5, 0, 0, 0, 0, 0, 1]
+    assert k3_seed42.stages["multistart"]["chunks"] == 7
 
 
 def test_k3_reports_honest_deficiency():

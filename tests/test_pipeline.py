@@ -101,17 +101,19 @@ def test_reference_multistart_closes_orbits_without_random_starts(reference_repo
 def test_start_outcomes_sum_to_the_starts(reference_report):
     """Every multistart call sorts its starts into new points, ends in a
     held point's basin, and failures.  A sampled homotopy member's starts
-    are its exact zeros, 12 low-mode seeds and HOMOTOPY_BUDGET random
-    ones; every multistart pass reports its own starts.  The counts repeat
-    for the same seed (`test_reference_homotopy_samples_five_members`)."""
+    are its zeros on the whole line, 6 first-mode seeds and HOMOTOPY_BUDGET
+    random ones, and none of them fails; every multistart pass reports its
+    own starts.  The counts repeat for the same seed
+    (`test_reference_homotopy_samples_five_members`)."""
     f = reference_report.functional.nonlinearity
     rows = [r for r in reference_report.stages["homotopy"]["per_lambda"] if r["sampled"]]
     for row in rows:
-        zeros = nc.find_zeros(nc.homotopy(f, row["lam"]), -5.0, 5.0)
-        assert sum(row["outcomes"].values()) == len(zeros) + 12 + solvers.HOMOTOPY_BUDGET
+        zeros = nc.find_zeros(nc.homotopy(f, row["lam"]), -np.inf, np.inf)
+        assert sum(row["outcomes"].values()) == len(zeros) + 6 + solvers.HOMOTOPY_BUDGET
         assert row["outcomes"]["new"] == row["n_found"]
+        assert row["outcomes"]["failed"] == 0
     # most starts of the base member end at a point it already holds
-    assert rows[0]["outcomes"] == {"new": 12, "basin": 37, "failed": 0}
+    assert rows[0]["outcomes"] == {"new": 12, "basin": 31, "failed": 0}
     for p in reference_report.stages["multistart"]["passes"]:
         assert sum(p["outcomes"].values()) == p["starts"]
 
@@ -121,7 +123,8 @@ def test_reference_search_counts(monkeypatch):
     the sweeps of each truncated mountain pass and the energy, metric
     gradient, L2 gradient, Hessian and Morse data evaluations of the whole
     run, counted at the class since every stage builds its own functionals.
-    A second run repeats them."""
+    A second run repeats them, and the reduction's orbit and ascent counts
+    with them."""
     counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data")
     calls = Counter()
 
@@ -142,15 +145,20 @@ def test_reference_search_counts(monkeypatch):
         rep = run_pipeline(reference_config())
         sweeps = [rep.stages[f"truncation_{kind}"]["truncated_record"]["iterations"]
                   for kind in ("below", "above", "interval")]
-        runs.append((sweeps, dict(calls)))
+        red = rep.stages["reduction"]["provenance"]
+        runs.append((sweeps, dict(calls), red["orbits"], red["ascents"]))
     assert runs[0] == runs[1]
     # a transferred truncation record reuses the truncated record's Morse
     # data, so the three transfers assemble no Hessian; a root solve that
     # enters the Newton basin of a point its search already holds stops
-    # there, and a mountain pass builds no record for a point it dropped
+    # there, and a mountain pass builds no record for a point it dropped;
+    # no homotopy start lies on the line of constant fields off the zeros,
+    # and the reduction solves psi once per orbit and ascends once per
+    # orbit of its six best seeds
     assert runs[0] == ([30, 25, 40],
-                       {"value": 1102, "gradient": 212, "l2_gradient": 1920,
-                        "hessian_pencil": 464, "morse_data": 55})
+                       {"value": 1047, "gradient": 150, "l2_gradient": 1585,
+                        "hessian_pencil": 338, "morse_data": 55},
+                       28, 3)
 
 
 def test_images_close_the_symmetry_group():

@@ -248,10 +248,15 @@ def test_maximize_reduced_counts_repeat(ref5_ctx, solver_cfg):
     counts = []
     for _ in range(2):
         prov = maximize_reduced(ref5_ctx, solver_cfg, R=10.0).provenance
-        counts.append((prov["seeds"], prov["newton_steps"], prov["fallback_steps"]))
+        counts.append((prov["seeds"], prov["orbits"], prov["ascents"],
+                       prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
-    seeds, newton, _ = counts[0]
+    seeds, orbits, ascents, newton, _ = counts[0]
     assert seeds == 9 ** 2 + 5   # the grid over the seed box and the five constants
+    # mirror and negation pair grid index i with 8 - i on either axis (5 x 5
+    # orbits) and the constants t with -t (3 orbits); the six best seeds
+    # are three mirror pairs
+    assert (orbits, ascents) == (5 * 5 + 3, 3)
     assert newton > 0
 
 
@@ -266,9 +271,10 @@ def _box_bound(ctx):
 def test_maximize_reduced_seed_box(ref5_ctx, solver_cfg, monkeypatch, R):
     """The seed set is 9 x 9 points over the closed-form box plus the five
     constants, whatever R is (the [-R, R] grid had 4M seeds at R = 1000),
-    the grid lies in the box, and the maximum is found every time.  The
-    constants are critical points, so they lie in the box before the clip
-    to R."""
+    and the maximum is found every time.  The constants are critical
+    points, so they lie in the box before the clip to R.  psi is solved
+    for one seed per symmetry orbit, 28 of the 86, and every seed is an
+    image of a solved row."""
     spec = ref5_ctx.spectrum
     box = np.minimum(R, _box_bound(ref5_ctx))
     ranked = []
@@ -280,14 +286,26 @@ def test_maximize_reduced_seed_box(ref5_ctx, solver_cfg, monkeypatch, R):
 
     monkeypatch.setattr(reduction, "psi_population", capture)
     rec = maximize_reduced(ref5_ctx, solver_cfg, R=R)
-    assert rec.provenance["seeds"] == 86
+    assert (rec.provenance["seeds"], rec.provenance["orbits"]) == (86, 28)
     assert rec.provenance["seed_box"] == pytest.approx(box, rel=1e-15)
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
     assert rec.morse_index == 2
-    seeds = ranked[0][:, spec.x_indices]
-    assert len(seeds) == 86
-    assert np.all(np.abs(seeds[:81]) <= box * (1 + 1e-12))
-    assert np.all(np.abs(seeds[81:]) <= _box_bound(ref5_ctx) * (1 + 1e-12))
+
+    axes = [np.linspace(-b, b, 9) for b in box]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    knots = ref5_ctx.functional.nonlinearity.knots
+    constants = np.array([spec.constant_field(t)[spec.x_indices] for t, _ in knots])
+    assert np.all(np.abs(constants) <= _box_bound(ref5_ctx) * (1 + 1e-12))
+    seeds = np.vstack([grid, constants])
+    solved = ranked[0][:, spec.x_indices]
+    assert len(solved) == 28
+    signs = spec.symmetry_signs(odd=True)[:, spec.x_indices]
+    images = (signs[:, None, :] * solved[None]).reshape(-1, ref5_ctx.k)
+    tol = 1e-12 * np.max(_box_bound(ref5_ctx))
+    for row in solved:
+        assert np.min(np.max(np.abs(seeds - row), axis=1)) <= tol
+    for seed in seeds:
+        assert np.min(np.max(np.abs(images - seed), axis=1)) <= tol
 
 
 def test_seed_box_holds_reference_records(reference_report):
@@ -382,3 +400,24 @@ def test_local_max_min_resonant_slope(ref5):
     ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
     with pytest.raises(nc.ResonantSlope):
         local_max_min_at_constant(ctx, alpha=0.0, ell=1)
+
+
+def test_maximize_reduced_without_oddness(ref5, solver_cfg, monkeypatch):
+    """With the top zero moved to 2.25, f is not odd and the group is the
+    mirror alone.  It pairs grid index i with 8 - i along the odd mode
+    only, 9 x 5 = 45 orbits of the 81 grid seeds, and fixes each of the
+    five constants.  The maximum equals that of a run that solves psi for
+    every seed and ascends from all six best."""
+    spec, _, _ = ref5
+    knots = [*REF5_KNOTS[:4], (2.25, 2.5)]
+    f = nc.build_nonlinearity(knots, 2.5, 2.5)
+    assert not f.odd
+    ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
+    rec = maximize_reduced(ctx, solver_cfg, R=10.0)
+    assert (rec.provenance["orbits"], rec.provenance["ascents"]) == (45 + 5, 3)
+    monkeypatch.setattr(reduction, "_orbit_representatives",
+                        lambda signs, grid, zeros: np.arange(9 ** 2 + len(zeros)))
+    full = maximize_reduced(ctx, solver_cfg, R=10.0)
+    assert (full.provenance["orbits"], full.provenance["ascents"]) == (86, 6)
+    assert rec.energy == pytest.approx(full.energy, rel=1e-12)
+    assert rec.morse_index == full.morse_index == 2
