@@ -52,8 +52,9 @@ def main():
           " nothing about the solution changed, only its energy label")
 
     # mirror image: reflecting across the interval midpoint is an isometry
-    # of the problem, so the reflected coefficients solve it too
-    mir = nc.refine_critical(func, spec.mirror(orig.coeffs))
+    # of the problem, so the reflected coefficients solve it too; the
+    # mirror is the row after the identity in the sign table of the group
+    mir = nc.refine_critical(func, spec.symmetry_signs(f.odd)[1] * orig.coeffs)
     print(f"\nmirror of the saddle refines to J = {func.value(mir):+.6f},"
           f" distance {spec.h1_dist(mir, orig.coeffs):.3f} from the original")
 

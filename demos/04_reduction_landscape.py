@@ -43,8 +43,7 @@ def main():
     print(f"\n25 x 25 scan on [-6, 6]^2:"
           f" grid maximum {best:+.4f} at (x0, x1) = ({best_xy[0]:+.1f}, {best_xy[1]:+.1f})")
 
-    cfg = nc.SolverConfig(rng_seed=7)
-    rec = nc.maximize_reduced(ctx, cfg, R=10.0)
+    rec = nc.maximize_reduced(ctx)
     x = spec.x_projection(rec.coeffs)
     print(f"dedicated maximizer: J = {rec.energy:+.6f} at"
           f" (x0, x1) = ({x[0]:+.4f}, {x[1]:+.4f}),"

@@ -58,7 +58,6 @@ from .reduction import (
     maximize_reduced,
     monotonicity_certificate,
     psi,
-    reduced_gradient,
     reduced_value,
 )
 from .solvers import (
@@ -104,7 +103,6 @@ __all__ = [
     "make_reduction_context",
     "psi",
     "reduced_value",
-    "reduced_gradient",
     "maximize_reduced",
     "monotonicity_certificate",
     "local_max_min_at_constant",

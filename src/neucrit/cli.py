@@ -161,14 +161,13 @@ def _cmd_solve(args, cfg) -> int:
 
 
 def _cmd_reduce(args, cfg) -> int:
-    report = _run_stages(cfg, ["homotopy", "reduction"])
+    report = _run_stages(cfg, ["reduction"])
     if "reduction" in report.skips:
         _emit(args, {"error": {"type": "ReductionInapplicable",
                                "message": report.skips["reduction"]}})
         return 2
     d = report.to_dict()
     payload = {"reduction": d["stages"].get("reduction"),
-               "homotopy": d["stages"].get("homotopy"),
                "errors": d["errors"], "warnings": d["warnings"]}
     return _finish_run(args, report, payload)
 

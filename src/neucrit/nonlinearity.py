@@ -421,7 +421,8 @@ def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
     s_minus = f.slope_minus_inf
     symmetric = bool(np.isfinite(f.M))
     if not symmetric:
-        notes.append("asymmetric tails: homotopy bound and global degree unavailable")
+        notes.append("asymmetric tails: homotopy bound, reduction seed box and global "
+                     "degree unavailable")
 
     eigs = spec.eigenvalues
     margin = resonance_margin(spec, s_plus)

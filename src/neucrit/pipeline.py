@@ -416,17 +416,10 @@ def run_pipeline(config: dict) -> RunReport:
         return hres.R
 
     R = report.run("homotopy", homotopy_stage) if "homotopy" in stages else None
-    if R is None:
-        known = constants + transferred
-        top = max((r.h1_norm for r in known), default=1.0)
-        R = SAFETY_FACTOR * max(top, 1.0)
-        report.warnings.append(
-            f"homotopy bound unavailable; fallback R={R:.6g} from found records"
-        )
 
     def reduction_stage():
         ctx = make_reduction_context(func)
-        rec = maximize_reduced(ctx, scfg, R=R)
+        rec = maximize_reduced(ctx)
         report.stages["reduction"] = rec.to_dict()
         return rec
 
@@ -441,6 +434,13 @@ def run_pipeline(config: dict) -> RunReport:
 
     if "ledger" not in stages:
         return report
+    if R is None:
+        known = constants + transferred
+        top = max((r.h1_norm for r in known), default=1.0)
+        R = SAFETY_FACTOR * max(top, 1.0)
+        report.warnings.append(
+            f"homotopy bound unavailable; fallback R={R:.6g} from found records"
+        )
 
     ledger = DegreeLedger(spec.k, R, spec)
     report.ledger = ledger

@@ -27,7 +27,8 @@ SIMPLICITY_TOL = 1e-6
 class SolverConfig:
     """The two search settings a run may choose.
 
-    rng_seed seeds every random stream of a run.  multistart_budget caps the
+    rng_seed seeds the random streams of the homotopy sweep and of the
+    multistart stage; the reduction draws nothing.  multistart_budget caps the
     random starts the multistart stage spends while the ledger is
     unbalanced.  Tolerances, iteration budgets and path sizes are module
     constants next to the code that reads them: GRAD_TOL and DEDUP_RADIUS

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from .errors import MaxItersExceeded, ModulusViolated, ReductionInapplicable
-from .records import SolverConfig, make_record
+from .errors import AsymmetricSlopes, MaxItersExceeded, ModulusViolated, ReductionInapplicable
+from .records import make_record
 from .solvers import refine_critical
 from .spectrum import resonance_margin
 
@@ -32,7 +32,6 @@ __all__ = [
     "PopulationSolve",
     "psi_population",
     "reduced_value",
-    "reduced_gradient",
     "maximize_reduced",
     "monotonicity_certificate",
     "local_max_min_at_constant",
@@ -50,11 +49,12 @@ _BLOCK_ELEMENTS = 1 << 15
 # relative energy change below which a Newton step counts as no rise: two
 # energies of nearly equal fields differ by rounding near convergence
 _ENERGY_ROUNDING = 1e-12
-# seeds per axis of the reduction's seed box.  On the reference interval,
-# the reference rectangle and the k = 3 variant (slopes 5), 5, 7 and 9
-# points over the box each find the maximizer at R = 3, 10, 40 and 1000.
-# The same counts over [-R, R] do not: they return the constant 0 at
-# R = 40 on the interval and at R = 1000 on the rectangle and at k = 3.
+# seeds per axis of the reduction's seed grid for k <= 4; its fourth power
+# caps the grid size beyond (`maximize_reduced`).  On the reference
+# interval, the reference rectangle and the k = 3 variant (slopes 5), 5, 7
+# and 9 points per axis over the closed-form box all find the maximizer.
+# The grid at k = 5, 6 and 7 (tail slopes 17 to 40) finds the maximizer
+# energy of 9^4 uniform random seeds in the same box to 1e-14 relative.
 _SEEDS_PER_AXIS = 9
 
 
@@ -212,15 +212,6 @@ def reduced_value(ctx: ReductionContext, x, y0=None) -> float:
     return ctx.functional.value(x + psi(ctx, x, y0))
 
 
-def reduced_gradient(ctx: ReductionContext, x, y0=None):
-    """X-projection of the full gradient at x + psi(x); this IS the gradient
-    of the reduced functional, no chain-rule correction needed because the
-    Y block is stationary there."""
-    x = ctx.spectrum.x_projection(np.asarray(x, dtype=float))
-    u = x + psi(ctx, x, y0)
-    return ctx.spectrum.x_projection(ctx.functional.gradient(u))
-
-
 # standard deviation of the random coefficients the certificate samples
 CERTIFICATE_SCALE = 3.0
 
@@ -252,93 +243,86 @@ def _compact_to_field(spec, xi):
     return x
 
 
-def _seed_box(ctx: ReductionContext, R):
+def _seed_box(ctx: ReductionContext):
     """Half-widths b_j of a box that holds the X coefficients of every
-    critical point in the ball of radius R.
+    critical point.
 
     With f(t) = s t + g(t) and M = sup|g|, a Galerkin critical point has
     (lambda_j - s) u_j = P_j g(u).  The Gram matrix is the identity and the
     quadrature weights sum to |Omega|, so by Cauchy-Schwarz
-    |u_j| <= M sqrt(|Omega|) / |s - lambda_j|.  b_j is the smaller of that
-    and R; with asymmetric tails M is infinite and b_j = R.
+    |u_j| <= M sqrt(|Omega|) / |s - lambda_j| = b_j.  Raises
+    AsymmetricSlopes when the tails differ and M is infinite.
     """
     spec = ctx.spectrum
     f = ctx.functional.nonlinearity
+    if not np.isfinite(f.M):
+        raise AsymmetricSlopes("unequal tail slopes leave the seed box unbounded")
     gap = np.abs(f.slope_plus_inf - spec.eigenvalues[spec.x_indices])
-    return np.minimum(float(R), f.M * np.sqrt(spec.domain.measure) / gap)
+    return f.M * np.sqrt(spec.domain.measure) / gap
 
 
-def _orbit_representatives(signs, grid, zeros):
+def _orbit_representatives(signs, n, zeros):
     """The lowest seed index in the orbit of every seed of `maximize_reduced`.
 
     `signs` holds the group's sign vectors on the X block, mode 0 (the
     constant mode) first.  The orbits come from index arithmetic, not from
-    distances: a sign -1 on X coordinate j maps index i of the grid axis
-    over [-b_j, b_j] to 8 - i, and a sign -1 on mode 0 maps the constant t
-    to the constant -t when -t is a zero as well.  Random seeds (`grid`
-    False) are their own orbits.
+    distances: a sign -1 on X coordinate j maps index i of the n-point
+    grid axis over [-b_j, b_j] to n - 1 - i, and a sign -1 on mode 0 maps
+    the constant t to the constant -t when -t is a zero as well.
     """
-    n = _SEEDS_PER_AXIS
-    if grid:
-        shape = (n,) * signs.shape[1]
-        idx = np.indices(shape).reshape(len(shape), -1)
-        rep = np.min([np.ravel_multi_index(np.where(s[:, None] < 0, n - 1 - idx, idx), shape)
-                      for s in signs], axis=0)
-    else:
-        rep = np.arange(n ** 4)
+    shape = (n,) * signs.shape[1]
+    idx = np.indices(shape).reshape(len(shape), -1)
+    rep = np.min([np.ravel_multi_index(np.where(s[:, None] < 0, n - 1 - idx, idx), shape)
+                  for s in signs], axis=0)
     position = {t: i for i, t in enumerate(zeros)}
     const = [min(i if s[0] > 0 else position.get(-t, i) for s in signs)
              for i, t in enumerate(zeros)]
     return np.concatenate([rep, len(rep) + np.array(const, dtype=int)])
 
 
-def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
+def maximize_reduced(ctx: ReductionContext):
     """Global maximizer of the reduced functional.
 
     The maximizer is a critical point of J, so its X coefficients lie in
-    the closed-form box of `_seed_box`.  Seeds: a regular grid of 9 points
-    per axis over that box for k <= 4 (9^4 random points in it beyond
-    that), plus the X-projections of every constant solution, so their
-    number does not grow with R.
+    the closed-form box of `_seed_box`, which depends only on the problem.
+    Seeds: a regular grid over that box, n points per axis with n the
+    largest odd count up to 9 whose grid has at most 9^4 points, but at
+    least 3 (9 for k <= 4, 5 at k = 5, 3 beyond), plus the X-projections of
+    every constant solution.  An odd n keeps the centre of every axis.
 
     J is invariant under the symmetry group (`symmetry_signs`: the domain
     mirrors, and u -> -u when f is odd), which acts on X rows by signs,
     and psi maps the image of x to the image of psi(x), the unique
-    minimizer.  The grid and the constants are closed under the group (the
-    random seeds are not), so one population solve (`psi_population`)
-    ranks one representative row per orbit, probing strong convexity on
-    each of its steps, and every image takes its representative's value.
-    The six best seeds get a BFGS ascent on the k reduced variables, except
-    a seed in the orbit of one already ascended: it ends at an image of the
-    same maximizer.  Each evaluation is one warm-started `psi` call that
-    yields the reduced value and its partial derivatives, which are those
-    of J at x + psi(x) because the Y block is stationary there.  BFGS stops
-    at a gradient of 10 x INNER_TOL, the noise floor `psi` leaves, and the
-    winner is polished as a critical point of the full functional.  The
-    record's provenance gives the box, the numbers of seeds, orbits (rows
-    solved) and ascents, and the Newton and fallback steps of the
-    population solve.
+    minimizer.  The grid and the constants are closed under the group, so
+    one population solve (`psi_population`) ranks one representative row
+    per orbit, probing strong convexity on each of its steps, and every
+    image takes its representative's value.  The six best seeds get a BFGS
+    ascent on the k reduced variables, except a seed in the orbit of one
+    already ascended: it ends at an image of the same maximizer.  Each
+    evaluation is one warm-started `psi` call that yields the reduced value
+    and its partial derivatives, which are those of J at x + psi(x) because
+    the Y block is stationary there.  BFGS stops at a gradient of
+    10 x INNER_TOL, the noise floor `psi` leaves, and the winner is
+    polished as a critical point of the full functional.  The record's
+    provenance gives the box, the numbers of seeds, orbits (rows solved)
+    and ascents, and the Newton and fallback steps of the population solve.
+    Raises AsymmetricSlopes when the tails differ (`_seed_box`).
     """
     spec = ctx.spectrum
     func = ctx.functional
     k = ctx.k
     zeros = [t for t, _ in func.nonlinearity.knots]
-    box = _seed_box(ctx, R)
+    box = _seed_box(ctx)
+    n = _SEEDS_PER_AXIS
+    while n > 3 and n ** k > _SEEDS_PER_AXIS ** 4:
+        n -= 2
 
-    seeds = []
-    note_grid = None
-    if k <= 4:
-        axes = [np.linspace(-b, b, _SEEDS_PER_AXIS) for b in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        seeds.extend(np.stack([m.ravel() for m in mesh], axis=-1))
-    else:
-        rng = np.random.default_rng(cfg.rng_seed + 77)
-        seeds.extend(rng.uniform(-box, box, size=(_SEEDS_PER_AXIS ** 4, k)))
-        note_grid = f"k={k} > 4: grid seeding replaced by random seeds"
+    mesh = np.meshgrid(*[np.linspace(-b, b, n) for b in box], indexing="ij")
+    seeds = list(np.stack([m.ravel() for m in mesh], axis=-1))
     for t in zeros:
         seeds.append(spec.constant_field(t)[spec.x_indices])
     signs = spec.symmetry_signs(func.nonlinearity.odd)[:, spec.x_indices]
-    rep = _orbit_representatives(signs, k <= 4, zeros)
+    rep = _orbit_representatives(signs, n, zeros)
     solved, orbit = np.unique(rep, return_inverse=True)
     rows = np.zeros((len(solved), spec.n_modes))
     rows[:, spec.x_indices] = [seeds[i] for i in solved]
@@ -378,15 +362,10 @@ def maximize_reduced(ctx: ReductionContext, cfg: SolverConfig, R):
          "seeds": len(seeds), "orbits": len(solved), "ascents": len(ascended),
          "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
     )
-    notes = []
-    if note_grid:
-        notes.append(note_grid)
     if not rec.degenerate and rec.morse_index != k:
-        notes.append(
+        rec = rec.with_notes(
             f"full Hessian index {rec.morse_index} differs from the block dimension k={k}"
         )
-    for n in notes:
-        rec = rec.with_notes(n)
     return rec
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -38,6 +39,7 @@ __all__ = [
 # a slope closer than this to an eigenvalue is resonant: the eigenvalue
 # count below it, and with it the split and the degree, is ill-defined
 RESONANCE_TOL = 1e-8
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,15 @@ class SpectrumSlice:
         return float(np.sum((1.0 + self.eigenvalues) * np.asarray(a) * np.asarray(b)))
 
     def h1_norm(self, a) -> float:
-        return float(np.sqrt(np.sum((1.0 + self.eigenvalues) * np.asarray(a) ** 2)))
+        a = np.asarray(a)
+        total = float(np.sum((1.0 + self.eigenvalues) * a ** 2))
+        # squares of tiny coefficients underflow to zero or lose precision
+        # as subnormals; the rescaled sum is normal again
+        if not total >= _SMALLEST_NORMAL:
+            scale = float(np.max(np.abs(a)))
+            if scale > 0:
+                return scale * math.sqrt(float(np.sum((1.0 + self.eigenvalues) * (a / scale) ** 2)))
+        return math.sqrt(total)
 
     def h1_dist(self, a, b) -> float:
         return self.h1_norm(np.asarray(a) - np.asarray(b))
@@ -247,23 +257,15 @@ class SpectrumSlice:
             out += c[i] * phi
         return out
 
-    def mirror(self, coeffs, axis: int = 0) -> np.ndarray:
-        """Coefficients of x -> u reflected across the midpoint of one axis.
-
-        Reflection maps cos(j pi x / L) to (-1)^j times itself, so this is a
-        sign flip on the odd modes of that axis.  Reflected critical points
-        are again critical points on these symmetric domains.
-        """
-        return np.asarray(coeffs, dtype=float) * (1.0 - 2.0 * self.parity[:, axis])
-
     def symmetry_signs(self, odd: bool) -> np.ndarray:
         """The symmetry group of the problem as sign vectors on coefficients.
 
         One row per group element, the identity first: then the mirrors
         across every nonempty set of axes, and, when f is odd, u -> -u and
-        the negated mirrors.  A mirror flips the modes odd along an odd
-        number of its axes (`mirror`); `signs[g] * coeffs` is the image of
-        a field under element g.
+        the negated mirrors.  Reflection across the midpoint of an axis
+        maps cos(j pi x / L) to (-1)^j times itself, so a mirror flips the
+        modes odd along an odd number of its axes; `signs[g] * coeffs` is
+        the image of a field under element g.
         """
         rows = [np.ones(self.n_modes)]
         for r in range(1, self.domain.ndim + 1):

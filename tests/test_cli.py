@@ -57,6 +57,22 @@ def test_solve_stage_subset(capsys):
     assert out["errors"] == {}
 
 
+def test_reduce_runs_the_reduction_alone(capsys, monkeypatch):
+    """The reduction reads only the problem, so `reduce` runs no homotopy
+    sweep and needs no radius."""
+    import neucrit.pipeline as pipeline
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("reduce ran the homotopy sweep")
+
+    monkeypatch.setattr(pipeline, "homotopy_bound", no_sweep)
+    assert main(["reduce"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert sorted(out) == ["errors", "reduction", "warnings"]
+    assert out["errors"] == {} and out["warnings"] == []
+    assert out["reduction"]["morse_index"] == 2
+
+
 def test_reduce_inapplicable_exits_two(tmp_path, capsys):
     def steep(cfg):
         cfg["nonlinearity"]["knots"] = [[0.0, 6.0]]

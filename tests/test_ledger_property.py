@@ -1,7 +1,8 @@
-"""Invariants the degree ledger relies on: the domain mirrors are
-involutions that map the reference records to critical points with the
-same energy and Morse index, and reconciliation does not depend on the
-order in which records reach the ledger."""
+"""Invariants the degree ledger relies on: the group elements, the rows of
+`SpectrumSlice.symmetry_signs`, are involutions that map the reference
+records to critical points with the same energy and Morse index, and
+reconciliation does not depend on the order in which records reach the
+ledger."""
 
 import dataclasses
 
@@ -21,13 +22,15 @@ COEFFS = st.lists(st.floats(-1e3, 1e3), min_size=MODES, max_size=MODES).map(np.a
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(sorted(SPECTRA)), axis=st.integers(0, 1), c=COEFFS)
-def test_mirror_is_an_involution(kind, axis, c):
-    spec = SPECTRA[kind]
-    axis = axis % spec.domain.ndim
-    once = spec.mirror(c, axis)
-    assert np.array_equal(spec.mirror(once, axis), c)
-    assert spec.h1_norm(once) == spec.h1_norm(c)
+@given(kind=st.sampled_from(sorted(SPECTRA)), row=st.integers(0, 7), c=COEFFS)
+def test_mirror_is_an_involution(kind, row, c):
+    """Every element of the symmetry group, a row of the sign table, is an
+    involution and an H1 isometry."""
+    signs = SPECTRA[kind].symmetry_signs(odd=True)
+    sign = signs[row % len(signs)]
+    once = sign * c
+    assert np.array_equal(sign * once, c)
+    assert SPECTRA[kind].h1_norm(once) == SPECTRA[kind].h1_norm(c)
 
 
 @settings(max_examples=20, deadline=None)
@@ -40,8 +43,7 @@ def test_images_of_reference_records_are_critical(reference_report, data, mirror
     spec = func.spectrum
     assert func.nonlinearity.odd
     rec = data.draw(st.sampled_from(reference_report.records))
-    image = spec.mirror(rec.coeffs, 0) if mirror else rec.coeffs
-    image = -image if negate else image
+    image = spec.symmetry_signs(odd=True)[2 * negate + mirror] * rec.coeffs
     assert func.residual(image) <= GRAD_TOL
     assert abs(func.value(image) - rec.energy) <= 1e-12 * max(1.0, abs(rec.energy))
     assert func.morse_data(image)[2] == rec.morse_index

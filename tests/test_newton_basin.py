@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neucrit as nc
@@ -53,8 +53,11 @@ def test_curvature_is_attained():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 1), st.lists(st.floats(-1e3, 1e3, allow_nan=False),
                                    min_size=16, max_size=16))
+@example(0, [0.0] * 15 + [1.4885892869765837e-297])
 def test_embedding_bounds_the_grid_maximum(which, coeffs):
-    """max_i |u(x_i)| <= C ||u||_H1 on the quadrature grid."""
+    """max_i |u(x_i)| <= C ||u||_H1 on the quadrature grid.  The example
+    is a field whose squared coefficient underflows: its norm must not
+    read 0."""
     spec = SPECTRA[which]
     u = np.array(coeffs)
     top = np.max(np.abs(spec.evaluate(u)))

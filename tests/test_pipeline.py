@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,12 +177,13 @@ def test_images_close_the_symmetry_group():
         assert rect.h1_norm(a) == pytest.approx(rect.h1_norm(c), rel=1e-14)
         for b in points[i + 1:]:
             assert rect.h1_dist(a, b) > 1e-3
-    assert np.array_equal(images[2], rect.mirror(rect.mirror(c, 0), 1))
+    flip = 1.0 - 2.0 * rect.parity  # sign of each mode under each axis mirror
+    assert np.array_equal(images[2], flip[:, 0] * flip[:, 1] * c)
     assert np.array_equal(images[3], -c)
 
     line = nc.build_spectrum(nc.Domain("interval", (np.pi,)), 9)
     (only,) = _images(line, c, odd=False)
-    assert np.array_equal(only, line.mirror(c, 0))
+    assert np.array_equal(only, (1.0 - 2.0 * line.parity[:, 0]) * c)
 
 
 def test_reference_run_report_dict(reference_report):
@@ -261,6 +263,12 @@ def test_report_write(tmp_path, reference_report):
     # one polyline per record plus the zero axis
     polys = [e for e in svg.iter() if e.tag.endswith("polyline")]
     assert len(polys) >= 13
+
+
+def test_shipped_config_is_the_reference():
+    """configs/five_zeros.json is the built-in instance written out."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "five_zeros.json"
+    assert validate_config(json.loads(path.read_text())) == validate_config(reference_config())
 
 
 def test_validate_config_errors():

@@ -28,5 +28,7 @@ def test_star_import():
     assert set(neucrit.__all__) <= set(namespace)
     assert "truncate" in namespace
     for gone in ("truncate_below", "truncate_above", "truncate_interval",
-                 "minimize", "DivergingIterates"):
+                 "minimize", "DivergingIterates", "reduced_gradient"):
         assert gone not in namespace
+    assert not hasattr(neucrit.reduction, "reduced_gradient")
+    assert not hasattr(neucrit.SpectrumSlice, "mirror")

@@ -13,7 +13,6 @@ from neucrit.reduction import (
     monotonicity_certificate,
     psi,
     psi_population,
-    reduced_gradient,
     reduced_value,
 )
 from neucrit.records import GRAD_TOL
@@ -106,20 +105,6 @@ def test_reduced_value_below_full(ref5, ref5_ctx):
         assert reduced_value(ref5_ctx, spec.x_projection(u)) <= func.value(u) + 1e-12
 
 
-def test_reduced_gradient_matches_fd(ref5, ref5_ctx):
-    spec, _, _ = ref5
-    rng = np.random.default_rng(36)
-    x = spec.x_projection(0.8 * rng.standard_normal(spec.n_modes))
-    g = reduced_gradient(ref5_ctx, x)
-    h = 1e-5
-    for i in spec.x_indices:
-        e = np.zeros(spec.n_modes)
-        e[i] = h
-        fd = (reduced_value(ref5_ctx, x + e) - reduced_value(ref5_ctx, x - e)) / (2 * h)
-        # fd gives the partial derivative; the metric gradient scales it
-        assert abs(fd - (1.0 + spec.eigenvalues[i]) * g[i]) < 1e-5
-
-
 def test_monotonicity_certificate(ref5_ctx):
     worst = monotonicity_certificate(ref5_ctx, trials=60,
                                      rng=np.random.default_rng(37))
@@ -196,8 +181,8 @@ def test_psi_population_falls_back_on_rising_steps(ref5, ref5_ctx, monkeypatch):
         assert spec.h1_dist(y, ref) <= 10 * reduction.INNER_TOL
 
 
-def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
-    rec = maximize_reduced(ref5_ctx, solver_cfg, R=10.0)
+def test_maximize_reduced_reference(ref5, ref5_ctx):
+    rec = maximize_reduced(ref5_ctx)
     assert rec.classification == "reduction_max"
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
     assert rec.h1_norm == pytest.approx(BIG_ORBIT_NORM, abs=2e-4)
@@ -209,7 +194,7 @@ def test_maximize_reduced_reference(ref5, ref5_ctx, solver_cfg):
     assert not any("differs from the block dimension" in n for n in rec.notes)
 
 
-def test_maximize_reduced_objective(ref5, ref5_ctx, solver_cfg, monkeypatch):
+def test_maximize_reduced_objective(ref5, ref5_ctx, monkeypatch):
     """BFGS gets the reduced value with its true partial derivatives, from
     one psi call per evaluation; the polish adds one more psi call."""
     spec = ref5_ctx.spectrum
@@ -229,7 +214,7 @@ def test_maximize_reduced_objective(ref5, ref5_ctx, solver_cfg, monkeypatch):
 
     monkeypatch.setattr(reduction, "scipy_minimize", capture)
     monkeypatch.setattr(reduction, "psi", counted_psi)
-    rec = maximize_reduced(ref5_ctx, solver_cfg, R=10.0)
+    rec = maximize_reduced(ref5_ctx)
     assert psi_calls[0] == evals[0] + 1
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
 
@@ -244,10 +229,10 @@ def test_maximize_reduced_objective(ref5, ref5_ctx, solver_cfg, monkeypatch):
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
 
-def test_maximize_reduced_counts_repeat(ref5_ctx, solver_cfg):
+def test_maximize_reduced_counts_repeat(ref5_ctx):
     counts = []
     for _ in range(2):
-        prov = maximize_reduced(ref5_ctx, solver_cfg, R=10.0).provenance
+        prov = maximize_reduced(ref5_ctx).provenance
         counts.append((prov["seeds"], prov["orbits"], prov["ascents"],
                        prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
@@ -267,16 +252,14 @@ def _box_bound(ctx):
     return f.M * np.sqrt(spec.domain.measure) / np.abs(f.slope_plus_inf - lam_x)
 
 
-@pytest.mark.parametrize("R", [3.0, 10.0, 40.0, 1000.0])
-def test_maximize_reduced_seed_box(ref5_ctx, solver_cfg, monkeypatch, R):
+def test_maximize_reduced_seed_box(ref5_ctx, monkeypatch):
     """The seed set is 9 x 9 points over the closed-form box plus the five
-    constants, whatever R is (the [-R, R] grid had 4M seeds at R = 1000),
-    and the maximum is found every time.  The constants are critical
-    points, so they lie in the box before the clip to R.  psi is solved
-    for one seed per symmetry orbit, 28 of the 86, and every seed is an
-    image of a solved row."""
+    constants, and the maximum is found.  The constants are critical
+    points, so they lie in the box.  psi is solved for one seed per
+    symmetry orbit, 28 of the 86, and every seed is an image of a solved
+    row."""
     spec = ref5_ctx.spectrum
-    box = np.minimum(R, _box_bound(ref5_ctx))
+    box = _box_bound(ref5_ctx)
     ranked = []
     population = reduction.psi_population
 
@@ -285,7 +268,7 @@ def test_maximize_reduced_seed_box(ref5_ctx, solver_cfg, monkeypatch, R):
         return population(ctx, rows, y0)
 
     monkeypatch.setattr(reduction, "psi_population", capture)
-    rec = maximize_reduced(ref5_ctx, solver_cfg, R=R)
+    rec = maximize_reduced(ref5_ctx)
     assert (rec.provenance["seeds"], rec.provenance["orbits"]) == (86, 28)
     assert rec.provenance["seed_box"] == pytest.approx(box, rel=1e-15)
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
@@ -295,13 +278,13 @@ def test_maximize_reduced_seed_box(ref5_ctx, solver_cfg, monkeypatch, R):
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     knots = ref5_ctx.functional.nonlinearity.knots
     constants = np.array([spec.constant_field(t)[spec.x_indices] for t, _ in knots])
-    assert np.all(np.abs(constants) <= _box_bound(ref5_ctx) * (1 + 1e-12))
+    assert np.all(np.abs(constants) <= box * (1 + 1e-12))
     seeds = np.vstack([grid, constants])
     solved = ranked[0][:, spec.x_indices]
     assert len(solved) == 28
     signs = spec.symmetry_signs(odd=True)[:, spec.x_indices]
     images = (signs[:, None, :] * solved[None]).reshape(-1, ref5_ctx.k)
-    tol = 1e-12 * np.max(_box_bound(ref5_ctx))
+    tol = 1e-12 * np.max(box)
     for row in solved:
         assert np.min(np.max(np.abs(seeds - row), axis=1)) <= tol
     for seed in seeds:
@@ -321,25 +304,47 @@ def test_seed_box_holds_reference_records(reference_report):
         assert np.all(np.abs(rec.coeffs[spec.x_indices]) <= box * (1 + 1e-9))
 
 
-def test_maximize_reduced_linear(ref5, solver_cfg):
+def test_maximize_reduced_linear(ref5):
     spec, _, _ = ref5
     lin = nc.homotopy(nc.build_nonlinearity([(0.0, 2.5)], 2.5, 2.5), 1.0)
     ctx = make_reduction_context(nc.EnergyFunctional(spec, lin))
-    rec = maximize_reduced(ctx, solver_cfg, R=3.0)
+    rec = maximize_reduced(ctx)
     assert rec.h1_norm < 1e-7
     assert abs(rec.energy) < 1e-12
 
 
-def test_maximize_reduced_high_k_random_seeding(solver_cfg):
+def test_maximize_reduced_high_k_random_seeding():
+    """No random seeds beyond k = 4: at k = 5 the grid takes 5 points per
+    axis, the largest odd count whose grid stays within 9^4 points, plus
+    the one constant."""
     spec = nc.split_spectrum(
         nc.build_spectrum(nc.Domain("interval", (np.pi,)), 8), 17.0
     )
     assert spec.k == 5
-    lin = nc.homotopy(nc.build_nonlinearity([(0.0, 17.0)], 17.0, 17.0), 1.0)
+    lin = nc.build_nonlinearity([(0.0, 17.0)], 17.0, 17.0)
     ctx = make_reduction_context(nc.EnergyFunctional(spec, lin))
-    rec = maximize_reduced(ctx, solver_cfg, R=1.0)
+    rec = maximize_reduced(ctx)
     assert rec.h1_norm < 1e-7
-    assert any("grid seeding replaced by random seeds" in n for n in rec.notes)
+    assert rec.provenance["seeds"] == 5 ** 5 + 1
+    assert rec.notes == ()
+
+
+def test_maximize_reduced_asymmetric_tails(ref5):
+    """Unequal tails leave M, and with it the seed box, unbounded: the
+    reduction raises AsymmetricSlopes, and the pipeline records it as the
+    reduction stage's error."""
+    spec, _, _ = ref5
+    f = nc.build_nonlinearity(REF5_KNOTS, 2.0, 2.5)
+    ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
+    with pytest.raises(nc.AsymmetricSlopes):
+        maximize_reduced(ctx)
+    cfg = nc.reference_config()
+    cfg["nonlinearity"]["slope_minus_inf"] = 2.0
+    cfg["stages"] = ["reduction"]
+    rep = nc.run_pipeline(cfg)
+    assert rep.hypotheses.reduction_applicable
+    assert rep.errors["reduction"]["type"] == "AsymmetricSlopes"
+    assert "reduction" not in rep.stages
 
 
 def test_local_max_min_at_reference_well(ref5_ctx):
@@ -402,7 +407,7 @@ def test_local_max_min_resonant_slope(ref5):
         local_max_min_at_constant(ctx, alpha=0.0, ell=1)
 
 
-def test_maximize_reduced_without_oddness(ref5, solver_cfg, monkeypatch):
+def test_maximize_reduced_without_oddness(ref5, monkeypatch):
     """With the top zero moved to 2.25, f is not odd and the group is the
     mirror alone.  It pairs grid index i with 8 - i along the odd mode
     only, 9 x 5 = 45 orbits of the 81 grid seeds, and fixes each of the
@@ -413,11 +418,11 @@ def test_maximize_reduced_without_oddness(ref5, solver_cfg, monkeypatch):
     f = nc.build_nonlinearity(knots, 2.5, 2.5)
     assert not f.odd
     ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
-    rec = maximize_reduced(ctx, solver_cfg, R=10.0)
+    rec = maximize_reduced(ctx)
     assert (rec.provenance["orbits"], rec.provenance["ascents"]) == (45 + 5, 3)
     monkeypatch.setattr(reduction, "_orbit_representatives",
-                        lambda signs, grid, zeros: np.arange(9 ** 2 + len(zeros)))
-    full = maximize_reduced(ctx, solver_cfg, R=10.0)
+                        lambda signs, n, zeros: np.arange(n ** 2 + len(zeros)))
+    full = maximize_reduced(ctx)
     assert (full.provenance["orbits"], full.provenance["ascents"]) == (86, 6)
     assert rec.energy == pytest.approx(full.energy, rel=1e-12)
     assert rec.morse_index == full.morse_index == 2

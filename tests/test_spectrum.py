@@ -121,27 +121,31 @@ def test_evaluate_at_matches_grid():
 
 
 def test_mirror_is_reflection():
-    """Mirroring the coefficients across each axis of a set reflects the
-    field across those midlines, on the interval and, for each axis and
-    for both, on the rectangle; each mirror is an involution and every
-    composition an H1 isometry."""
+    """Every row of the sign table reflects the field across the midlines
+    of its axes, on the interval and on the rectangle: the identity, the
+    mirror across each nonempty set of axes in order, then the same
+    elements negated.  Each row is an involution and an H1 isometry."""
     rng = np.random.default_rng(2)
     for domain in _BOXES:
         spec = build_spectrum(domain, 8)
         c = rng.standard_normal(8)
         pts = rng.uniform(size=(33, domain.ndim)) * domain.lengths
-        for r in range(1, domain.ndim + 1):
-            for axes in itertools.combinations(range(domain.ndim), r):
-                m, reflected = c, pts.copy()
-                for ax in axes:
-                    m = spec.mirror(m, ax)
-                    reflected[:, ax] = domain.lengths[ax] - reflected[:, ax]
-                left = spec.evaluate_at(m, pts)
-                right = spec.evaluate_at(c, reflected)
-                assert np.max(np.abs(left - right)) < 1e-12, axes
-                assert abs(spec.h1_norm(m) - spec.h1_norm(c)) < 1e-14
-        for ax in range(domain.ndim):
-            assert np.allclose(spec.mirror(spec.mirror(c, ax), ax), c)
+        axis_sets = [axes for r in range(domain.ndim + 1)
+                     for axes in itertools.combinations(range(domain.ndim), r)]
+        signs = spec.symmetry_signs(odd=True)
+        assert len(signs) == 2 * len(axis_sets)
+        for g, row in enumerate(signs):
+            axes = axis_sets[g % len(axis_sets)]
+            sign = -1.0 if g >= len(axis_sets) else 1.0
+            reflected = pts.copy()
+            for ax in axes:
+                reflected[:, ax] = domain.lengths[ax] - reflected[:, ax]
+            left = spec.evaluate_at(row * c, pts)
+            right = sign * spec.evaluate_at(c, reflected)
+            assert np.max(np.abs(left - right)) < 1e-12, (axes, sign)
+            assert np.array_equal(row * (row * c), c)
+            assert spec.h1_norm(row * c) == spec.h1_norm(c)
+        assert np.array_equal(spec.symmetry_signs(odd=False), signs[:len(axis_sets)])
 
 
 def test_domain_validation():
