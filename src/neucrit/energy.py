@@ -31,6 +31,10 @@ __all__ = ["EnergyFunctional"]
 # Hessian eigenvalues within this of zero count as degenerate; only those
 # below -DEGENERACY_TOL count toward the Morse index
 DEGENERACY_TOL = 1e-7
+# float64 grid values per batched array of J evaluations, in `values` and
+# in the reduction's population solve (256 KB); at 1 MB the population
+# solve's temporaries raised the peak memory of a run by 7 MB
+BLOCK_ELEMENTS = 1 << 15
 
 
 class EnergyFunctional:
@@ -45,6 +49,24 @@ class EnergyFunctional:
         vals = self.spectrum.evaluate(u)
         quad = self.spectrum.integrate(self.nonlinearity.primitive(vals))
         return float(0.5 * np.sum(self._lam * u * u) - quad)
+
+    def values(self, rows) -> np.ndarray:
+        """J of every row of a stack of coefficient rows.
+
+        The rows go through in blocks of at most BLOCK_ELEMENTS grid values
+        (one row per block when a single field has more), each with one
+        field transform and one primitive call.  Each entry agrees with
+        `value` of its row to rounding: the batched transform may sum in
+        another order.
+        """
+        rows = np.asarray(rows, dtype=float).reshape(-1, self.spectrum.n_modes)
+        basis, weights = self.spectrum.basis, self.spectrum.weights
+        block = max(1, BLOCK_ELEMENTS // basis.shape[0])
+        quad = np.empty(len(rows))
+        for lo in range(0, len(rows), block):
+            vals = rows[lo:lo + block] @ basis.T
+            quad[lo:lo + block] = self.nonlinearity.primitive(vals) @ weights
+        return 0.5 * np.sum(self._lam * rows * rows, axis=1) - quad
 
     def gradient(self, u) -> np.ndarray:
         """Sobolev-metric gradient coefficients."""

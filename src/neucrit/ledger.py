@@ -203,10 +203,9 @@ class DegreeLedger:
     def match(self, coeffs) -> int | None:
         """Index of the first held record within DEDUP_RADIUS of the point
         `coeffs` in the Sobolev distance, or None when it is a new point."""
-        for i, old in enumerate(self.records):
-            if self.spectrum.h1_dist(coeffs, old.coeffs) <= DEDUP_RADIUS:
-                return i
-        return None
+        dists = self.spectrum.h1_dists(coeffs, [r.coeffs for r in self.records])
+        hits = np.flatnonzero(dists <= DEDUP_RADIUS)
+        return int(hits[0]) if hits.size else None
 
     def add(self, record) -> str:
         """Insert with Sobolev-ball dedup (`match`).  A coincidence keeps the

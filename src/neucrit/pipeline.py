@@ -477,8 +477,8 @@ def run_pipeline(config: dict) -> RunReport:
             if rec.is_constant():
                 continue
             for img in _images(spec, rec.coeffs, f.odd):
-                if ledger.match(img) is None and all(
-                        spec.h1_dist(img, s) > DEDUP_RADIUS for s in seeds):
+                if ledger.match(img) is None and np.all(
+                        spec.h1_dists(img, seeds) > DEDUP_RADIUS):
                     seeds.append(img)
         return seeds
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
+from .energy import BLOCK_ELEMENTS
 from .errors import AsymmetricSlopes, MaxItersExceeded, ModulusViolated, ReductionInapplicable
 from .records import make_record
 from .solvers import refine_critical
@@ -43,9 +44,6 @@ INNER_TOL = 1e-9
 # Newton iterations of the inner solve before it gives up
 MAX_INNER = 20000
 _MODULUS_SLACK = 1e-10
-# float64 elements per batched array of the population solve (256 KB); at
-# 1 MB the solve's temporaries raised the peak memory of a run by 7 MB
-_BLOCK_ELEMENTS = 1 << 15
 # relative energy change below which a Newton step counts as no rise: two
 # energies of nearly equal fields differ by rounding near convergence
 _ENERGY_ROUNDING = 1e-12
@@ -130,8 +128,8 @@ def psi_population(ctx: ReductionContext, xs, y0=None) -> PopulationSolve:
     row whose Newton step does not lower J(x + y) takes the certified step
     2/(m + Lam) instead.  Every pair of consecutive iterates of every row
     probes the strong-convexity inequality; a violation raises
-    ModulusViolated.  Blocks are sized so that each batched array holds
-    about 256 KB.
+    ModulusViolated.  A block holds at most `energy.BLOCK_ELEMENTS` grid
+    values, and so does each batch of its Hessians.
     """
     spec = ctx.spectrum
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -141,7 +139,7 @@ def psi_population(ctx: ReductionContext, xs, y0=None) -> PopulationSolve:
         rows[:, spec.y_indices] = np.atleast_2d(y0)[:, spec.y_indices]
     values = np.empty(len(rows))
     newton = fallback = 0
-    block = max(1, _BLOCK_ELEMENTS // spec.basis.shape[0])
+    block = max(1, BLOCK_ELEMENTS // spec.basis.shape[0])
     for lo in range(0, len(rows), block):
         values[lo:lo + block], n, b = _newton_block(ctx, rows[lo:lo + block])
         newton, fallback = newton + n, fallback + b
@@ -160,7 +158,7 @@ def _newton_block(ctx, c):
     basis, w = spec.basis, spec.weights
     basis_y = basis[:, yi]
     diag_y = np.diag(lam[yi])
-    hess_rows = max(1, _BLOCK_ELEMENTS // basis_y.size)
+    hess_rows = max(1, BLOCK_ELEMENTS // basis_y.size)
     fixed_step = 2.0 / (ctx.m + ctx.lam)
 
     def state(rows):

@@ -20,18 +20,23 @@ that enters one and returns that basin's zero, with no further evaluation.
 Multistart builds a point's full record (Morse data included, which gives
 the radius) when it finds the point, and passes the basins of the points
 it holds, those its caller passed in included, to every later start; a
-start that ends at a held point adds nothing.
+start that ends at a held point adds nothing.  Every test of a point
+against a set of points takes the distances to the whole set from one
+`SpectrumSlice.h1_dists` call.
 
 The mountain pass is a discrete path method: keep a polyline between two
 low-energy endpoints, repeatedly pick the maximal-energy node, slide it
 along the negative gradient projected off the path tangent, and
-re-equalize node spacing.  A transverse perturbation of the initial
-straight path keeps it out of the constants line, which is invariant under
-the flow and full of index-2 traps.  After every redistribution the highest
-node is refined; a refined point that is a certified mountain-pass saddle
-ends the pass at once, and any other is dropped.  A dropped point's basin
-is passed to the later refines, and one that ends there is dropped without
-rebuilding its record.
+re-equalize node spacing.  The polyline is one array with a node per row,
+so the energies of its nodes come from one batched evaluation
+(`EnergyFunctional.values`) and the spacing from one array of segment
+lengths.  A transverse perturbation of the initial straight path keeps it
+out of the constants line, which is invariant under the flow and full of
+index-2 traps.  After every redistribution the highest node is refined; a
+refined point that is a certified mountain-pass saddle ends the pass at
+once, and any other is dropped.  A dropped point's basin is passed to the
+later refines, and one that ends there is dropped without rebuilding its
+record.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R from the largest solution norm it
@@ -166,6 +171,8 @@ def refine_critical(functional, start, basins=()):
 
     def held(c):
         """The zero whose basin holds c, or None."""
+        if not basins:
+            return None
         inside = np.flatnonzero(np.sqrt((centers - c) ** 2 @ one_plus_lam) < radii)
         return basins[inside[0]][0] if inside.size else None
 
@@ -174,7 +181,7 @@ def refine_critical(functional, start, basins=()):
         if zero is not None:
             raise _Converged(zero)
         g = functional.l2_gradient(c)
-        if np.sqrt(np.sum(weight * g * g)) <= GRAD_TOL:
+        if np.sqrt((weight * g * g).sum()) <= GRAD_TOL:
             raise _Converged(np.array(c, dtype=float))
         return g
 
@@ -216,40 +223,43 @@ def refine_critical(functional, start, basins=()):
 def _near(spec, u, basins) -> bool:
     """Is u within DEDUP_RADIUS of the zero of one of the (coeffs, radius)
     pairs in `basins`?"""
-    return any(spec.h1_dist(u, c) <= DEDUP_RADIUS for c, _ in basins)
+    return bool(np.any(spec.h1_dists(u, [c for c, _ in basins]) <= DEDUP_RADIUS))
 
 
 def _redistribute(spec, path):
-    """Reparametrize the polyline to equal Sobolev arclength."""
+    """Reparametrize the polyline, an array with one node per row, to equal
+    Sobolev arclength.  The segment lengths come from one `h1_dists` call
+    and the new interior nodes from one interpolation over all of them."""
     n = len(path)
-    seg = np.array([spec.h1_dist(path[i + 1], path[i]) for i in range(n - 1)])
+    seg = spec.h1_dists(path[1:], path[:-1])
     total = seg.sum()
     if total <= 0:
         return path
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, n)
-    out = [path[0]]
-    for t in targets[1:-1]:
-        j = int(np.searchsorted(cum, t, side="right") - 1)
-        j = min(j, n - 2)
-        w = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
-        out.append((1 - w) * path[j] + w * path[j + 1])
-    out.append(path[-1])
+    targets = np.linspace(0.0, total, n)[1:-1]
+    j = np.minimum(np.searchsorted(cum, targets, side="right") - 1, n - 2)
+    w = np.divide(targets - cum[j], seg[j], out=np.zeros_like(targets), where=seg[j] > 0)
+    out = path.copy()
+    out[1:-1] = (1 - w)[:, None] * path[j] + w[:, None] * path[j + 1]
     return out
 
 
 def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     """Choi-McKenna style discrete mountain pass between two anchors.
 
-    Every REDISTRIBUTE_EVERY sweeps the path is redistributed and its
-    highest node refined.  The pass returns that refined point at once when
-    it is certified: farther than DEDUP_RADIUS from both endpoints, above
-    the endpoint level, and "mp_type" (Morse index 1, principal Hessian
-    eigenpair simple with a sign-definite eigenfield).  A point that fails
-    any check is dropped and the sweeps go on; the record's `iterations`
-    counts the sweeps done.  The Newton basins of the points dropped by the
-    shape check are passed to the later attempts, and an attempt that ends
-    at one of those points is dropped without building its record again.
+    The path holds PATH_NODES nodes.  Their energies come from one batch
+    (`EnergyFunctional.values`) at the start, and those of the interior
+    nodes from one batch after each redistribution; a sweep moves one node
+    and evaluates J once per backtracking trial.  Every REDISTRIBUTE_EVERY
+    sweeps the path is redistributed and its highest node refined.  The
+    pass returns that refined point at once when it is certified: farther
+    than DEDUP_RADIUS from both endpoints, above the endpoint level, and
+    "mp_type" (Morse index 1, principal Hessian eigenpair simple with a
+    sign-definite eigenfield).  A point that fails any check is dropped and
+    the sweeps go on; the record's `iterations` counts the sweeps done.
+    The Newton basins of the points dropped by the shape check are passed
+    to the later attempts, and an attempt that ends at one of those points
+    is dropped without building its record again.
 
     Two triggers end the pass without that certificate: a node residual
     <= 1e-4, or 50 sweeps without residual progress.  Either refines the
@@ -275,17 +285,18 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
         bump[j] = 0.5 ** (j - 1)
     bump /= spec.h1_norm(bump)
     delta = 0.01 * (spec.h1_dist(a, b) + 1.0)
-    path = [(1 - si) * a + si * b + delta * np.sin(np.pi * si) * bump for si in s]
+    path = np.array([(1 - si) * a + si * b + delta * np.sin(np.pi * si) * bump for si in s])
 
     steps = np.full(n, 0.2)
     best = None
     # (coeffs, Newton radius) of the refined points that failed the
     # mountain-pass shape check; an attempt that ends at one is dropped
     dropped = []
-    # node energies: a moved node keeps the energy its accepted step
-    # computed, and every interior node is re-evaluated after
-    # redistribution; the endpoints never move and keep theirs
-    energies = np.array([functional.value(p) for p in path])
+    # node energies, one batch for the whole path: a moved node keeps the
+    # energy its accepted step computed, and the interior nodes are
+    # re-evaluated in one batch after redistribution; the endpoints never
+    # move and keep theirs
+    energies = functional.values(path)
     for sweep in range(MAX_ITERS):
         i = int(np.argmax(energies))
         if i in (0, n - 1):
@@ -332,7 +343,7 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
             steps[i] = max(step, 1e-8)
         if sweep % REDISTRIBUTE_EVERY == REDISTRIBUTE_EVERY - 1:
             path = _redistribute(spec, path)
-            energies[1:-1] = [functional.value(p) for p in path[1:-1]]
+            energies[1:-1] = functional.values(path[1:-1])
             # a certified saddle from the new highest node ends the pass
             i = int(np.argmax(energies))
             if 0 < i < n - 1:
@@ -410,7 +421,7 @@ def dedup_records(spec, records):
     )
     kept = []
     for rec in ordered:
-        if all(spec.h1_dist(rec.coeffs, k.coeffs) > DEDUP_RADIUS for k in kept):
+        if np.all(spec.h1_dists(rec.coeffs, [k.coeffs for k in kept]) > DEDUP_RADIUS):
             kept.append(rec)
     return kept
 

@@ -236,6 +236,20 @@ class SpectrumSlice:
     def h1_dist(self, a, b) -> float:
         return self.h1_norm(np.asarray(a) - np.asarray(b))
 
+    def h1_dists(self, a, points) -> np.ndarray:
+        """Sobolev distances of `a - points` row by row, for a point and a
+        stack of points (an empty stack included) or two stacks of equal
+        length, each bit for bit the `h1_dist` of its pair."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.n_modes)
+        diff = np.asarray(a, dtype=float) - points
+        totals = np.sum((1.0 + self.eigenvalues) * diff ** 2, axis=1)
+        dists = np.sqrt(totals)
+        # the rows whose sum underflows take h1_norm's rescaled sum; a zero
+        # row, a point of the set itself, already has its distance 0
+        for i in np.flatnonzero(~(totals >= _SMALLEST_NORMAL) & diff.any(axis=1)):
+            dists[i] = self.h1_norm(diff[i])
+        return dists
+
     def field_range(self, coeffs) -> tuple:
         vals = self.evaluate(coeffs)
         return float(vals.min()), float(vals.max())

@@ -76,3 +76,34 @@ def test_reconcile_ignores_insertion_order(reference_report, data):
     expect = reconciled(range(len(pool)))
     assert expect == (1, 0, 13, True, 14)
     assert reconciled(order) == expect
+
+
+def test_images_of_reference_records_keep_their_certificates(reference_report):
+    """Every image of every reference record under the symmetry group is a
+    critical point with the record's Hessian eigenvalues to 1e-12, so its
+    certified Newton basin (`records.newton_radius`) is the record's.  The
+    group is finite, so all of it is checked, not a sample."""
+    func = reference_report.functional
+    spec = func.spectrum
+    signs = spec.symmetry_signs(func.nonlinearity.odd)
+    assert len(signs) == 4
+    for rec in reference_report.records:
+        for sign in signs:
+            image = sign * rec.coeffs
+            assert func.residual(image) <= GRAD_TOL
+            evals = func.morse_data(image)[0]
+            assert np.max(np.abs(evals - rec.hessian_eigs)) <= 1e-12 * max(
+                1.0, np.max(np.abs(rec.hessian_eigs)))
+
+
+def test_certified_records_lie_in_the_ball(reference_report):
+    """Every reference record has a certified Newton basin and a Sobolev
+    norm of at most the ledger's R, so the degree count holds all of
+    them."""
+    func = reference_report.functional
+    R = reference_report.ledger.R
+    certified = [r for r in reference_report.records if nc.newton_radius(func, r) > 0.0]
+    assert len(certified) == 13
+    for rec in certified:
+        assert rec.h1_norm <= R
+        assert func.spectrum.h1_norm(rec.coeffs) <= R

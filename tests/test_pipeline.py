@@ -9,6 +9,7 @@ import pytest
 import neucrit as nc
 import neucrit.solvers as solvers
 from conftest import REMOVED_SETTINGS
+from neucrit.energy import BLOCK_ELEMENTS
 from neucrit.pipeline import (
     STAGES,
     _images,
@@ -124,8 +125,10 @@ def test_reference_search_counts(monkeypatch):
     the sweeps of each truncated mountain pass and the energy, metric
     gradient, L2 gradient, Hessian and Morse data evaluations of the whole
     run, counted at the class since every stage builds its own functionals.
-    A second run repeats them, and the reduction's orbit and ascent counts
-    with them."""
+    An energy evaluation is one field, so "value" counts the rows of the
+    batch method `values` with the calls of `value`, and "values" counts
+    the batches.  A second run repeats them, and the reduction's orbit and
+    ascent counts with them."""
     counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data")
     calls = Counter()
 
@@ -138,8 +141,16 @@ def test_reference_search_counts(monkeypatch):
 
         return wrapper
 
+    batch = nc.EnergyFunctional.values
+
+    def counting_rows(self, rows):
+        calls["values"] += 1
+        calls["value"] += len(rows)
+        return batch(self, rows)
+
     for name in counted:
         monkeypatch.setattr(nc.EnergyFunctional, name, counting(name))
+    monkeypatch.setattr(nc.EnergyFunctional, "values", counting_rows)
     runs = []
     for _ in range(2):
         calls.clear()
@@ -155,11 +166,46 @@ def test_reference_search_counts(monkeypatch):
     # there, and a mountain pass builds no record for a point it dropped;
     # no homotopy start lies on the line of constant fields off the zeros,
     # and the reduction solves psi once per orbit and ascends once per
-    # orbit of its six best seeds
+    # orbit of its six best seeds.  Each pass evaluates its path in one
+    # batch at the start and in one after each of its redistributions,
+    # every REDISTRIBUTE_EVERY sweeps: 3 + 30 / 5 + 25 / 5 + 40 / 5 batches
     assert runs[0] == ([30, 25, 40],
-                       {"value": 1047, "gradient": 150, "l2_gradient": 1585,
+                       {"value": 1047, "values": 22,
+                        "gradient": 150, "l2_gradient": 1585,
                         "hessian_pencil": 338, "morse_data": 55},
                        28, 3)
+
+
+@pytest.mark.parametrize("domain", [None, {"kind": "rectangle", "lengths": [np.pi, 1.5]}])
+def test_batches_stay_within_the_block_cap(monkeypatch, domain):
+    """No nonlinearity call of the reference run, on its interval and on
+    the rectangle of the benchmark, sees more than BLOCK_ELEMENTS grid
+    values, or one field's grid when that is larger: the batched energies
+    of the mountain passes and the population solves of the reduction are
+    cut into blocks, which keeps their temporaries, and with them the peak
+    memory of a run, small."""
+    config = reference_config()
+    if domain is not None:
+        config["domain"] = domain
+    sizes = Counter()
+
+    def counting(name):
+        method = getattr(nc.Nonlinearity, name)
+
+        def wrapper(self, t):
+            sizes[name] = max(sizes[name], np.size(t))
+            return method(self, t)
+
+        return wrapper
+
+    for name in ("__call__", "deriv", "primitive"):
+        monkeypatch.setattr(nc.Nonlinearity, name, counting(name))
+    rep = run_pipeline(config)
+    assert rep.ok, rep.errors
+    grid = rep.functional.spectrum.weights.size
+    assert max(sizes.values()) <= max(BLOCK_ELEMENTS, grid)
+    # the cap is reached, so the batches are in force
+    assert sizes["primitive"] > grid
 
 
 def test_images_close_the_symmetry_group():

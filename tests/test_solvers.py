@@ -100,15 +100,24 @@ def test_mountain_pass_caches_node_energies(ref5):
     """The reference truncation_below pass evaluates J once per node at the
     start, once per interior node after each redistribution (the endpoints
     never move), once per backtracking trial and once per refined candidate
-    outside the basins of the points it dropped, not per node and sweep."""
+    outside the basins of the points it dropped, not per node and sweep.
+    The node energies come in batches, one for the start path and one per
+    redistribution; `value_calls` counts every row of a batch as one
+    evaluation."""
     spec, f, _ = ref5
 
     class Counting(nc.EnergyFunctional):
         value_calls = 0
+        batch_calls = 0
 
         def value(self, u):
             self.value_calls += 1
             return super().value(u)
+
+        def values(self, rows):
+            self.batch_calls += 1
+            self.value_calls += len(rows)
+            return super().values(rows)
 
     func = Counting(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
@@ -116,6 +125,8 @@ def test_mountain_pass_caches_node_energies(ref5):
     assert rec.iterations == 30
     assert func.value_calls == 311
     assert func.value_calls < PATH_NODES * rec.iterations
+    # the start path and the redistributions after sweeps 5, 10, ..., 30
+    assert func.batch_calls == 7
 
 
 def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
