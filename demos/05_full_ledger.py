@@ -3,7 +3,7 @@
 Runs every pipeline stage, prints the ledger with one line per solution,
 and shows the degree bookkeeping that certifies the count: the homotopy
 bound confines all solutions to a ball of known degree +1 (members whose
-closed-form bound cannot raise the largest norm are skipped), each solution
+closed-form bound lies inside the ball are skipped), each solution
 contributes its local degree, and a nonzero gap means something is still
 missing.  Artifacts (report JSON, CSV table, SVG profiles) land in
 demos/out/, which git ignores; each run rewrites them.
@@ -28,7 +28,8 @@ def main():
           f" clean linear end: {hom['lambda_one_clean']})")
     print(f"closed-form bound {hom['bound']:.3f} (mode {hom['mode']}):"
           f" {sampled} members sampled, {len(hom['per_lambda']) - sampled} skipped"
-          f" as unable to raise the largest norm")
+          f" with every solution inside the ball;"
+          f" ball covers the bound: {hom['covers_bound']}")
 
     init = rep.stages["ledger"]["initial_reconciliation"]
     fin = rep.stages["ledger"]["reconciliation"]

@@ -39,11 +39,14 @@ later refines, and one that ends there is dropped without rebuilding its
 record.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
-linearization at infinity and takes R from the largest solution norm it
-finds.  Each member's solutions obey the closed-form bound
-||u||_H1 <= (1 - lam) C M, read off the base nonlinearity's M and C, so a
-member whose bound lies below the largest norm already found is skipped
-and never built: searching it could not change R.
+linearization at infinity and takes R, SAFETY_FACTOR times the largest
+solution norm it finds.  Each member's solutions obey the closed-form
+bound ||u||_H1 <= (1 - lam) C M, read off the base nonlinearity's M and
+C, so a member whose bound lies strictly inside the current ball (below
+SAFETY_FACTOR times the largest norm found so far) is skipped and never
+built: searching it could only enlarge R, never put a solution on the
+sphere.  When R exceeds B(0) = C M, every member's solutions lie strictly
+inside the ball, and the degree there is proven rather than sampled.
 """
 
 from __future__ import annotations
@@ -162,6 +165,14 @@ def refine_critical(functional, start, basins=()):
     check their shapes, and MINPACK then evaluates both there again; each
     keeps its last point and result (`_LastPoint`), so every point is
     evaluated once and the results are bit-identical.
+
+    A start on the line of constant fields is solved on that line, for the
+    constant coefficient alone.  The exact gradient there is constant and
+    the exact Hessian diagonal, diag(lam_j - f'(c)), so the solve cannot
+    leave the line; but where f'(c) equals an eigenvalue lam_j, j > 0, the
+    Hessian is singular and a full solve would blow the rounding in mode j
+    up into a step off the line (from the constant field 1/3 of the
+    reference, where f'(1/3) = lam_1 = 1, it ends at a nonconstant saddle).
     """
     spec = functional.spectrum
     one_plus_lam = 1.0 + spec.eigenvalues
@@ -176,32 +187,43 @@ def refine_critical(functional, start, basins=()):
         inside = np.flatnonzero(np.sqrt((centers - c) ** 2 @ one_plus_lam) < radii)
         return basins[inside[0]][0] if inside.size else None
 
-    def gradient(c):
+    start = np.asarray(start, dtype=float)
+    # the unknowns: every coefficient, or the constant one alone for a start
+    # on the line of constant fields; full(x) is the field they stand for
+    keep = slice(None) if np.any(start[1:]) else slice(0, 1)
+
+    def full(x):
+        return np.concatenate([x, start[len(x):]])
+
+    def gradient(x):
+        c = full(x)
         zero = held(c)
         if zero is not None:
             raise _Converged(zero)
         g = functional.l2_gradient(c)
         if np.sqrt((weight * g * g).sum()) <= GRAD_TOL:
             raise _Converged(np.array(c, dtype=float))
-        return g
+        return g[keep]
 
     fun = _LastPoint(gradient)
+    x0 = start[keep]
     try:
-        u = root(
+        x = root(
             fun,
-            np.asarray(start, dtype=float),
-            jac=_LastPoint(lambda c: functional.hessian_pencil(c)[0]),
+            x0,
+            jac=_LastPoint(lambda x: functional.hessian_pencil(full(x))[0][keep, keep]),
             method="hybr",
-            options={"xtol": 1e-13, "maxfev": 200 * (len(start) + 1)},
+            options={"xtol": 1e-13, "maxfev": 200 * (len(x0) + 1)},
         ).x
     except _Converged as stop:
         return stop.u
     finally:
         fun.release()
-    if not np.all(np.isfinite(u)):
+    if not np.all(np.isfinite(x)):
         return None
     # up to 8 plain Newton steps, each point tested as hybr's are
     for steps in range(9):
+        u = full(x)
         zero = held(u)
         if zero is not None:
             return zero
@@ -212,12 +234,12 @@ def refine_critical(functional, start, basins=()):
         A, _ = functional.hessian_pencil(u)
         G = functional.l2_gradient(u)
         try:
-            delta = np.linalg.solve(A, -G)
+            delta = np.linalg.solve(A[keep, keep], -G[keep])
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(delta)):
             return None
-        u = u + delta
+        x = x + delta
 
 
 def _near(spec, u, basins) -> bool:
@@ -479,7 +501,13 @@ class HomotopyBoundResult:
     """Outcome of the homotopy sweep: the search radius R, the closed-form
     bound that decided which members were sampled, and one row per member
     (lam, bound, sampled, n_found, max_norm and the multistart's start
-    outcomes; the last three None when the member was skipped)."""
+    outcomes; the last three None when the member was skipped).
+
+    A member is skipped when its bound lies below SAFETY_FACTOR times the
+    largest norm sampled before it, so each skipped row has bound < R.
+    covers_bound is bound < R: then every member, for every lam in [0, 1],
+    has its solutions strictly inside the ball of radius R, and the degree
+    there is proven rather than sampled."""
 
     R: float
     max_norm: float
@@ -489,6 +517,7 @@ class HomotopyBoundResult:
     bound: float  # B(0) = C * M, the proven norm bound of every member
     per_lambda: list
     lambda_one_clean: bool
+    covers_bound: bool  # bound < R: no member has a solution on the sphere
 
     def to_dict(self):
         return asdict(self)
@@ -496,7 +525,7 @@ class HomotopyBoundResult:
 
 def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> HomotopyBoundResult:
     """Sweep the family h_lam = lam f'(inf) t + (1 - lam) f(t), multistart
-    each member that could raise the largest solution norm, and return
+    each member that could reach the sphere of the current ball, and return
     R = SAFETY_FACTOR x the largest solution norm.
 
     Write h_lam(t) = s t + g_lam(t) with sup |g_lam| = (1 - lam) M, M the
@@ -504,20 +533,26 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     P_j g_lam(u), and Gram = I gives the proven bound
     ||u||_H1 <= B(lam) = (1 - lam) C M with
     C = sqrt(|Omega| max_j (1 + lam_j) / (lam_j - s)^2).  A member with
-    B(lam) below the largest norm sampled so far cannot raise it, so it is
-    skipped and never built: no member, functional, seeds or multistart.
-    B falls as lam rises, so an ascending sweep samples a prefix of the
-    members; a one-member call always samples.  Skipped and sampled members
-    alike keep their random stream, rng_seed + 1000 + their index in
-    `lambdas`.
+    B(lam) < SAFETY_FACTOR x the largest norm sampled so far has every
+    solution strictly inside the current ball, so searching it could only
+    enlarge R, never put a solution on its sphere; it is skipped and never
+    built: no member, functional, seeds or multistart.  B falls as lam
+    rises, so an ascending sweep samples a prefix of the members.  The
+    comparison is strict and the largest norm starts at 0, so the first
+    member is always sampled and a one-member call always samples.
+    Skipped and sampled members alike keep their random stream,
+    rng_seed + 1000 + their index in `lambdas`.  covers_bound reports
+    B(0) < R, in which case no member of the whole family [0, 1] has a
+    solution on the sphere, sampled or not.
 
     A sampled member is seeded at every real zero of h_lam on the whole
     line, the constant fields that solve it exactly, and at three
     amplitudes of either sign of the first nonconstant mode.  No other
     start lies on the line of constant fields: h_lam of a constant field is
     constant, and Gram = I projects it onto the constant mode alone, so a
-    root solve from there never leaves that line and can only end at a
-    constant zero, which the member already seeds.
+    root solve from there never leaves that line (`refine_critical` solves
+    such a start on the line) and can only end at a constant zero, which
+    the member already seeds.
 
     At lam = 1 the member is linear and nonresonant, so the only solution is
     0 (B(1) = 0 proves it when the member is skipped); lambda_one_clean
@@ -543,7 +578,7 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     clean = True
     for li, lam in enumerate(lambdas):
         bound = C * ((1.0 - float(lam)) * M)
-        row = {"lam": float(lam), "bound": bound, "sampled": not bound < max_norm,
+        row = {"lam": float(lam), "bound": bound, "sampled": not bound < SAFETY_FACTOR * max_norm,
                "n_found": None, "max_norm": None, "outcomes": None}
         per_lambda.append(row)
         if not row["sampled"]:
@@ -569,4 +604,5 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False
     R = SAFETY_FACTOR * max_norm
-    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, M, mode, C * M, per_lambda, clean)
+    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, M, mode, C * M, per_lambda, clean,
+                               C * M < R)

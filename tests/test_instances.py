@@ -28,16 +28,27 @@ def _k3_config(seed):
     return _sloped_config(5.0, seed)
 
 
+def _flip_config(seed):
+    cfg = nc.reference_config()
+    cfg["nonlinearity"]["knots"][2][1] = 0.5
+    cfg["solver"]["rng_seed"] = seed
+    return cfg
+
+
+def _rectangle_config(seed):
+    cfg = nc.reference_config()
+    cfg["domain"] = {"kind": "rectangle", "lengths": [np.pi, 1.5]}
+    cfg["solver"]["rng_seed"] = seed
+    return cfg
+
+
 @pytest.mark.parametrize("seed", [7, 42, 3])
 def test_crossing_slope_flip_balances(seed):
     """With f'(0) = 0.5 the middle zero crosses one eigenvalue, not two, so
     the degree count no longer forces an extra solution.  The run balances
     with 11 records, an index-2 solution among them, and closes the orbits
     without a random start."""
-    cfg = nc.reference_config()
-    cfg["nonlinearity"]["knots"][2][1] = 0.5
-    cfg["solver"]["rng_seed"] = seed
-    rep = nc.run_pipeline(cfg)
+    rep = nc.run_pipeline(_flip_config(seed))
     assert rep.ok, rep.errors
     assert rep.hypotheses.k == 2
     assert rep.hypotheses.extra_solution_condition is False
@@ -69,6 +80,27 @@ def test_k5_reduction_grid():
     assert red["energy"] == pytest.approx(385.787173947077, rel=1e-9)
     assert red["morse_index"] == 5 and not red["degenerate"]
     assert red["notes"] == []
+
+
+@pytest.mark.parametrize("make", [_flip_config, _k3_config, _rectangle_config])
+def test_homotopy_radius_is_the_full_sweep_radius(make):
+    """The sweep skips every member whose closed-form bound lies inside the
+    current ball, so R must be what sampling every member gives: each
+    member sampled alone (a one-member call never skips) has no solution
+    norm above the sweep's max_norm.  On these instances only lam = 0 is
+    sampled, and R exceeds the closed-form bound B(0)."""
+    cfg = make(7)
+    cfg["stages"] = ["homotopy"]
+    rep = nc.run_pipeline(cfg)
+    h = rep.stages["homotopy"]
+    assert [row["lam"] for row in h["per_lambda"] if row["sampled"]] == [0.0]
+    assert h["covers_bound"] and h["bound"] < h["R"]
+    spec, f = rep.spectrum, rep.functional.nonlinearity
+    scfg = nc.SolverConfig(**rep.config["solver"])
+    for row in h["per_lambda"]:
+        (alone,) = nc.homotopy_bound(f, spec, [row["lam"]], scfg).per_lambda
+        assert alone["sampled"]
+        assert alone["max_norm"] <= h["max_norm"], row["lam"]
 
 
 def test_k3_balances():

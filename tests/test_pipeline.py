@@ -70,16 +70,19 @@ def test_reference_run_stage_surface(reference_report):
     assert rep.warnings == []
 
 
-def test_reference_homotopy_samples_five_members(reference_report):
-    """lam = 0 ... 0.4 are sampled; from lam = 0.5 on the closed-form bound
-    B(lam) lies below the largest norm sampled, so those six members are
-    skipped with no count or norm.  The stage repeats for the same seed."""
+def test_reference_homotopy_samples_one_member(reference_report):
+    """Only lam = 0 is sampled: from lam = 0.1 on the closed-form bound
+    B(lam) (11.89 at 0.1) lies below R = SAFETY_FACTOR x 7.208, so those ten
+    members are skipped with no count or norm.  B(0) = 13.211 lies below R
+    too, so the ball holds every member's solutions.  The stage repeats for
+    the same seed."""
     h = reference_report.stages["homotopy"]
     sampled = [row for row in h["per_lambda"] if row["sampled"]]
     skipped = [row for row in h["per_lambda"] if not row["sampled"]]
-    assert len(sampled) == 5 and len(skipped) == 6
-    assert max(row["lam"] for row in sampled) < min(row["lam"] for row in skipped)
-    assert all(row["bound"] < h["max_norm"] for row in skipped)
+    assert [row["lam"] for row in sampled] == [0.0] and len(skipped) == 10
+    assert all(row["bound"] < h["R"] for row in skipped)
+    assert skipped[0]["bound"] == pytest.approx(11.890, abs=1e-3)
+    assert h["covers_bound"] and h["bound"] < h["R"]
     assert all(row["n_found"] is row["max_norm"] is row["outcomes"] is None for row in skipped)
     assert h["max_norm"] == max(row["max_norm"] for row in sampled)
     cfg = reference_config()
@@ -106,7 +109,7 @@ def test_start_outcomes_sum_to_the_starts(reference_report):
     are its zeros on the whole line, 6 first-mode seeds and HOMOTOPY_BUDGET
     random ones, and none of them fails; every multistart pass reports its
     own starts.  The counts repeat for the same seed
-    (`test_reference_homotopy_samples_five_members`)."""
+    (`test_reference_homotopy_samples_one_member`)."""
     f = reference_report.functional.nonlinearity
     rows = [r for r in reference_report.stages["homotopy"]["per_lambda"] if r["sampled"]]
     for row in rows:
@@ -164,15 +167,17 @@ def test_reference_search_counts(monkeypatch):
     # data, so the three transfers assemble no Hessian; a root solve that
     # enters the Newton basin of a point its search already holds stops
     # there, and a mountain pass builds no record for a point it dropped;
-    # no homotopy start lies on the line of constant fields off the zeros,
+    # the homotopy samples only its base member, whose R = 2 x 7.208
+    # already exceeds B(0.1), and none of its starts lies on the line of
+    # constant fields off the zeros,
     # and the reduction solves psi once per orbit and ascends once per
     # orbit of its six best seeds.  Each pass evaluates its path in one
     # batch at the start and in one after each of its redistributions,
     # every REDISTRIBUTE_EVERY sweeps: 3 + 30 / 5 + 25 / 5 + 40 / 5 batches
     assert runs[0] == ([30, 25, 40],
-                       {"value": 1047, "values": 22,
-                        "gradient": 150, "l2_gradient": 1585,
-                        "hessian_pencil": 338, "morse_data": 55},
+                       {"value": 1020, "values": 22,
+                        "gradient": 123, "l2_gradient": 486,
+                        "hessian_pencil": 113, "morse_data": 28},
                        28, 3)
 
 

@@ -230,6 +230,18 @@ def test_refine_critical_returns_exact_start(ref5):
     assert np.array_equal(u, start)
 
 
+def test_refine_critical_stays_on_the_constant_line_where_the_hessian_is_singular(ref5):
+    """f'(+-1/3) = 1 = lam_1, so the Hessian at those constant fields is
+    singular in mode 1; a root solve from there still ends at a constant
+    zero of f instead of following rounding in mode 1 to a saddle."""
+    spec, f, func = ref5
+    for t in (1.0 / 3.0, -1.0 / 3.0):
+        assert f.deriv(np.array([t]))[0] == pytest.approx(1.0, abs=1e-15)
+        u = nc.refine_critical(func, spec.constant_field(t))
+        assert not np.any(u[1:])
+        assert min(spec.h1_dist(u, spec.constant_field(z)) for z in (-2, -1, 0, 1, 2)) <= 1e-6
+
+
 def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
     """The sweep builds its own functionals, so count at the class.  Only
     lam = 0 is sampled: its max_norm exceeds B(0.5) and B(1).  No start
@@ -249,7 +261,7 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
 
 def test_homotopy_bound_builds_only_sampled_members(ref5, solver_cfg, monkeypatch):
     """Every member's bound is (1 - lam) C M of the base, so only the
-    sampled members are built: 5 of the reference run's 11, and only
+    sampled members are built: 1 of the reference run's 11, and only
     lam = 0 of [0, 0.5, 1]."""
     spec, f, _ = ref5
     built = []
@@ -263,7 +275,7 @@ def test_homotopy_bound_builds_only_sampled_members(ref5, solver_cfg, monkeypatc
     cfg["stages"] = ["homotopy"]
     rows = nc.run_pipeline(cfg).stages["homotopy"]["per_lambda"]
     assert built == [row["lam"] for row in rows if row["sampled"]]
-    assert len(built) == 5
+    assert built == [0.0]
     built.clear()
     nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
     assert built == [0.0]
@@ -372,7 +384,7 @@ def test_dedup_records(ref5):
 
 def test_homotopy_bound_reference(ref5, solver_cfg):
     """The base member's widest orbit, norm 7.208, sets max_norm; the
-    closed-form bounds B(0.5) = 6.606 and B(1) = 0 lie below it, so those
+    closed-form bounds B(0.5) = 6.606 and B(1) = 0 lie below R, so those
     members are skipped, and lam = 1 stays clean since B(1) = 0 leaves only
     u = 0.  Alone, [1.0] is sampled and finds only u = 0."""
     spec, f, func = ref5
@@ -387,6 +399,8 @@ def test_homotopy_bound_reference(ref5, solver_cfg):
     assert not linear["sampled"] and linear["bound"] == 0.0
     assert half["n_found"] is half["max_norm"] is linear["n_found"] is linear["max_norm"] is None
     assert res.lambda_one_clean
+    # R = 14.417 exceeds B(0), so no member of [0, 1] reaches the sphere
+    assert res.covers_bound
     assert res.to_dict()["per_lambda"] == res.per_lambda
     # each bound is the member's own M times C, the constant of the closed form
     lam_j = spec.eigenvalues
@@ -394,9 +408,12 @@ def test_homotopy_bound_reference(ref5, solver_cfg):
     for row in res.per_lambda:
         assert row["bound"] == pytest.approx(nc.homotopy(f, row["lam"]).M * C, rel=1e-14)
 
-    (alone,) = nc.homotopy_bound(f, spec, [1.0], solver_cfg).per_lambda
+    linear_only = nc.homotopy_bound(f, spec, [1.0], solver_cfg)
+    (alone,) = linear_only.per_lambda
     assert alone["sampled"] and alone["bound"] == 0.0
     assert alone["n_found"] == 1 and alone["max_norm"] < 1e-6
+    # B(0) is the bound of the whole family, which lam = 1 alone cannot cover
+    assert not linear_only.covers_bound
 
 
 def test_homotopy_bound_preconditions(ref5, solver_cfg):

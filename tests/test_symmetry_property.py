@@ -62,9 +62,10 @@ def test_psi_is_equivariant(key, xs):
 def test_root_solve_stays_on_the_constant_line(kind, lam, t):
     """A root solve from a constant field of a homotopy member fails or
     ends at the constant field of one of the member's zeros, the starts
-    the sweep seeds.  Rounding and hybr's Jacobian updates leave about
-    1e-9 in the nonconstant modes (seen up to 1.2e-9 in the Sobolev norm),
-    far inside DEDUP_RADIUS."""
+    the sweep seeds, also where f' meets an eigenvalue (t = 1/3 at
+    lam = 0 on the interval).  The solve keeps to the line, so only the
+    constant coefficient can differ from the zero's, by far less than
+    DEDUP_RADIUS."""
     spec = SPECTRA[kind]
     g = nc.homotopy(NONLINEARITIES["odd"], lam)
     u = nc.refine_critical(nc.EnergyFunctional(spec, g), spec.constant_field(t))
