@@ -51,14 +51,10 @@ from .records import (
     principal_simple_signdef,
 )
 from .reduction import (
-    LocalMaxMinReport,
     ReductionContext,
-    local_max_min_at_constant,
     make_reduction_context,
     maximize_reduced,
-    monotonicity_certificate,
     psi,
-    reduced_value,
 )
 from .solvers import (
     HomotopyBoundResult,
@@ -102,11 +98,7 @@ __all__ = [
     "ReductionContext",
     "make_reduction_context",
     "psi",
-    "reduced_value",
     "maximize_reduced",
-    "monotonicity_certificate",
-    "local_max_min_at_constant",
-    "LocalMaxMinReport",
     "DegreeLedger",
     "local_degree",
     "qualitative_classify",

@@ -42,11 +42,11 @@ class PathCollapse(NeucritError):
 
 
 class ModulusViolated(NeucritError):
-    """A sampled convexity-modulus check failed; the slope bound is mis-certified."""
+    """A probe of the convexity modulus failed; the slope bound is mis-certified."""
 
 
 class ReductionInapplicable(NeucritError):
-    """The certified slope bound reaches the complement spectrum; no reduction exists."""
+    """The Y block is empty or the certified slope bound reaches it; no reduction exists."""
 
 
 class RangeEscape(NeucritError):

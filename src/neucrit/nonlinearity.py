@@ -35,6 +35,7 @@ from .errors import (
     AsymmetricSlopes,
     DuplicateKnots,
     NonC1Blend,
+    ReductionInapplicable,
 )
 from .spectrum import resonance_margin
 
@@ -47,6 +48,7 @@ __all__ = [
     "ZeroReport",
     "HypothesisReport",
     "check_hypotheses",
+    "reduction_modulus",
 ]
 
 _ANCHOR_TOL = 1e-12
@@ -386,7 +388,6 @@ class HypothesisReport:
     slope_minus_inf: float
     slope_plus_inf: float
     symmetric_slopes: bool
-    nonresonant: bool  # always True: a resonant slope raises instead
     resonance_margin: float
     k: int
     crossed_eigenvalues: tuple
@@ -405,6 +406,26 @@ class HypothesisReport:
         return asdict(self)
 
 
+def reduction_modulus(gamma: float, lam_min_y: float) -> float:
+    """The strong-convexity modulus of the Y block, the one test of whether
+    the reduction applies.
+
+    With f' <= gamma everywhere and gamma below the least Y eigenvalue
+    lambda_min(Y), the map y -> J(x + y) is strongly convex on Y with
+    modulus m = (lambda_min(Y) - gamma) / (1 + lambda_min(Y)) in the Sobolev
+    metric.  `lam_min_y` is NaN when Y is empty.  Raises
+    ReductionInapplicable, with the reason, when Y is empty or gamma
+    reaches lambda_min(Y).
+    """
+    if np.isnan(lam_min_y):
+        raise ReductionInapplicable("the Y block is empty: every mode lies in X")
+    if gamma >= lam_min_y:
+        raise ReductionInapplicable(
+            f"gamma={gamma:g} reaches the complement spectrum (min {lam_min_y:g})"
+        )
+    return (lam_min_y - gamma) / (1.0 + lam_min_y)
+
+
 def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
     """Audit the structural hypotheses the solver stages rely on.
 
@@ -412,9 +433,9 @@ def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
     the reduction modulus, and tests the alternating five-zero pattern
     together with the degree-count condition that forces an extra solution.
     The tails are symmetric when they are equal, that is when f.M is
-    finite.  A resonant asymptotic slope raises ResonantSlope from
-    `spectrum.resonance_margin`, as in `split_spectrum`, so a returned
-    report is always nonresonant.
+    finite.  The Y block holds the eigenvalues above the tail slope, so the
+    spectrum need not be split.  A resonant asymptotic slope raises
+    ResonantSlope from `spectrum.resonance_margin`, as in `split_spectrum`.
     """
     notes = []
     s_plus = f.slope_plus_inf
@@ -430,12 +451,11 @@ def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
     crossed = tuple(float(v) for v in eigs[eigs < s_plus])
 
     lam_min_y = float(np.min(eigs[eigs >= s_plus])) if k < len(eigs) else float("nan")
-    applicable = k < len(eigs) and f.gamma < lam_min_y
-    m = (lam_min_y - f.gamma) / (1.0 + lam_min_y) if applicable else None
-    if not applicable:
-        notes.append(
-            f"gamma={f.gamma:g} reaches the complement spectrum (min {lam_min_y:g})"
-        )
+    try:
+        m = reduction_modulus(f.gamma, lam_min_y)
+    except ReductionInapplicable as exc:
+        m = None
+        notes.append(str(exc))
 
     zreports = []
     for t, s in f.knots:
@@ -461,14 +481,13 @@ def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:
         slope_minus_inf=s_minus,
         slope_plus_inf=s_plus,
         symmetric_slopes=symmetric,
-        nonresonant=True,
         resonance_margin=margin,
         k=k,
         crossed_eigenvalues=crossed,
         gamma=f.gamma,
         min_slope=f.min_slope,
         lambda_min_y=lam_min_y,
-        reduction_applicable=applicable,
+        reduction_applicable=m is not None,
         modulus=m,
         zeros=tuple(zreports),
         five_pattern=five,

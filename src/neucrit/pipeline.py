@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .energy import EnergyFunctional
-from .errors import ConfigError, NeucritError
+from .errors import ConfigError, NeucritError, ReductionInapplicable
 from .ledger import DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, truncate
 from .records import DEDUP_RADIUS, SolverConfig, newton_radius
@@ -418,19 +418,16 @@ def run_pipeline(config: dict) -> RunReport:
     R = report.run("homotopy", homotopy_stage) if "homotopy" in stages else None
 
     def reduction_stage():
-        ctx = make_reduction_context(func)
+        try:
+            ctx = make_reduction_context(func)
+        except ReductionInapplicable as exc:
+            report.skips["reduction"] = f"ReductionInapplicable: {exc}"
+            return None
         rec = maximize_reduced(ctx)
         report.stages["reduction"] = rec.to_dict()
         return rec
 
-    reduction_rec = None
-    if "reduction" in stages:
-        if not report.hypotheses.reduction_applicable:
-            report.skips["reduction"] = (
-                "ReductionInapplicable: gamma reaches the complement spectrum"
-            )
-        else:
-            reduction_rec = report.run("reduction", reduction_stage)
+    reduction_rec = report.run("reduction", reduction_stage) if "reduction" in stages else None
 
     if "ledger" not in stages:
         return report

@@ -15,16 +15,16 @@ index is expected to be k.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
 from .energy import BLOCK_ELEMENTS
-from .errors import AsymmetricSlopes, MaxItersExceeded, ModulusViolated, ReductionInapplicable
+from .errors import AsymmetricSlopes, MaxItersExceeded, ModulusViolated
+from .nonlinearity import reduction_modulus
 from .records import make_record
 from .solvers import refine_critical
-from .spectrum import resonance_margin
 
 __all__ = [
     "ReductionContext",
@@ -32,11 +32,7 @@ __all__ = [
     "psi",
     "PopulationSolve",
     "psi_population",
-    "reduced_value",
     "maximize_reduced",
-    "monotonicity_certificate",
-    "local_max_min_at_constant",
-    "LocalMaxMinReport",
 ]
 
 # Sobolev norm of the Y-block gradient at which psi's inner solve stops
@@ -74,27 +70,21 @@ class ReductionContext:
 def make_reduction_context(functional) -> ReductionContext:
     """Validate applicability and package the certified constants.
 
-    Raises ReductionInapplicable when gamma >= lambda_min(Y), where the
-    Y block stops being uniformly convex and the reduction has no
-    uniqueness guarantee.
+    m comes from `reduction_modulus`, the test `check_hypotheses` reports
+    too.  It raises ReductionInapplicable when the Y block is empty or
+    gamma >= lambda_min(Y), where the Y block stops being uniformly convex
+    and the reduction has no uniqueness guarantee.  An unsplit spectrum
+    raises ValueError.
     """
     spec = functional.spectrum
     f = functional.nonlinearity
     lam_min_y = spec.lambda_min_y
-    if not np.isfinite(lam_min_y) or f.gamma >= lam_min_y:
-        raise ReductionInapplicable(
-            f"gamma={f.gamma:.6g} is not below the first Y eigenvalue {lam_min_y:.6g}"
-        )
-    m = (lam_min_y - f.gamma) / (1.0 + lam_min_y)
+    m = reduction_modulus(f.gamma, lam_min_y)
     # Lipschitz bound of y -> P_Y grad J(x+y) in the Sobolev metric:
     # <H y, y> = |y|^2 - int (f'(u)+1) y^2, and on Y the L2 norm is
     # controlled by |y|^2 / (1 + lambda_min(Y)).
     lam = 1.0 + max(0.0, -(1.0 + f.min_slope)) / (1.0 + lam_min_y)
     return ReductionContext(functional, m, lam)
-
-
-def _y_block_gradient(ctx, u):
-    return ctx.spectrum.y_projection(ctx.functional.gradient(u))
 
 
 def psi(ctx: ReductionContext, x, y0=None):
@@ -203,36 +193,6 @@ def _newton_block(ctx, c):
         c[live] = trial
         u, energy, grad = u_new, e_new, g_new
     raise MaxItersExceeded("population Newton solve of the inner minimization stalled")
-
-
-def reduced_value(ctx: ReductionContext, x, y0=None) -> float:
-    x = ctx.spectrum.x_projection(np.asarray(x, dtype=float))
-    return ctx.functional.value(x + psi(ctx, x, y0))
-
-
-# standard deviation of the random coefficients the certificate samples
-CERTIFICATE_SCALE = 3.0
-
-
-def monotonicity_certificate(ctx: ReductionContext, trials=200, rng=None):
-    """Sampled check of the strong-convexity inequality on random triples
-    (x, y1, y2).  Returns the worst margin lhs - m*|dy|^2 (should be
-    >= -1e-10); raises ModulusViolated if any sample breaks it."""
-    spec = ctx.spectrum
-    rng = np.random.default_rng(0) if rng is None else rng
-    worst = np.inf
-    for _ in range(trials):
-        x = spec.x_projection(rng.normal(scale=CERTIFICATE_SCALE, size=spec.n_modes))
-        y1 = spec.y_projection(rng.normal(scale=CERTIFICATE_SCALE, size=spec.n_modes))
-        y2 = spec.y_projection(rng.normal(scale=CERTIFICATE_SCALE, size=spec.n_modes))
-        dy = y1 - y2
-        g1 = _y_block_gradient(ctx, x + y1)
-        g2 = _y_block_gradient(ctx, x + y2)
-        margin = spec.h1_inner(g1 - g2, dy) - ctx.m * spec.h1_inner(dy, dy)
-        worst = min(worst, margin)
-        if margin < -_MODULUS_SLACK:
-            raise ModulusViolated(f"sampled monotonicity margin {margin:.3e}")
-    return worst
 
 
 def _compact_to_field(spec, xi):
@@ -365,78 +325,3 @@ def maximize_reduced(ctx: ReductionContext):
             f"full Hessian index {rec.morse_index} differs from the block dimension k={k}"
         )
     return rec
-
-
-@dataclass
-class LocalMaxMinReport:
-    alpha: float
-    ell: int
-    eps: float
-    directions: list  # dicts: mode index, eigenvalue, block, deltas, pass
-    passed: bool
-
-    def to_dict(self):
-        return asdict(self)
-
-
-# step of the centered differences in the scan around a constant
-SCAN_EPS = 1e-3
-
-
-def local_max_min_at_constant(ctx: ReductionContext, alpha, ell) -> LocalMaxMinReport:
-    """Scan the reduced functional around a crossing constant.
-
-    Along X directions whose eigenvalue sits below f'(alpha) (the low
-    block, ell of them) the constant should be a strict local max of the
-    reduced functional; along the remaining X directions (middle block) a
-    strict local min.  Each direction also gets a centered second
-    difference compared against the coefficient-space Hessian diagonal
-    lambda_j - f'(alpha): the full Hessian is diagonal at a constant, so
-    its Schur complement onto X is exactly that block.
-
-    Raises ResonantSlope when f'(alpha) is resonant (`resonance_margin`),
-    and ValueError when alpha is not a zero of f or ell does not count the
-    X eigenvalues below f'(alpha).
-    """
-    spec = ctx.spectrum
-    f = ctx.functional.nonlinearity
-    falpha = f(alpha)
-    if abs(falpha) > 1e-10:
-        raise ValueError(f"f({alpha}) = {falpha:.3g} != 0; not a constant solution")
-    slope = f.deriv(alpha)
-    resonance_margin(spec, slope)
-    eig = [spec.pairs[i].eigenvalue for i in spec.x_indices]
-    ell_true = sum(1 for lam in eig if lam < slope)
-    if ell != ell_true:
-        raise ValueError(
-            f"ell={ell} inconsistent with f'({alpha})={slope:.6g}: "
-            f"{ell_true} X eigenvalues lie below it"
-        )
-    if ell >= spec.k:
-        raise ValueError(f"ell={ell} must be < k={spec.k}")
-
-    x0 = spec.x_projection(spec.constant_field(alpha))
-    J0 = reduced_value(ctx, x0)
-    rows = []
-    ok = True
-    for i in spec.x_indices:
-        lamj = spec.pairs[i].eigenvalue
-        block = "low" if lamj < slope else "middle"
-        e = np.zeros(spec.n_modes)
-        e[i] = 1.0
-        Jp = reduced_value(ctx, x0 + SCAN_EPS * e)
-        Jm = reduced_value(ctx, x0 - SCAN_EPS * e)
-        second = (Jp - 2.0 * J0 + Jm) / SCAN_EPS ** 2
-        hess = lamj - slope
-        if block == "low":
-            direction_ok = Jp < J0 and Jm < J0
-        else:
-            direction_ok = Jp > J0 and Jm > J0
-        ok = ok and direction_ok
-        rows.append({
-            "mode": int(i), "eigenvalue": lamj, "block": block,
-            "delta_plus": Jp - J0, "delta_minus": Jm - J0,
-            "second_difference": second, "hessian_diagonal": hess,
-            "ok": direction_ok,
-        })
-    return LocalMaxMinReport(float(alpha), int(ell), SCAN_EPS, rows, ok)

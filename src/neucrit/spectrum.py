@@ -305,9 +305,10 @@ class SpectrumSlice:
 
     @property
     def lambda_min_y(self) -> float:
+        """The least Y eigenvalue; NaN when the Y block is empty."""
         self._need_split()
         if len(self.y_indices) == 0:
-            raise ValueError("Y block is empty")
+            return float("nan")
         return float(self.eigenvalues[self.y_indices].min())
 
     def _need_split(self):

@@ -361,7 +361,7 @@ def test_find_zeros_off_the_knots():
 def test_check_hypotheses_reference(f5, ref5):
     spec, _, _ = ref5
     rep = check_hypotheses(f5, spec)
-    assert rep.symmetric_slopes and rep.nonresonant
+    assert rep.symmetric_slopes
     assert rep.k == 2
     assert rep.crossed_eigenvalues == (0.0, 1.0)
     assert rep.reduction_applicable

@@ -275,7 +275,8 @@ def test_steep_instance_skips_reduction():
     cfg["stages"] = ["constants", "homotopy", "reduction", "ledger"]
     rep = run_pipeline(cfg)
     assert "reduction" in rep.skips
-    assert rep.skips["reduction"].startswith("ReductionInapplicable")
+    assert rep.skips["reduction"].startswith("ReductionInapplicable: gamma=")
+    assert "reaches the complement spectrum" in rep.skips["reduction"]
     assert "reduction" not in rep.stages
     assert not rep.hypotheses.reduction_applicable
 

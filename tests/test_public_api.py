@@ -28,7 +28,9 @@ def test_star_import():
     assert set(neucrit.__all__) <= set(namespace)
     assert "truncate" in namespace
     for gone in ("truncate_below", "truncate_above", "truncate_interval",
-                 "minimize", "DivergingIterates", "reduced_gradient"):
+                 "minimize", "DivergingIterates", "reduced_gradient",
+                 "monotonicity_certificate", "local_max_min_at_constant",
+                 "LocalMaxMinReport", "reduced_value"):
         assert gone not in namespace
     assert not hasattr(neucrit.reduction, "reduced_gradient")
     assert not hasattr(neucrit.SpectrumSlice, "mirror")

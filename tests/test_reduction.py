@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -7,13 +6,10 @@ import pytest
 import neucrit as nc
 from neucrit import reduction
 from neucrit.reduction import (
-    local_max_min_at_constant,
     make_reduction_context,
     maximize_reduced,
-    monotonicity_certificate,
     psi,
     psi_population,
-    reduced_value,
 )
 from neucrit.records import GRAD_TOL
 
@@ -36,6 +32,24 @@ def test_inapplicable_when_gamma_reaches_y(ref5):
     steep = nc.build_nonlinearity([(0.0, 6.0)], 2.5, 2.5)
     with pytest.raises(nc.ReductionInapplicable):
         make_reduction_context(nc.EnergyFunctional(spec, steep))
+
+
+def test_empty_y_block_is_inapplicable():
+    """With 2 modes both eigenvalues lie below the tail slope 2.5, so the Y
+    block is empty.  The context, the hypothesis report and the pipeline's
+    skip all give that reason."""
+    cfg = nc.reference_config()
+    cfg["modes"] = 2
+    cfg["stages"] = ["reduction"]
+    rep = nc.run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    assert not rep.hypotheses.reduction_applicable
+    assert np.isnan(rep.hypotheses.lambda_min_y)
+    with pytest.raises(nc.ReductionInapplicable, match="Y block is empty") as exc:
+        make_reduction_context(rep.functional)
+    assert rep.skips["reduction"] == f"ReductionInapplicable: {exc.value}"
+    assert str(exc.value) in rep.hypotheses.notes
+    assert "reduction" not in rep.stages
 
 
 def test_requires_split_spectrum():
@@ -97,25 +111,9 @@ def test_psi_warm_start(ref5, ref5_ctx):
     assert spec.h1_dist(y1, y2) < 1e-8
 
 
-def test_reduced_value_below_full(ref5, ref5_ctx):
-    spec, _, func = ref5
-    rng = np.random.default_rng(35)
-    for _ in range(5):
-        u = rng.standard_normal(spec.n_modes)
-        assert reduced_value(ref5_ctx, spec.x_projection(u)) <= func.value(u) + 1e-12
-
-
-def test_monotonicity_certificate(ref5_ctx):
-    worst = monotonicity_certificate(ref5_ctx, trials=60,
-                                     rng=np.random.default_rng(37))
-    assert worst >= -1e-10
-
-
 def test_forged_modulus_trips_probes(ref5, ref5_ctx):
     spec, _, _ = ref5
     bad = dataclasses.replace(ref5_ctx, m=10.0)
-    with pytest.raises(nc.ModulusViolated):
-        monotonicity_certificate(bad, trials=20, rng=np.random.default_rng(38))
     x = spec.x_projection(2.0 * np.ones(spec.n_modes))
     with pytest.raises(nc.ModulusViolated):
         psi(bad, x)
@@ -345,66 +343,6 @@ def test_maximize_reduced_asymmetric_tails(ref5):
     assert rep.hypotheses.reduction_applicable
     assert rep.errors["reduction"]["type"] == "AsymmetricSlopes"
     assert "reduction" not in rep.stages
-
-
-def test_local_max_min_at_reference_well(ref5_ctx):
-    rep = local_max_min_at_constant(ref5_ctx, alpha=-1.0, ell=0)
-    assert rep.passed
-    assert len(rep.directions) == 2
-    for row in rep.directions:
-        assert row["block"] == "middle"
-        assert row["delta_plus"] > 0 and row["delta_minus"] > 0
-        assert row["second_difference"] == pytest.approx(
-            row["hessian_diagonal"], rel=1e-2
-        )
-    # frozen diagonal entries lam_j - f'(-1) = lam_j + 3
-    assert rep.directions[0]["hessian_diagonal"] == pytest.approx(3.0)
-    assert rep.directions[1]["hessian_diagonal"] == pytest.approx(4.0)
-
-
-def test_local_max_min_report_dumps_as_plain_json(ref5_ctx):
-    """The scan's mode indices are plain ints, so json.dumps needs no
-    converter."""
-    d = json.loads(json.dumps(local_max_min_at_constant(ref5_ctx, alpha=-1.0, ell=0).to_dict()))
-    assert [row["mode"] for row in d["directions"]] == [0, 1]
-
-
-def test_local_max_min_split_blocks(ref5):
-    # a crossing with slope between the two X eigenvalues exercises ell = 1
-    spec, _, _ = ref5
-    f = nc.build_nonlinearity([(0.0, 0.5)], 2.5, 2.5)
-    ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
-    rep = local_max_min_at_constant(ctx, alpha=0.0, ell=1)
-    assert rep.passed
-    low = [r for r in rep.directions if r["block"] == "low"]
-    mid = [r for r in rep.directions if r["block"] == "middle"]
-    assert len(low) == 1 and len(mid) == 1
-    assert low[0]["delta_plus"] < 0 and low[0]["delta_minus"] < 0
-    assert mid[0]["delta_plus"] > 0 and mid[0]["delta_minus"] > 0
-    assert low[0]["hessian_diagonal"] == pytest.approx(-0.5)
-    assert mid[0]["hessian_diagonal"] == pytest.approx(0.5)
-    d = rep.to_dict()
-    assert d["ell"] == 1 and d["passed"]
-
-
-def test_local_max_min_validation(ref5_ctx):
-    with pytest.raises(ValueError, match="not a constant solution"):
-        local_max_min_at_constant(ref5_ctx, alpha=0.5, ell=0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        local_max_min_at_constant(ref5_ctx, alpha=-1.0, ell=1)
-    with pytest.raises(ValueError, match="must be < k"):
-        local_max_min_at_constant(ref5_ctx, alpha=0.0, ell=2)
-
-
-def test_local_max_min_resonant_slope(ref5):
-    """A crossing slope on an eigenvalue leaves the block split undefined:
-    the scan raises ResonantSlope, as every other resonance test does."""
-    spec, _, _ = ref5
-    knots = [(t, 1.0 if t == 0.0 else s) for t, s in REF5_KNOTS]
-    f = nc.build_nonlinearity(knots, 2.5, 2.5)
-    ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
-    with pytest.raises(nc.ResonantSlope):
-        local_max_min_at_constant(ctx, alpha=0.0, ell=1)
 
 
 def test_maximize_reduced_without_oddness(ref5, monkeypatch):

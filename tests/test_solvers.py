@@ -40,6 +40,24 @@ def test_find_constants(ref5):
     assert by_zero[1.0].morse_index == 0
 
 
+@pytest.mark.parametrize("middle_slope, indices", [(2.5, [2, 0, 2, 0, 2]),
+                                                  (0.5, [2, 0, 1, 0, 2])])
+def test_constant_morse_index_is_crossing_count(ref5, middle_slope, indices):
+    """At a constant alpha the Hessian is diag(lam_j - f'(alpha)), so the
+    Morse index counts the eigenvalues below f'(alpha): the zero's
+    crossing count, and 0 at a minimum-type zero.  A middle slope of 0.5
+    (the flip instance) lies between the eigenvalues 0 and 1."""
+    spec, _, _ = ref5
+    knots = [(t, middle_slope if t == 0.0 else s) for t, s in REF5_KNOTS]
+    f = nc.build_nonlinearity(knots, 2.5, 2.5)
+    recs = nc.find_constants(nc.EnergyFunctional(spec, f))
+    zeros = nc.check_hypotheses(f, spec).zeros
+    assert [r.morse_index for r in recs] == indices
+    for rec, z in zip(recs, zeros, strict=True):
+        assert not rec.degenerate
+        assert rec.morse_index == (z.crossing_count if z.kind == "crossing" else 0)
+
+
 def test_mountain_pass_sweep_budget(ref5, monkeypatch):
     """MAX_ITERS bounds the sweeps; the outer-well pass needs 30 of them,
     so a budget of 3 runs out before any redistribution."""
