@@ -30,6 +30,11 @@ def main():
           f" {sampled} members sampled, {len(hom['per_lambda']) - sampled} skipped"
           f" with every solution inside the ball;"
           f" ball covers the bound: {hom['covers_bound']}")
+    for row in hom["per_lambda"]:
+        if row["sampled"]:
+            drew = (f"drew {row['random_starts']} random starts" if row["random_starts"]
+                    else "drew no random start: its seeds already put its bound inside the ball")
+            print(f"  lam = {row['lam']:.1f}: {row['n_found']} points, {drew}")
 
     init = rep.stages["ledger"]["initial_reconciliation"]
     fin = rep.stages["ledger"]["reconciliation"]

@@ -178,15 +178,20 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
     gamma, lo = _extreme_slopes(dpp)
     M = _tail_offset_sup(ppoly, s_plus) if s_minus == s_plus else np.inf
     odd = bool(np.isfinite(M)) and _is_odd(ppoly)
-    # defensive C1 audit at the breakpoints; exact construction never trips this
-    xb = ppoly.x[1:-1]
-    if xb.size:
-        eps = 1e-9 * max(1.0, np.max(np.abs(xb)))
-        jump_v = np.abs(ppoly(xb - eps) - ppoly(xb + eps))
-        jump_d = np.abs(dpp(xb - eps) - dpp(xb + eps))
-        scale = 1.0 + max(abs(gamma), abs(lo))
-        if np.any(jump_v > 1e-6 * scale) or np.any(jump_d > 1e-5 * scale):
-            raise NonC1Blend("value or slope mismatch at a breakpoint")
+    # defensive C1 audit: every piece ends with the value and the slope the
+    # next one starts with; exact construction never trips this.  Each end
+    # is the piece's own polynomial at its width (Horner), not a difference
+    # of samples, which would step across a piece narrower than the step
+    h = np.diff(ppoly.x)[:-1]
+    ends = np.zeros(h.size)
+    end_slopes = np.zeros(h.size)
+    for coeff in ppoly.c[:, :-1]:
+        end_slopes = end_slopes * h + ends
+        ends = ends * h + coeff
+    scale = 1.0 + max(abs(gamma), abs(lo))
+    if (np.any(np.abs(ends - ppoly.c[-1, 1:]) > 1e-6 * scale)
+            or np.any(np.abs(end_slopes - ppoly.c[-2, 1:]) > 1e-5 * scale)):
+        raise NonC1Blend("value or slope mismatch at a breakpoint")
     return Nonlinearity(
         ppoly=ppoly,
         knots=tuple(knots),
@@ -204,6 +209,36 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
         fppoly=fpp,
         _f0=float(fpp(0.0)),
     )
+
+
+def node_layout(knots, shape_points=(), blend_margin: float = 1.0):
+    """The nodes (t, value, slope) of `build_nonlinearity`, sorted by t, and
+    the outer ends t0 - blend_margin and t1 + blend_margin of its two blend
+    pieces.
+
+    Every cubic piece divides by the cube of its width, the difference of
+    its two float breakpoints.  Two nodes closer than _ANCHOR_TOL raise
+    DuplicateKnots.  A blend margin below _ANCHOR_TOL raises ValueError (a
+    margin of 1e-110 cubes to 0), and so does one that the float sum with
+    the outermost node swallows (1e-12 beside a node at 1e5); any other
+    margin leaves each blend piece at least half of _ANCHOR_TOL wide.
+    """
+    nodes = [(float(t), 0.0, float(s)) for t, s in knots]
+    nodes += [(float(t), float(v), float(s)) for t, v, s in shape_points]
+    if not nodes:
+        raise ValueError("need at least one knot")
+    nodes.sort(key=lambda n: n[0])
+    ts = np.array([n[0] for n in nodes])
+    if np.any(np.diff(ts) < _ANCHOR_TOL):
+        raise DuplicateKnots(f"coincident nodes near t={ts[np.argmin(np.diff(ts))]}")
+    m = float(blend_margin)
+    if not m >= _ANCHOR_TOL:
+        raise ValueError(f"blend_margin must be at least {_ANCHOR_TOL:g}, got {blend_margin!r}")
+    lo_end, hi_end = float(ts[0] - m), float(ts[-1] + m)
+    for t, end in ((ts[0], lo_end), (ts[-1], hi_end)):
+        if end == t:
+            raise ValueError(f"blend_margin {m!r} vanishes beside the node at t={t}")
+    return nodes, lo_end, hi_end
 
 
 def build_nonlinearity(
@@ -230,43 +265,38 @@ def build_nonlinearity(
     Raises
     ------
     DuplicateKnots
-        If two nodes share an abscissa.
+        If two nodes lie closer than _ANCHOR_TOL.
+    ValueError
+        If a blend piece is narrower than _ANCHOR_TOL (`node_layout`).
     NonC1Blend
         If the assembled function fails the C1 audit (defensive; the
         construction is exact).
     """
-    if blend_margin <= 0:
-        raise ValueError("blend_margin must be positive")
-    nodes = [(float(t), 0.0, float(s)) for t, s in knots]
-    nodes += [(float(t), float(v), float(s)) for t, v, s in shape_points]
-    if not nodes:
-        raise ValueError("need at least one knot")
-    nodes.sort(key=lambda n: n[0])
-    ts = np.array([n[0] for n in nodes])
-    if np.any(np.diff(ts) < _ANCHOR_TOL):
-        raise DuplicateKnots(f"coincident nodes near t={ts[np.argmin(np.diff(ts))]}")
-
+    nodes, lo_end, hi_end = node_layout(knots, shape_points, blend_margin)
     s_minus = float(slope_minus_inf)
     s_plus = float(slope_plus_inf)
-    m = float(blend_margin)
     t0, y0, d0 = nodes[0]
     t1, y1, d1 = nodes[-1]
+    # each blend spans the float difference of its breakpoints, which the
+    # piece is evaluated across, rather than the margin itself
+    m_lo, m_hi = t0 - lo_end, hi_end - t1
 
     # breakpoints: [tail unit, lower blend, nodes ..., upper blend, tail unit]
-    xs = [t0 - m - 1.0, t0 - m] + [n[0] for n in nodes] + [t1 + m, t1 + m + 1.0]
+    xs = [lo_end - 1.0, lo_end] + [n[0] for n in nodes] + [hi_end, hi_end + 1.0]
     pieces = []
-    lo_val = y0 - s_minus * m  # lower blend left-end value, on the tail line
+    lo_val = y0 - s_minus * m_lo  # lower blend left-end value, on the tail line
     pieces.append([0.0, 0.0, s_minus, lo_val - s_minus])  # affine tail piece
-    pieces.append(_hermite_coeffs(m, lo_val, s_minus, y0, d0))
+    pieces.append(_hermite_coeffs(m_lo, lo_val, s_minus, y0, d0))
     for (ta, ya, da), (tb, yb, db) in zip(nodes[:-1], nodes[1:]):
         pieces.append(_hermite_coeffs(tb - ta, ya, da, yb, db))
-    hi_val = y1 + s_plus * m
-    pieces.append(_hermite_coeffs(m, y1, d1, hi_val, s_plus))
+    hi_val = y1 + s_plus * m_hi
+    pieces.append(_hermite_coeffs(m_hi, y1, d1, hi_val, s_plus))
     pieces.append([0.0, 0.0, s_plus, hi_val])  # affine tail piece
 
     pp = PPoly(np.array(pieces).T, np.array(xs), extrapolate=True)
     zero_knots = tuple((float(t), float(s)) for t, s in sorted(knots))
-    return _finish(pp, zero_knots, s_minus, s_plus, m, (-np.inf, np.inf), "base")
+    return _finish(pp, zero_knots, s_minus, s_plus, float(blend_margin), (-np.inf, np.inf),
+                   "base")
 
 
 def _anchor(f: Nonlinearity, alpha: float):

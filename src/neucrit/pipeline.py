@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 import time
 import typing
 from numbers import Integral, Real
@@ -24,9 +25,9 @@ import numpy as np
 
 from ._version import __version__
 from .energy import EnergyFunctional
-from .errors import ConfigError, NeucritError, ReductionInapplicable
+from .errors import ConfigError, DuplicateKnots, NeucritError, ReductionInapplicable
 from .ledger import DegreeLedger, qualitative_classify, transfer_to_original
-from .nonlinearity import build_nonlinearity, check_hypotheses, truncate
+from .nonlinearity import build_nonlinearity, check_hypotheses, node_layout, truncate
 from .records import DEDUP_RADIUS, SolverConfig, newton_radius
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
@@ -110,14 +111,15 @@ _TYPE_NAMES = {int: "an integer", float: "a number", list: "a list", tuple: "a l
 def _conforms(value, hint) -> bool:
     """Does a config value have the annotated type?  Lists and tuples both
     stand for JSON arrays, integers pass as numbers, booleans pass as
-    neither, and numbers must be finite."""
+    neither, and numbers must be finite floats (an integer past the largest
+    float would overflow the first float() that reads it)."""
     allowed = typing.get_args(hint) or (hint,)
     if value is None:
         return type(None) in allowed
     if isinstance(value, bool):
         return False
     if float in allowed:
-        return isinstance(value, Integral) or (isinstance(value, Real) and math.isfinite(value))
+        return isinstance(value, Real) and abs(value) <= sys.float_info.max
     if int in allowed:
         return isinstance(value, Integral)
     if list in allowed or tuple in allowed:
@@ -188,8 +190,10 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("nonlinearity.knots must be a non-empty list of [t, slope]")
     _check_points("knot", nl["knots"], 2)
     _check_points("shape point", nl.get("shape_points", []), 3)
-    if nl.get("blend_margin", 1.0) <= 0:
-        raise ConfigError("nonlinearity.blend_margin must be positive")
+    try:
+        node_layout(nl["knots"], nl.get("shape_points", []), nl.get("blend_margin", 1.0))
+    except (ValueError, DuplicateKnots) as e:
+        raise ConfigError(f"nonlinearity: {e}")
 
     stages = cfg.get("stages", "all")
     if stages == "all":

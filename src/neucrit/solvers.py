@@ -45,8 +45,11 @@ bound ||u||_H1 <= (1 - lam) C M, read off the base nonlinearity's M and
 C, so a member whose bound lies strictly inside the current ball (below
 SAFETY_FACTOR times the largest norm found so far) is skipped and never
 built: searching it could only enlarge R, never put a solution on the
-sphere.  When R exceeds B(0) = C M, every member's solutions lie strictly
-inside the ball, and the degree there is proven rather than sampled.
+sphere.  The same rule applies within a member: its deterministic seeds
+are solved first, and its random starts are drawn only while its bound
+still reaches the sphere of the ball the seeds give.  When R exceeds
+B(0) = C M, every member's solutions lie strictly inside the ball, and the
+degree there is proven rather than sampled.
 """
 
 from __future__ import annotations
@@ -500,11 +503,15 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
 class HomotopyBoundResult:
     """Outcome of the homotopy sweep: the search radius R, the closed-form
     bound that decided which members were sampled, and one row per member
-    (lam, bound, sampled, n_found, max_norm and the multistart's start
-    outcomes; the last three None when the member was skipped).
+    (lam, bound, sampled, n_found, max_norm, the start outcomes of its
+    seeds and random starts together, and random_starts, the number of
+    random starts it drew: 0 or HOMOTOPY_BUDGET; the last four None when
+    the member was skipped).
 
     A member is skipped when its bound lies below SAFETY_FACTOR times the
-    largest norm sampled before it, so each skipped row has bound < R.
+    largest norm sampled before it, so each skipped row has bound < R, and
+    a sampled member draws no random start when its bound lies below
+    SAFETY_FACTOR times the largest norm sampled up to its own seeds.
     covers_bound is bound < R: then every member, for every lam in [0, 1],
     has its solutions strictly inside the ball of radius R, and the degree
     there is proven rather than sampled."""
@@ -545,6 +552,17 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     B(0) < R, in which case no member of the whole family [0, 1] has a
     solution on the sphere, sampled or not.
 
+    A sampled member is searched in two multistart calls.  The first
+    solves its seeds alone and draws nothing from its random stream.  The
+    second, the random chunk, draws HOMOTOPY_BUDGET random starts and holds
+    the Newton basins of the points the seeds found; it runs only when
+    B(lam) is not below SAFETY_FACTOR x the largest norm sampled so far,
+    the seeds' included, since once the ball holds B(lam) more starts could
+    only enlarge R.  The row's random_starts says whether it ran.  When it
+    runs it draws the same starts, with the same basins held, as one call
+    of the seeds and the random starts together, so it finds the same
+    points.
+
     A sampled member is seeded at every real zero of h_lam on the whole
     line, the constant fields that solve it exactly, and at three
     amplitudes of either sign of the first nonconstant mode.  No other
@@ -579,7 +597,7 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     for li, lam in enumerate(lambdas):
         bound = C * ((1.0 - float(lam)) * M)
         row = {"lam": float(lam), "bound": bound, "sampled": not bound < SAFETY_FACTOR * max_norm,
-               "n_found": None, "max_norm": None, "outcomes": None}
+               "n_found": None, "max_norm": None, "outcomes": None, "random_starts": None}
         per_lambda.append(row)
         if not row["sampled"]:
             continue
@@ -596,10 +614,20 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
                     e[1] = sgn * amp / amp_unit
                     seeds.append(e)
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
-        recs, outcomes = multistart(func, start_radius, seeds=seeds,
-                                    budget=HOMOTOPY_BUDGET, rng=rng)
+        recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=rng)
         top = max((r.h1_norm for r in recs), default=0.0)
-        row.update(n_found=len(recs), max_norm=top, outcomes=outcomes)
+        # the random chunk, only while the member's bound reaches the sphere
+        # of the ball its seeds and the members before it give
+        random_starts = 0 if bound < SAFETY_FACTOR * max(max_norm, top) else HOMOTOPY_BUDGET
+        if random_starts:
+            held = [(r.coeffs, newton_radius(func, r)) for r in recs]
+            more, drawn = multistart(func, start_radius, budget=random_starts, rng=rng,
+                                     basins=held)
+            recs = dedup_records(spectrum, recs + more)
+            outcomes = {k: outcomes[k] + drawn[k] for k in outcomes}
+            top = max((r.h1_norm for r in recs), default=0.0)
+        row.update(n_found=len(recs), max_norm=top, outcomes=outcomes,
+                   random_starts=random_starts)
         max_norm = max(max_norm, top)
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False

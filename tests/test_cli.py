@@ -153,6 +153,19 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["check", "--config", qp]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    # nodes no cubic piece can join: a blend margin whose cube underflows,
+    # two knots at one abscissa, a shape point on a knot
+    faults = {
+        "margin_1e-110": lambda nl: nl.update(blend_margin=1e-110),
+        "margin_1e-300": lambda nl: nl.update(blend_margin=1e-300),
+        "duplicate_knots": lambda nl: nl["knots"].append([0.0, 2.5]),
+        "shape_point_on_knot": lambda nl: nl.update(shape_points=[[1.0, 0.3, 0.0]]),
+    }
+    for name, fault in faults.items():
+        path = write_config(tmp_path, lambda cfg: fault(cfg["nonlinearity"]), name=f"{name}.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / name)]) == 1, name
+        assert capsys.readouterr().err.startswith("config error: nonlinearity: "), name
+        assert not (tmp_path / name).exists(), name
 
 
 def test_usage_errors_exit_one(capsys):

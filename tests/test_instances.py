@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+import neucrit.solvers as solvers
 
 
 def _sloped_config(slope, seed):
@@ -101,6 +102,62 @@ def test_homotopy_radius_is_the_full_sweep_radius(make):
         (alone,) = nc.homotopy_bound(f, spec, [row["lam"]], scfg).per_lambda
         assert alone["sampled"]
         assert alone["max_norm"] <= h["max_norm"], row["lam"]
+
+
+def _middle_slope_config(seed, slope=0.9):
+    cfg = nc.reference_config()
+    cfg["nonlinearity"]["knots"][2][1] = slope
+    cfg["solver"]["rng_seed"] = seed
+    return cfg
+
+
+def _base_member_searches(cfg, monkeypatch):
+    """The homotopy stage of `cfg`, and the records and outcomes of one
+    multistart of its base member's seeds and HOMOTOPY_BUDGET random
+    starts together, drawn from the member's random stream."""
+    seed_calls = []
+    search = solvers.multistart
+
+    def spy(func, radius, seeds=(), **kw):
+        if seeds:
+            seed_calls.append((func, radius, seeds))
+        return search(func, radius, seeds, **kw)
+
+    monkeypatch.setattr(solvers, "multistart", spy)
+    cfg["stages"] = ["homotopy"]
+    h = nc.run_pipeline(cfg).stages["homotopy"]
+    func, radius, seeds = seed_calls[0]
+    rng = np.random.default_rng(cfg["solver"]["rng_seed"] + 1000)
+    recs, outcomes = search(func, radius, seeds, budget=solvers.HOMOTOPY_BUDGET, rng=rng)
+    return h, recs, outcomes
+
+
+@pytest.mark.parametrize("make", [nc.reference_config, lambda: _rectangle_config(7),
+                                  lambda: _flip_config(7), lambda: _middle_slope_config(7)],
+                         ids=["interval", "rectangle", "flip", "slope0.9"])
+def test_seeds_alone_give_the_full_search_radius(make, monkeypatch):
+    """The base member's seeds put R past B(0), so it draws no random
+    start, and R is what its seeds and HOMOTOPY_BUDGET random starts
+    together give."""
+    h, recs, _ = _base_member_searches(make(), monkeypatch)
+    (base,) = [row for row in h["per_lambda"] if row["sampled"]]
+    assert base["random_starts"] == 0
+    assert h["covers_bound"]
+    assert h["R"] == solvers.SAFETY_FACTOR * max(r.h1_norm for r in recs)
+
+
+def test_k3_base_member_still_draws_its_random_starts(monkeypatch):
+    """At k = 3 the seeds leave B(0) past the ball they give, so the random
+    chunk runs; it draws the same starts as the search of the seeds and
+    the random starts together, and the member reports the same points and
+    outcomes."""
+    h, recs, outcomes = _base_member_searches(_k3_config(7), monkeypatch)
+    (base,) = [row for row in h["per_lambda"] if row["sampled"]]
+    assert base["random_starts"] == solvers.HOMOTOPY_BUDGET
+    assert base["outcomes"] == outcomes == {"new": 16, "basin": 27, "failed": 0}
+    assert base["n_found"] == len(recs)
+    assert base["max_norm"] == max(r.h1_norm for r in recs)
+    assert h["R"] == solvers.SAFETY_FACTOR * base["max_norm"]
 
 
 def test_k3_balances():

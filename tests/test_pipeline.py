@@ -106,19 +106,22 @@ def test_reference_multistart_closes_orbits_without_random_starts(reference_repo
 def test_start_outcomes_sum_to_the_starts(reference_report):
     """Every multistart call sorts its starts into new points, ends in a
     held point's basin, and failures.  A sampled homotopy member's starts
-    are its zeros on the whole line, 6 first-mode seeds and HOMOTOPY_BUDGET
-    random ones, and none of them fails; every multistart pass reports its
-    own starts.  The counts repeat for the same seed
-    (`test_reference_homotopy_samples_one_member`)."""
+    are its zeros on the whole line, 6 first-mode seeds and, only when its
+    random chunk ran, HOMOTOPY_BUDGET random ones, and none of them fails;
+    every multistart pass reports its own starts.  The counts repeat for
+    the same seed (`test_reference_homotopy_samples_one_member`)."""
     f = reference_report.functional.nonlinearity
     rows = [r for r in reference_report.stages["homotopy"]["per_lambda"] if r["sampled"]]
     for row in rows:
         zeros = nc.find_zeros(nc.homotopy(f, row["lam"]), -np.inf, np.inf)
-        assert sum(row["outcomes"].values()) == len(zeros) + 6 + solvers.HOMOTOPY_BUDGET
+        assert row["random_starts"] in (0, solvers.HOMOTOPY_BUDGET)
+        assert sum(row["outcomes"].values()) == len(zeros) + 6 + row["random_starts"]
         assert row["outcomes"]["new"] == row["n_found"]
         assert row["outcomes"]["failed"] == 0
-    # most starts of the base member end at a point it already holds
-    assert rows[0]["outcomes"] == {"new": 12, "basin": 31, "failed": 0}
+    # the base member's seeds give R = 2 x 7.208 > B(0), so it draws no
+    # random start
+    assert rows[0]["outcomes"] == {"new": 7, "basin": 4, "failed": 0}
+    assert rows[0]["random_starts"] == 0
     for p in reference_report.stages["multistart"]["passes"]:
         assert sum(p["outcomes"].values()) == p["starts"]
 
@@ -167,17 +170,17 @@ def test_reference_search_counts(monkeypatch):
     # data, so the three transfers assemble no Hessian; a root solve that
     # enters the Newton basin of a point its search already holds stops
     # there, and a mountain pass builds no record for a point it dropped;
-    # the homotopy samples only its base member, whose R = 2 x 7.208
-    # already exceeds B(0.1), and none of its starts lies on the line of
-    # constant fields off the zeros,
+    # the homotopy samples only its base member, whose seeds alone give
+    # R = 2 x 7.208 past B(0), so it draws no random start, and none of
+    # its seeds lies on the line of constant fields off the zeros,
     # and the reduction solves psi once per orbit and ascends once per
     # orbit of its six best seeds.  Each pass evaluates its path in one
     # batch at the start and in one after each of its redistributions,
     # every REDISTRIBUTE_EVERY sweeps: 3 + 30 / 5 + 25 / 5 + 40 / 5 batches
     assert runs[0] == ([30, 25, 40],
-                       {"value": 1020, "values": 22,
-                        "gradient": 123, "l2_gradient": 486,
-                        "hessian_pencil": 113, "morse_data": 28},
+                       {"value": 1015, "values": 22,
+                        "gradient": 118, "l2_gradient": 150,
+                        "hessian_pencil": 49, "morse_data": 23},
                        28, 3)
 
 

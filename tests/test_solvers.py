@@ -262,8 +262,9 @@ def test_refine_critical_stays_on_the_constant_line_where_the_hessian_is_singula
 
 def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
     """The sweep builds its own functionals, so count at the class.  Only
-    lam = 0 is sampled: its max_norm exceeds B(0.5) and B(1).  No start
-    lies on the line of constant fields off the member's zeros."""
+    lam = 0 is sampled: its max_norm exceeds B(0.5) and B(1).  Its seeds
+    alone put R past B(0), so it draws no random start, and no seed lies
+    on the line of constant fields off the member's zeros."""
     spec, f, _ = ref5
     calls = []
     l2_gradient = nc.EnergyFunctional.l2_gradient
@@ -274,7 +275,7 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
 
     monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
     nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
-    assert len(calls) == 361
+    assert len(calls) == 25
 
 
 def test_homotopy_bound_builds_only_sampled_members(ref5, solver_cfg, monkeypatch):
