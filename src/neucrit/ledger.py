@@ -207,11 +207,12 @@ class DegreeLedger:
         hits = np.flatnonzero(dists <= DEDUP_RADIUS)
         return int(hits[0]) if hits.size else None
 
-    def add(self, record) -> str:
+    def add(self, record, check=None) -> str:
         """Insert with Sobolev-ball dedup (`match`).  A coincidence keeps the
         incumbent coefficients and upgrades the classification if the
-        newcomer's label carries more degree information.  Returns a short
-        disposition."""
+        newcomer's label carries more degree information.  A new point is
+        inserted only when `check`, if given, accepts it (`check(record)`
+        is true).  Returns a short disposition."""
         i = self.match(record.coeffs)
         if i is not None:
             old = self.records[i]
@@ -224,6 +225,8 @@ class DegreeLedger:
                     f"classification upgraded to {record.classification}")
             self.records[i] = merged
             return f"merged into record {i}"
+        if check is not None and not check(record):
+            return "rejected"
         record.in_ball = bool(
             self.spectrum.h1_norm(record.coeffs) <= self.R + 1e-9)
         self.records.append(record)

@@ -52,6 +52,14 @@ __all__ = [
 ]
 
 _ANCHOR_TOL = 1e-12
+# widest window [t0 - margin, t1 + margin] the cubic pieces may span.  The
+# C1 audit of `_finish` checks each piece's end value to 1e-6 (1 + S), S
+# the largest |f'|.  Every node value is within S x span of a zero, and
+# each term of a piece's Horner sum is at most a few S x span, so the
+# rounding of that sum stays under about 45 eps S span; at span 1e8 that is
+# 1e-6 S.  Measured, the audit first fails at spans of 1.7e9 (one knot of
+# the reference moved out to 1e10, 1e12 or 1e15 fails it).
+_MAX_SPAN = 1e8
 
 
 def _hermite_coeffs(h, y0, d0, y1, d1):
@@ -221,7 +229,9 @@ def node_layout(knots, shape_points=(), blend_margin: float = 1.0):
     DuplicateKnots.  A blend margin below _ANCHOR_TOL raises ValueError (a
     margin of 1e-110 cubes to 0), and so does one that the float sum with
     the outermost node swallows (1e-12 beside a node at 1e5); any other
-    margin leaves each blend piece at least half of _ANCHOR_TOL wide.
+    margin leaves each blend piece at least half of _ANCHOR_TOL wide.  A
+    window wider than _MAX_SPAN raises ValueError: rounding would break the
+    C1 joins of its pieces.
     """
     nodes = [(float(t), 0.0, float(s)) for t, s in knots]
     nodes += [(float(t), float(v), float(s)) for t, v, s in shape_points]
@@ -238,6 +248,9 @@ def node_layout(knots, shape_points=(), blend_margin: float = 1.0):
     for t, end in ((ts[0], lo_end), (ts[-1], hi_end)):
         if end == t:
             raise ValueError(f"blend_margin {m!r} vanishes beside the node at t={t}")
+    if not hi_end - lo_end <= _MAX_SPAN:
+        raise ValueError(f"the nodes and blend margins span {hi_end - lo_end!r}, more than "
+                         f"{_MAX_SPAN:g}; rounding would break the C1 joins")
     return nodes, lo_end, hi_end
 
 
@@ -267,7 +280,8 @@ def build_nonlinearity(
     DuplicateKnots
         If two nodes lie closer than _ANCHOR_TOL.
     ValueError
-        If a blend piece is narrower than _ANCHOR_TOL (`node_layout`).
+        If a blend piece is narrower than _ANCHOR_TOL, or the window wider
+        than _MAX_SPAN (`node_layout`).
     NonC1Blend
         If the assembled function fails the C1 audit (defensive; the
         construction is exact).

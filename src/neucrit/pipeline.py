@@ -1,8 +1,9 @@
 """End-to-end orchestration: spectrum, constants, three truncated mountain
-passes, homotopy bound, reduction, degree ledger, and, when the ledger
-reports a deficiency, a multistart stage that first closes the symmetry
-orbits of the records it holds and spends random starts only while a
-deficiency remains.
+passes, homotopy bound, reduction, degree ledger, and a multistart stage
+that first closes the symmetry orbits of the records the ledger holds and
+spends random starts only while a deficiency remains.  The orbits are
+closed even when the first ledger balances: missing points whose degrees
+cancel leave the sum unchanged.
 
 Reports are plain dicts assembled from per-stage outputs, JSON-ready and
 deterministic for a fixed config + seed (timings excluded, they are wall
@@ -322,11 +323,12 @@ class RunReport:
         return paths
 
 
-def _images(spec, coeffs, odd: bool) -> list:
+def _images(spec, coeffs, odd: bool) -> np.ndarray:
     """The group images of a point other than itself, in the order of
     `SpectrumSlice.symmetry_signs`: its mirrors across every nonempty set
-    of axes and, with an odd f, its negation and the negated mirrors."""
-    return list(spec.symmetry_signs(odd)[1:] * np.asarray(coeffs, dtype=float))
+    of axes and, with an odd f, its negation and the negated mirrors.  For
+    a stack of points, one such block of rows per point."""
+    return spec.symmetry_signs(odd)[1:] * np.asarray(coeffs, dtype=float)[..., None, :]
 
 
 def _min_type_zeros(f):
@@ -366,7 +368,7 @@ def run_pipeline(config: dict) -> RunReport:
 
     Stage order: spectrum and hypothesis audit, constants, the three
     truncated mountain passes, homotopy bound, reduction, ledger with
-    reconciliation, and, while the deficiency is nonzero, orbit closure and
+    reconciliation, orbit closure, and, while the deficiency is nonzero,
     random multistart chunks.
     """
     config = validate_config(config)
@@ -447,51 +449,59 @@ def run_pipeline(config: dict) -> RunReport:
     report.ledger = ledger
     qual = {}
 
-    def admit(rec):
-        # a point the ledger already holds merges without the qualitative
-        # checks, which only a new point needs
-        if ledger.match(rec.coeffs) is None:
-            rep = qualitative_classify(rec, func)
-            if not rep.passed:
-                report.warnings.append(
-                    f"record from stage {rec.provenance.get('stage')} failed "
-                    f"qualitative checks: {[n for n, ok, _ in rep.checks if not ok]}"
-                )
-                return
-            qual[len(ledger.records)] = rep.to_dict()
-        ledger.add(rec)
+    def qualifies(rec):
+        # the ledger asks this of a new point only: a point it already
+        # holds merges without the qualitative checks
+        rep = qualitative_classify(rec, func)
+        if not rep.passed:
+            report.warnings.append(
+                f"record from stage {rec.provenance.get('stage')} failed "
+                f"qualitative checks: {[n for n, ok, _ in rep.checks if not ok]}"
+            )
+            return False
+        qual[len(ledger.records)] = rep.to_dict()
+        return True
 
     def ledger_stage():
         for rec in (*constants, *transferred, reduction_rec):
             if rec is not None:
-                admit(rec)
+                ledger.add(rec, qualifies)
         lrep = ledger.reconcile(func)
         report.ledger_report = lrep
         report.stages["ledger"] = {"initial_reconciliation": lrep.to_dict()}
         return lrep
 
     def orbit_seeds(recs):
-        # group images of the given records that the ledger does not hold,
-        # one seed per distinct point
-        seeds = []
-        for rec in recs:
-            if rec.is_constant():
-                continue
-            for img in _images(spec, rec.coeffs, f.odd):
-                if ledger.match(img) is None and np.all(
-                        spec.h1_dists(img, seeds) > DEDUP_RADIUS):
-                    seeds.append(img)
-        return seeds
+        # group images of the given nonconstant records that the ledger
+        # does not hold, one seed per distinct point: the images come from
+        # one sign product and their distances to the ledger's records and
+        # to each other from one array operation; a greedy pass then keeps
+        # each image that lies apart from the ledger and the seeds before it
+        points = [r.coeffs for r in recs if not r.is_constant()]
+        if not points:
+            return []
+        images = _images(spec, points, f.odd).reshape(-1, spec.n_modes)
+        held = np.array([r.coeffs for r in ledger.records]).reshape(-1, spec.n_modes)
+        diff = images[:, None, :] - np.concatenate([held, images])[None]
+        apart = np.sqrt((diff * diff) @ (1.0 + spec.eigenvalues)) > DEDUP_RADIUS
+        from_held, from_images = apart[:, :len(held)], apart[:, len(held):]
+        kept = []
+        for i in np.flatnonzero(from_held.all(axis=1)):
+            if from_images[i, kept].all():
+                kept.append(i)
+        return list(images[kept])
 
     def multistart_stage():
         # the problem is equivariant under the domain mirrors, and under
         # u -> -u when f is odd, so the images of a critical point are
         # critical points with its energy and Morse index.  Orbits are
-        # closed first, by seeded passes that draw nothing from the random
-        # stream; a random chunk runs only while the deficiency stays
-        # nonzero, and the orbits of what it finds are closed in turn.
-        # Every pass holds the Newton basins of the ledger's records, so a
-        # start that ends at a point the ledger holds builds no record.
+        # closed first, whatever the first ledger reads, by seeded passes
+        # that draw nothing from the random stream: a balanced ledger can
+        # still miss points whose degrees cancel.  A random chunk runs only
+        # while the deficiency stays nonzero, and the orbits of what it
+        # finds are closed in turn.  Every pass holds the Newton basins of
+        # the ledger's records, so a start that ends at a point the ledger
+        # holds builds no record.
         lrep = report.ledger_report
         passes = []
         last_found = []
@@ -512,7 +522,7 @@ def run_pipeline(config: dict) -> RunReport:
             found, outcomes = multistart(func, R, seeds=seeds, budget=n, rng=rng,
                                          basins=known)
             for rec in found:
-                admit(rec)
+                ledger.add(rec, qualifies)
             lrep = ledger.reconcile(func)
             report.ledger_report = lrep
             fresh = ledger.records[held:]
@@ -529,7 +539,7 @@ def run_pipeline(config: dict) -> RunReport:
 
     if report.run("ledger", ledger_stage) is None:
         return report
-    if "multistart" in stages and report.ledger_report.deficiency != 0:
+    if "multistart" in stages:
         report.run("multistart", multistart_stage)
 
     report.records = list(ledger.records)

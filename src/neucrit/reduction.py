@@ -9,8 +9,9 @@ eigenvalue, the map y -> J(x + y) is strongly convex on Y with modulus
 
 in the Sobolev metric.  psi(x) is its unique minimizer, the reduced
 functional Jt(x) = J(x + psi(x)) lives on the k-dimensional X block, and
-maximizing Jt produces the distinguished critical point whose full Hessian
-index is expected to be k.
+its maximizer is the distinguished critical point whose full Hessian index
+is expected to be k.  `maximize_reduced` ranks a seed grid by Jt and finds
+the maximizer by root solves of the full gradient from the best seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .energy import BLOCK_ELEMENTS
 from .errors import AsymmetricSlopes, MaxItersExceeded, ModulusViolated
@@ -91,8 +91,8 @@ def psi(ctx: ReductionContext, x, y0=None):
     """The unique Y-supported minimizer of y -> J(x + y), for one x.
 
     The one-row case of `psi_population`, started from the Y block of `y0`
-    (y = 0 when it is None).  This is the warm-started solve of the ascent
-    and of the final polish.
+    (y = 0 when it is None).  `maximize_reduced` lifts each of its best
+    seeds x to x + psi(x) with it.
     """
     y0 = None if y0 is None else np.asarray(y0, dtype=float)[None]
     return psi_population(ctx, np.asarray(x, dtype=float)[None], y0).y[0]
@@ -254,17 +254,19 @@ def maximize_reduced(ctx: ReductionContext):
     minimizer.  The grid and the constants are closed under the group, so
     one population solve (`psi_population`) ranks one representative row
     per orbit, probing strong convexity on each of its steps, and every
-    image takes its representative's value.  The six best seeds get a BFGS
-    ascent on the k reduced variables, except a seed in the orbit of one
-    already ascended: it ends at an image of the same maximizer.  Each
-    evaluation is one warm-started `psi` call that yields the reduced value
-    and its partial derivatives, which are those of J at x + psi(x) because
-    the Y block is stationary there.  BFGS stops at a gradient of
-    10 x INNER_TOL, the noise floor `psi` leaves, and the winner is
-    polished as a critical point of the full functional.  The record's
+    image takes its representative's value.  Each of the six best seeds,
+    except a seed in the orbit of one already taken (it would end at an
+    image of the same point), starts one `refine_critical` root solve of
+    the full functional from x + psi(x).  The maximizer is a critical point
+    of J with full Hessian index k, so the highest-energy point of index k
+    among the solves is returned; when none has index k, the highest-energy
+    point is, with a note.  No ascent on the reduced functional is needed:
+    the ranking brings the best seeds next to the maximizer, and the root
+    solve converges to saddles as well as to maxima.  The record's
     provenance gives the box, the numbers of seeds, orbits (rows solved)
-    and ascents, and the Newton and fallback steps of the population solve.
-    Raises AsymmetricSlopes when the tails differ (`_seed_box`).
+    and refines (root solves), and the Newton and fallback steps of the
+    population solve.  Raises MaxItersExceeded when no root solve
+    converges, and AsymmetricSlopes when the tails differ (`_seed_box`).
     """
     spec = ctx.spectrum
     func = ctx.functional
@@ -289,39 +291,37 @@ def maximize_reduced(ctx: ReductionContext):
     # ties (images) keep their seed order, so an orbit's first seed leads it
     order = np.argsort(-values, kind="stable")
 
-    y_cache = [None]
-
-    def neg_value_and_grad(xi):
-        x = _compact_to_field(spec, xi)
-        y_cache[0] = psi(ctx, x, y_cache[0])
-        u = x + y_cache[0]
-        return -func.value(u), -func.l2_gradient(u)[spec.x_indices]
-
-    best_xi, best_val = None, -np.inf
-    ascended = set()
+    points = []
+    refined = set()
     for i in order[:6]:
-        if rep[i] in ascended:
+        if rep[i] in refined:
             continue
-        ascended.add(rep[i])
-        out = scipy_minimize(neg_value_and_grad, seeds[i], jac=True, method="BFGS",
-                             options={"gtol": 10.0 * INNER_TOL, "maxiter": 400})
-        if -out.fun > best_val:
-            best_val, best_xi = -out.fun, out.x
+        refined.add(rep[i])
+        x = _compact_to_field(spec, seeds[i])
+        u = refine_critical(func, x + psi(ctx, x))
+        if u is not None:
+            points.append(u)
+    if not points:
+        raise MaxItersExceeded("no root solve from the best reduction seeds converged")
 
-    x = _compact_to_field(spec, best_xi)
-    u = x + psi(ctx, x, y_cache[0])
-    polished = refine_critical(func, u)
-    if polished is not None and spec.h1_dist(polished, u) < 0.5:
-        u = polished
-    rec = make_record(
-        func, u, "reduction_max",
-        {"stage": "reduction", "functional": func.nonlinearity.label,
-         "reduced_value": float(func.value(u)), "k": k, "seed_box": box.tolist(),
-         "seeds": len(seeds), "orbits": len(solved), "ascents": len(ascended),
-         "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
-    )
-    if not rec.degenerate and rec.morse_index != k:
-        rec = rec.with_notes(
-            f"full Hessian index {rec.morse_index} differs from the block dimension k={k}"
+    # records in order of energy, ties in seed order, until one has index k;
+    # when none has, the highest-energy one is kept with a note
+    energies = np.array([func.value(u) for u in points])
+    kept = None
+    for j in np.argsort(-energies, kind="stable"):
+        rec = make_record(
+            func, points[j], "reduction_max",
+            {"stage": "reduction", "functional": func.nonlinearity.label,
+             "reduced_value": float(energies[j]), "k": k, "seed_box": box.tolist(),
+             "seeds": len(seeds), "orbits": len(solved), "refines": len(refined),
+             "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
         )
-    return rec
+        if rec.morse_index == k:
+            return rec
+        if kept is None:
+            kept = rec
+    if not kept.degenerate:
+        kept = kept.with_notes(
+            f"full Hessian index {kept.morse_index} differs from the block dimension k={k}"
+        )
+    return kept

@@ -30,13 +30,15 @@ along the negative gradient projected off the path tangent, and
 re-equalize node spacing.  The polyline is one array with a node per row,
 so the energies of its nodes come from one batched evaluation
 (`EnergyFunctional.values`) and the spacing from one array of segment
-lengths.  A transverse perturbation of the initial straight path keeps it
+lengths.  A wide transverse bump on the initial straight path keeps it
 out of the constants line, which is invariant under the flow and full of
-index-2 traps.  After every redistribution the highest node is refined; a
-refined point that is a certified mountain-pass saddle ends the pass at
-once, and any other is dropped.  A dropped point's basin is passed to the
-later refines, and one that ends there is dropped without rebuilding its
-record.
+index-2 traps, and starts its highest node near the saddle, in the spirit
+of minimax methods that start from the unstable direction (Li and Zhou,
+SIAM J. Sci. Comput. 23, 2001).  After every redistribution the highest
+node is refined; a refined point that is a certified mountain-pass saddle
+ends the pass at once, and any other is dropped while the sweeps go on.
+A dropped point's basin is passed to the later refines, and one that ends
+there is dropped without rebuilding its record.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R, SAFETY_FACTOR times the largest
@@ -54,7 +56,7 @@ degree there is proven rather than sampled.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
@@ -272,7 +274,11 @@ def _redistribute(spec, path):
 def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     """Choi-McKenna style discrete mountain pass between two anchors.
 
-    The path holds PATH_NODES nodes.  Their energies come from one batch
+    The path holds PATH_NODES nodes: the straight segment plus a transverse
+    bump of height 0.3 (dist(a, b) + 1) in the first nonconstant modes.  A
+    bump that wide puts the highest node near the saddle, so on the
+    reference instance every pass certifies at its first redistribution,
+    after REDISTRIBUTE_EVERY sweeps.  The node energies come from one batch
     (`EnergyFunctional.values`) at the start, and those of the interior
     nodes from one batch after each redistribution; a sweep moves one node
     and evaluates J once per backtracking trial.  Every REDISTRIBUTE_EVERY
@@ -302,14 +308,15 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     Ja, Jb = functional.value(a), functional.value(b)
     end_level = max(Ja, Jb)
 
-    # straight path plus a transverse bump; the bump leaves the constants
-    # line, which is flow-invariant and hides the saddle from the path
+    # straight path plus a wide transverse bump; the bump leaves the
+    # constants line, which is flow-invariant and hides the saddle from the
+    # path, and lifts the highest node close to the saddle
     s = np.linspace(0.0, 1.0, n)
     bump = np.zeros(spec.n_modes)
     for j in range(1, min(4, spec.n_modes)):
         bump[j] = 0.5 ** (j - 1)
     bump /= spec.h1_norm(bump)
-    delta = 0.01 * (spec.h1_dist(a, b) + 1.0)
+    delta = 0.3 * (spec.h1_dist(a, b) + 1.0)
     path = np.array([(1 - si) * a + si * b + delta * np.sin(np.pi * si) * bump for si in s])
 
     steps = np.full(n, 0.2)
@@ -527,7 +534,8 @@ class HomotopyBoundResult:
     covers_bound: bool  # bound < R: no member has a solution on the sphere
 
     def to_dict(self):
-        return asdict(self)
+        # shallow: the report's `_jsonable` copies it on the way out
+        return dict(vars(self))
 
 
 def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> HomotopyBoundResult:

@@ -154,12 +154,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     # nodes no cubic piece can join: a blend margin whose cube underflows,
-    # two knots at one abscissa, a shape point on a knot
+    # two knots at one abscissa, a shape point on a knot, and a knot so far
+    # out that rounding would break the C1 joins
     faults = {
         "margin_1e-110": lambda nl: nl.update(blend_margin=1e-110),
         "margin_1e-300": lambda nl: nl.update(blend_margin=1e-300),
         "duplicate_knots": lambda nl: nl["knots"].append([0.0, 2.5]),
         "shape_point_on_knot": lambda nl: nl.update(shape_points=[[1.0, 0.3, 0.0]]),
+        "far_knot": lambda nl: nl["knots"].append([1e10, 2.5]),
     }
     for name, fault in faults.items():
         path = write_config(tmp_path, lambda cfg: fault(cfg["nonlinearity"]), name=f"{name}.json")

@@ -44,11 +44,14 @@ def test_validate_config_accepts_or_raises_config_error(path, value):
 
 
 # node abscissae on a coarse grid, so that knots and shape points often
-# coincide, one of them far enough out that a float sum swallows 1e-12;
-# blend margins on both sides of the narrowest piece, _ANCHOR_TOL = 1e-12
-ABSCISSAE = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e5])
+# coincide, one of them far enough out that a float sum swallows 1e-12 and
+# two so far out that a window holding them and the others is wider than
+# _MAX_SPAN = 1e8; blend margins on both sides of the narrowest piece,
+# _ANCHOR_TOL = 1e-12, and two that alone make the window too wide
+ABSCISSAE = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1e5, 1e10, 1e15])
 SLOPES = st.floats(-5.0, 5.0)
-MARGINS = st.sampled_from([1e-300, 1e-110, 1e-13, 1e-12, 1e-6, 1.0]) | st.floats(1e-12, 3.0)
+MARGINS = (st.sampled_from([1e-300, 1e-110, 1e-13, 1e-12, 1e-6, 1.0, 1e9, 1e12])
+           | st.floats(1e-12, 3.0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,14 +62,17 @@ def test_accepted_nodes_build(knots, shape_points, margin):
     """A nonlinearity section that validate_config accepts builds.  Exactly
     these are ConfigError before any stage runs: nodes closer than 1e-12
     (duplicate knots, a shape point on a knot), a blend margin below 1e-12,
-    and a margin that vanishes in its float sum with the outermost node."""
+    a margin that vanishes in its float sum with the outermost node, and
+    nodes and margins that span more than 1e8, where rounding would break
+    the C1 joins."""
     cfg = reference_config()
     cfg["nonlinearity"].update(knots=[list(k) for k in knots],
                                shape_points=[list(p) for p in shape_points],
                                blend_margin=margin)
     ts = sorted(t for t, *_ in knots + shape_points)
     faulty = (len(set(ts)) < len(ts) or margin < 1e-12
-              or ts[0] - margin == ts[0] or ts[-1] + margin == ts[-1])
+              or ts[0] - margin == ts[0] or ts[-1] + margin == ts[-1]
+              or (ts[-1] + margin) - (ts[0] - margin) > 1e8)
     try:
         validate_config(cfg)
     except nc.ConfigError as e:

@@ -13,6 +13,7 @@ import pytest
 
 import neucrit as nc
 import neucrit.solvers as solvers
+from neucrit.pipeline import _images
 
 
 def _sloped_config(slope, seed):
@@ -228,3 +229,40 @@ def test_k3_reports_honest_deficiency():
     assert len(rep.records) == 19
     # a multistart copy of the constant 0 merges into it, not rejected
     assert not any("failed qualitative checks" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("seed", [7, 42, 3])
+def test_slope_09_finds_the_fifteen_points(seed):
+    """With f'(0) = 0.9 the interval truncation certifies the lower saddle
+    at energy -0.0085822.  With it the first ledger balances at 9 records
+    while orbits are still open, and the multistart stage, which runs
+    whenever it is listed, closes them and draws the rest: 15 records, the
+    count exclusion gives, among them the index-1 pair at -0.0085822 and
+    the index-2 pair at 3.372e-4, which cancel in the degree sum."""
+    rep = nc.run_pipeline(_middle_slope_config(seed))
+    assert rep.ok, rep.errors
+    assert rep.stages["ledger"]["initial_reconciliation"]["balanced"]
+    assert rep.ledger_report.balanced
+    assert len(rep.records) == 15
+    for energy, index in ((-0.0085822448089, 1), (3.372372418837e-4, 2)):
+        pair = [r for r in rep.records if r.energy == pytest.approx(energy, rel=1e-9)]
+        assert len(pair) == 2, energy
+        assert all(r.morse_index == index for r in pair)
+        a, b = (r.coeffs for r in pair)
+        assert rep.spectrum.h1_dist(a, b) > 1e-3
+
+
+@pytest.mark.parametrize("make", [nc.reference_config, lambda: _rectangle_config(7),
+                                  lambda: _flip_config(7), lambda: _middle_slope_config(7),
+                                  lambda: _middle_slope_config(42, slope=0.99)],
+                         ids=["interval", "rectangle", "flip", "slope0.9", "slope0.99"])
+def test_orbits_are_closed_whenever_multistart_is_listed(make):
+    """Every group image of every record is a record, whether the first
+    ledger shows a deficiency (interval, rectangle, flip) or balances with
+    orbits still open (slopes 0.9 and 0.99)."""
+    rep = nc.run_pipeline(make())
+    assert rep.ok, rep.errors
+    odd = rep.functional.nonlinearity.odd
+    for rec in rep.records:
+        for img in _images(rep.spectrum, rec.coeffs, odd):
+            assert rep.ledger.match(img) is not None

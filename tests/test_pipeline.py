@@ -134,7 +134,7 @@ def test_reference_search_counts(monkeypatch):
     An energy evaluation is one field, so "value" counts the rows of the
     batch method `values` with the calls of `value`, and "values" counts
     the batches.  A second run repeats them, and the reduction's orbit and
-    ascent counts with them."""
+    refine counts with them."""
     counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data")
     calls = Counter()
 
@@ -164,7 +164,7 @@ def test_reference_search_counts(monkeypatch):
         sweeps = [rep.stages[f"truncation_{kind}"]["truncated_record"]["iterations"]
                   for kind in ("below", "above", "interval")]
         red = rep.stages["reduction"]["provenance"]
-        runs.append((sweeps, dict(calls), red["orbits"], red["ascents"]))
+        runs.append((sweeps, dict(calls), red["orbits"], red["refines"]))
     assert runs[0] == runs[1]
     # a transferred truncation record reuses the truncated record's Morse
     # data, so the three transfers assemble no Hessian; a root solve that
@@ -173,14 +173,16 @@ def test_reference_search_counts(monkeypatch):
     # the homotopy samples only its base member, whose seeds alone give
     # R = 2 x 7.208 past B(0), so it draws no random start, and none of
     # its seeds lies on the line of constant fields off the zeros,
-    # and the reduction solves psi once per orbit and ascends once per
-    # orbit of its six best seeds.  Each pass evaluates its path in one
-    # batch at the start and in one after each of its redistributions,
-    # every REDISTRIBUTE_EVERY sweeps: 3 + 30 / 5 + 25 / 5 + 40 / 5 batches
-    assert runs[0] == ([30, 25, 40],
-                       {"value": 1015, "values": 22,
-                        "gradient": 118, "l2_gradient": 150,
-                        "hessian_pencil": 49, "morse_data": 23},
+    # and the reduction solves psi once per orbit and runs one root solve
+    # per orbit of its six best seeds, building the record of the best
+    # point only.  Each pass starts from the wide path and certifies its
+    # saddle at its first redistribution, after REDISTRIBUTE_EVERY sweeps;
+    # it evaluates its path in one batch at the start and in one then:
+    # 3 x 2 batches
+    assert runs[0] == ([5, 5, 5],
+                       {"value": 290, "values": 6,
+                        "gradient": 35, "l2_gradient": 88,
+                        "hessian_pencil": 32, "morse_data": 20},
                        28, 3)
 
 

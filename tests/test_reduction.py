@@ -192,54 +192,57 @@ def test_maximize_reduced_reference(ref5, ref5_ctx):
     assert not any("differs from the block dimension" in n for n in rec.notes)
 
 
-def test_maximize_reduced_objective(ref5, ref5_ctx, monkeypatch):
-    """BFGS gets the reduced value with its true partial derivatives, from
-    one psi call per evaluation; the polish adds one more psi call."""
+def test_maximize_reduced_lies_on_psi_graph(ref5_ctx, monkeypatch):
+    """The maximizer is x + psi(x) for its own X block x: psi there equals
+    its Y block to within INNER_TOL / m in the Sobolev norm, the distance
+    strong convexity allows a solve that stops at INNER_TOL.  Its energy is
+    at least the reduced value of every ranked seed."""
     spec = ref5_ctx.spectrum
-    objectives, evals, psi_calls = [], [0], [0]
-    scipy_minimize, solve = reduction.scipy_minimize, reduction.psi
+    ranked = []
+    population = reduction.psi_population
 
-    def capture(fun, x0, **kw):
-        def counted(xi):
-            evals[0] += 1
-            return fun(xi)
-        objectives.append(fun)
-        return scipy_minimize(counted, x0, **kw)
+    def capture(ctx, rows, y0=None):
+        ranked.append(population(ctx, rows, y0))
+        return ranked[-1]
 
-    def counted_psi(*args, **kw):
-        psi_calls[0] += 1
-        return solve(*args, **kw)
-
-    monkeypatch.setattr(reduction, "scipy_minimize", capture)
-    monkeypatch.setattr(reduction, "psi", counted_psi)
+    monkeypatch.setattr(reduction, "psi_population", capture)
     rec = maximize_reduced(ref5_ctx)
-    assert psi_calls[0] == evals[0] + 1
+    monkeypatch.undo()
+    y = psi(ref5_ctx, spec.x_projection(rec.coeffs))
+    assert spec.h1_dist(y, spec.y_projection(rec.coeffs)) <= reduction.INNER_TOL / ref5_ctx.m
+    seeds = ranked[0]
+    assert len(seeds.values) == rec.provenance["orbits"]
+    assert rec.energy >= np.max(seeds.values)
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
 
-    h = 1e-5
-    for xi in ([0.0, -4.807], rec.coeffs[spec.x_indices]):
-        xi = np.asarray(xi, dtype=float)
-        _, grad = objectives[0](xi)
-        for j in range(ref5_ctx.k):
-            e = np.zeros(ref5_ctx.k)
-            e[j] = h
-            fd = (objectives[0](xi + e)[0] - objectives[0](xi - e)[0]) / (2 * h)
-            assert grad[j] == pytest.approx(fd, abs=1e-6)
+
+def test_maximize_reduced_without_a_converged_solve(ref5_ctx, monkeypatch):
+    """When no root solve from the best seeds converges there is no
+    maximizer: MaxItersExceeded, which the pipeline records as the
+    reduction stage's error."""
+    monkeypatch.setattr(reduction, "refine_critical", lambda functional, start: None)
+    with pytest.raises(nc.MaxItersExceeded):
+        maximize_reduced(ref5_ctx)
+    cfg = nc.reference_config()
+    cfg["stages"] = ["reduction"]
+    rep = nc.run_pipeline(cfg)
+    assert rep.errors["reduction"]["type"] == "MaxItersExceeded"
+    assert "reduction" not in rep.stages
 
 
 def test_maximize_reduced_counts_repeat(ref5_ctx):
     counts = []
     for _ in range(2):
         prov = maximize_reduced(ref5_ctx).provenance
-        counts.append((prov["seeds"], prov["orbits"], prov["ascents"],
+        counts.append((prov["seeds"], prov["orbits"], prov["refines"],
                        prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
-    seeds, orbits, ascents, newton, _ = counts[0]
+    seeds, orbits, refines, newton, _ = counts[0]
     assert seeds == 9 ** 2 + 5   # the grid over the seed box and the five constants
     # mirror and negation pair grid index i with 8 - i on either axis (5 x 5
     # orbits) and the constants t with -t (3 orbits); the six best seeds
     # are three mirror pairs
-    assert (orbits, ascents) == (5 * 5 + 3, 3)
+    assert (orbits, refines) == (5 * 5 + 3, 3)
     assert newton > 0
 
 
@@ -350,17 +353,17 @@ def test_maximize_reduced_without_oddness(ref5, monkeypatch):
     mirror alone.  It pairs grid index i with 8 - i along the odd mode
     only, 9 x 5 = 45 orbits of the 81 grid seeds, and fixes each of the
     five constants.  The maximum equals that of a run that solves psi for
-    every seed and ascends from all six best."""
+    every seed and root-solves from all six best."""
     spec, _, _ = ref5
     knots = [*REF5_KNOTS[:4], (2.25, 2.5)]
     f = nc.build_nonlinearity(knots, 2.5, 2.5)
     assert not f.odd
     ctx = make_reduction_context(nc.EnergyFunctional(spec, f))
     rec = maximize_reduced(ctx)
-    assert (rec.provenance["orbits"], rec.provenance["ascents"]) == (45 + 5, 3)
+    assert (rec.provenance["orbits"], rec.provenance["refines"]) == (45 + 5, 3)
     monkeypatch.setattr(reduction, "_orbit_representatives",
                         lambda signs, n, zeros: np.arange(n ** 2 + len(zeros)))
     full = maximize_reduced(ctx)
-    assert (full.provenance["orbits"], full.provenance["ascents"]) == (86, 6)
+    assert (full.provenance["orbits"], full.provenance["refines"]) == (86, 6)
     assert rec.energy == pytest.approx(full.energy, rel=1e-12)
     assert rec.morse_index == full.morse_index == 2

@@ -59,8 +59,9 @@ def test_constant_morse_index_is_crossing_count(ref5, middle_slope, indices):
 
 
 def test_mountain_pass_sweep_budget(ref5, monkeypatch):
-    """MAX_ITERS bounds the sweeps; the outer-well pass needs 30 of them,
-    so a budget of 3 runs out before any redistribution."""
+    """MAX_ITERS bounds the sweeps; the outer-well pass certifies its saddle
+    at its first redistribution, after 5 sweeps, so a budget of 3 runs out
+    before it."""
     spec, f, _ = ref5
     monkeypatch.setattr(solvers, "MAX_ITERS", 3)
     func = nc.EnergyFunctional(spec, nc.truncate(f, None, -1.0))
@@ -140,21 +141,23 @@ def test_mountain_pass_caches_node_energies(ref5):
     func = Counting(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
-    assert rec.iterations == 30
-    assert func.value_calls == 311
+    assert rec.iterations == 5
+    assert func.value_calls == 89
     assert func.value_calls < PATH_NODES * rec.iterations
-    # the start path and the redistributions after sweeps 5, 10, ..., 30
-    assert func.batch_calls == 7
+    # the start path and the redistribution after sweep 5
+    assert func.batch_calls == 2
 
 
 def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
-    """The reference truncation_below pass tries to certify a saddle from
-    its highest node after every redistribution.  The attempt after sweep 5
-    lands on an index-2 point, which does not end the pass and is dropped;
-    the attempts after sweeps 10 to 25 end in that point's Newton basin, so
-    they return its coefficients and build no record.  The one after sweep
-    30 is the well saddle, which ends the pass."""
-    spec, f, _ = ref5
+    """A pass tries to certify a saddle from its highest node after every
+    redistribution.  On the lower well of the k = 3 instance (crossing and
+    tail slopes 5) the attempt after sweep 5 lands on an index-2 point,
+    which does not end the pass and is dropped.  The attempt after sweep 10
+    is passed that point's Newton basin, ends outside it at the well
+    saddle, and ends the pass."""
+    spec, _, _ = ref5
+    knots = [(t, 5.0 if s > 0 else s) for t, s in REF5_KNOTS]
+    f = nc.build_nonlinearity(knots, 5.0, 5.0)
     finished = []
     refined = []
     finish_mp = solvers._finish_mp
@@ -173,20 +176,19 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     func = nc.EnergyFunctional(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type" and rec.morse_index == 1
-    assert rec.iterations == 30
-    assert rec.energy == pytest.approx(WELL_SADDLE_J - TRANSFER_SHIFT, abs=2e-6)
-    assert rec.urange[0] == pytest.approx(WELL_SADDLE_RANGE[0], abs=2e-4)
-    assert rec.urange[1] == pytest.approx(WELL_SADDLE_RANGE[1], abs=2e-4)
-    assert rec.h1_norm == pytest.approx(WELL_SADDLE_NORM, abs=2e-4)
+    assert rec.iterations == 10
+    assert rec.energy == pytest.approx(-3.532030112994267, rel=1e-12)
+    assert rec.urange == pytest.approx((-2.5155834, -1.0378406), abs=1e-7)
     dropped, last = finished
     assert last is rec
     assert dropped.iterations == 5
     assert dropped.morse_index == 2 and dropped.classification == "other"
-    assert len(refined) == 6
-    for u, basins in refined[1:5]:
-        ((center, radius),) = basins
-        assert u is center and np.array_equal(center, dropped.coeffs)
-        assert radius == nc.newton_radius(func, dropped) > 0
+    assert len(refined) == 2
+    assert refined[0][1] == []
+    ((center, radius),) = refined[1][1]
+    assert np.array_equal(center, dropped.coeffs)
+    assert radius == nc.newton_radius(func, dropped) > 0
+    assert spec.h1_dist(rec.coeffs, center) > radius
 
 
 class TrialPoints(nc.EnergyFunctional):
