@@ -10,8 +10,11 @@ eigenvalue, the map y -> J(x + y) is strongly convex on Y with modulus
 in the Sobolev metric.  psi(x) is its unique minimizer, the reduced
 functional Jt(x) = J(x + psi(x)) lives on the k-dimensional X block, and
 its maximizer is the distinguished critical point whose full Hessian index
-is expected to be k.  `maximize_reduced` ranks a seed grid by Jt and finds
-the maximizer by root solves of the full gradient from the best seeds.
+is expected to be k.  Strong convexity brackets Jt(x) in closed form from
+J and its Y-block gradient at x alone, with no inner solve (`_bracket`).
+`maximize_reduced` rules out the seeds of a grid that the bracket puts
+below six others, ranks the rest by Jt and finds the maximizer by root
+solves of the full gradient from the best seeds.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ _ENERGY_ROUNDING = 1e-12
 # The grid at k = 5, 6 and 7 (tail slopes 17 to 40) finds the maximizer
 # energy of 9^4 uniform random seeds in the same box to 1e-14 relative.
 _SEEDS_PER_AXIS = 9
+# best-ranked seeds that each start one root solve in `maximize_reduced`
+_BEST = 6
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,8 @@ def psi(ctx: ReductionContext, x, y0=None):
 
     The one-row case of `psi_population`, started from the Y block of `y0`
     (y = 0 when it is None).  `maximize_reduced` lifts each of its best
-    seeds x to x + psi(x) with it.
+    seeds x to x + psi(x) with it, passing the seed's row of its ranking
+    solve as `y0`, so the lift meets INNER_TOL at its first evaluation.
     """
     y0 = None if y0 is None else np.asarray(y0, dtype=float)[None]
     return psi_population(ctx, np.asarray(x, dtype=float)[None], y0).y[0]
@@ -112,7 +118,10 @@ def psi_population(ctx: ReductionContext, xs, y0=None) -> PopulationSolve:
     """psi of every row of `xs` (coefficient rows, X-projected here).
 
     Newton on the Y block runs for a block of rows at once, from the Y
-    block of the matching row of `y0` (y = 0 when it is None): each
+    block of the matching row of `y0` (y = 0 when it is None).  Each row
+    stops once the dual Sobolev norm of its Y-block gradient,
+    sqrt(sum_Y g_j^2 / (1 + lambda_j)), is at most INNER_TOL, so its value
+    exceeds the exact Jt(x) by at most INNER_TOL^2 / (2m).  Each
     iteration costs one field transform, one f, one f' and one primitive
     call for the block and one batched solve of the Y-block Hessians.  A
     row whose Newton step does not lower J(x + y) takes the certified step
@@ -137,6 +146,26 @@ def psi_population(ctx: ReductionContext, xs, y0=None) -> PopulationSolve:
     return PopulationSolve(rows, values, newton, fallback)
 
 
+def _state(ctx):
+    """The map from coefficient rows to their field values, J and the
+    Y-block partial derivatives of J, one field transform and one f and
+    one primitive call for all rows."""
+    spec = ctx.spectrum
+    f = ctx.functional.nonlinearity
+    yi = spec.y_indices
+    lam = spec.eigenvalues
+    basis, w = spec.basis, spec.weights
+    basis_y = basis[:, yi]
+
+    def state(rows):
+        u = rows @ basis.T
+        energy = 0.5 * (rows * rows) @ lam - f.primitive(u) @ w
+        grad = rows[:, yi] * lam[yi] - (f(u) * w) @ basis_y
+        return u, energy, grad
+
+    return state
+
+
 def _newton_block(ctx, c):
     """Minimize over the Y block of each row of `c` in place.  Returns the
     energies and the Newton and fallback step counts."""
@@ -145,18 +174,12 @@ def _newton_block(ctx, c):
     yi = spec.y_indices
     lam = spec.eigenvalues
     h1_y = 1.0 + lam[yi]
-    basis, w = spec.basis, spec.weights
-    basis_y = basis[:, yi]
+    w = spec.weights
+    basis_y = spec.basis[:, yi]
     diag_y = np.diag(lam[yi])
     hess_rows = max(1, BLOCK_ELEMENTS // basis_y.size)
     fixed_step = 2.0 / (ctx.m + ctx.lam)
-
-    def state(rows):
-        # field values, J and the Y-block partial derivatives of J per row
-        u = rows @ basis.T
-        energy = 0.5 * (rows * rows) @ lam - f.primitive(u) @ w
-        grad = rows[:, yi] * lam[yi] - (f(u) * w) @ basis_y
-        return u, energy, grad
+    state = _state(ctx)
 
     values = np.empty(len(c))
     newton = fallback = 0
@@ -195,10 +218,46 @@ def _newton_block(ctx, c):
     raise MaxItersExceeded("population Newton solve of the inner minimization stalled")
 
 
-def _compact_to_field(spec, xi):
-    x = np.zeros(spec.n_modes)
-    x[spec.x_indices] = xi
-    return x
+def _bracket(ctx, rows):
+    """Closed-form (upper, lower) bounds of the reduced value of every row,
+    each row with a zero Y block.
+
+    y -> J(x + y) is m-strongly convex in the Sobolev metric, so at y = 0
+
+        J(x) >= Jt(x) >= J(x) - |P_Y grad J(x)|_*^2 / (2m),
+
+    with |g|_*^2 = sum_Y g_j^2 / (1 + lambda_j) the dual norm that
+    `_newton_block` tests against INNER_TOL.  No inner solve: one `_state`
+    pass per block of at most BLOCK_ELEMENTS grid values.  Both bounds are
+    widened by the relative rounding margin of an energy.
+    """
+    spec = ctx.spectrum
+    h1_y = 1.0 + spec.eigenvalues[spec.y_indices]
+    state = _state(ctx)
+    block = max(1, BLOCK_ELEMENTS // spec.basis.shape[0])
+    upper = np.empty(len(rows))
+    lower = np.empty(len(rows))
+    for lo in range(0, len(rows), block):
+        _, energy, grad = state(rows[lo:lo + block])
+        upper[lo:lo + block] = energy
+        lower[lo:lo + block] = energy - np.sum(grad * grad / h1_y, axis=1) / (2.0 * ctx.m)
+    return (upper + _ENERGY_ROUNDING * (1.0 + np.abs(upper)),
+            lower - _ENERGY_ROUNDING * (1.0 + np.abs(lower)))
+
+
+def _contenders(upper, lower, weight):
+    """Mask of the orbits that fewer than `_BEST` seeds certainly beat.
+
+    A seed certainly beats an orbit when its lower bound exceeds the
+    orbit's upper bound; no orbit beats itself, as its lower bound is at
+    most its upper bound.  `weight` holds each orbit's seed count.  One
+    sort and one `searchsorted` over the lower bounds, no orbits x orbits
+    array.
+    """
+    by_lower = np.argsort(lower)
+    at_most = np.concatenate([[0], np.cumsum(weight[by_lower])])
+    beaten = at_most[-1] - at_most[np.searchsorted(lower[by_lower], upper, side="right")]
+    return beaten < _BEST
 
 
 def _seed_box(ctx: ReductionContext):
@@ -252,21 +311,31 @@ def maximize_reduced(ctx: ReductionContext):
     mirrors, and u -> -u when f is odd), which acts on X rows by signs,
     and psi maps the image of x to the image of psi(x), the unique
     minimizer.  The grid and the constants are closed under the group, so
-    one population solve (`psi_population`) ranks one representative row
-    per orbit, probing strong convexity on each of its steps, and every
-    image takes its representative's value.  Each of the six best seeds,
-    except a seed in the orbit of one already taken (it would end at an
-    image of the same point), starts one `refine_critical` root solve of
-    the full functional from x + psi(x).  The maximizer is a critical point
+    only one representative row per orbit is bracketed and ranked, and
+    every image takes its representative's value.
+
+    One batched pass evaluates the closed-form bracket of `_bracket` at
+    every representative.  An orbit whose upper bound lies below the lower
+    bounds of at least six seeds holds none of the six best seeds, so it
+    is dropped; the dropped orbit with the largest upper bound is beaten by
+    six seeds that are all kept, so at least six seeds stay.  One
+    population solve (`psi_population`) ranks the orbits left, probing
+    strong convexity on each of its steps, and stable ties keep seed order,
+    so the six best seeds are those of a ranking of every orbit.  Each of
+    them, except a seed in the orbit of one already taken (it would end at
+    an image of the same point), starts one `refine_critical` root solve
+    of the full functional from x + psi(x), with psi warm-started from the
+    seed's row of the ranking solve.  The maximizer is a critical point
     of J with full Hessian index k, so the highest-energy point of index k
     among the solves is returned; when none has index k, the highest-energy
     point is, with a note.  No ascent on the reduced functional is needed:
     the ranking brings the best seeds next to the maximizer, and the root
     solve converges to saddles as well as to maxima.  The record's
-    provenance gives the box, the numbers of seeds, orbits (rows solved)
-    and refines (root solves), and the Newton and fallback steps of the
-    population solve.  Raises MaxItersExceeded when no root solve
-    converges, and AsymmetricSlopes when the tails differ (`_seed_box`).
+    provenance gives the box, the numbers of seeds, orbits, ranked orbits
+    (rows Newton solved) and refines (root solves), and the Newton and
+    fallback steps of the ranking solve.  Raises MaxItersExceeded when no
+    root solve converges, and AsymmetricSlopes when the tails differ
+    (`_seed_box`).
     """
     spec = ctx.spectrum
     func = ctx.functional
@@ -286,19 +355,23 @@ def maximize_reduced(ctx: ReductionContext):
     solved, orbit = np.unique(rep, return_inverse=True)
     rows = np.zeros((len(solved), spec.n_modes))
     rows[:, spec.x_indices] = [seeds[i] for i in solved]
-    ranked = psi_population(ctx, rows)
-    values = ranked.values[orbit]
-    # ties (images) keep their seed order, so an orbit's first seed leads it
-    order = np.argsort(-values, kind="stable")
+    live = np.flatnonzero(_contenders(*_bracket(ctx, rows), np.bincount(orbit)))
+    ranked = psi_population(ctx, rows[live])
+    reduced = np.full(len(solved), -np.inf)
+    lift = np.zeros_like(rows)
+    reduced[live], lift[live] = ranked.values, ranked.y
+    # ties (images) keep their seed order, so an orbit's first seed, its
+    # representative, leads it
+    order = np.argsort(-reduced[orbit], kind="stable")
 
     points = []
     refined = set()
-    for i in order[:6]:
+    for i in order[:_BEST]:
         if rep[i] in refined:
             continue
         refined.add(rep[i])
-        x = _compact_to_field(spec, seeds[i])
-        u = refine_critical(func, x + psi(ctx, x))
+        x = rows[orbit[i]]
+        u = refine_critical(func, x + psi(ctx, x, y0=lift[orbit[i]]))
         if u is not None:
             points.append(u)
     if not points:
@@ -313,7 +386,8 @@ def maximize_reduced(ctx: ReductionContext):
             func, points[j], "reduction_max",
             {"stage": "reduction", "functional": func.nonlinearity.label,
              "reduced_value": float(energies[j]), "k": k, "seed_box": box.tolist(),
-             "seeds": len(seeds), "orbits": len(solved), "refines": len(refined),
+             "seeds": len(seeds), "orbits": len(solved), "ranked": len(live),
+             "refines": len(refined),
              "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
         )
         if rec.morse_index == k:

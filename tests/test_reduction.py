@@ -192,28 +192,66 @@ def test_maximize_reduced_reference(ref5, ref5_ctx):
     assert not any("differs from the block dimension" in n for n in rec.notes)
 
 
+def _reference_orbits(ctx):
+    """The 86 seeds of the reference (9 x 9 points over the closed-form box
+    and the five constants), the orbit of each seed, and one coefficient
+    row per orbit: its lowest seed."""
+    spec = ctx.spectrum
+    box = _box_bound(ctx)
+    axes = [np.linspace(-b, b, 9) for b in box]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    zeros = [t for t, _ in ctx.functional.nonlinearity.knots]
+    constants = np.array([spec.constant_field(t)[spec.x_indices] for t in zeros])
+    seeds = np.vstack([grid, constants])
+    signs = spec.symmetry_signs(odd=True)[:, spec.x_indices]
+    solved, orbit = np.unique(reduction._orbit_representatives(signs, 9, zeros),
+                              return_inverse=True)
+    rows = np.zeros((len(solved), spec.n_modes))
+    rows[:, spec.x_indices] = seeds[solved]
+    return seeds, orbit, rows
+
+
+def _capture_ranking(ctx, monkeypatch):
+    """The maximizer and the rows of every psi_population call it makes:
+    the ranking first, then one row per root solve."""
+    calls = []
+    population = reduction.psi_population
+
+    def capture(ctx, rows, y0=None):
+        calls.append(np.array(rows))
+        return population(ctx, rows, y0)
+
+    monkeypatch.setattr(reduction, "psi_population", capture)
+    rec = maximize_reduced(ctx)
+    monkeypatch.undo()
+    return rec, calls
+
+
 def test_maximize_reduced_lies_on_psi_graph(ref5_ctx, monkeypatch):
     """The maximizer is x + psi(x) for its own X block x: psi there equals
     its Y block to within INNER_TOL / m in the Sobolev norm, the distance
     strong convexity allows a solve that stops at INNER_TOL.  Its energy is
-    at least the reduced value of every ranked seed."""
+    at least the reduced value of every orbit, and every orbit Newton did
+    not rank lies below at least six seeds, so none of its seeds could
+    start a root solve."""
     spec = ref5_ctx.spectrum
-    ranked = []
-    population = reduction.psi_population
-
-    def capture(ctx, rows, y0=None):
-        ranked.append(population(ctx, rows, y0))
-        return ranked[-1]
-
-    monkeypatch.setattr(reduction, "psi_population", capture)
-    rec = maximize_reduced(ref5_ctx)
-    monkeypatch.undo()
+    rec, calls = _capture_ranking(ref5_ctx, monkeypatch)
     y = psi(ref5_ctx, spec.x_projection(rec.coeffs))
     assert spec.h1_dist(y, spec.y_projection(rec.coeffs)) <= reduction.INNER_TOL / ref5_ctx.m
-    seeds = ranked[0]
-    assert len(seeds.values) == rec.provenance["orbits"]
-    assert rec.energy >= np.max(seeds.values)
+    _, orbit, rows = _reference_orbits(ref5_ctx)
+    reduced = psi_population(ref5_ctx, rows).values
+    assert len(reduced) == rec.provenance["orbits"] == 28
+    assert rec.energy >= np.max(reduced)
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
+
+    ranked = calls[0]
+    assert len(ranked) == rec.provenance["ranked"] < 28
+    assert len(calls) == 1 + rec.provenance["refines"]
+    kept = np.array([np.any(np.all(ranked == row, axis=1)) for row in rows])
+    assert np.count_nonzero(kept) == len(ranked)
+    seed_values = reduced[orbit]
+    for value in reduced[~kept]:
+        assert np.count_nonzero(seed_values > value) >= 6
 
 
 def test_maximize_reduced_without_a_converged_solve(ref5_ctx, monkeypatch):
@@ -234,16 +272,17 @@ def test_maximize_reduced_counts_repeat(ref5_ctx):
     counts = []
     for _ in range(2):
         prov = maximize_reduced(ref5_ctx).provenance
-        counts.append((prov["seeds"], prov["orbits"], prov["refines"],
+        counts.append((prov["seeds"], prov["orbits"], prov["ranked"], prov["refines"],
                        prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
-    seeds, orbits, refines, newton, _ = counts[0]
+    seeds, orbits, ranked, refines, newton, fallback = counts[0]
     assert seeds == 9 ** 2 + 5   # the grid over the seed box and the five constants
     # mirror and negation pair grid index i with 8 - i on either axis (5 x 5
     # orbits) and the constants t with -t (3 orbits); the six best seeds
     # are three mirror pairs
     assert (orbits, refines) == (5 * 5 + 3, 3)
-    assert newton > 0
+    # the bracket at y = 0 rules out 24 orbits; Newton ranks the other 4
+    assert (ranked, newton, fallback) == (4, 12, 0)
 
 
 def _box_bound(ctx):
@@ -256,40 +295,28 @@ def _box_bound(ctx):
 def test_maximize_reduced_seed_box(ref5_ctx, monkeypatch):
     """The seed set is 9 x 9 points over the closed-form box plus the five
     constants, and the maximum is found.  The constants are critical
-    points, so they lie in the box.  psi is solved for one seed per
-    symmetry orbit, 28 of the 86, and every seed is an image of a solved
-    row."""
+    points, so they lie in the box.  The 86 seeds fall into 28 symmetry
+    orbits, every seed is an image of its orbit's lowest seed, and Newton
+    ranks only such lowest seeds."""
     spec = ref5_ctx.spectrum
     box = _box_bound(ref5_ctx)
-    ranked = []
-    population = reduction.psi_population
-
-    def capture(ctx, rows, y0=None):
-        ranked.append(np.array(rows))
-        return population(ctx, rows, y0)
-
-    monkeypatch.setattr(reduction, "psi_population", capture)
-    rec = maximize_reduced(ref5_ctx)
+    rec, calls = _capture_ranking(ref5_ctx, monkeypatch)
     assert (rec.provenance["seeds"], rec.provenance["orbits"]) == (86, 28)
     assert rec.provenance["seed_box"] == pytest.approx(box, rel=1e-15)
     assert rec.energy == pytest.approx(BIG_ORBIT_J, abs=2e-6)
     assert rec.morse_index == 2
 
-    axes = [np.linspace(-b, b, 9) for b in box]
-    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    knots = ref5_ctx.functional.nonlinearity.knots
-    constants = np.array([spec.constant_field(t)[spec.x_indices] for t, _ in knots])
-    assert np.all(np.abs(constants) <= box * (1 + 1e-12))
-    seeds = np.vstack([grid, constants])
-    solved = ranked[0][:, spec.x_indices]
+    seeds, _, rows = _reference_orbits(ref5_ctx)
+    assert np.all(np.abs(seeds[81:]) <= box * (1 + 1e-12))
+    solved = rows[:, spec.x_indices]
     assert len(solved) == 28
     signs = spec.symmetry_signs(odd=True)[:, spec.x_indices]
     images = (signs[:, None, :] * solved[None]).reshape(-1, ref5_ctx.k)
     tol = 1e-12 * np.max(box)
-    for row in solved:
-        assert np.min(np.max(np.abs(seeds - row), axis=1)) <= tol
     for seed in seeds:
         assert np.min(np.max(np.abs(images - seed), axis=1)) <= tol
+    for row in calls[0]:
+        assert np.any(np.all(rows == row, axis=1))
 
 
 def test_seed_box_holds_reference_records(reference_report):
