@@ -118,8 +118,28 @@ class EnergyFunctional:
         return evals, evecs
 
     def morse_data(self, u):
-        """(eigenvalues, eigenfields, morse index, degenerate flag)."""
-        evals, evecs = self.hessian_spectrum(u)
+        """(eigenvalues, eigenfields, morse index, degenerate flag).
+
+        At a constant field t (every coefficient off mode 0 exactly 0) the
+        data is read off the spectrum: Gram = I makes the pencil diagonal,
+        A = diag(lam_j - f'(t)) and B = diag(1 + lam_j), so the eigenvalues
+        are (lam_j - f'(t)) / (1 + lam_j) in ascending stable order and the
+        eigenfields are e_j / sqrt(1 + lam_j).  A root solve from a constant
+        start stays exactly on that line (`solvers.refine_critical`), so the
+        constants it finds take this path too.  Everywhere else the pencil
+        is assembled and solved (`hessian_spectrum`).
+        """
+        u = np.asarray(u, dtype=float)
+        if np.any(u[1:]):
+            evals, evecs = self.hessian_spectrum(u)
+        else:
+            # f' at the field's grid value, the one the quadrature would see
+            slope = float(self.nonlinearity.deriv(u[0] * self.spectrum.basis[0, 0]))
+            nu = (self._lam - slope) / self._one_plus_lam
+            order = np.argsort(nu, kind="stable")
+            evals = nu[order]
+            evecs = np.zeros((len(nu), len(nu)))
+            evecs[order, np.arange(len(nu))] = 1.0 / np.sqrt(self._one_plus_lam[order])
         index = int(np.count_nonzero(evals < -DEGENERACY_TOL))
         degenerate = bool(np.min(np.abs(evals)) < DEGENERACY_TOL)
         return evals, evecs, index, degenerate

@@ -381,7 +381,8 @@ def homotopy(f: Nonlinearity, lam: float) -> Nonlinearity:
     """The blend lam * f'(inf) * t + (1 - lam) * f(t).
 
     Requires equal asymptotic slopes (finite f.M); at lam = 1 the result is
-    the exact linear function with that slope.
+    the exact linear function with that slope.  At lam = 0 the blend is f
+    itself, exactly, and f is returned as it is.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
@@ -390,16 +391,15 @@ def homotopy(f: Nonlinearity, lam: float) -> Nonlinearity:
             f"slopes {f.slope_minus_inf} / {f.slope_plus_inf} differ; "
             "the linear homotopy needs one asymptotic slope"
         )
+    if lam == 0.0:
+        return f
     s = f.slope_plus_inf
     cs = (1.0 - lam) * f.ppoly.c.copy()
     xs = f.ppoly.x
     cs[-2, :] += lam * s
     cs[-1, :] += lam * s * xs[:-1]
     pp = PPoly(cs, xs.copy(), extrapolate=True)
-    knots = f.knots if lam == 0.0 else ()
-    untouched = f.untouched if lam == 0.0 else None
-    label = f.label if lam == 0.0 else f"homotopy({lam:g})"
-    return _finish(pp, knots, s, s, f.blend_margin, untouched, label)
+    return _finish(pp, (), s, s, f.blend_margin, None, f"homotopy({lam:g})")
 
 
 def find_zeros(f: Nonlinearity, lo: float, hi: float) -> list:

@@ -34,11 +34,13 @@ lengths.  A wide transverse bump on the initial straight path keeps it
 out of the constants line, which is invariant under the flow and full of
 index-2 traps, and starts its highest node near the saddle, in the spirit
 of minimax methods that start from the unstable direction (Li and Zhou,
-SIAM J. Sci. Comput. 23, 2001).  After every redistribution the highest
-node is refined; a refined point that is a certified mountain-pass saddle
-ends the pass at once, and any other is dropped while the sweeps go on.
-A dropped point's basin is passed to the later refines, and one that ends
-there is dropped without rebuilding its record.
+SIAM J. Sci. Comput. 23, 2001).  Every REDISTRIBUTE_EVERY sweeps the
+highest node is refined; a refined point that is a certified
+mountain-pass saddle ends the pass at once.  Any other is dropped, and
+only then is the path redistributed and its interior nodes re-evaluated,
+so a pass that certifies at its first attempt evaluates its path in one
+batch.  A dropped point's basin is passed to the later refines, and one
+that ends there is dropped without rebuilding its record.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R, SAFETY_FACTOR times the largest
@@ -90,8 +92,8 @@ __all__ = [
 MAX_ITERS = 4000
 # mountain-pass polyline nodes, endpoints included
 PATH_NODES = 41
-# sweeps between two redistributions of the polyline; each redistribution
-# is followed by one attempt to certify a saddle from the highest node
+# sweeps between two attempts to certify a saddle from the highest node;
+# the polyline is redistributed after every attempt that fails
 REDISTRIBUTE_EVERY = 5
 # the homotopy bound scales the largest solution norm it sees by this
 # factor into the search radius R
@@ -277,20 +279,23 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     The path holds PATH_NODES nodes: the straight segment plus a transverse
     bump of height 0.3 (dist(a, b) + 1) in the first nonconstant modes.  A
     bump that wide puts the highest node near the saddle, so on the
-    reference instance every pass certifies at its first redistribution,
-    after REDISTRIBUTE_EVERY sweeps.  The node energies come from one batch
+    reference instance every pass certifies at its first attempt, after
+    REDISTRIBUTE_EVERY sweeps.  A sweep moves one node and evaluates J once
+    per backtracking trial; a moved node keeps the energy of its accepted
+    step, so every node energy stays current.  Every REDISTRIBUTE_EVERY
+    sweeps the highest node is refined, and the pass returns the refined
+    point at once when it is certified: farther than DEDUP_RADIUS from both
+    endpoints, above the endpoint level, and "mp_type" (Morse index 1,
+    principal Hessian eigenpair simple with a sign-definite eigenfield).  A
+    point that fails any check is dropped; the path is then redistributed
+    and the sweeps go on.  The record's `iterations` counts the sweeps
+    done.  The node energies come from one batch
     (`EnergyFunctional.values`) at the start, and those of the interior
-    nodes from one batch after each redistribution; a sweep moves one node
-    and evaluates J once per backtracking trial.  Every REDISTRIBUTE_EVERY
-    sweeps the path is redistributed and its highest node refined.  The
-    pass returns that refined point at once when it is certified: farther
-    than DEDUP_RADIUS from both endpoints, above the endpoint level, and
-    "mp_type" (Morse index 1, principal Hessian eigenpair simple with a
-    sign-definite eigenfield).  A point that fails any check is dropped and
-    the sweeps go on; the record's `iterations` counts the sweeps done.
-    The Newton basins of the points dropped by the shape check are passed
-    to the later attempts, and an attempt that ends at one of those points
-    is dropped without building its record again.
+    nodes from one batch after each redistribution, so a pass certified at
+    its first attempt evaluates its path in one batch.  The Newton basins
+    of the points dropped by the shape check are passed to the later
+    attempts, and an attempt that ends at one of those points is dropped
+    without building its record again.
 
     Two triggers end the pass without that certificate: a node residual
     <= 1e-4, or 50 sweeps without residual progress.  Either refines the
@@ -317,7 +322,8 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
         bump[j] = 0.5 ** (j - 1)
     bump /= spec.h1_norm(bump)
     delta = 0.3 * (spec.h1_dist(a, b) + 1.0)
-    path = np.array([(1 - si) * a + si * b + delta * np.sin(np.pi * si) * bump for si in s])
+    path = ((1 - s)[:, None] * a + s[:, None] * b
+            + (delta * np.sin(np.pi * s))[:, None] * bump)
 
     steps = np.full(n, 0.2)
     best = None
@@ -326,7 +332,7 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     dropped = []
     # node energies, one batch for the whole path: a moved node keeps the
     # energy its accepted step computed, and the interior nodes are
-    # re-evaluated in one batch after redistribution; the endpoints never
+    # re-evaluated in one batch after a redistribution; the endpoints never
     # move and keep theirs
     energies = functional.values(path)
     for sweep in range(MAX_ITERS):
@@ -374,9 +380,9 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
         else:
             steps[i] = max(step, 1e-8)
         if sweep % REDISTRIBUTE_EVERY == REDISTRIBUTE_EVERY - 1:
-            path = _redistribute(spec, path)
-            energies[1:-1] = functional.values(path[1:-1])
-            # a certified saddle from the new highest node ends the pass
+            # a certified saddle from the highest node ends the pass; every
+            # node energy is current here, so the path is redistributed and
+            # re-evaluated only when the pass goes on
             i = int(np.argmax(energies))
             if 0 < i < n - 1:
                 cand = refine_critical(functional, path[i], dropped)
@@ -386,6 +392,8 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
                     if rec.classification == "mp_type":
                         return rec
                     dropped.append((rec.coeffs, newton_radius(functional, rec)))
+            path = _redistribute(spec, path)
+            energies[1:-1] = functional.values(path[1:-1])
     raise MaxItersExceeded(f"mountain pass did not settle in {MAX_ITERS} sweeps")
 
 

@@ -1,7 +1,8 @@
 """The derivatives the root solve trusts, checked on random coefficients:
 `l2_gradient` is the gradient of `value`, and `hessian_pencil(u)[0]` is
 the symmetric Jacobian of `l2_gradient`, on the interval and rectangle
-spectra of the benchmark workloads."""
+spectra of the benchmark workloads.  At constant fields the closed-form
+Morse data of `morse_data` must equal the assembled pencil's."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import neucrit as nc
 from conftest import REF5_KNOTS
+from neucrit.energy import DEGENERACY_TOL
 
 MODES = 16
 F = nc.build_nonlinearity(REF5_KNOTS, 2.5, 2.5)
@@ -54,3 +56,54 @@ def test_hessian_is_symmetric_jacobian_of_l2_gradient(kind, c):
     assert np.max(np.abs(A - A.T)) < 1e-13 * scale
     fd = _central_differences(func.l2_gradient, c, 1e-5)
     assert np.max(np.abs(fd - A)) < 1e-5 * scale
+
+
+def _numeric_morse_data(func, c):
+    """The Morse data of `hessian_spectrum`: the assembled pencil solved by
+    `eigh`, with the index and degenerate flag `morse_data` reads off it."""
+    evals, evecs = func.hessian_spectrum(c)
+    return (evals, evecs, int(np.count_nonzero(evals < -DEGENERACY_TOL)),
+            bool(np.min(np.abs(evals)) < DEGENERACY_TOL))
+
+
+def _assert_same_morse_data(func, c):
+    evals, evecs, index, degenerate = func.morse_data(c)
+    n_evals, n_evecs, n_index, n_degenerate = _numeric_morse_data(func, c)
+    assert np.max(np.abs(evals - n_evals)) < 1e-12
+    assert (index, degenerate) == (n_index, n_degenerate)
+    B = np.diag(1.0 + func.spectrum.eigenvalues)
+    assert np.max(np.abs(evecs.T @ B @ evecs - np.eye(len(evals)))) < 1e-12
+    # a simple eigenvalue has one eigenfield up to sign
+    gaps = np.diff(n_evals)
+    simple = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf)) > 1e-6
+    for j in np.flatnonzero(simple):
+        sign = np.sign(evecs[:, j] @ B @ n_evecs[:, j])
+        assert np.max(np.abs(evecs[:, j] - sign * n_evecs[:, j])) < 1e-8
+    return index, degenerate
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(FUNCTIONALS)),
+       t=st.one_of(st.sampled_from([t for t, _ in REF5_KNOTS]), st.floats(-6.0, 6.0)))
+def test_constant_morse_data_matches_the_assembled_pencil(kind, t):
+    """At a constant field `morse_data` reads its data off the spectrum;
+    it must agree with the assembled pencil at the zeros of f and at any
+    constant, solution or not."""
+    func = FUNCTIONALS[kind]
+    _assert_same_morse_data(func, func.spectrum.constant_field(t))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(FUNCTIONALS)), j=st.integers(1, 5))
+def test_resonant_constant_is_degenerate(kind, j):
+    """A constant zero whose slope is an eigenvalue lam_j has an exactly
+    zero Hessian eigenvalue; both paths call it degenerate and count only
+    the modes below lam_j in the index."""
+    spec = FUNCTIONALS[kind].spectrum
+    lam = float(spec.eigenvalues[j])
+    func = nc.EnergyFunctional(spec, nc.build_nonlinearity([(0.0, lam)], 2.5, 2.5))
+    assert func.nonlinearity.deriv(0.0) == lam
+    index, degenerate = _assert_same_morse_data(func, spec.constant_field(0.0))
+    assert degenerate
+    assert index == int(np.count_nonzero(spec.eigenvalues < lam))
+    assert 0.0 in func.morse_data(spec.constant_field(0.0))[0]

@@ -326,6 +326,19 @@ def test_homotopy_endpoints(f5):
     assert np.max(np.abs(h1(np.array([-50.0, 50.0])) - 2.5 * np.array([-50.0, 50.0]))) < 1e-10
 
 
+def test_homotopy_base_member_is_the_base(f5):
+    """(1 - 0) c + 0 s is c exactly, so the member at lam = 0 is f itself;
+    a member with lam > 0 is still the blend of the pieces."""
+    assert homotopy(f5, 0.0) is f5
+    for lam in (1e-12, 0.35, 1.0):
+        h = homotopy(f5, lam)
+        cs = (1.0 - lam) * f5.ppoly.c
+        cs[-2, :] += lam * 2.5
+        cs[-1, :] += lam * 2.5 * f5.ppoly.x[:-1]
+        assert np.array_equal(h.ppoly.c, cs) and np.array_equal(h.ppoly.x, f5.ppoly.x)
+        assert (h.knots, h.untouched, h.label) == ((), None, f"homotopy({lam:g})")
+
+
 def test_homotopy_requires_symmetric_tails():
     g = build_nonlinearity([(0.0, -1.0)], 2.5, 3.0)
     with pytest.raises(nc.AsymmetricSlopes):

@@ -176,13 +176,16 @@ def test_reference_search_counts(monkeypatch):
     # and the reduction solves psi once per orbit and runs one root solve
     # per orbit of its six best seeds, building the record of the best
     # point only.  Each pass starts from the wide path and certifies its
-    # saddle at its first redistribution, after REDISTRIBUTE_EVERY sweeps;
-    # it evaluates its path in one batch at the start and in one then:
-    # 3 x 2 batches
+    # saddle from its highest node after REDISTRIBUTE_EVERY sweeps, before
+    # any redistribution, so it evaluates its path in one batch, at the
+    # start: 3 batches.  Ten of the records are constant fields, the five
+    # of the constants stage and the five the homotopy's base member finds
+    # from its zero seeds; they read their Morse data off the spectrum and
+    # assemble no Hessian
     assert runs[0] == ([5, 5, 5],
-                       {"value": 290, "values": 6,
+                       {"value": 173, "values": 3,
                         "gradient": 35, "l2_gradient": 88,
-                        "hessian_pencil": 32, "morse_data": 20},
+                        "hessian_pencil": 22, "morse_data": 20},
                        28, 3)
 
 

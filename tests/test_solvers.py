@@ -122,7 +122,8 @@ def test_mountain_pass_caches_node_energies(ref5):
     outside the basins of the points it dropped, not per node and sweep.
     The node energies come in batches, one for the start path and one per
     redistribution; `value_calls` counts every row of a batch as one
-    evaluation."""
+    evaluation.  The pass refines its highest node before it redistributes,
+    and this one certifies there, so it never redistributes."""
     spec, f, _ = ref5
 
     class Counting(nc.EnergyFunctional):
@@ -142,19 +143,21 @@ def test_mountain_pass_caches_node_energies(ref5):
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
     assert rec.iterations == 5
-    assert func.value_calls == 89
+    assert func.value_calls == 50
     assert func.value_calls < PATH_NODES * rec.iterations
-    # the start path and the redistribution after sweep 5
-    assert func.batch_calls == 2
+    # the start path only
+    assert func.batch_calls == 1
 
 
 def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
-    """A pass tries to certify a saddle from its highest node after every
-    redistribution.  On the lower well of the k = 3 instance (crossing and
+    """A pass tries to certify a saddle from its highest node every
+    REDISTRIBUTE_EVERY sweeps, and redistributes its path only when the
+    attempt fails.  On the lower well of the k = 3 instance (crossing and
     tail slopes 5) the attempt after sweep 5 lands on an index-2 point,
-    which does not end the pass and is dropped.  The attempt after sweep 10
-    is passed that point's Newton basin, ends outside it at the well
-    saddle, and ends the pass."""
+    which does not end the pass and is dropped; the path is redistributed
+    and re-evaluated in one batch.  The attempt after sweep 10 is passed
+    that point's Newton basin, ends outside it at the well saddle, and ends
+    the pass before a second redistribution."""
     spec, _, _ = ref5
     knots = [(t, 5.0 if s > 0 else s) for t, s in REF5_KNOTS]
     f = nc.build_nonlinearity(knots, 5.0, 5.0)
@@ -173,10 +176,20 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
 
     monkeypatch.setattr(solvers, "_finish_mp", kept)
     monkeypatch.setattr(solvers, "refine_critical", refined_from)
-    func = nc.EnergyFunctional(spec, nc.truncate(f, hi=-1.0))
+
+    class Batches(nc.EnergyFunctional):
+        batches = 0
+
+        def values(self, rows):
+            self.batches += 1
+            return super().values(rows)
+
+    func = Batches(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type" and rec.morse_index == 1
     assert rec.iterations == 10
+    # the start path, and the redistribution after the dropped attempt
+    assert func.batches == 2
     assert rec.energy == pytest.approx(-3.532030112994267, rel=1e-12)
     assert rec.urange == pytest.approx((-2.5155834, -1.0378406), abs=1e-7)
     dropped, last = finished
