@@ -1,5 +1,6 @@
 """End-to-end orchestration: spectrum, constants, three truncated mountain
-passes, homotopy bound, reduction, degree ledger, and a multistart stage
+pass stages (two passes when f is odd: the above saddle is the negated
+below one), homotopy bound, reduction, degree ledger, and a multistart stage
 that first closes the symmetry orbits of the records the ledger holds and
 spends random starts only while a deficiency remains.  The orbits are
 closed even when the first ledger balances: missing points whose degrees
@@ -27,9 +28,9 @@ import numpy as np
 from ._version import __version__
 from .energy import EnergyFunctional
 from .errors import ConfigError, DuplicateKnots, NeucritError, ReductionInapplicable
-from .ledger import DegreeLedger, qualitative_classify, transfer_to_original
+from .ledger import RANGE_MARGIN, DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, node_layout, truncate
-from .records import DEDUP_RADIUS, SolverConfig, newton_radius
+from .records import DEDUP_RADIUS, GRAD_TOL, SolverConfig, newton_radius
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
     SAFETY_FACTOR,
@@ -37,6 +38,7 @@ from .solvers import (
     homotopy_bound,
     mountain_pass,
     multistart,
+    saddle_record,
 )
 from .spectrum import Domain, build_spectrum, quad_points_per_axis, split_spectrum
 
@@ -335,21 +337,44 @@ def _min_type_zeros(f):
     return sorted(t for t, s in f.knots if s < 0)
 
 
-def _truncation_stage(report, kind, mins):
+def _truncation_stage(report, kind, mins, below=None):
     """One truncated mountain pass plus the transfer back, on the window
     of stage `kind` between the sorted minimum-type zeros `mins`.  Returns
-    the transferred record."""
+    the transferred record.
+
+    With an odd f, J(-u) = J(u) and the above truncation is the negation
+    of the below one, so the negation of a saddle of one is a saddle of the
+    other, of the same Morse index (Palais, Comm. Math. Phys. 69, 1979).
+    The above stage, given the below stage's transferred record `below`,
+    therefore builds the record of its negation on the original functional
+    first and keeps it, with no pass, when it meets GRAD_TOL, lies in the
+    above window with the transfer's RANGE_MARGIN and is "mp_type"; its
+    stage entry then holds `image_of` in place of the truncated record.
+    Otherwise the pass runs as for any stage.
+    """
     stage = f"truncation_{kind}"
     lo, hi = {"below": (None, mins[0]), "above": (mins[-1], None),
               "interval": (mins[0], mins[-1])}[kind]
     anchors = [float(x) for x in (lo, hi) if x is not None]
+    func = report.functional
+    if kind == "above" and below is not None and func.nonlinearity.odd:
+        image = saddle_record(func, -below.coeffs,
+                              {"stage": stage, "kind": kind, "anchors": anchors,
+                               "image_of": "truncation_below"})
+        if (image.residual <= GRAD_TOL and image.urange[0] >= lo + RANGE_MARGIN
+                and image.classification == "mp_type"):
+            report.stages[stage] = {
+                "anchors": anchors,
+                "image_of": "truncation_below",
+                "transferred_record": image.to_dict(),
+            }
+            return image
     # the path runs from the first anchor to the second, or MP_OFFSET past
     # the anchor on the open side
     if len(anchors) == 2:
         end = anchors[1]
     else:
         end = anchors[0] + (MP_OFFSET if hi is None else -MP_OFFSET)
-    func = report.functional
     spec = report.spectrum
     tfunc = EnergyFunctional(spec, truncate(func.nonlinearity, lo, hi))
     rec = mountain_pass(tfunc, spec.constant_field(anchors[0]), spec.constant_field(end))
@@ -367,9 +392,13 @@ def run_pipeline(config: dict) -> RunReport:
     """Run the staged experiment described by `config` and return the report.
 
     Stage order: spectrum and hypothesis audit, constants, the three
-    truncated mountain passes, homotopy bound, reduction, ledger with
-    reconciliation, orbit closure, and, while the deficiency is nonzero,
-    random multistart chunks.
+    truncation stages below, above and between the minimum-type zeros,
+    homotopy bound, reduction, ledger with reconciliation, orbit closure,
+    and, while the deficiency is nonzero, random multistart chunks.  Each
+    truncation stage runs a mountain pass, except the above stage when f
+    is odd and the below stage found its saddle: it then keeps the
+    negation of that saddle once its record passes the pass's own checks
+    (see `_truncation_stage`).
     """
     config = validate_config(config)
     report = RunReport(config)
@@ -402,7 +431,7 @@ def run_pipeline(config: dict) -> RunReport:
         constants = report.run("constants", constants_stage) or []
 
     mins = _min_type_zeros(f)
-    transferred = []
+    saddles = {}
     for kind in ("below", "above", "interval"):
         stage = f"truncation_{kind}"
         if stage not in stages:
@@ -412,9 +441,11 @@ def run_pipeline(config: dict) -> RunReport:
         elif kind == "interval" and len(mins) < 2:
             report.skips[stage] = "interval truncation needs two minimum-type zeros"
         else:
-            rec = report.run(stage, _truncation_stage, report, kind, mins)
+            rec = report.run(stage, _truncation_stage, report, kind, mins,
+                             saddles.get("below"))
             if rec is not None:
-                transferred.append(rec)
+                saddles[kind] = rec
+    transferred = list(saddles.values())
 
     def homotopy_stage():
         hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, LAMBDA_COUNT), scfg)

@@ -27,6 +27,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+_POINT = "{:.2f},{:.2f}".format
+
+
 def _ticks(lo: float, hi: float, n: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -107,10 +110,12 @@ def render_profiles(spectrum, records) -> str:
             f'<text x="{_ML - 8}" y="{y}" font-family="sans-serif" font-size="11" '
             f'fill="#333333" text-anchor="end" dominant-baseline="middle">{t:.3g}</text>'
         )
-    # curves
+    # curves: the pixel coordinates of a polyline come from one array
+    # operation and its points from one formatting pass
+    px = sx(xs).tolist()
     for rec, ys in curves:
         color = _COLORS.get(rec.classification, "#000000")
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        pts = " ".join(map(_POINT, px, sy(ys).tolist()))
         dash = "" if rec.in_ball else ' stroke-dasharray="6 4"'
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

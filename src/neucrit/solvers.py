@@ -411,14 +411,20 @@ def _candidate_fault(functional, cand, a, b, end_level):
 
 def _finish_mp(functional, coeffs, sweeps, end_a, end_b) -> CriticalPointRecord:
     spec = functional.spectrum
-    rec = make_record(
-        functional, coeffs, "other",
+    return saddle_record(
+        functional, coeffs,
         {"stage": "mountain_pass", "functional": functional.nonlinearity.label,
          "endpoint_ranges": [list(spec.field_range(end_a)), list(spec.field_range(end_b))]},
         iterations=sweeps,
     )
-    is_mp = rec.morse_index == 1 and principal_simple_signdef(functional, rec)
-    if is_mp:
+
+
+def saddle_record(functional, coeffs, provenance, iterations=0) -> CriticalPointRecord:
+    """The record of a critical point, classified "mp_type" when it is a
+    mountain-pass saddle (Morse index 1, principal Hessian eigenpair simple
+    with a sign-definite eigenfield) and "other", with a note, when not."""
+    rec = make_record(functional, coeffs, "other", provenance, iterations=iterations)
+    if rec.morse_index == 1 and principal_simple_signdef(functional, rec):
         rec.classification = "mp_type"
     else:
         rec = rec.with_notes(

@@ -207,7 +207,7 @@ def test_transfer_equals_a_fresh_record(ref5, reference_report, kind, lo, hi):
     the original functional builds afresh, bit for bit: f and f' agree on
     the record's range, so the Morse data need not be assembled again."""
     spec, f, func = ref5
-    coeffs = np.array(reference_report.stages[f"truncation_{kind}"]["truncated_record"]["coeffs"])
+    coeffs = np.array(reference_report.stages[f"truncation_{kind}"]["transferred_record"]["coeffs"])
     tfunc = nc.EnergyFunctional(spec, nc.truncate(f, lo, hi))
     moved = transfer_to_original(nc.make_record(tfunc, coeffs, "mp_type", {"kind": kind}),
                                  func, tfunc)

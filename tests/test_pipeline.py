@@ -161,13 +161,15 @@ def test_reference_search_counts(monkeypatch):
     for _ in range(2):
         calls.clear()
         rep = run_pipeline(reference_config())
-        sweeps = [rep.stages[f"truncation_{kind}"]["truncated_record"]["iterations"]
+        sweeps = [rep.stages[f"truncation_{kind}"].get("truncated_record", {}).get("iterations")
                   for kind in ("below", "above", "interval")]
         red = rep.stages["reduction"]["provenance"]
         runs.append((sweeps, dict(calls), red["orbits"], red["refines"]))
     assert runs[0] == runs[1]
     # a transferred truncation record reuses the truncated record's Morse
-    # data, so the three transfers assemble no Hessian; a root solve that
+    # data, so the two transfers assemble no Hessian; f is odd, so the
+    # above stage runs no pass and builds one record, the negation of the
+    # below saddle, on the original functional; a root solve that
     # enters the Newton basin of a point its search already holds stops
     # there, and a mountain pass builds no record for a point it dropped;
     # the homotopy samples only its base member, whose seeds alone give
@@ -178,15 +180,84 @@ def test_reference_search_counts(monkeypatch):
     # point only.  Each pass starts from the wide path and certifies its
     # saddle from its highest node after REDISTRIBUTE_EVERY sweeps, before
     # any redistribution, so it evaluates its path in one batch, at the
-    # start: 3 batches.  Ten of the records are constant fields, the five
+    # start: 2 batches.  Ten of the records are constant fields, the five
     # of the constants stage and the five the homotopy's base member finds
     # from its zero seeds; they read their Morse data off the spectrum and
     # assemble no Hessian
-    assert runs[0] == ([5, 5, 5],
-                       {"value": 173, "values": 3,
-                        "gradient": 35, "l2_gradient": 88,
-                        "hessian_pencil": 22, "morse_data": 20},
+    assert runs[0] == ([5, None, 5],
+                       {"value": 123, "values": 2,
+                        "gradient": 30, "l2_gradient": 77,
+                        "hessian_pencil": 21, "morse_data": 20},
                        28, 3)
+
+
+def _record_of(report, kind):
+    return next(r for r in report.records if r.provenance.get("kind") == kind)
+
+
+def test_above_saddle_is_the_negated_below_saddle(ref5, reference_report):
+    """f is odd, so the above stage runs no pass: its record is the
+    transfer of the record the above truncation builds at -P, P the below
+    saddle, bit for bit, with P's energy, Morse index and local degree and
+    P's range negated."""
+    spec, f, func = ref5
+    stage = reference_report.stages["truncation_above"]
+    assert stage["image_of"] == "truncation_below"
+    assert "truncated_record" not in stage
+    below, above = _record_of(reference_report, "below"), _record_of(reference_report, "above")
+    assert np.array_equal(np.array(stage["transferred_record"]["coeffs"]), above.coeffs)
+    tfunc = nc.EnergyFunctional(spec, nc.truncate(f, lo=1.0))
+    moved = nc.transfer_to_original(nc.make_record(tfunc, -below.coeffs, "mp_type", {}),
+                                    func, tfunc)
+    assert np.array_equal(above.coeffs, moved.coeffs)
+    for name in ("energy", "residual", "h1_norm", "urange", "morse_index", "degenerate",
+                 "classification"):
+        assert getattr(above, name) == getattr(moved, name), name
+    assert np.array_equal(above.hessian_eigs, moved.hessian_eigs)
+    assert np.array_equal(above.principal_vec, moved.principal_vec)
+    assert above.provenance == {"stage": "truncation_above", "kind": "above",
+                                "anchors": [1.0], "image_of": "truncation_below"}
+    assert above.iterations == 0
+    assert abs(above.energy - below.energy) <= 1e-12 * abs(below.energy)
+    assert (above.morse_index, above.local_degree) == (below.morse_index, below.local_degree)
+    assert above.urange == (-below.urange[1], -below.urange[0])
+
+
+ASYMMETRIC = Path(__file__).resolve().parents[1] / "configs" / "five_zeros_asymmetric.json"
+
+
+@pytest.mark.parametrize("case", ["not odd", "no below stage"])
+def test_above_stage_runs_its_own_pass(case):
+    """The above stage runs its own mountain pass when f is not odd (the
+    top zero moved from 2.0 to 2.1) or when no below saddle is at hand."""
+    if case == "not odd":
+        cfg = json.loads(ASYMMETRIC.read_text())
+        cfg["stages"] = ["truncation_below", "truncation_above"]
+    else:
+        cfg = reference_config()
+        cfg["stages"] = ["truncation_above"]
+    rep = run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    stage = rep.stages["truncation_above"]
+    assert "image_of" not in stage
+    assert stage["truncated_record"]["iterations"] > 0
+    prov = stage["transferred_record"]["provenance"]
+    assert prov["kind"] == "above" and prov["transferred_from"].startswith("above(")
+    assert stage["transferred_record"]["classification"] == "mp_type"
+
+
+@pytest.mark.parametrize("seed", [7, 42, 3])
+def test_shipped_asymmetric_config_balances(seed):
+    """configs/five_zeros_asymmetric.json is the reference instance with
+    its top zero at 2.1, so f is not odd; it balances with 13 records."""
+    cfg = json.loads(ASYMMETRIC.read_text())
+    cfg["solver"]["rng_seed"] = seed
+    rep = run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    assert not rep.functional.nonlinearity.odd
+    assert rep.deficiency == 0
+    assert len(rep.records) == 13
+    assert sum(r.classification == "mp_type" for r in rep.records) == 3
 
 
 @pytest.mark.parametrize("domain", [None, {"kind": "rectangle", "lengths": [np.pi, 1.5]}])
