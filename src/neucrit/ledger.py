@@ -212,7 +212,8 @@ class DegreeLedger:
         incumbent coefficients and upgrades the classification if the
         newcomer's label carries more degree information.  A new point is
         inserted only when `check`, if given, accepts it (`check(record)`
-        is true).  Returns a short disposition."""
+        is true), and is in the ball when the norm `make_record` stored,
+        `record.h1_norm`, is at most R.  Returns a short disposition."""
         i = self.match(record.coeffs)
         if i is not None:
             old = self.records[i]
@@ -227,8 +228,7 @@ class DegreeLedger:
             return f"merged into record {i}"
         if check is not None and not check(record):
             return "rejected"
-        record.in_ball = bool(
-            self.spectrum.h1_norm(record.coeffs) <= self.R + 1e-9)
+        record.in_ball = bool(record.h1_norm <= self.R + 1e-9)
         self.records.append(record)
         i = len(self.records) - 1
         if not record.in_ball:

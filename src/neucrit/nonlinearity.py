@@ -5,11 +5,12 @@ with f'(t_i) = s_i, joined by C1 cubic Hermite pieces, plus affine tails of
 prescribed asymptotic slope.  Each tail is attached through a single cubic
 blend piece of configurable width, so the whole function is C1 by
 construction and exactly affine outside a bounded window.  The primitive F
-(with F(0) = 0) is the exact piecewise antiderivative, and the certified
-bounds sup f' / inf f' are computed from the quadratic derivative pieces,
-not sampled; sup |f''| is read off their linear derivatives.  So is
-M = sup |f(t) - s t| for a common tail slope s: the tails are affine with
-slope s, so f - s t is constant beyond the window.
+(with F(0) = 0) is the exact piecewise antiderivative.  One exact
+routine, not sampling, gives the certified sup f', inf f', sup |f''| and
+M = sup |f(t) - s t| for a common tail slope s: the extremes of f', f''
+and f - s t over the pieces (f - s t is constant on the affine tails).
+`coefficient_bound` turns M into the a-priori bound on the coefficients
+of every Galerkin solution.
 Oddness, f(-t) = -f(t), is read off the pieces the same way: breakpoints
 symmetric about 0 and each cubic piece the negated mirror of its partner.
 
@@ -24,6 +25,7 @@ slope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -49,6 +51,7 @@ __all__ = [
     "HypothesisReport",
     "check_hypotheses",
     "reduction_modulus",
+    "coefficient_bound",
 ]
 
 _ANCHOR_TOL = 1e-12
@@ -69,58 +72,35 @@ def _hermite_coeffs(h, y0, d0, y1, d1):
     return [c3, c2, d0, y0]
 
 
-def _extreme_slopes(dpp: PPoly):
-    """Exact sup and inf of a piecewise-quadratic derivative, tails included."""
-    hi = -np.inf
-    lo = np.inf
-    x = dpp.x
-    c = dpp.c
-    for i in range(c.shape[1]):
-        a, b, cc = c[0, i], c[1, i], c[2, i]
-        h = x[i + 1] - x[i]
-        vals = [cc, a * h * h + b * h + cc]
-        if abs(a) > 0:
-            s = -b / (2.0 * a)
-            if 0.0 < s < h:
-                vals.append(a * s * s + b * s + cc)
-        hi = max(hi, max(vals))
-        lo = min(lo, min(vals))
-    return float(hi), float(lo)
-
-
-def _curvature_sup(dpp: PPoly) -> float:
-    """Exact sup |f''|: on each piece f'' = 2 a t + b is linear, so its
-    sup is at an end of the piece."""
-    a, b = dpp.c[0], dpp.c[1]
-    return float(np.max(np.maximum(np.abs(b), np.abs(2.0 * a * np.diff(dpp.x) + b))))
-
-
-def _tail_offset_sup(pp: PPoly, s: float) -> float:
-    """Exact sup |f(t) - s t| when both affine tails have slope s: the
-    cubic pieces' extremes are at their ends or at the real roots of the
-    quadratic derivative, and g = f - s t is constant on the tails."""
-    top = 0.0
-    for i in range(pp.c.shape[1]):
-        a, b, c, d = pp.c[:, i]
-        x0, h = pp.x[i], pp.x[i + 1] - pp.x[i]
-        c = c - s
+def _value_range(c, x):
+    """Exact (least, greatest) value of the piecewise polynomial of degree
+    at most 3 with PPoly coefficients `c` and breakpoints `x`: each piece
+    at its ends and at the real roots of its derivative inside it, by
+    Horner's rule.  Python floats, as numpy's scalar calls per piece cost
+    more than the arithmetic."""
+    c = [[0.0] * c.shape[1]] * (4 - len(c)) + c.tolist()
+    lo, hi = math.inf, -math.inf
+    for a, b, cc, d, h in zip(*c, np.diff(x).tolist()):
         ts = [0.0, h]
         # the derivative's roots are those of the coefficients scaled by a
         # power of two, which is exact and keeps b * b - 3 a c from
         # underflowing when the coefficients are tiny
-        p, q, r = np.ldexp([a, b, c], -np.frexp(max(abs(a), abs(b), abs(c)))[1])
+        e = -math.frexp(max(abs(a), abs(b), abs(cc)))[1]
+        p, q, r = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(cc, e)
         if p != 0.0:
             disc = q * q - 3.0 * p * r
             if disc >= 0.0:
-                ts += [(-q + z) / (3.0 * p) for z in (np.sqrt(disc), -np.sqrt(disc))]
-        elif q != 0.0 and 0.0 <= -r * np.sign(q) <= 2.0 * abs(q) * h:
+                z = math.sqrt(disc)
+                ts += [(-q + z) / (3.0 * p), (-q - z) / (3.0 * p)]
+        elif q != 0.0 and 0.0 <= (-r if q > 0.0 else r) <= 2.0 * abs(q) * h:
             # the vertex lies in [0, h]; testing that before dividing keeps
             # a subnormal b from overflowing the quotient
             ts.append(-r / (2.0 * q))
         for t in ts:
             if 0.0 <= t <= h:
-                top = max(top, abs(((a * t + b) * t + c) * t + d - s * x0))
-    return float(top)
+                v = ((a * t + b) * t + cc) * t + d
+                lo, hi = min(lo, v), max(hi, v)
+    return lo, hi
 
 
 # relative tolerance of the piecewise oddness test
@@ -181,10 +161,16 @@ class Nonlinearity:
 
 
 def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
+    """The member of `ppoly`, its certified constants from `_value_range`:
+    gamma and min_slope off f', curvature off f'' and, for equal tail
+    slopes s, M off f - s t."""
     dpp = ppoly.derivative()
     fpp = ppoly.antiderivative()
-    gamma, lo = _extreme_slopes(dpp)
-    M = _tail_offset_sup(ppoly, s_plus) if s_minus == s_plus else np.inf
+    x, c = ppoly.x, ppoly.c
+    lo, gamma = _value_range(dpp.c, x)
+    curvature = max(map(abs, _value_range(dpp.derivative().c, x)))
+    offset = np.vstack([c[:2], c[2] - s_plus, c[3] - s_plus * x[:-1]])  # f - s t
+    M = max(map(abs, _value_range(offset, x))) if s_minus == s_plus else np.inf
     odd = bool(np.isfinite(M)) and _is_odd(ppoly)
     # defensive C1 audit: every piece ends with the value and the slope the
     # next one starts with; exact construction never trips this.  Each end
@@ -208,7 +194,7 @@ def _finish(ppoly, knots, s_minus, s_plus, margin, untouched, label):
         blend_margin=float(margin),
         gamma=gamma,
         min_slope=lo,
-        curvature=_curvature_sup(dpp),
+        curvature=curvature,
         M=M,
         odd=odd,
         untouched=untouched,
@@ -468,6 +454,23 @@ def reduction_modulus(gamma: float, lam_min_y: float) -> float:
             f"gamma={gamma:g} reaches the complement spectrum (min {lam_min_y:g})"
         )
     return (lam_min_y - gamma) / (1.0 + lam_min_y)
+
+
+def coefficient_bound(f: Nonlinearity, spec) -> np.ndarray:
+    """Bounds b_j on the coefficients of every Galerkin critical point, one
+    per mode of `spec`.
+
+    With f(t) = s t + g(t) and M = sup |g|, a critical point has
+    (lambda_j - s) u_j = P_j g(u).  Gram = I and quadrature weights that
+    sum to |Omega| give, by Cauchy-Schwarz,
+    |u_j| <= M sqrt(|Omega|) / |s - lambda_j| = b_j.  Raises ResonantSlope
+    (`spectrum.resonance_margin`), or AsymmetricSlopes when the tails
+    differ and M is infinite.
+    """
+    resonance_margin(spec, f.slope_plus_inf)
+    if not np.isfinite(f.M):
+        raise AsymmetricSlopes("unequal tail slopes leave the coefficients unbounded")
+    return f.M * np.sqrt(spec.domain.measure) / np.abs(f.slope_plus_inf - spec.eigenvalues)
 
 
 def check_hypotheses(f: Nonlinearity, spec) -> HypothesisReport:

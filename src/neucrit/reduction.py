@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import BLOCK_ELEMENTS
-from .errors import AsymmetricSlopes, MaxItersExceeded, ModulusViolated
-from .nonlinearity import reduction_modulus
+from .errors import MaxItersExceeded, ModulusViolated
+from .nonlinearity import coefficient_bound, reduction_modulus
 from .records import make_record
 from .solvers import refine_critical
 
@@ -261,21 +261,11 @@ def _contenders(upper, lower, weight):
 
 
 def _seed_box(ctx: ReductionContext):
-    """Half-widths b_j of a box that holds the X coefficients of every
-    critical point.
-
-    With f(t) = s t + g(t) and M = sup|g|, a Galerkin critical point has
-    (lambda_j - s) u_j = P_j g(u).  The Gram matrix is the identity and the
-    quadrature weights sum to |Omega|, so by Cauchy-Schwarz
-    |u_j| <= M sqrt(|Omega|) / |s - lambda_j| = b_j.  Raises
-    AsymmetricSlopes when the tails differ and M is infinite.
-    """
+    """Half-widths of a box that holds the X coefficients of every critical
+    point: the X block of `nonlinearity.coefficient_bound`, which raises
+    ResonantSlope or AsymmetricSlopes where the bound does not hold."""
     spec = ctx.spectrum
-    f = ctx.functional.nonlinearity
-    if not np.isfinite(f.M):
-        raise AsymmetricSlopes("unequal tail slopes leave the seed box unbounded")
-    gap = np.abs(f.slope_plus_inf - spec.eigenvalues[spec.x_indices])
-    return f.M * np.sqrt(spec.domain.measure) / gap
+    return coefficient_bound(ctx.functional.nonlinearity, spec)[spec.x_indices]
 
 
 def _orbit_representatives(signs, n, zeros):
@@ -301,7 +291,8 @@ def maximize_reduced(ctx: ReductionContext):
     """Global maximizer of the reduced functional.
 
     The maximizer is a critical point of J, so its X coefficients lie in
-    the closed-form box of `_seed_box`, which depends only on the problem.
+    the closed-form box of `_seed_box`, the X block of the a-priori bound
+    `nonlinearity.coefficient_bound`, which depends only on the problem.
     Seeds: a regular grid over that box, n points per axis with n the
     largest odd count up to 9 whose grid has at most 9^4 points, but at
     least 3 (9 for k <= 4, 5 at k = 5, 3 beyond), plus the X-projections of
@@ -335,7 +326,7 @@ def maximize_reduced(ctx: ReductionContext):
     (rows Newton solved) and refines (root solves), and the Newton and
     fallback steps of the ranking solve.  Raises MaxItersExceeded when no
     root solve converges, and AsymmetricSlopes when the tails differ
-    (`_seed_box`).
+    (`nonlinearity.coefficient_bound`).
     """
     spec = ctx.spectrum
     func = ctx.functional

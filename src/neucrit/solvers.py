@@ -45,15 +45,15 @@ that ends there is dropped without rebuilding its record.
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R, SAFETY_FACTOR times the largest
 solution norm it finds.  Each member's solutions obey the closed-form
-bound ||u||_H1 <= (1 - lam) C M, read off the base nonlinearity's M and
-C, so a member whose bound lies strictly inside the current ball (below
-SAFETY_FACTOR times the largest norm found so far) is skipped and never
-built: searching it could only enlarge R, never put a solution on the
-sphere.  The same rule applies within a member: its deterministic seeds
-are solved first, and its random starts are drawn only while its bound
-still reaches the sphere of the ball the seeds give.  When R exceeds
-B(0) = C M, every member's solutions lie strictly inside the ball, and the
-degree there is proven rather than sampled.
+bound ||u||_H1 <= (1 - lam) B(0), read off the base nonlinearity's
+`coefficient_bound`, so a member whose bound lies strictly inside the
+current ball (below SAFETY_FACTOR times the largest norm found so far) is
+skipped and never built: searching it could only enlarge R, never put a
+solution on the sphere.  The same rule applies within a member: its
+deterministic seeds are solved first, and its random starts are drawn
+only while its bound still reaches the sphere of the ball the seeds give.
+When R exceeds B(0), every member's solutions lie strictly inside the
+ball, and the degree there is proven rather than sampled.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import root
 
-from .errors import AsymmetricSlopes, MaxItersExceeded, PathCollapse
-from .nonlinearity import find_zeros, homotopy
+from .errors import MaxItersExceeded, PathCollapse
+from .nonlinearity import coefficient_bound, find_zeros, homotopy
 from .records import (
     DEDUP_RADIUS,
     GRAD_TOL,
@@ -74,7 +74,6 @@ from .records import (
     newton_radius,
     principal_simple_signdef,
 )
-from .spectrum import resonance_margin
 
 __all__ = [
     "SolverConfig",
@@ -541,8 +540,8 @@ class HomotopyBoundResult:
     max_norm: float
     safety_factor: float
     M: float  # sup |f(t) - s t| of the base member
-    mode: int  # index of the eigenvalue that maximises (1 + lam_j) / (lam_j - s)^2
-    bound: float  # B(0) = C * M, the proven norm bound of every member
+    mode: int  # the mode j that attains B(0) = sqrt(1 + lam_j) b_j
+    bound: float  # B(0) = max_j sqrt(1 + lam_j) b_j, the proven norm bound of every member
     per_lambda: list
     lambda_one_clean: bool
     covers_bound: bool  # bound < R: no member has a solution on the sphere
@@ -559,9 +558,10 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
 
     Write h_lam(t) = s t + g_lam(t) with sup |g_lam| = (1 - lam) M, M the
     base's certified offset.  At a critical point (lam_j - s) u_j =
-    P_j g_lam(u), and Gram = I gives the proven bound
-    ||u||_H1 <= B(lam) = (1 - lam) C M with
-    C = sqrt(|Omega| max_j (1 + lam_j) / (lam_j - s)^2).  A member with
+    P_j g_lam(u), and Gram = I gives the proven bound ||u||_H1 <= B(lam) =
+    (1 - lam) B(0), B(0) = max_j sqrt(1 + lam_j) b_j attained at `mode`,
+    with b_j the per-mode bound of `nonlinearity.coefficient_bound` that
+    the reduction's seed box reads too.  A member with
     B(lam) < SAFETY_FACTOR x the largest norm sampled so far has every
     solution strictly inside the current ball, so searching it could only
     enlarge R, never put a solution on its sphere; it is skipped and never
@@ -601,23 +601,18 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     """
     from .energy import EnergyFunctional
 
-    resonance_margin(spectrum, nonlinearity.slope_plus_inf)
-    M = nonlinearity.M
-    if not np.isfinite(M):
-        raise AsymmetricSlopes("unequal tail slopes leave the member bounds infinite")
+    spread = np.sqrt(1.0 + spectrum.eigenvalues) * coefficient_bound(nonlinearity, spectrum)
+    mode = int(np.argmax(spread))
+    B0 = float(spread[mode])
     knot_ts = [t for t, _ in nonlinearity.knots]
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
     start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
-    lam_j = spectrum.eigenvalues
-    ratios = (1.0 + lam_j) / (lam_j - nonlinearity.slope_plus_inf) ** 2
-    mode = int(np.argmax(ratios))
-    C = float(np.sqrt(spectrum.domain.measure * ratios[mode]))
 
     per_lambda = []
     max_norm = 0.0
     clean = True
     for li, lam in enumerate(lambdas):
-        bound = C * ((1.0 - float(lam)) * M)
+        bound = (1.0 - float(lam)) * B0
         row = {"lam": float(lam), "bound": bound, "sampled": not bound < SAFETY_FACTOR * max_norm,
                "n_found": None, "max_norm": None, "outcomes": None, "random_starts": None}
         per_lambda.append(row)
@@ -654,5 +649,5 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
             clean = False
     R = SAFETY_FACTOR * max_norm
-    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, M, mode, C * M, per_lambda, clean,
-                               C * M < R)
+    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, nonlinearity.M, mode, B0, per_lambda,
+                               clean, B0 < R)

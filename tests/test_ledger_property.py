@@ -62,7 +62,9 @@ def test_reconcile_ignores_insertion_order(reference_report, data):
     copies = [dataclasses.replace(r, coeffs=r.coeffs + DEDUP_RADIUS / 10.0 / spec.h1_norm(
         np.ones(MODES)), provenance={"stage": "copy"}) for r in recs[:3]]
     far = max(recs, key=lambda r: r.h1_norm)
-    outside = dataclasses.replace(far, coeffs=far.coeffs * (2.0 * R / far.h1_norm))
+    scaled = far.coeffs * (2.0 * R / far.h1_norm)
+    # a record keeps the norm of its coefficients, as `make_record` stores it
+    outside = dataclasses.replace(far, coeffs=scaled, h1_norm=spec.h1_norm(scaled))
     pool = recs + copies + [outside]
     order = data.draw(st.permutations(range(len(pool))))
 

@@ -129,7 +129,10 @@ def test_homotopy_member_offset_scales(knots, centre, tail, margin, lam):
     is measured against that floor.  Building f and h_lam (gamma,
     min_slope and M) raises no numpy warning, subnormal knot slopes
     included.  The example's slopes of order 1e-162 put b * b - 3 a c
-    below the normal range, where it used to drop M under sup |f|."""
+    below the normal range, where it used to drop M under sup |f|.  Both
+    members' certified min_slope and gamma bound f' on a dense grid over
+    the node window and one unit of each tail, up to the rounding of an
+    evaluation."""
     mirrored = knots + [(-t, s) for t, s in knots]
     full = mirrored + ([] if centre is None else [(0.0, centre)])
     with warnings.catch_warnings():
@@ -138,6 +141,10 @@ def test_homotopy_member_offset_scales(knots, centre, tail, margin, lam):
         h = homotopy(g, lam)
     scale = max(g.M, np.finfo(float).tiny)
     assert abs(h.M - (1.0 - lam) * g.M) <= 1e-12 * scale
+    for m in (g, h):
+        slopes = m.deriv(np.linspace(m.ppoly.x[0], m.ppoly.x[-1], 4001))
+        slack = 1e-12 * (1.0 + abs(m.gamma) + abs(m.min_slope))
+        assert m.min_slope - slack <= slopes.min() and slopes.max() <= m.gamma + slack
 
 
 def test_primitive_values(f5):

@@ -115,6 +115,28 @@ def test_mountain_pass_outer_wells(ref5):
     assert rec2.urange[1] == pytest.approx(-WELL_SADDLE_RANGE[0], abs=2e-4)
 
 
+@pytest.mark.parametrize("lo, hi, end", [(-1.0, 1.0, 1.0), (None, -1.0, -6.0)],
+                         ids=["interval", "below"])
+def test_mountain_pass_uncertified_exit(ref5, monkeypatch, lo, hi, end):
+    """With the mountain-pass shape check failing at every attempt, no
+    refined point ends a pass early, so the reference's interval and below
+    passes leave through the exit without the certificate (a node residual
+    <= 1e-4, or 50 sweeps without residual progress), 130 and 73 sweeps
+    in.  Each returns its
+    refined highest node as an "other" record of index 1 with the shape
+    check's note, within the sweep budget."""
+    spec, f, _ = ref5
+    monkeypatch.setattr(solvers, "principal_simple_signdef", lambda *args: False)
+    func = nc.EnergyFunctional(spec, nc.truncate(f, lo, hi))
+    rec = mountain_pass(func, spec.constant_field(hi if lo is None else lo),
+                        spec.constant_field(end))
+    assert rec.classification == "other"
+    assert rec.morse_index == 1
+    assert rec.notes == ("saddle of index 1 failed the mountain-pass shape check",)
+    assert rec.residual <= GRAD_TOL
+    assert 0 < rec.iterations < solvers.MAX_ITERS
+
+
 def test_mountain_pass_caches_node_energies(ref5):
     """The reference truncation_below pass evaluates J once per node at the
     start, once per interior node after each redistribution (the endpoints
