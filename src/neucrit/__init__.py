@@ -46,6 +46,7 @@ from .plots import render_profiles
 from .records import (
     CriticalPointRecord,
     SolverConfig,
+    image_record,
     make_record,
     newton_radius,
     principal_simple_signdef,
@@ -86,6 +87,7 @@ __all__ = [
     "SolverConfig",
     "CriticalPointRecord",
     "make_record",
+    "image_record",
     "newton_radius",
     "principal_simple_signdef",
     "find_constants",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,7 +179,8 @@ class LedgerReport:
     suggestions: list
 
     def to_dict(self):
-        return asdict(self)
+        # shallow: the report's `_jsonable` copies it on the way out
+        return dict(vars(self))
 
 
 class DegreeLedger:

@@ -30,7 +30,7 @@ from .energy import EnergyFunctional
 from .errors import ConfigError, DuplicateKnots, NeucritError, ReductionInapplicable
 from .ledger import RANGE_MARGIN, DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, node_layout, truncate
-from .records import DEDUP_RADIUS, GRAD_TOL, SolverConfig, newton_radius
+from .records import DEDUP_RADIUS, GRAD_TOL, SolverConfig, image_record, newton_radius
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
     SAFETY_FACTOR,
@@ -38,7 +38,6 @@ from .solvers import (
     homotopy_bound,
     mountain_pass,
     multistart,
-    saddle_record,
 )
 from .spectrum import Domain, build_spectrum, quad_points_per_axis, split_spectrum
 
@@ -297,7 +296,8 @@ class RunReport:
         return _jsonable(out)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        # no indent: json.dumps keeps its C encoder only without one
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def write(self, out_dir) -> list:
         """Emit report.json, summary.csv and (intervals only) profiles.svg.
@@ -346,11 +346,14 @@ def _truncation_stage(report, kind, mins, below=None):
     of the below one, so the negation of a saddle of one is a saddle of the
     other, of the same Morse index (Palais, Comm. Math. Phys. 69, 1979).
     The above stage, given the below stage's transferred record `below`,
-    therefore builds the record of its negation on the original functional
-    first and keeps it, with no pass, when it meets GRAD_TOL, lies in the
-    above window with the transfer's RANGE_MARGIN and is "mp_type"; its
-    stage entry then holds `image_of` in place of the truncated record.
-    Otherwise the pass runs as for any stage.
+    therefore takes the record of its negation on the original functional
+    (`records.image_record`, no evaluation but one residual) and keeps it,
+    with no pass, when its residual meets GRAD_TOL, it lies in the above
+    window with the transfer's RANGE_MARGIN and it is "mp_type"; its stage
+    entry then holds `image_of` in place of the truncated record.  The
+    residual is evaluated because oddness is decided to a tolerance
+    (`nonlinearity._ODD_TOL`), not exactly.  Otherwise the pass runs as for
+    any stage.
     """
     stage = f"truncation_{kind}"
     lo, hi = {"below": (None, mins[0]), "above": (mins[-1], None),
@@ -358,10 +361,12 @@ def _truncation_stage(report, kind, mins, below=None):
     anchors = [float(x) for x in (lo, hi) if x is not None]
     func = report.functional
     if kind == "above" and below is not None and func.nonlinearity.odd:
-        image = saddle_record(func, -below.coeffs,
-                              {"stage": stage, "kind": kind, "anchors": anchors,
-                               "image_of": "truncation_below"})
-        if (image.residual <= GRAD_TOL and image.urange[0] >= lo + RANGE_MARGIN
+        image = dataclasses.replace(
+            image_record(below, -np.ones(report.spectrum.n_modes)),
+            provenance={"stage": stage, "kind": kind, "anchors": anchors,
+                        "image_of": "truncation_below"},
+            iterations=0)
+        if (func.residual(image.coeffs) <= GRAD_TOL and image.urange[0] >= lo + RANGE_MARGIN
                 and image.classification == "mp_type"):
             report.stages[stage] = {
                 "anchors": anchors,
@@ -503,15 +508,17 @@ def run_pipeline(config: dict) -> RunReport:
         return lrep
 
     def orbit_seeds(recs):
-        # group images of the given nonconstant records that the ledger
-        # does not hold, one seed per distinct point: the images come from
-        # one sign product and their distances to the ledger's records and
-        # to each other from one array operation; a greedy pass then keeps
-        # each image that lies apart from the ledger and the seeds before it
-        points = [r.coeffs for r in recs if not r.is_constant()]
-        if not points:
+        # the records of the group images of the given nonconstant records
+        # that the ledger does not hold, one seed per distinct point: the
+        # images come from one sign product and their distances to the
+        # ledger's records and to each other from one array operation; a
+        # greedy pass then keeps each image that lies apart from the ledger
+        # and the seeds before it, and only the kept ones get a record
+        sources = [r for r in recs if not r.is_constant()]
+        if not sources:
             return []
-        images = _images(spec, points, f.odd).reshape(-1, spec.n_modes)
+        signs = spec.symmetry_signs(f.odd)[1:]
+        images = _images(spec, [r.coeffs for r in sources], f.odd).reshape(-1, spec.n_modes)
         held = np.array([r.coeffs for r in ledger.records]).reshape(-1, spec.n_modes)
         diff = images[:, None, :] - np.concatenate([held, images])[None]
         apart = np.sqrt((diff * diff) @ (1.0 + spec.eigenvalues)) > DEDUP_RADIUS
@@ -520,7 +527,7 @@ def run_pipeline(config: dict) -> RunReport:
         for i in np.flatnonzero(from_held.all(axis=1)):
             if from_images[i, kept].all():
                 kept.append(i)
-        return list(images[kept])
+        return [image_record(sources[i // len(signs)], signs[i % len(signs)]) for i in kept]
 
     def multistart_stage():
         # the problem is equivariant under the domain mirrors, and under
@@ -535,10 +542,14 @@ def run_pipeline(config: dict) -> RunReport:
         # holds builds no record.
         lrep = report.ledger_report
         passes = []
-        last_found = []
+        found = []
         budget_left = scfg.multistart_budget
         rng = np.random.default_rng(scfg.rng_seed + 10_000)
         fresh = list(ledger.records)
+        # the Newton basins of the ledger's records; a merge keeps a
+        # record's coefficients and Hessian spectrum, so only the records a
+        # pass adds extend it
+        known = []
         while True:
             seeds = orbit_seeds(fresh)
             if seeds:
@@ -549,7 +560,7 @@ def run_pipeline(config: dict) -> RunReport:
             else:
                 break
             held = len(ledger.records)
-            known = [(r.coeffs, newton_radius(func, r)) for r in ledger.records]
+            known += [(r.coeffs, newton_radius(func, r)) for r in fresh]
             found, outcomes = multistart(func, R, seeds=seeds, budget=n, rng=rng,
                                          basins=known)
             for rec in found:
@@ -557,13 +568,12 @@ def run_pipeline(config: dict) -> RunReport:
             lrep = ledger.reconcile(func)
             report.ledger_report = lrep
             fresh = ledger.records[held:]
-            last_found = [r.to_dict() for r in found]
             passes.append({"kind": kind, "starts": len(seeds) + n, "outcomes": outcomes,
                            "added": len(fresh), "deficiency": lrep.deficiency})
         report.stages["multistart"] = {
             "passes": passes,
             "chunks": sum(p["kind"] == "random" for p in passes),
-            "last_chunk_found": last_found,
+            "last_chunk_found": [r.to_dict() for r in found],
             "final_deficiency": lrep.deficiency,
         }
         report.stages["ledger"]["final_reconciliation"] = lrep.to_dict()

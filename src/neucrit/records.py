@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["SolverConfig", "CriticalPointRecord", "make_record", "newton_radius",
-           "principal_simple_signdef"]
+__all__ = ["SolverConfig", "CriticalPointRecord", "make_record", "image_record",
+           "newton_radius", "principal_simple_signdef"]
 
 # the Sobolev residual every returned record must meet; it is also where
 # every root solve stops (see `solvers.refine_critical`)
@@ -79,7 +79,7 @@ class CriticalPointRecord:
             "residual": self.residual,
             "h1_norm": self.h1_norm,
             "range": [self.urange[0], self.urange[1]],
-            "hessian_eigs": [float(v) for v in self.hessian_eigs],
+            "hessian_eigs": np.asarray(self.hessian_eigs, dtype=float).tolist(),
             "morse_index": self.morse_index,
             "degenerate": self.degenerate,
             "classification": self.classification,
@@ -88,7 +88,7 @@ class CriticalPointRecord:
             "notes": list(self.notes),
             "in_ball": self.in_ball,
             "local_degree": self.local_degree,
-            "coeffs": [float(c) for c in self.coeffs],
+            "coeffs": np.asarray(self.coeffs, dtype=float).tolist(),
         }
 
 
@@ -112,6 +112,32 @@ def make_record(functional, coeffs, classification: str, provenance: dict,
         principal_vec=evecs[:, 0].copy(),
         iterations=iterations,
         notes=tuple(notes),
+    )
+
+
+def image_record(record, signs) -> CriticalPointRecord:
+    """The record of the group image signs * record.coeffs, with no
+    evaluation.
+
+    `signs` is a row of `SpectrumSlice.symmetry_signs`.  J is invariant
+    under the group and the Hessian at the image is S H S, S = diag(signs),
+    so the image keeps the energy, residual, norm, Hessian spectrum, Morse
+    index and degenerate flag, and its principal eigenfield is
+    signs * principal_vec.  A mirror permutes the grid values, so the range
+    stays; a sign -1 on mode 0 belongs to u -> -u, which negates the range
+    and swaps its ends.  Classification, provenance, iterations and notes
+    are the source's, and the ledger bookkeeping starts afresh.
+    """
+    signs = np.asarray(signs, dtype=float)
+    lo, hi = record.urange
+    return replace(
+        record,
+        coeffs=signs * record.coeffs,
+        urange=(lo, hi) if signs[0] > 0 else (-hi, -lo),
+        principal_vec=signs * record.principal_vec,
+        provenance=dict(record.provenance),
+        in_ball=True,
+        local_degree=None,
     )
 
 

@@ -19,7 +19,7 @@ solves of the full gradient from the best seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class ReductionContext:
     functional: object
     m: float            # strong convexity modulus of the Y block, H1 metric
     lam: float          # certified Lipschitz bound of the Y-block gradient
+    # the Y-block columns of the spectrum's basis, copied once for every
+    # `_state` and `_newton_block` of the context
+    basis_y: np.ndarray = field(repr=False, compare=False)
 
     @property
     def spectrum(self):
@@ -89,7 +92,7 @@ def make_reduction_context(functional) -> ReductionContext:
     # <H y, y> = |y|^2 - int (f'(u)+1) y^2, and on Y the L2 norm is
     # controlled by |y|^2 / (1 + lambda_min(Y)).
     lam = 1.0 + max(0.0, -(1.0 + f.min_slope)) / (1.0 + lam_min_y)
-    return ReductionContext(functional, m, lam)
+    return ReductionContext(functional, m, lam, spec.basis[:, spec.y_indices])
 
 
 def psi(ctx: ReductionContext, x, y0=None):
@@ -154,8 +157,7 @@ def _state(ctx):
     f = ctx.functional.nonlinearity
     yi = spec.y_indices
     lam = spec.eigenvalues
-    basis, w = spec.basis, spec.weights
-    basis_y = basis[:, yi]
+    basis, w, basis_y = spec.basis, spec.weights, ctx.basis_y
 
     def state(rows):
         u = rows @ basis.T
@@ -175,7 +177,7 @@ def _newton_block(ctx, c):
     lam = spec.eigenvalues
     h1_y = 1.0 + lam[yi]
     w = spec.weights
-    basis_y = spec.basis[:, yi]
+    basis_y = ctx.basis_y
     diag_y = np.diag(lam[yi])
     hess_rows = max(1, BLOCK_ELEMENTS // basis_y.size)
     fixed_step = 2.0 / (ctx.m + ctx.lam)

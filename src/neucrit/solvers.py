@@ -20,27 +20,34 @@ that enters one and returns that basin's zero, with no further evaluation.
 Multistart builds a point's full record (Morse data included, which gives
 the radius) when it finds the point, and passes the basins of the points
 it holds, those its caller passed in included, to every later start; a
-start that ends at a held point adds nothing.  Every test of a point
-against a set of points takes the distances to the whole set from one
+start that ends at a held point adds nothing.  A seed may be a record,
+such as a group image (`records.image_record`): when its root solve stops
+at the seed's own coefficients, which then meet GRAD_TOL, the seed's
+record is kept and none is built.  Every test of a point against a set of
+points takes the distances to the whole set from one
 `SpectrumSlice.h1_dists` call.
 
 The mountain pass is a discrete path method: keep a polyline between two
 low-energy endpoints, repeatedly pick the maximal-energy node, slide it
 along the negative gradient projected off the path tangent, and
 re-equalize node spacing.  The polyline is one array with a node per row,
-so the energies of its nodes come from one batched evaluation
-(`EnergyFunctional.values`) and the spacing from one array of segment
-lengths.  A wide transverse bump on the initial straight path keeps it
-out of the constants line, which is invariant under the flow and full of
-index-2 traps, and starts its highest node near the saddle, in the spirit
-of minimax methods that start from the unstable direction (Li and Zhou,
-SIAM J. Sci. Comput. 23, 2001).  Every REDISTRIBUTE_EVERY sweeps the
-highest node is refined; a refined point that is a certified
-mountain-pass saddle ends the pass at once.  Any other is dropped, and
-only then is the path redistributed and its interior nodes re-evaluated,
-so a pass that certifies at its first attempt evaluates its path in one
-batch.  A dropped point's basin is passed to the later refines, and one
-that ends there is dropped without rebuilding its record.
+so the energies of its nodes after a redistribution come from one batched
+evaluation (`EnergyFunctional.values`) and the spacing from one array of
+segment lengths.  A wide transverse bump on the initial straight path
+keeps it out of the constants line, which is invariant under the flow and
+full of index-2 traps, and starts its highest node near the saddle, in the
+spirit of minimax methods that start from the unstable direction (Li and
+Zhou, SIAM J. Sci. Comput. 23, 2001).  Both endpoints are constant fields, so
+every node of that first path is a constant plus a multiple of the bump,
+and its energies are a Taylor sum over the pieces of F against moments of
+the bump's grid values (`EnergyFunctional.bump_values`), with no grid
+pass.  Every REDISTRIBUTE_EVERY sweeps the highest node is refined; a
+refined point that is a certified mountain-pass saddle ends the pass at
+once.  Any other is dropped, and only then is the path redistributed and
+its interior nodes re-evaluated in one batch, so a pass that certifies at
+its first attempt evaluates no batch.  A dropped point's basin is passed
+to the later refines, and one that ends there is dropped without
+rebuilding its record.
 
 The homotopy bound multistarts the members h_lam of the homotopy to the
 linearization at infinity and takes R, SAFETY_FACTOR times the largest
@@ -58,7 +65,7 @@ ball, and the degree there is proven rather than sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import root
@@ -273,7 +280,8 @@ def _redistribute(spec, path):
 
 
 def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
-    """Choi-McKenna style discrete mountain pass between two anchors.
+    """Choi-McKenna style discrete mountain pass between two constant
+    anchors; an endpoint with a coefficient off mode 0 raises ValueError.
 
     The path holds PATH_NODES nodes: the straight segment plus a transverse
     bump of height 0.3 (dist(a, b) + 1) in the first nonconstant modes.  A
@@ -288,13 +296,14 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     principal Hessian eigenpair simple with a sign-definite eigenfield).  A
     point that fails any check is dropped; the path is then redistributed
     and the sweeps go on.  The record's `iterations` counts the sweeps
-    done.  The node energies come from one batch
-    (`EnergyFunctional.values`) at the start, and those of the interior
-    nodes from one batch after each redistribution, so a pass certified at
-    its first attempt evaluates its path in one batch.  The Newton basins
-    of the points dropped by the shape check are passed to the later
-    attempts, and an attempt that ends at one of those points is dropped
-    without building its record again.
+    done.  Every node of the first path is a constant plus a multiple of
+    the bump, so its energies are closed-form
+    (`EnergyFunctional.bump_values`), and those of the interior nodes come
+    from one batch (`EnergyFunctional.values`) after each redistribution,
+    so a pass certified at its first attempt evaluates no batch.  The
+    Newton basins of the points dropped by the shape check are passed to
+    the later attempts, and an attempt that ends at one of those points is
+    dropped without building its record again.
 
     Two triggers end the pass without that certificate: a node residual
     <= 1e-4, or 50 sweeps without residual progress.  Either refines the
@@ -308,6 +317,8 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     spec = functional.spectrum
     a = np.asarray(end_a, dtype=float)
     b = np.asarray(end_b, dtype=float)
+    if np.any(a[1:]) or np.any(b[1:]):
+        raise ValueError("mountain_pass needs constant endpoints")
     n = PATH_NODES
     Ja, Jb = functional.value(a), functional.value(b)
     end_level = max(Ja, Jb)
@@ -321,19 +332,20 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
         bump[j] = 0.5 ** (j - 1)
     bump /= spec.h1_norm(bump)
     delta = 0.3 * (spec.h1_dist(a, b) + 1.0)
-    path = ((1 - s)[:, None] * a + s[:, None] * b
-            + (delta * np.sin(np.pi * s))[:, None] * bump)
+    amps = delta * np.sin(np.pi * s)
+    path = (1 - s)[:, None] * a + s[:, None] * b + amps[:, None] * bump
 
     steps = np.full(n, 0.2)
     best = None
     # (coeffs, Newton radius) of the refined points that failed the
     # mountain-pass shape check; an attempt that ends at one is dropped
     dropped = []
-    # node energies, one batch for the whole path: a moved node keeps the
-    # energy its accepted step computed, and the interior nodes are
-    # re-evaluated in one batch after a redistribution; the endpoints never
-    # move and keep theirs
-    energies = functional.values(path)
+    # node energies: those of the first path in closed form, each node a
+    # constant plus a multiple of the bump; a moved node keeps the energy
+    # its accepted step computed, and the interior nodes are re-evaluated
+    # in one batch after a redistribution; the endpoints never move and
+    # keep theirs
+    energies = functional.bump_values(path[:, 0], amps, bump)
     for sweep in range(MAX_ITERS):
         i = int(np.argmax(energies))
         if i in (0, n - 1):
@@ -409,20 +421,16 @@ def _candidate_fault(functional, cand, a, b, end_level):
 
 
 def _finish_mp(functional, coeffs, sweeps, end_a, end_b) -> CriticalPointRecord:
+    """The record of a refined point, classified "mp_type" when it is a
+    mountain-pass saddle (Morse index 1, principal Hessian eigenpair simple
+    with a sign-definite eigenfield) and "other", with a note, when not."""
     spec = functional.spectrum
-    return saddle_record(
-        functional, coeffs,
+    rec = make_record(
+        functional, coeffs, "other",
         {"stage": "mountain_pass", "functional": functional.nonlinearity.label,
          "endpoint_ranges": [list(spec.field_range(end_a)), list(spec.field_range(end_b))]},
         iterations=sweeps,
     )
-
-
-def saddle_record(functional, coeffs, provenance, iterations=0) -> CriticalPointRecord:
-    """The record of a critical point, classified "mp_type" when it is a
-    mountain-pass saddle (Morse index 1, principal Hessian eigenpair simple
-    with a sign-definite eigenfield) and "other", with a note, when not."""
-    rec = make_record(functional, coeffs, "other", provenance, iterations=iterations)
     if rec.morse_index == 1 and principal_simple_signdef(functional, rec):
         rec.classification = "mp_type"
     else:
@@ -478,10 +486,15 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
     coefficients), and the outcome counts of the starts.
 
     Seeds are extra deterministic starts prepended to the random ones and do
-    not count against the budget.  A point is given its full record, Morse
-    data included, when it is found, and with it the radius of its
-    certified Newton basin (`records.newton_radius`); every later start's
-    root solve is passed those basins and stops on entering one.
+    not count against the budget: coefficient vectors, or records, such as
+    the group images of `records.image_record`, whose coefficients are the
+    start.  A point is given its full record, Morse data included, when it
+    is found, and with it the radius of its certified Newton basin
+    (`records.newton_radius`); every later start's root solve is passed
+    those basins and stops on entering one.  A record seed whose root solve
+    stops at its own coefficients, because they meet GRAD_TOL at the first
+    evaluation, is kept as the point's record instead, under this call's
+    provenance and classification.
     `basins` holds the (coeffs, radius) pairs of points the caller already
     holds; the call starts out holding them, and builds no record for them.
     Each start counts once in the outcomes: "new" when it finds a point,
@@ -490,7 +503,9 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
     outside the Sobolev ball of radius 4 radius + 10.
     """
     spec = functional.spectrum
-    starts = [np.asarray(s, dtype=float) for s in seeds]
+    seeds = list(seeds)
+    starts = [s.coeffs if isinstance(s, CriticalPointRecord) else np.asarray(s, dtype=float)
+              for s in seeds]
     starts += _random_ball_starts(spec, rng, budget, radius)
 
     records, basins = [], list(basins)
@@ -502,11 +517,14 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
         elif _near(spec, u, basins):
             outcomes["basin"] += 1
         else:
-            rec = make_record(
-                functional, u, "other",
-                {"stage": "multistart", "start_index": idx,
-                 "functional": functional.nonlinearity.label},
-            )
+            prov = {"stage": "multistart", "start_index": idx,
+                    "functional": functional.nonlinearity.label}
+            seed = seeds[idx] if idx < len(seeds) else None
+            if isinstance(seed, CriticalPointRecord) and np.array_equal(u, start):
+                rec = replace(seed, classification="other", provenance=prov, iterations=0,
+                              notes=())
+            else:
+                rec = make_record(functional, u, "other", prov)
             if rec.is_constant():
                 rec.classification = "constant"
             elif rec.morse_index == 0:

@@ -195,6 +195,8 @@ class SpectrumSlice:
                 norm0 * np.prod([np.sqrt(2.0) if j > 0 else 1.0 for j in m])))
             for i, m in enumerate(self.modes)
         ]
+        # symmetry_signs tables by oddness, shared with the split copies
+        self._signs = {}
         # splitting data, filled by split_spectrum
         self.split_slope = None
         self.k = None
@@ -250,7 +252,18 @@ class SpectrumSlice:
             dists[i] = self.h1_norm(diff[i])
         return dists
 
+    def grid_constant(self, coeffs):
+        """The grid value c_0 phi_0 of a constant field, one whose every
+        coefficient off mode 0 is exactly 0, or None for any other field.
+        Every entry of `basis[:, 0]` is the same float, so it is bit for bit
+        each entry of `evaluate(coeffs)`."""
+        c = np.asarray(coeffs, dtype=float)
+        return None if np.any(c[1:]) else c[0] * self.basis[0, 0]
+
     def field_range(self, coeffs) -> tuple:
+        t = self.grid_constant(coeffs)
+        if t is not None:
+            return float(t), float(t)
         vals = self.evaluate(coeffs)
         return float(vals.min()), float(vals.max())
 
@@ -279,15 +292,21 @@ class SpectrumSlice:
         the negated mirrors.  Reflection across the midpoint of an axis
         maps cos(j pi x / L) to (-1)^j times itself, so a mirror flips the
         modes odd along an odd number of its axes; `signs[g] * coeffs` is
-        the image of a field under element g.
+        the image of a field under element g.  Each table is built once and
+        returned read-only.
         """
-        rows = [np.ones(self.n_modes)]
-        for r in range(1, self.domain.ndim + 1):
-            for axes in itertools.combinations(range(self.domain.ndim), r):
-                rows.append(1.0 - 2.0 * (self.parity[:, axes].sum(axis=1) % 2))
-        if odd:
-            rows += [-row for row in rows]
-        return np.array(rows)
+        odd = bool(odd)
+        if odd not in self._signs:
+            rows = [np.ones(self.n_modes)]
+            for r in range(1, self.domain.ndim + 1):
+                for axes in itertools.combinations(range(self.domain.ndim), r):
+                    rows.append(1.0 - 2.0 * (self.parity[:, axes].sum(axis=1) % 2))
+            if odd:
+                rows += [-row for row in rows]
+            table = np.array(rows)
+            table.flags.writeable = False
+            self._signs[odd] = table
+        return self._signs[odd]
 
     # -- splitting --------------------------------------------------------
 

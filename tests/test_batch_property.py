@@ -1,8 +1,9 @@
 """The array-at-a-time kernels agree with the one-at-a-time ones they
 replace in the search loops: `EnergyFunctional.values` with `value` row by
-row, and `SpectrumSlice.h1_dists` with `h1_dist` pair by pair, and so with
-the decisions and the first match the old loops made.  Checked on the
-interval and rectangle spectra of the benchmark workloads.
+row, `EnergyFunctional.bump_values` with `values` on a mountain pass's
+first path, and `SpectrumSlice.h1_dists` with `h1_dist` pair by pair, and
+so with the decisions and the first match the old loops made.  Checked on
+the interval and rectangle spectra of the benchmark workloads.
 """
 
 from types import SimpleNamespace
@@ -99,3 +100,61 @@ def test_stacked_distances_of_two_stacks_pair_rows(kind, seed, count):
     path = np.random.default_rng(seed).standard_normal((count + 1, MODES))
     segments = spec.h1_dists(path[1:], path[:-1])
     assert np.array_equal(segments, [spec.h1_dist(b, a) for a, b in zip(path, path[1:])])
+
+
+@st.composite
+def five_zero_members(draw):
+    """A spectrum of the benchmark workloads and a member built from a
+    random five-zero f: f itself, one of its truncations at its
+    minimum-type zeros, or a homotopy member.  The zeros are multiples
+    c_k phi_0 of the constant mode's grid value, so a constant field with
+    coefficient c_k has its grid value exactly on a breakpoint; the
+    multipliers come back with the member."""
+    kind = draw(st.sampled_from(sorted(SPECTRA)))
+    spec = SPECTRA[kind]
+    phi0 = spec.basis[0, 0]
+    gaps = draw(st.lists(st.floats(0.3, 2.0), min_size=4, max_size=4))
+    start = draw(st.floats(-4.0, -1.0))
+    mults = np.cumsum([start / phi0] + [g / phi0 for g in gaps])
+    zeros = mults * phi0
+    ups = draw(st.lists(st.floats(0.2, 6.0), min_size=3, max_size=3))
+    downs = draw(st.lists(st.floats(-6.0, -0.2), min_size=2, max_size=2))
+    slopes = [ups[0], downs[0], ups[1], downs[1], ups[2]]
+    tail = draw(st.floats(0.2, 6.0))
+    f = nc.build_nonlinearity(list(zip(zeros, slopes)), tail, tail,
+                              blend_margin=draw(st.floats(0.2, 2.0)))
+    member = draw(st.sampled_from(["base", "below", "above", "interval", "homotopy"]))
+    if member == "below":
+        f = nc.truncate(f, hi=zeros[1])
+    elif member == "above":
+        f = nc.truncate(f, lo=zeros[3])
+    elif member == "interval":
+        f = nc.truncate(f, lo=zeros[1], hi=zeros[3])
+    elif member == "homotopy":
+        f = nc.homotopy(f, draw(st.floats(0.0, 1.0)))
+    return nc.EnergyFunctional(spec, f), mults
+
+
+@settings(max_examples=40, deadline=None)
+@given(member=five_zero_members(), seed=st.integers(0, 2**32 - 1),
+       c0=st.floats(-20.0, 20.0), on_zero=st.one_of(st.none(), st.integers(0, 4)),
+       amps=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6))
+def test_bump_values_match_values(member, seed, c0, on_zero, amps):
+    """The closed-form energies of fields c_0 e_0 + d bump, d >= 0, agree
+    with the grid batch `values` to 1e-10 (1 + |J|): for random bumps, d = 0
+    among the amplitudes, and constants whose grid value sits exactly on a
+    breakpoint of F."""
+    func, mults = member
+    if on_zero is not None:
+        # a truncation keeps the zeros of its window as breakpoints
+        kept = [c for c in mults if c * func.spectrum.basis[0, 0] in func.nonlinearity.fppoly.x]
+        assert len(kept) >= 2
+        c0 = kept[on_zero % len(kept)]
+    bump = np.random.default_rng(seed).standard_normal(MODES)
+    bump /= func.spectrum.h1_norm(bump)
+    amps = np.array([0.0, *amps])
+    rows = amps[:, None] * bump
+    rows[:, 0] += c0
+    want = func.values(rows)
+    got = func.bump_values(np.full(len(amps), c0), amps, bump)
+    assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want)))

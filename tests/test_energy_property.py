@@ -2,7 +2,8 @@
 `l2_gradient` is the gradient of `value`, and `hessian_pencil(u)[0]` is
 the symmetric Jacobian of `l2_gradient`, on the interval and rectangle
 spectra of the benchmark workloads.  At constant fields the closed-form
-Morse data of `morse_data` must equal the assembled pencil's."""
+Morse data of `morse_data` must equal the assembled pencil's, and the
+closed-form energy, gradients and range the grid quadrature's."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -107,3 +108,29 @@ def test_resonant_constant_is_degenerate(kind, j):
     assert degenerate
     assert index == int(np.count_nonzero(spec.eigenvalues < lam))
     assert 0.0 in func.morse_data(spec.constant_field(0.0))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(FUNCTIONALS)),
+       t=st.one_of(st.sampled_from([t for t, _ in REF5_KNOTS]), st.floats(-50.0, 50.0)))
+def test_constant_field_data_matches_the_grid_quadrature(kind, t):
+    """At a constant field `value`, `gradient`, `l2_gradient` and
+    `field_range` read their data off its one grid value t.  They agree
+    with the grid quadrature, a field transform and a projection over
+    every point, to rounding, and the range is the grid's bit for bit:
+    every entry of the constant mode's column is the same float."""
+    func = FUNCTIONALS[kind]
+    spec, f = func.spectrum, func.nonlinearity
+    u = spec.constant_field(t)
+    vals = spec.evaluate(u)
+    assert np.all(vals == spec.grid_constant(u))
+    J = 0.5 * np.sum(spec.eigenvalues * u * u) - spec.integrate(f.primitive(vals))
+    assert abs(func.value(u) - J) <= 1e-13 * max(1.0, abs(J))
+    g = spec.eigenvalues * u - spec.project(f(vals))
+    scale = max(1.0, np.max(np.abs(g)))
+    assert np.max(np.abs(func.l2_gradient(u) - g)) <= 1e-13 * scale
+    assert np.max(np.abs(func.gradient(u) - g / (1.0 + spec.eigenvalues))) <= 1e-13 * scale
+    assert spec.field_range(u) == (float(vals.min()), float(vals.max()))
+    # one coefficient off mode 0 leaves the closed form
+    u[3] = 1e-300
+    assert spec.grid_constant(u) is None

@@ -1,12 +1,14 @@
 """Invariants the degree ledger relies on: the group elements, the rows of
 `SpectrumSlice.symmetry_signs`, are involutions that map the reference
-records to critical points with the same energy and Morse index, and
+records to critical points with the same energy and Morse index, so
+`image_record` may carry a record's data over to its images, and
 reconciliation does not depend on the order in which records reach the
 ledger."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +98,39 @@ def test_images_of_reference_records_keep_their_certificates(reference_report):
             evals = func.morse_data(image)[0]
             assert np.max(np.abs(evals - rec.hessian_eigs)) <= 1e-12 * max(
                 1.0, np.max(np.abs(rec.hessian_eigs)))
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_image_record_matches_the_record_built_at_the_image(reference_report, domain):
+    """`image_record` of every reference and `rectangle` record under every
+    group element agrees with `make_record` at the image: energy to 1e-12
+    relative, Hessian eigenvalues to 1e-12, equal Morse index, degenerate
+    flag and range, and both residuals within GRAD_TOL.  Its principal
+    eigenfield is an eigenfield of the image's Hessian pencil."""
+    if domain == "interval":
+        report = reference_report
+    else:
+        cfg = nc.reference_config()
+        cfg["domain"] = {"kind": "rectangle", "lengths": [np.pi, 1.5]}
+        report = nc.run_pipeline(cfg)
+    func = report.functional
+    spec = func.spectrum
+    signs = spec.symmetry_signs(func.nonlinearity.odd)
+    assert len(signs) == (4 if domain == "interval" else 8)
+    for rec in report.records:
+        for sign in signs:
+            image = nc.image_record(rec, sign)
+            built = nc.make_record(func, sign * rec.coeffs, rec.classification, {})
+            assert np.array_equal(image.coeffs, built.coeffs)
+            assert abs(image.energy - built.energy) <= 1e-12 * max(1.0, abs(built.energy))
+            assert np.max(np.abs(image.hessian_eigs - built.hessian_eigs)) <= 1e-12
+            assert (image.morse_index, image.degenerate) == (built.morse_index, built.degenerate)
+            assert image.urange == built.urange
+            assert image.is_constant() == built.is_constant()
+            assert max(image.residual, built.residual) <= GRAD_TOL
+            A, B = func.hessian_pencil(image.coeffs)
+            v = image.principal_vec
+            assert np.max(np.abs(A @ v - image.hessian_eigs[0] * (B @ v))) <= 1e-10
 
 
 def test_certified_records_lie_in_the_ball(reference_report):

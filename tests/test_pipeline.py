@@ -17,6 +17,7 @@ from neucrit.pipeline import (
     run_pipeline,
     validate_config,
 )
+from neucrit.records import GRAD_TOL
 
 
 def test_reference_run_balances(reference_report):
@@ -131,11 +132,14 @@ def test_reference_search_counts(monkeypatch):
     the sweeps of each truncated mountain pass and the energy, metric
     gradient, L2 gradient, Hessian and Morse data evaluations of the whole
     run, counted at the class since every stage builds its own functionals.
-    An energy evaluation is one field, so "value" counts the rows of the
-    batch method `values` with the calls of `value`, and "values" counts
-    the batches.  A second run repeats them, and the reduction's orbit and
-    refine counts with them."""
-    counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data")
+    An energy evaluation on the grid is one field, so "value" counts the
+    rows of the batch method `values` with the calls of `value`, and
+    "values" counts the batches; "bump_values" counts the closed-form
+    energies of a first mountain-pass path, which evaluate no field.  A
+    second run repeats them, and the reduction's orbit and refine counts
+    with them."""
+    counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data",
+               "bump_values")
     calls = Counter()
 
     def counting(name):
@@ -168,26 +172,30 @@ def test_reference_search_counts(monkeypatch):
     assert runs[0] == runs[1]
     # a transferred truncation record reuses the truncated record's Morse
     # data, so the two transfers assemble no Hessian; f is odd, so the
-    # above stage runs no pass and builds one record, the negation of the
-    # below saddle, on the original functional; a root solve that
-    # enters the Newton basin of a point its search already holds stops
-    # there, and a mountain pass builds no record for a point it dropped;
-    # the homotopy samples only its base member, whose seeds alone give
-    # R = 2 x 7.208 past B(0), so it draws no random start, and none of
+    # above stage runs no pass and builds no record: it takes the image
+    # of the below saddle and evaluates only its residual; a root solve
+    # that enters the Newton basin of a point its search already holds
+    # stops there, and a mountain pass builds no record for a point it
+    # dropped; the homotopy samples only its base member, whose seeds alone
+    # give R = 2 x 7.208 past B(0), so it draws no random start, and none of
     # its seeds lies on the line of constant fields off the zeros,
     # and the reduction solves psi once per orbit and runs one root solve
     # per orbit of its six best seeds, building the record of the best
-    # point only.  Each pass starts from the wide path and certifies its
-    # saddle from its highest node after REDISTRIBUTE_EVERY sweeps, before
-    # any redistribution, so it evaluates its path in one batch, at the
-    # start: 2 batches.  Ten of the records are constant fields, the five
-    # of the constants stage and the five the homotopy's base member finds
-    # from its zero seeds; they read their Morse data off the spectrum and
-    # assemble no Hessian
+    # point only.  The orbit passes start from the image records of the
+    # points the ledger holds; the four images that meet GRAD_TOL at the
+    # first evaluation keep those records and build none.  Each pass
+    # starts from the wide path, whose energies are closed-form (one
+    # `bump_values` per pass, no batch), and certifies its saddle from its
+    # highest node after REDISTRIBUTE_EVERY sweeps, before any
+    # redistribution, so it evaluates no batch.  Ten of the records are
+    # constant fields, the five of the constants stage and the five the
+    # homotopy's base member finds from its zero seeds; they read their
+    # energy, gradient and Morse data off one scalar and assemble no
+    # Hessian
     assert runs[0] == ([5, None, 5],
-                       {"value": 123, "values": 2,
-                        "gradient": 30, "l2_gradient": 77,
-                        "hessian_pencil": 21, "morse_data": 20},
+                       {"value": 36, "bump_values": 2,
+                        "gradient": 26, "l2_gradient": 77,
+                        "hessian_pencil": 16, "morse_data": 15},
                        28, 3)
 
 
@@ -196,31 +204,36 @@ def _record_of(report, kind):
 
 
 def test_above_saddle_is_the_negated_below_saddle(ref5, reference_report):
-    """f is odd, so the above stage runs no pass: its record is the
-    transfer of the record the above truncation builds at -P, P the below
-    saddle, bit for bit, with P's energy, Morse index and local degree and
-    P's range negated."""
+    """f is odd, so the above stage runs no pass: its record is the image
+    of the below saddle P under u -> -u (`image_record`), with P's energy,
+    residual, norm, Hessian spectrum, Morse index and local degree bit for
+    bit, P's principal eigenfield and range negated, and the residual of
+    -P evaluated to meet GRAD_TOL.  It agrees with the transfer of the
+    record the above truncation builds at -P to rounding."""
     spec, f, func = ref5
     stage = reference_report.stages["truncation_above"]
     assert stage["image_of"] == "truncation_below"
     assert "truncated_record" not in stage
     below, above = _record_of(reference_report, "below"), _record_of(reference_report, "above")
     assert np.array_equal(np.array(stage["transferred_record"]["coeffs"]), above.coeffs)
-    tfunc = nc.EnergyFunctional(spec, nc.truncate(f, lo=1.0))
-    moved = nc.transfer_to_original(nc.make_record(tfunc, -below.coeffs, "mp_type", {}),
-                                    func, tfunc)
-    assert np.array_equal(above.coeffs, moved.coeffs)
-    for name in ("energy", "residual", "h1_norm", "urange", "morse_index", "degenerate",
-                 "classification"):
-        assert getattr(above, name) == getattr(moved, name), name
-    assert np.array_equal(above.hessian_eigs, moved.hessian_eigs)
-    assert np.array_equal(above.principal_vec, moved.principal_vec)
+    assert np.array_equal(above.coeffs, -below.coeffs)
+    assert np.array_equal(above.principal_vec, -below.principal_vec)
+    assert np.array_equal(above.hessian_eigs, below.hessian_eigs)
+    for name in ("energy", "residual", "h1_norm", "morse_index", "degenerate",
+                 "classification", "local_degree"):
+        assert getattr(above, name) == getattr(below, name), name
+    assert above.urange == (-below.urange[1], -below.urange[0])
     assert above.provenance == {"stage": "truncation_above", "kind": "above",
                                 "anchors": [1.0], "image_of": "truncation_below"}
     assert above.iterations == 0
-    assert abs(above.energy - below.energy) <= 1e-12 * abs(below.energy)
-    assert (above.morse_index, above.local_degree) == (below.morse_index, below.local_degree)
-    assert above.urange == (-below.urange[1], -below.urange[0])
+    assert func.residual(above.coeffs) <= GRAD_TOL
+    tfunc = nc.EnergyFunctional(spec, nc.truncate(f, lo=1.0))
+    moved = nc.transfer_to_original(nc.make_record(tfunc, -below.coeffs, "mp_type", {}),
+                                    func, tfunc)
+    assert moved.residual <= GRAD_TOL
+    assert abs(above.energy - moved.energy) <= 1e-12 * abs(moved.energy)
+    assert np.max(np.abs(above.hessian_eigs - moved.hessian_eigs)) <= 1e-12
+    assert (above.morse_index, above.urange) == (moved.morse_index, moved.urange)
 
 
 ASYMMETRIC = Path(__file__).resolve().parents[1] / "configs" / "five_zeros_asymmetric.json"
@@ -397,9 +410,16 @@ def test_report_write(tmp_path, reference_report):
 
 
 def test_shipped_config_is_the_reference():
-    """configs/five_zeros.json is the built-in instance written out."""
-    path = Path(__file__).resolve().parents[1] / "configs" / "five_zeros.json"
-    assert validate_config(json.loads(path.read_text())) == validate_config(reference_config())
+    """configs/five_zeros.json is the built-in instance written out, and
+    configs/five_zeros_rectangle.json the same on [0, pi] x [0, 1.5] at the
+    default grid."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert (validate_config(json.loads((configs / "five_zeros.json").read_text()))
+            == validate_config(reference_config()))
+    rectangle = reference_config()
+    rectangle["domain"] = {"kind": "rectangle", "lengths": [np.pi, 1.5]}
+    assert (validate_config(json.loads((configs / "five_zeros_rectangle.json").read_text()))
+            == validate_config(rectangle))
 
 
 def test_validate_config_errors():

@@ -142,15 +142,17 @@ def test_mountain_pass_caches_node_energies(ref5):
     start, once per interior node after each redistribution (the endpoints
     never move), once per backtracking trial and once per refined candidate
     outside the basins of the points it dropped, not per node and sweep.
-    The node energies come in batches, one for the start path and one per
-    redistribution; `value_calls` counts every row of a batch as one
-    evaluation.  The pass refines its highest node before it redistributes,
-    and this one certifies there, so it never redistributes."""
+    The start path's node energies are closed-form, one `bump_values` call,
+    and those after a redistribution come in one batch; `value_calls`
+    counts every row of either as one evaluation.  The pass refines its
+    highest node before it redistributes, and this one certifies there, so
+    it never redistributes and evaluates no batch."""
     spec, f, _ = ref5
 
     class Counting(nc.EnergyFunctional):
         value_calls = 0
         batch_calls = 0
+        path_calls = 0
 
         def value(self, u):
             self.value_calls += 1
@@ -161,14 +163,32 @@ def test_mountain_pass_caches_node_energies(ref5):
             self.value_calls += len(rows)
             return super().values(rows)
 
+        def bump_values(self, c0, amps, bump):
+            self.path_calls += 1
+            self.value_calls += len(amps)
+            return super().bump_values(c0, amps, bump)
+
     func = Counting(spec, nc.truncate(f, hi=-1.0))
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type"
     assert rec.iterations == 5
     assert func.value_calls == 50
     assert func.value_calls < PATH_NODES * rec.iterations
-    # the start path only
-    assert func.batch_calls == 1
+    # the start path only, in closed form
+    assert (func.path_calls, func.batch_calls) == (1, 0)
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_mountain_pass_needs_constant_endpoints(ref5, end):
+    """Every caller passes constant endpoints, the fields whose first path
+    has closed-form energies; any other endpoint raises ValueError."""
+    spec, f, _ = ref5
+    func = nc.EnergyFunctional(spec, nc.truncate(f, hi=-1.0))
+    a, b = spec.constant_field(-1.0), spec.constant_field(-6.0)
+    moved = {"a": a, "b": b}[end].copy()
+    moved[2] = 1e-3
+    with pytest.raises(ValueError, match="constant endpoints"):
+        mountain_pass(func, moved if end == "a" else a, moved if end == "b" else b)
 
 
 def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
@@ -177,9 +197,9 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     attempt fails.  On the lower well of the k = 3 instance (crossing and
     tail slopes 5) the attempt after sweep 5 lands on an index-2 point,
     which does not end the pass and is dropped; the path is redistributed
-    and re-evaluated in one batch.  The attempt after sweep 10 is passed
-    that point's Newton basin, ends outside it at the well saddle, and ends
-    the pass before a second redistribution."""
+    and re-evaluated in one batch, the pass's only one.  The attempt after
+    sweep 10 is passed that point's Newton basin, ends outside it at the
+    well saddle, and ends the pass before a second redistribution."""
     spec, _, _ = ref5
     knots = [(t, 5.0 if s > 0 else s) for t, s in REF5_KNOTS]
     f = nc.build_nonlinearity(knots, 5.0, 5.0)
@@ -210,8 +230,9 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     rec = mountain_pass(func, spec.constant_field(-1.0), spec.constant_field(-6.0))
     assert rec.classification == "mp_type" and rec.morse_index == 1
     assert rec.iterations == 10
-    # the start path, and the redistribution after the dropped attempt
-    assert func.batches == 2
+    # the redistribution after the dropped attempt; the start path's
+    # energies are closed-form and take no batch
+    assert func.batches == 1
     assert rec.energy == pytest.approx(-3.532030112994267, rel=1e-12)
     assert rec.urange == pytest.approx((-2.5155834, -1.0378406), abs=1e-7)
     dropped, last = finished
