@@ -37,12 +37,12 @@ def main():
             print(f"  lam = {row['lam']:.1f}: {row['n_found']} points, {drew}")
 
     init = rep.stages["ledger"]["initial_reconciliation"]
-    fin = rep.stages["ledger"]["reconciliation"]
+    fin = rep.ledger_report
     print(f"degree count before multistart: {init['degree_sum']:+d}"
           f" against a ball degree of {init['global_degree']:+d}"
           f" (deficiency {init['deficiency']:+d})")
-    print(f"after multistart: deficiency {fin['deficiency']:+d},"
-          f" {fin['counted']} solutions counted")
+    print(f"after multistart: deficiency {fin.deficiency:+d},"
+          f" {fin.counted} solutions counted")
 
     print(f"\nledger ({len(rep.records)} records):")
     print(f"  {'#':>2} {'class':<14} {'J':>10} {'index':>5} {'deg':>4}"

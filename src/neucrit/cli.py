@@ -1,9 +1,8 @@
 """Command line entry points.
 
-Subcommands mirror the pipeline stages: `spectrum` and `check` inspect the
-discretization and the structural hypotheses, `solve` runs the search
-stages, `reduce` the finite-dimensional reduction, `ledger` and `run` the
-full bookkeeping.  `plot` re-renders profile SVGs from a saved report.
+`spectrum` and `check` inspect the discretization and the structural
+hypotheses, `run` runs the pipeline (all of it, or the stages `--stage`
+names) and `plot` re-renders profile SVGs from a saved report.
 
 Exit codes: 0 success, 1 config/usage error, 2 stage failure, 3 unresolved
 degree deficiency (only with --strict).
@@ -44,34 +43,27 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="neucrit",
                 description="critical points of Neumann semilinear problems")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config path (default: built-in reference instance)")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="override solver rng seed")
-    common.add_argument("--modes", type=int, help="override mode count")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="stdout format where applicable")
-    common.add_argument("--stage", help="comma-separated stage subset "
-                                        f"(of: {','.join(STAGES)})")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 3 when the final deficiency is nonzero")
-
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="print eigenvalues and the X/Y split")
-    sub.add_parser("check", parents=[common],
-                   help="audit the structural hypotheses")
-    sub.add_parser("solve", parents=[common],
-                   help="constants, truncated mountain passes, homotopy bound")
-    sub.add_parser("reduce", parents=[common],
-                   help="reduced-functional maximizer")
-    sub.add_parser("ledger", parents=[common],
-                   help="full run, report the degree ledger")
-    sub.add_parser("run", parents=[common],
-                   help="full pipeline, write report/summary/plots")
-    plot = sub.add_parser("plot", parents=[common],
-                          help="render profile SVG from a saved report")
-    plot.add_argument("report", nargs="?", help="report.json path (or use --config)")
+    spectrum = sub.add_parser("spectrum", help="print eigenvalues and the X/Y split")
+    check = sub.add_parser("check", help="audit the structural hypotheses")
+    run = sub.add_parser("run", help="run the pipeline, print or write its report")
+    for cmd in (spectrum, check, run):
+        cmd.add_argument("--config", help="JSON config path (default: built-in reference instance)")
+        cmd.add_argument("--modes", type=int, help="override mode count")
+    run.add_argument("--seed", type=int, help="override solver rng seed")
+    run.add_argument("--stage", help="comma-separated stage subset "
+                                     f"(of: {','.join(STAGES)})")
+    spectrum.add_argument("--format", choices=("json", "csv"), default="json",
+                          help="stdout format of the eigenvalue table")
+    run.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="stdout format: the report as JSON, or the ledger "
+                          "table as CSV (needs the ledger stage)")
+    run.add_argument("--strict", action="store_true",
+                     help="exit 3 when the final deficiency is nonzero")
+    plot = sub.add_parser("plot", help="render profile SVG from a saved report")
+    plot.add_argument("report", help="report.json path")
+    for cmd in (spectrum, check, run, plot):
+        cmd.add_argument("--out", help="output directory")
     return p
 
 
@@ -88,9 +80,9 @@ def _load_config(args) -> dict:
         cfg = reference_config()
     if args.modes is not None:
         cfg["modes"] = args.modes
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.setdefault("solver", {})["rng_seed"] = args.seed
-    if args.stage:
+    if getattr(args, "stage", None):
         cfg["stages"] = [s.strip() for s in args.stage.split(",") if s.strip()]
     return validate_config(cfg)
 
@@ -132,57 +124,11 @@ def _cmd_check(args, cfg) -> int:
     return 0
 
 
-def _run_stages(cfg, stage_list):
-    cfg = dict(cfg)
-    cfg["stages"] = stage_list
-    return run_pipeline(cfg)
-
-
-def _exit_code(args, report) -> int:
-    if report.errors:
-        return 2
-    if args.strict and report.deficiency not in (0, None):
-        return 3
-    return 0
-
-
-def _finish_run(args, report, payload) -> int:
-    _emit(args, payload)
-    return _exit_code(args, report)
-
-
-def _cmd_solve(args, cfg) -> int:
-    wanted = [s for s in ("constants", "truncation_below", "truncation_above",
-                          "truncation_interval", "homotopy") if s in cfg["stages"]]
-    report = _run_stages(cfg, wanted)
-    d = report.to_dict()
-    payload = {k: d[k] for k in ("hypotheses", "stages", "skips", "errors", "warnings")}
-    return _finish_run(args, report, payload)
-
-
-def _cmd_reduce(args, cfg) -> int:
-    report = _run_stages(cfg, ["reduction"])
-    if "reduction" in report.skips:
-        _emit(args, {"error": {"type": "ReductionInapplicable",
-                               "message": report.skips["reduction"]}})
-        return 2
-    d = report.to_dict()
-    payload = {"reduction": d["stages"].get("reduction"),
-               "errors": d["errors"], "warnings": d["warnings"]}
-    return _finish_run(args, report, payload)
-
-
-def _cmd_ledger(args, cfg) -> int:
-    report = run_pipeline(cfg)
-    if args.format == "csv" and report.ledger is not None:
-        print(report.ledger.to_csv(), end="")
-        return _exit_code(args, report)
-    d = report.to_dict()
-    payload = {"ledger": d["ledger"], "errors": d["errors"], "warnings": d["warnings"]}
-    return _finish_run(args, report, payload)
-
-
 def _cmd_run(args, cfg) -> int:
+    if args.format == "csv" and "ledger" not in cfg["stages"]:
+        print("error: --format csv prints the ledger table; add the ledger stage",
+              file=sys.stderr)
+        return 1
     report = run_pipeline(cfg)
     if args.out:
         paths = report.write(args.out)
@@ -192,17 +138,16 @@ def _cmd_run(args, cfg) -> int:
         print(report.ledger.to_csv(), end="")
     else:
         print(report.to_json())
-    return _exit_code(args, report)
+    if report.errors:
+        return 2
+    if args.strict and report.deficiency not in (0, None):
+        return 3
+    return 0
 
 
 def _cmd_plot(args, cfg) -> int:
-    path = getattr(args, "report", None) or args.config
-    if not path:
-        print("error: plot needs a report path (positional or --config)",
-              file=sys.stderr)
-        return 1
     try:
-        with open(path) as fh:
+        with open(args.report) as fh:
             rep = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read report: {e}", file=sys.stderr)
@@ -240,9 +185,6 @@ def _cmd_plot(args, cfg) -> int:
 _COMMANDS = {
     "spectrum": _cmd_spectrum,
     "check": _cmd_check,
-    "solve": _cmd_solve,
-    "reduce": _cmd_reduce,
-    "ledger": _cmd_ledger,
     "run": _cmd_run,
     "plot": _cmd_plot,
 }

@@ -585,6 +585,5 @@ def run_pipeline(config: dict) -> RunReport:
 
     report.records = list(ledger.records)
     report.stages["ledger"]["qualitative"] = qual
-    report.stages["ledger"]["reconciliation"] = report.ledger_report.to_dict()
     report.timings["total"] = time.perf_counter() - t_start
     return report

@@ -268,11 +268,13 @@ class SpectrumSlice:
         return float(vals.min()), float(vals.max())
 
     def evaluate_at(self, coeffs, points) -> np.ndarray:
-        """Field values at arbitrary points (not just the quadrature grid)."""
+        """Field values at arbitrary points (not just the quadrature grid),
+        given as an (n, ndim) array, one point per row."""
         c = np.asarray(coeffs, dtype=float)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == self.domain.ndim and pts.shape[1] != self.domain.ndim:
-            pts = pts.T
+        if pts.shape[1] != self.domain.ndim:
+            raise ValueError(f"points must have shape (n, {self.domain.ndim}), "
+                             f"got {pts.shape}")
         out = np.zeros(pts.shape[0])
         for i, pair in enumerate(self.pairs):
             if c[i] == 0.0:

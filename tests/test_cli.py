@@ -50,45 +50,73 @@ def test_check_resonant_exits_two(tmp_path, capsys):
     assert out["error"]["type"] == "ResonantSlope"
 
 
+def test_spectrum_and_check_write_to_out(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    for command in ("spectrum", "check"):
+        assert main([command, "--out", str(out_dir)]) == 0
+        path = out_dir / f"{command}.json"
+        assert capsys.readouterr().out.strip() == str(path)
+    assert json.loads((out_dir / "spectrum.json").read_text())["k"] == 2
+    assert json.loads((out_dir / "check.json").read_text())["five_pattern"] is True
+
+
 def test_solve_stage_subset(capsys):
-    assert main(["solve", "--stage", "constants"]) == 0
+    """The search stages run as a stage list of `run`; the constants alone
+    give the five constant records.  `--seed` lands in the reported config."""
+    assert main(["run", "--seed", "42", "--stage", "constants"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["stages"]["constants"]) == 5
     assert out["errors"] == {}
+    assert out["config"]["solver"]["rng_seed"] == 42
 
 
 def test_reduce_runs_the_reduction_alone(capsys, monkeypatch):
-    """The reduction reads only the problem, so `reduce` runs no homotopy
-    sweep and needs no radius."""
+    """The reduction reads only the problem, so `run --stage reduction`
+    runs no homotopy sweep and needs no radius."""
     import neucrit.pipeline as pipeline
 
     def no_sweep(*args, **kwargs):
-        raise AssertionError("reduce ran the homotopy sweep")
+        raise AssertionError("the reduction ran the homotopy sweep")
 
     monkeypatch.setattr(pipeline, "homotopy_bound", no_sweep)
-    assert main(["reduce"]) == 0
+    assert main(["run", "--stage", "reduction"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert sorted(out) == ["errors", "reduction", "warnings"]
+    assert sorted(out["stages"]) == ["reduction", "spectrum"]
     assert out["errors"] == {} and out["warnings"] == []
-    assert out["reduction"]["morse_index"] == 2
+    assert out["stages"]["reduction"]["morse_index"] == 2
 
 
-def test_reduce_inapplicable_exits_two(tmp_path, capsys):
+def test_reduction_inapplicable_is_a_skip(tmp_path, capsys):
+    """An inapplicable reduction is a skip, not a failure: the report names
+    it under `skips.reduction` and the run exits 0."""
     def steep(cfg):
         cfg["nonlinearity"]["knots"] = [[0.0, 6.0]]
 
     path = write_config(tmp_path, steep)
-    assert main(["reduce", "--config", path]) == 2
+    assert main(["run", "--config", path, "--stage", "reduction"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["error"]["type"] == "ReductionInapplicable"
+    assert "reduction" not in out["stages"] and out["errors"] == {}
+    assert "reduction" in out["skips"]
 
 
 def test_ledger_csv_stdout(capsys):
-    rc = main(["ledger", "--format", "csv", "--stage", "constants,ledger"])
+    rc = main(["run", "--format", "csv", "--stage", "constants,ledger"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("index,classification")
     assert len(lines) == 6
+
+
+def test_csv_without_ledger_stage_is_a_usage_error(capsys, monkeypatch):
+    import neucrit.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_run)
+    assert main(["run", "--format", "csv", "--stage", "constants"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ledger stage" in captured.err
 
 
 def test_strict_deficiency_exits_three(tmp_path, capsys):
@@ -136,7 +164,7 @@ def test_plot_report_without_ledger(tmp_path, capsys):
 
 def test_plot_requires_report(capsys):
     assert main(["plot"]) == 1
-    assert "report path" in capsys.readouterr().err
+    assert "required: report" in capsys.readouterr().err
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -146,8 +174,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["check", "--config", str(bad)]) == 1
     capsys.readouterr()
-    assert main(["solve", "--stage", "warp_drive"]) == 1
-    capsys.readouterr()
+    assert main(["run", "--stage", "warp_drive"]) == 1
+    assert "unknown stages" in capsys.readouterr().err
     qp = write_config(tmp_path, lambda cfg: cfg["domain"].update(quad_points="x"),
                       name="quad_points.json")
     assert main(["check", "--config", qp]) == 1
@@ -174,6 +202,16 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     capsys.readouterr()
     assert main(["not-a-command"]) == 1
+    capsys.readouterr()
+    for removed in ("solve", "reduce", "ledger"):
+        assert main([removed]) == 1, removed
+        assert "invalid choice" in capsys.readouterr().err
+    # each subcommand takes only the options it reads
+    assert main(["spectrum", "--strict", "--seed", "3", "--stage", "constants"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["check", "--format", "csv"]) == 1
+    capsys.readouterr()
+    assert main(["plot", "report.json", "--config", "report.json"]) == 1
     capsys.readouterr()
 
 

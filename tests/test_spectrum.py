@@ -120,6 +120,21 @@ def test_evaluate_at_matches_grid():
         assert np.max(np.abs(spec.evaluate_at(c, pts) - spec.evaluate(c))) < 1e-12
 
 
+def test_evaluate_at_reads_one_point_per_row():
+    """`evaluate_at` takes (n, ndim) points and no other layout: a square
+    array on the rectangle is two points, not two coordinates, and an
+    (ndim, n) array is refused rather than transposed."""
+    rng = np.random.default_rng(3)
+    for domain in _BOXES:
+        spec = build_spectrum(domain, 8)
+        c = rng.standard_normal(8)
+        pts = rng.uniform(size=(domain.ndim, domain.ndim)) * domain.lengths
+        one_by_one = [spec.evaluate_at(c, p[None, :])[0] for p in pts]
+        assert np.array_equal(spec.evaluate_at(c, pts), one_by_one)
+        with pytest.raises(ValueError, match=rf"\(n, {domain.ndim}\)"):
+            spec.evaluate_at(c, np.zeros((domain.ndim, 5)))
+
+
 def test_mirror_is_reflection():
     """Every row of the sign table reflects the field across the midlines
     of its axes, on the interval and on the rectangle: the identity, the
