@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--stage", help="comma-separated stage subset "
                                      f"(of: {','.join(STAGES)})")
     spectrum.add_argument("--format", choices=("json", "csv"), default="json",
-                          help="stdout format of the eigenvalue table")
+                          help="format of the eigenvalue table")
     run.add_argument("--format", choices=("json", "csv"), default="json",
                      help="stdout format: the report as JSON, or the ledger "
                           "table as CSV (needs the ledger stage)")
@@ -87,30 +87,37 @@ def _load_config(args) -> dict:
     return validate_config(cfg)
 
 
-def _emit(args, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(args, text: str, suffix: str = "json"):
+    """Print `text`, or write it to `<out>/<command>.<suffix>` and print
+    that path."""
     if args.out:
         import os
 
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{args.command}.json")
+        path = os.path.join(args.out, f"{args.command}.{suffix}")
         with open(path, "w") as fh:
             fh.write(text)
         print(path)
     else:
-        print(text)
+        print(text, end="")
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _cmd_spectrum(args, cfg) -> int:
     spec, _ = build_problem(cfg)
     if args.format == "json":
-        _emit(args, spec.summary())
-    else:
-        print("index,eigenvalue,mode,block")
-        for pair in spec.pairs:
-            block = "X" if pair.index in set(spec.x_indices) else "Y"
-            print(f"{pair.index},{pair.eigenvalue:.12g},"
-                  f"{'x'.join(str(m) for m in pair.mode)},{block}")
+        _emit(args, _json(spec.summary()))
+        return 0
+    x_block = set(spec.x_indices)
+    lines = ["index,eigenvalue,mode,block"]
+    for pair in spec.pairs:
+        lines.append(f"{pair.index},{pair.eigenvalue:.12g},"
+                     f"{'x'.join(str(m) for m in pair.mode)},"
+                     f"{'X' if pair.index in x_block else 'Y'}")
+    _emit(args, "\n".join(lines) + "\n", "csv")
     return 0
 
 
@@ -118,9 +125,9 @@ def _cmd_check(args, cfg) -> int:
     try:
         spec, f = build_problem(cfg)
     except NeucritError as e:
-        _emit(args, {"error": {"type": type(e).__name__, "message": str(e)}})
+        _emit(args, _json({"error": {"type": type(e).__name__, "message": str(e)}}))
         return 2
-    _emit(args, check_hypotheses(f, spec).to_dict())
+    _emit(args, _json(check_hypotheses(f, spec).to_dict()))
     return 0
 
 

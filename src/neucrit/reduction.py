@@ -11,10 +11,14 @@ in the Sobolev metric.  psi(x) is its unique minimizer, the reduced
 functional Jt(x) = J(x + psi(x)) lives on the k-dimensional X block, and
 its maximizer is the distinguished critical point whose full Hessian index
 is expected to be k.  Strong convexity brackets Jt(x) in closed form from
-J and its Y-block gradient at x alone, with no inner solve (`_bracket`).
-`maximize_reduced` rules out the seeds of a grid that the bracket puts
-below six others, ranks the rest by Jt and finds the maximizer by root
-solves of the full gradient from the best seeds.
+J and its Y-block gradient at x alone, with no inner solve.  The upper
+end, J(x), needs no grid pass for k <= 2, where a seed is a constant plus
+a multiple of one mode (`EnergyFunctional.bump_values`); the lower end
+needs the field on the grid (`_bracket`).  `maximize_reduced` rules out
+the seeds of a grid that the bracket puts below six others, evaluating
+lower bounds only for the seeds whose upper bounds can still reach the
+six best, ranks the rest by Jt and finds the maximizer by root solves of
+the full gradient from the best seeds.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ _MODULUS_SLACK = 1e-10
 # relative energy change below which a Newton step counts as no rise: two
 # energies of nearly equal fields differ by rounding near convergence
 _ENERGY_ROUNDING = 1e-12
+# unit roundoff of float64, for the rounding bound of a closed-form energy
+_UNIT_ROUNDOFF = 2.0 ** -53
 # seeds per axis of the reduction's seed grid for k <= 4; its fourth power
 # caps the grid size beyond (`maximize_reduced`).  On the reference
 # interval, the reference rectangle and the k = 3 variant (slopes 5), 5, 7
@@ -139,11 +145,21 @@ def psi_population(ctx: ReductionContext, xs, y0=None) -> PopulationSolve:
     rows[:, spec.x_indices] = xs[:, spec.x_indices]
     if y0 is not None:
         rows[:, spec.y_indices] = np.atleast_2d(y0)[:, spec.y_indices]
+    return _population(ctx, rows)
+
+
+def _population(ctx, rows, start=None) -> PopulationSolve:
+    """`psi_population`'s solve of full coefficient rows, in place.  `start`
+    is the `_state` of the rows when it is already known (u, J and the
+    Y-block gradient, one entry per row); the first Newton iterate then
+    evaluates nothing."""
+    spec = ctx.spectrum
     values = np.empty(len(rows))
     newton = fallback = 0
     block = max(1, BLOCK_ELEMENTS // spec.basis.shape[0])
     for lo in range(0, len(rows), block):
-        values[lo:lo + block], n, b = _newton_block(ctx, rows[lo:lo + block])
+        part = None if start is None else [s[lo:lo + block] for s in start]
+        values[lo:lo + block], n, b = _newton_block(ctx, rows[lo:lo + block], part)
         newton, fallback = newton + n, fallback + b
     rows[:, spec.x_indices] = 0.0
     return PopulationSolve(rows, values, newton, fallback)
@@ -168,9 +184,10 @@ def _state(ctx):
     return state
 
 
-def _newton_block(ctx, c):
-    """Minimize over the Y block of each row of `c` in place.  Returns the
-    energies and the Newton and fallback step counts."""
+def _newton_block(ctx, c, start=None):
+    """Minimize over the Y block of each row of `c` in place, from the
+    `_state` of `c` when `start` holds it.  Returns the energies and the
+    Newton and fallback step counts."""
     spec = ctx.spectrum
     f = ctx.functional.nonlinearity
     yi = spec.y_indices
@@ -186,7 +203,7 @@ def _newton_block(ctx, c):
     values = np.empty(len(c))
     newton = fallback = 0
     live = np.arange(len(c))
-    u, energy, grad = state(c)
+    u, energy, grad = state(c) if start is None else start
     for _ in range(MAX_INNER):
         done = np.sqrt(np.sum(grad * grad / h1_y, axis=1)) <= INNER_TOL
         values[live[done]] = energy[done]
@@ -220,31 +237,109 @@ def _newton_block(ctx, c):
     raise MaxItersExceeded("population Newton solve of the inner minimization stalled")
 
 
+def _upper_bounds(ctx, rows):
+    """Upper bounds J(x) >= Jt(x) of the reduced value of every row, each
+    row with a zero Y block.
+
+    For k <= 2 the X block is the constant mode 0 and at most one more mode
+    j, so a row is c_0 e_0 + c_j e_j: a constant plus a multiple of one
+    field, whose J `EnergyFunctional.bump_values` gives in closed form with
+    no grid pass, along the bump -e_j for the rows with c_j <= 0 and along
+    e_j for the others (one call per sign that occurs), widened by
+    `_bump_rounding`.  For k >= 3 one grid pass of F (`values`) gives J,
+    widened by the relative rounding margin of an energy.
+    """
+    spec, func = ctx.spectrum, ctx.functional
+    if ctx.k > 2:
+        energy = func.values(rows)
+        return energy + _ENERGY_ROUNDING * (1.0 + np.abs(energy))
+    j = spec.x_indices[-1]
+    c0 = rows[:, 0]
+    cj = rows[:, j] if j else np.zeros(len(rows))
+    upper = np.empty(len(rows))
+    for sign, part in ((-1.0, cj <= 0.0), (1.0, cj > 0.0)):
+        if np.any(part):
+            bump = np.zeros(spec.n_modes)
+            bump[j] = sign
+            amps = sign * cj[part]
+            upper[part] = (func.bump_values(c0[part], amps, bump)
+                           + _bump_rounding(ctx, c0[part], amps, j))
+    return upper
+
+
+def _bump_rounding(ctx, c0, amps, j):
+    """A bound on how far `bump_values` of the fields c0[s] e_0 +
+    amps[s] (+-e_j) lies from their J on the grid, from its Taylor sums and
+    moments taken in absolute value.
+
+    On piece p of F (left end x_p, coefficients c_k, degree D), expand
+    sum_k |c_k| (|t_s - x_p| + h)^k about h = 0, t_s = c0[s] phi_0: its
+    coefficients a_m,p bound |F_p^(m)(t_s)| / m!, and at h = d |beta| (d =
+    amps[s], beta the grid values of e_j) they bound the Horner sum of the
+    grid's PPoly at t_s +- d beta as well.  With the absolute moments M_m =
+    sum_i w_i |beta_i|^m of the whole grid, every term either computation
+    sums, and every prefix sum `bump_values` differences into a piece sum,
+    is bounded in total by
+
+        A_s = sum_m d^m M_m sum_p a_m,p
+
+    over the pieces p the field's values meet.  Counting every rounding on
+    either side (two prefix sums and one quadrature sum of at most N terms,
+    a sum over the P pieces, Taylor shifts and Horner steps, and the
+    evaluation points that move by the unit roundoff u times their size,
+    which F' turns into at most D u A_s), the two values differ to first
+    order in u by at most gamma_n (A_s + Q_s), with n = 3N + P + 10D + 2,
+    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1) and Q_s the quadratic part of J.
+    """
+    spec, f = ctx.spectrum, ctx.functional.nonlinearity
+    fpp = f.fppoly
+    x = fpp.x
+    deg = len(fpp.c) - 1
+    powers = np.arange(deg + 1)[:, None]
+    beta = np.abs(spec.basis[:, j])
+    moments = beta ** powers @ spec.weights
+    t = c0 * spec.basis[0, 0]
+    reach = amps * np.max(beta)
+    slack = 4.0 * _UNIT_ROUNDOFF * (np.abs(t) + reach)
+    met = (x[:-1] <= (t + reach + slack)[:, None]) & (x[1:] >= (t - reach - slack)[:, None])
+    z = np.abs(t[:, None] - x[:-1])
+    coef = np.repeat(np.abs(fpp.c)[:, None, :], len(t), axis=1)
+    coef[-1] += abs(f._f0)
+    for i in range(deg):
+        for m in range(1, deg + 1 - i):
+            coef[m] += z * coef[m - 1]
+    taylor = np.sum(np.where(met, coef[::-1], 0.0), axis=2)  # (m, field)
+    absolute = moments @ (taylor * amps ** powers)
+    lam = spec.eigenvalues
+    quadratic = 0.5 * (lam[0] * c0 * c0 + lam[j] * amps * amps)
+    n = 3 * spec.basis.shape[0] + len(x) - 1 + 10 * deg + 2
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF) * (absolute + quadratic)
+
+
 def _bracket(ctx, rows):
-    """Closed-form (upper, lower) bounds of the reduced value of every row,
-    each row with a zero Y block.
+    """Lower bounds of the reduced value of every row, each row with a zero
+    Y block, and the rows' `_state` (u, J, Y-block gradient).
 
     y -> J(x + y) is m-strongly convex in the Sobolev metric, so at y = 0
 
         J(x) >= Jt(x) >= J(x) - |P_Y grad J(x)|_*^2 / (2m),
 
     with |g|_*^2 = sum_Y g_j^2 / (1 + lambda_j) the dual norm that
-    `_newton_block` tests against INNER_TOL.  No inner solve: one `_state`
-    pass per block of at most BLOCK_ELEMENTS grid values.  Both bounds are
-    widened by the relative rounding margin of an energy.
+    `_newton_block` tests against INNER_TOL; `_upper_bounds` gives the left
+    side.  No inner solve: one `_state` pass per block of at most
+    BLOCK_ELEMENTS grid values, and the lower bound is widened by the
+    relative rounding margin of an energy.  The state is the first Newton
+    iterate of a ranking of the rows (`_population`).
     """
     spec = ctx.spectrum
     h1_y = 1.0 + spec.eigenvalues[spec.y_indices]
     state = _state(ctx)
     block = max(1, BLOCK_ELEMENTS // spec.basis.shape[0])
-    upper = np.empty(len(rows))
-    lower = np.empty(len(rows))
-    for lo in range(0, len(rows), block):
-        _, energy, grad = state(rows[lo:lo + block])
-        upper[lo:lo + block] = energy
-        lower[lo:lo + block] = energy - np.sum(grad * grad / h1_y, axis=1) / (2.0 * ctx.m)
-    return (upper + _ENERGY_ROUNDING * (1.0 + np.abs(upper)),
-            lower - _ENERGY_ROUNDING * (1.0 + np.abs(lower)))
+    parts = [state(rows[lo:lo + block]) for lo in range(0, len(rows), block)]
+    u, energy, grad = (np.concatenate(p) for p in zip(*parts))
+    lower = energy - np.sum(grad * grad / h1_y, axis=1) / (2.0 * ctx.m)
+    return lower - _ENERGY_ROUNDING * (1.0 + np.abs(lower)), (u, energy, grad)
 
 
 def _contenders(upper, lower, weight):
@@ -260,6 +355,33 @@ def _contenders(upper, lower, weight):
     at_most = np.concatenate([[0], np.cumsum(weight[by_lower])])
     beaten = at_most[-1] - at_most[np.searchsorted(lower[by_lower], upper, side="right")]
     return beaten < _BEST
+
+
+def _live_orbits(upper, weight, lower_of):
+    """The orbits `_contenders` keeps, with lower bounds asked of
+    `lower_of(orbits)` only where they can still prune.
+
+    The orbits with the highest upper bounds that together hold `_BEST`
+    seeds come first; the `_BEST`-th best lower bound L of their seeds is
+    at most that of all seeds (-inf when all orbits hold fewer).  An orbit
+    whose upper bound lies below L is beaten by `_BEST` seeds, so
+    `_contenders` drops it, and its seeds' lower bounds lie below every
+    upper bound at least L, so they beat no orbit asked: it is dropped
+    without asking.  The rest, every orbit with upper bound at least L, is
+    asked next.  Returns the orbits asked, in the order asked, and the
+    mask of those kept.
+    """
+    by_upper = np.argsort(-upper, kind="stable")
+    head = int(np.searchsorted(np.cumsum(weight[by_upper]), _BEST)) + 1
+    first, rest = by_upper[:head], by_upper[head:]
+    lower = lower_of(first)
+    seeds = np.sort(np.repeat(lower, weight[first]))
+    floor = seeds[-_BEST] if seeds.size >= _BEST else -np.inf
+    second = rest[upper[rest] >= floor]
+    if second.size:
+        lower = np.concatenate([lower, lower_of(second)])
+    asked = np.concatenate([first, second])
+    return asked, _contenders(upper[asked], lower, weight[asked])
 
 
 def _seed_box(ctx: ReductionContext):
@@ -304,17 +426,23 @@ def maximize_reduced(ctx: ReductionContext):
     mirrors, and u -> -u when f is odd), which acts on X rows by signs,
     and psi maps the image of x to the image of psi(x), the unique
     minimizer.  The grid and the constants are closed under the group, so
-    only one representative row per orbit is bracketed and ranked, and
+    only one representative row per orbit is bounded and ranked, and
     every image takes its representative's value.
 
-    One batched pass evaluates the closed-form bracket of `_bracket` at
-    every representative.  An orbit whose upper bound lies below the lower
-    bounds of at least six seeds holds none of the six best seeds, so it
-    is dropped; the dropped orbit with the largest upper bound is beaten by
-    six seeds that are all kept, so at least six seeds stay.  One
-    population solve (`psi_population`) ranks the orbits left, probing
-    strong convexity on each of its steps, and stable ties keep seed order,
-    so the six best seeds are those of a ranking of every orbit.  Each of
+    Every representative first gets an upper bound J(x) >= Jt(x) at
+    y = 0 (`_upper_bounds`: in closed form for k <= 2, one grid pass of F
+    beyond).  An orbit whose upper bound lies below the lower bounds of at
+    least six seeds holds none of the six best seeds, so it is dropped;
+    the dropped orbit with the largest upper bound is beaten by six seeds
+    that are all kept, so at least six seeds stay.  A lower bound needs J
+    and its Y-block gradient on the grid (`_bracket`), so it is evaluated
+    only for the orbits that can still prune (`_live_orbits`): those with
+    the highest upper bounds that hold six seeds, then every orbit whose
+    upper bound reaches their sixth-best lower bound.  The orbits left are
+    exactly those a bracket of every orbit leaves.  One population solve
+    ranks them, starting from the bracket's state and probing strong
+    convexity on each of its steps, and stable ties keep seed order, so
+    the six best seeds are those of a ranking of every orbit.  Each of
     them, except a seed in the orbit of one already taken (it would end at
     an image of the same point), starts one `refine_critical` root solve
     of the full functional from x + psi(x), with psi warm-started from the
@@ -324,9 +452,10 @@ def maximize_reduced(ctx: ReductionContext):
     point is, with a note.  No ascent on the reduced functional is needed:
     the ranking brings the best seeds next to the maximizer, and the root
     solve converges to saddles as well as to maxima.  The record's
-    provenance gives the box, the numbers of seeds, orbits, ranked orbits
-    (rows Newton solved) and refines (root solves), and the Newton and
-    fallback steps of the ranking solve.  Raises MaxItersExceeded when no
+    provenance gives the box, the numbers of seeds, orbits, bracketed
+    orbits (lower bound evaluated on the grid), ranked orbits (rows Newton
+    solved) and refines (root solves), and the Newton and fallback steps
+    of the ranking solve.  Raises MaxItersExceeded when no
     root solve converges, and AsymmetricSlopes when the tails differ
     (`nonlinearity.coefficient_bound`).
     """
@@ -348,8 +477,16 @@ def maximize_reduced(ctx: ReductionContext):
     solved, orbit = np.unique(rep, return_inverse=True)
     rows = np.zeros((len(solved), spec.n_modes))
     rows[:, spec.x_indices] = [seeds[i] for i in solved]
-    live = np.flatnonzero(_contenders(*_bracket(ctx, rows), np.bincount(orbit)))
-    ranked = psi_population(ctx, rows[live])
+    states = []
+
+    def lower_of(orbits):
+        lower, state = _bracket(ctx, rows[orbits])
+        states.append(state)
+        return lower
+
+    asked, keep = _live_orbits(_upper_bounds(ctx, rows), np.bincount(orbit), lower_of)
+    live = asked[keep]
+    ranked = _population(ctx, rows[live], [np.concatenate(s)[keep] for s in zip(*states)])
     reduced = np.full(len(solved), -np.inf)
     lift = np.zeros_like(rows)
     reduced[live], lift[live] = ranked.values, ranked.y
@@ -379,8 +516,8 @@ def maximize_reduced(ctx: ReductionContext):
             func, points[j], "reduction_max",
             {"stage": "reduction", "functional": func.nonlinearity.label,
              "reduced_value": float(energies[j]), "k": k, "seed_box": box.tolist(),
-             "seeds": len(seeds), "orbits": len(solved), "ranked": len(live),
-             "refines": len(refined),
+             "seeds": len(seeds), "orbits": len(solved), "bracketed": len(asked),
+             "ranked": len(live), "refines": len(refined),
              "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
         )
         if rec.morse_index == k:

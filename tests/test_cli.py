@@ -60,6 +60,20 @@ def test_spectrum_and_check_write_to_out(tmp_path, capsys):
     assert json.loads((out_dir / "check.json").read_text())["five_pattern"] is True
 
 
+def test_spectrum_csv_writes_to_out(tmp_path, capsys):
+    """`spectrum --format csv --out D` writes the table printed without
+    `--out` to D/spectrum.csv and prints that path."""
+    assert main(["spectrum", "--format", "csv"]) == 0
+    table = capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["spectrum", "--format", "csv", "--out", str(out_dir)]) == 0
+    path = out_dir / "spectrum.csv"
+    assert capsys.readouterr().out.strip() == str(path)
+    assert path.read_text() == table
+    assert table.splitlines()[0] == "index,eigenvalue,mode,block"
+    assert len(table.splitlines()) == 1 + 16
+
+
 def test_solve_stage_subset(capsys):
     """The search stages run as a stage list of `run`; the constants alone
     give the five constant records.  `--seed` lands in the reported config."""

@@ -135,7 +135,8 @@ def test_reference_search_counts(monkeypatch):
     An energy evaluation on the grid is one field, so "value" counts the
     rows of the batch method `values` with the calls of `value`, and
     "values" counts the batches; "bump_values" counts the closed-form
-    energies of a first mountain-pass path, which evaluate no field.  A
+    energies of a first mountain-pass path and of the reduction's seed
+    orbits, which evaluate no field.  A
     second run repeats them, and the reduction's orbit and refine counts
     with them."""
     counted = ("value", "gradient", "l2_gradient", "hessian_pencil", "morse_data",
@@ -179,9 +180,10 @@ def test_reference_search_counts(monkeypatch):
     # dropped; the homotopy samples only its base member, whose seeds alone
     # give R = 2 x 7.208 past B(0), so it draws no random start, and none of
     # its seeds lies on the line of constant fields off the zeros,
-    # and the reduction solves psi once per orbit and runs one root solve
-    # per orbit of its six best seeds, building the record of the best
-    # point only.  The orbit passes start from the image records of the
+    # and the reduction bounds its orbits from above in closed form (one
+    # `bump_values`), solves psi once per orbit that can still reach its six
+    # best seeds and runs one root solve per orbit of those seeds, building
+    # the record of the best point only.  The orbit passes start from the image records of the
     # points the ledger holds; the four images that meet GRAD_TOL at the
     # first evaluation keep those records and build none.  Each pass
     # starts from the wide path, whose energies are closed-form (one
@@ -193,7 +195,7 @@ def test_reference_search_counts(monkeypatch):
     # energy, gradient and Morse data off one scalar and assemble no
     # Hessian
     assert runs[0] == ([5, None, 5],
-                       {"value": 36, "bump_values": 2,
+                       {"value": 36, "bump_values": 3,
                         "gradient": 26, "l2_gradient": 77,
                         "hessian_pencil": 16, "morse_data": 15},
                        28, 3)

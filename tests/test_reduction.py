@@ -212,16 +212,17 @@ def _reference_orbits(ctx):
 
 
 def _capture_ranking(ctx, monkeypatch):
-    """The maximizer and the rows of every psi_population call it makes:
-    the ranking first, then one row per root solve."""
+    """The maximizer and the rows of every population solve it makes, as
+    they enter it: the ranking first, then one row per root solve (its
+    `psi` lift)."""
     calls = []
-    population = reduction.psi_population
+    population = reduction._population
 
-    def capture(ctx, rows, y0=None):
+    def capture(ctx, rows, start=None):
         calls.append(np.array(rows))
-        return population(ctx, rows, y0)
+        return population(ctx, rows, start)
 
-    monkeypatch.setattr(reduction, "psi_population", capture)
+    monkeypatch.setattr(reduction, "_population", capture)
     rec = maximize_reduced(ctx)
     monkeypatch.undo()
     return rec, calls
@@ -272,17 +273,19 @@ def test_maximize_reduced_counts_repeat(ref5_ctx):
     counts = []
     for _ in range(2):
         prov = maximize_reduced(ref5_ctx).provenance
-        counts.append((prov["seeds"], prov["orbits"], prov["ranked"], prov["refines"],
-                       prov["newton_steps"], prov["fallback_steps"]))
+        counts.append((prov["seeds"], prov["orbits"], prov["bracketed"], prov["ranked"],
+                       prov["refines"], prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
-    seeds, orbits, ranked, refines, newton, fallback = counts[0]
+    seeds, orbits, bracketed, ranked, refines, newton, fallback = counts[0]
     assert seeds == 9 ** 2 + 5   # the grid over the seed box and the five constants
     # mirror and negation pair grid index i with 8 - i on either axis (5 x 5
     # orbits) and the constants t with -t (3 orbits); the six best seeds
     # are three mirror pairs
     assert (orbits, refines) == (5 * 5 + 3, 3)
-    # the bracket at y = 0 rules out 24 orbits; Newton ranks the other 4
-    assert (ranked, newton, fallback) == (4, 12, 0)
+    # the closed-form upper bounds leave 4 orbits that can still reach the
+    # six best seeds: only they are bracketed on the grid, and the bracket
+    # at y = 0 rules out none of them, so Newton ranks all 4
+    assert (bracketed, ranked, newton, fallback) == (4, 4, 12, 0)
 
 
 def _box_bound(ctx):

@@ -1,4 +1,4 @@
-"""The closed-form bracket that `maximize_reduced` ranks its seeds by.
+"""The bounds that `maximize_reduced` prunes its seed orbits by.
 
 y -> J(x + y) is m-strongly convex in the Sobolev metric, so at y = 0
 
@@ -7,13 +7,16 @@ y -> J(x + y) is m-strongly convex in the Sobolev metric, so at y = 0
 with |g|_*^2 = sum_Y g_j^2 / (1 + lambda_j).  It is checked on random
 points of the seed box against psi_population's reduced values, on the
 reference, its k = 3 variant (crossing and tail slopes 5) and the variant
-whose top zero moves to 2.25 (f not odd).  Dropping the orbits the bracket
-rules out must leave the root solves of a full ranking as they are.
+whose top zero moves to 2.25 (f not odd).  For k <= 2 the upper bound is
+the closed form of `bump_values` widened by a derived rounding bound,
+checked on the rectangle as well.  Asking lower bounds in two batches
+must keep the orbits a full bracket keeps, and dropping the orbits the
+bounds rule out must leave the root solves of a full ranking as they are.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neucrit as nc
@@ -46,14 +49,16 @@ CONTEXTS = {name: _context(name) for name in KNOTS}
                      min_size=1, max_size=6))
 def test_bracket_holds_the_reduced_value(name, unit):
     """On points of the seed box, J and its Y-block gradient at y = 0
-    bracket the reduced value psi_population finds, to rounding; so does
-    `_bracket`, the widened form `maximize_reduced` ranks by."""
+    bracket the reduced value psi_population finds, to rounding; so do
+    `_upper_bounds` and `_bracket`'s lower bounds, the widened forms
+    `maximize_reduced` prunes by."""
     ctx = CONTEXTS[name]
     spec, func = ctx.spectrum, ctx.functional
     rows = np.zeros((len(unit), spec.n_modes))
     rows[:, spec.x_indices] = np.asarray(unit)[:, :ctx.k] * reduction._seed_box(ctx)
     reduced = psi_population(ctx, rows).values
-    upper, lower = reduction._bracket(ctx, rows)
+    upper = reduction._upper_bounds(ctx, rows)
+    lower, _ = reduction._bracket(ctx, rows)
     h1_y = 1.0 + spec.eigenvalues[spec.y_indices]
     for x, jt, hi, lo in zip(rows, reduced, upper, lower):
         j = func.value(x)
@@ -80,16 +85,74 @@ def _refine_starts(ctx, monkeypatch):
 @pytest.mark.parametrize("name", ["reference", "k3", "not odd", "flip"])
 def test_bracket_keeps_the_refined_orbits(name, monkeypatch):
     """The root solves start from the same seeds, in the same order, as
-    when Newton ranks every orbit, and end at the same maximizer."""
+    when Newton ranks every orbit, and end at the same maximizer.  With
+    every upper bound infinite no orbit can be ruled out, so every orbit
+    is bracketed on the grid and ranked."""
     ctx = CONTEXTS[name]
     rec, starts = _refine_starts(ctx, monkeypatch)
-    monkeypatch.setattr(reduction, "_bracket",
-                        lambda ctx, rows: (np.full(len(rows), np.inf),
-                                           np.full(len(rows), -np.inf)))
+    monkeypatch.setattr(reduction, "_upper_bounds",
+                        lambda ctx, rows: np.full(len(rows), np.inf))
     full, full_starts = _refine_starts(ctx, monkeypatch)
     prov, full_prov = rec.provenance, full.provenance
-    assert full_prov["ranked"] == full_prov["orbits"] == prov["orbits"]
-    assert prov["ranked"] < prov["orbits"]
+    assert full_prov["ranked"] == full_prov["bracketed"] == full_prov["orbits"] == prov["orbits"]
+    assert prov["ranked"] <= prov["bracketed"] < prov["orbits"]
     assert np.array_equal(starts, full_starts)
     assert rec.energy == pytest.approx(full.energy, rel=1e-12)
     assert rec.morse_index == full.morse_index == ctx.k
+
+
+RECTANGLE = nc.make_reduction_context(nc.EnergyFunctional(
+    nc.split_spectrum(nc.build_spectrum(nc.Domain("rectangle", (np.pi, 1.5)), 16), 2.5),
+    nc.build_nonlinearity(REF5_KNOTS, 2.5, 2.5)))
+
+
+@pytest.mark.parametrize("name", ["rectangle", "reference", "not odd"])
+def test_closed_form_upper_bound(name, monkeypatch):
+    """For k <= 2 a seed row is c_0 e_0 + c_j e_j, and `_upper_bounds`
+    takes J there from `bump_values` in closed form, widened by
+    `_bump_rounding`.  It stays above psi_population's reduced value on
+    rows with c_j < 0, c_j > 0 and c_j = 0.  A row with c_j = 0 is a
+    constant, whose reduced value is its J on the grid; the closed form
+    differs from that by rounding, so on the rectangle the unwidened form
+    falls below it on some of them."""
+    ctx = RECTANGLE if name == "rectangle" else CONTEXTS[name]
+    spec = ctx.spectrum
+    j = spec.x_indices[1]
+    b0, bj = reduction._seed_box(ctx)
+    c0, cj = np.meshgrid(np.linspace(-b0, b0, 41), np.linspace(-bj, bj, 5) * 0.9,
+                         indexing="ij")
+    rows = np.zeros((c0.size, spec.n_modes))
+    rows[:, 0], rows[:, j] = c0.ravel(), cj.ravel()
+    assert {np.sign(c) for c in rows[:, j]} == {-1.0, 0.0, 1.0}
+    reduced = psi_population(ctx, rows).values
+    assert np.all(reduction._upper_bounds(ctx, rows) >= reduced)
+    if name == "rectangle":
+        monkeypatch.setattr(reduction, "_bump_rounding", lambda ctx, c0, amps, j: 0.0)
+        assert np.any(reduction._upper_bounds(ctx, rows) < reduced)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbits=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.sampled_from([1, 2, 4])),
+                       min_size=1, max_size=12))
+@example(orbits=[(3, 0, 1), (3, 2, 2), (1, 1, 1)])
+def test_two_batches_keep_the_contenders(orbits):
+    """Asking lower bounds in two batches, first of the orbits with the
+    highest upper bounds that hold six seeds, then of every orbit whose
+    upper bound reaches their sixth-best lower bound, keeps exactly the
+    orbits `_contenders` keeps when every lower bound is known.  Bounds
+    tie often here, and the orbits may hold fewer than six seeds in all.
+    No orbit is asked twice."""
+    upper = np.array([u for u, _, _ in orbits], dtype=float)
+    lower = upper - np.array([gap for _, gap, _ in orbits])
+    weight = np.array([w for _, _, w in orbits])
+    asked_in_calls = []
+
+    def lower_of(idx):
+        asked_in_calls.extend(idx.tolist())
+        return lower[idx]
+
+    asked, keep = reduction._live_orbits(upper, weight, lower_of)
+    assert asked.tolist() == asked_in_calls
+    assert len(set(asked_in_calls)) == len(asked_in_calls)
+    assert np.array_equal(np.sort(asked[keep]),
+                          np.flatnonzero(reduction._contenders(upper, lower, weight)))
