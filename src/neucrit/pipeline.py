@@ -39,7 +39,14 @@ from .solvers import (
     mountain_pass,
     multistart,
 )
-from .spectrum import Domain, build_spectrum, quad_points_per_axis, split_spectrum
+from .spectrum import (
+    RESONANCE_TOL,
+    Domain,
+    build_spectrum,
+    neumann_modes,
+    quad_points_per_axis,
+    split_spectrum,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -151,6 +158,28 @@ def _check_points(name: str, points, size: int):
             raise ConfigError(f"bad {name} entry {p!r}")
 
 
+def _check_whole_clusters(domain, modes):
+    """Raise ConfigError when the first `modes` eigenpairs end inside a
+    cluster of eigenvalues closer than RESONANCE_TOL, naming the nearest
+    counts that end between clusters.  The truncation would keep part of
+    an eigenspace and break the domain's symmetry (on the square
+    [0, pi]^2 the modes (4, 0) and (0, 4) share the eigenvalue 16)."""
+    eigs = []
+    for lam, _ in neumann_modes(domain.lengths):
+        if len(eigs) > modes and lam - eigs[-1] >= RESONANCE_TOL:
+            break
+        eigs.append(lam)
+    if eigs[modes] - eigs[modes - 1] >= RESONANCE_TOL:
+        return
+    cuts = [n for n in range(1, modes) if eigs[n] - eigs[n - 1] >= RESONANCE_TOL]
+    start = cuts[-1] if cuts else 0
+    nearest = [n for n in (start, len(eigs)) if n >= 2]
+    raise ConfigError(
+        f"modes={modes} splits the eigenvalue {eigs[modes - 1]:.6g} of modes {start + 1} "
+        f"to {len(eigs)}; use modes={' or '.join(map(str, nearest))}"
+    )
+
+
 def validate_config(config: dict) -> dict:
     """Check a config dict; raises ConfigError on the first fault.
 
@@ -180,9 +209,12 @@ def validate_config(config: dict) -> dict:
         _check_section(name, cfg.get(name, {}), schema)
 
     try:
-        quad_points_per_axis(Domain(**cfg["domain"]), modes)
+        domain = Domain(**cfg["domain"])
+        quad_points_per_axis(domain, modes)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad domain: {e}")
+    if domain.ndim > 1:  # an interval's eigenvalues are simple
+        _check_whole_clusters(domain, modes)
 
     nl = cfg["nonlinearity"]
     for key in ("knots", "slope_minus_inf", "slope_plus_inf"):

@@ -14,11 +14,10 @@ is expected to be k.  Strong convexity brackets Jt(x) in closed form from
 J and its Y-block gradient at x alone, with no inner solve.  The upper
 end, J(x), needs no grid pass for k <= 2, where a seed is a constant plus
 a multiple of one mode (`EnergyFunctional.bump_values`); the lower end
-needs the field on the grid (`_bracket`).  `maximize_reduced` rules out
-the seeds of a grid that the bracket puts below six others, evaluating
-lower bounds only for the seeds whose upper bounds can still reach the
-six best, ranks the rest by Jt and finds the maximizer by root solves of
-the full gradient from the best seeds.
+needs the field on the grid (`_bracket`).  `maximize_reduced` brackets
+only the seed orbits whose upper bounds can still reach the six best
+lower bounds, ranks those by Jt and finds the maximizer by root solves
+of the full gradient from the best-ranked orbits.
 """
 
 from __future__ import annotations
@@ -342,46 +341,34 @@ def _bracket(ctx, rows):
     return lower - _ENERGY_ROUNDING * (1.0 + np.abs(lower)), (u, energy, grad)
 
 
-def _contenders(upper, lower, weight):
-    """Mask of the orbits that fewer than `_BEST` seeds certainly beat.
-
-    A seed certainly beats an orbit when its lower bound exceeds the
-    orbit's upper bound; no orbit beats itself, as its lower bound is at
-    most its upper bound.  `weight` holds each orbit's seed count.  One
-    sort and one `searchsorted` over the lower bounds, no orbits x orbits
-    array.
-    """
-    by_lower = np.argsort(lower)
-    at_most = np.concatenate([[0], np.cumsum(weight[by_lower])])
-    beaten = at_most[-1] - at_most[np.searchsorted(lower[by_lower], upper, side="right")]
-    return beaten < _BEST
+def _leading(order, weight):
+    """The first orbits of `order` that together hold `_BEST` seeds (all of
+    them when they hold fewer); `weight` holds each orbit's seed count."""
+    return order[:int(np.searchsorted(np.cumsum(weight[order]), _BEST)) + 1]
 
 
-def _live_orbits(upper, weight, lower_of):
-    """The orbits `_contenders` keeps, with lower bounds asked of
-    `lower_of(orbits)` only where they can still prune.
+def _live_orbits(ctx, rows, upper, weight):
+    """Bracket (`_bracket`) every orbit that can hold one of the `_BEST`
+    best seeds; return those orbits, in the order bracketed, and their
+    `_state` (u, J, Y-block gradient).
 
     The orbits with the highest upper bounds that together hold `_BEST`
-    seeds come first; the `_BEST`-th best lower bound L of their seeds is
-    at most that of all seeds (-inf when all orbits hold fewer).  An orbit
-    whose upper bound lies below L is beaten by `_BEST` seeds, so
-    `_contenders` drops it, and its seeds' lower bounds lie below every
-    upper bound at least L, so they beat no orbit asked: it is dropped
-    without asking.  The rest, every orbit with upper bound at least L, is
-    asked next.  Returns the orbits asked, in the order asked, and the
-    mask of those kept.
+    seeds (`_leading`) are bracketed first; the `_BEST`-th best lower
+    bound L of their seeds is at most that of all seeds.  An orbit whose
+    upper bound lies below L is beaten by `_BEST` seeds, so it is dropped
+    unbracketed; every other orbit is bracketed next.  So every orbit
+    whose upper bound reaches the `_BEST`-th best lower bound of all seeds
+    is returned.
     """
     by_upper = np.argsort(-upper, kind="stable")
-    head = int(np.searchsorted(np.cumsum(weight[by_upper]), _BEST)) + 1
-    first, rest = by_upper[:head], by_upper[head:]
-    lower = lower_of(first)
-    seeds = np.sort(np.repeat(lower, weight[first]))
-    floor = seeds[-_BEST] if seeds.size >= _BEST else -np.inf
+    first = _leading(by_upper, weight)
+    lower, state = _bracket(ctx, rows[first])
+    floor = np.sort(np.repeat(lower, weight[first]))[-_BEST:][0]
+    rest = by_upper[len(first):]
     second = rest[upper[rest] >= floor]
     if second.size:
-        lower = np.concatenate([lower, lower_of(second)])
-    asked = np.concatenate([first, second])
-    return asked, _contenders(upper[asked], lower, weight[asked])
+        state = [np.concatenate(p) for p in zip(state, _bracket(ctx, rows[second])[1])]
+    return np.concatenate([first, second]), state
 
 
 def _seed_box(ctx: ReductionContext):
@@ -431,33 +418,28 @@ def maximize_reduced(ctx: ReductionContext):
 
     Every representative first gets an upper bound J(x) >= Jt(x) at
     y = 0 (`_upper_bounds`: in closed form for k <= 2, one grid pass of F
-    beyond).  An orbit whose upper bound lies below the lower bounds of at
-    least six seeds holds none of the six best seeds, so it is dropped;
-    the dropped orbit with the largest upper bound is beaten by six seeds
-    that are all kept, so at least six seeds stay.  A lower bound needs J
-    and its Y-block gradient on the grid (`_bracket`), so it is evaluated
-    only for the orbits that can still prune (`_live_orbits`): those with
-    the highest upper bounds that hold six seeds, then every orbit whose
-    upper bound reaches their sixth-best lower bound.  The orbits left are
-    exactly those a bracket of every orbit leaves.  One population solve
-    ranks them, starting from the bracket's state and probing strong
-    convexity on each of its steps, and stable ties keep seed order, so
-    the six best seeds are those of a ranking of every orbit.  Each of
-    them, except a seed in the orbit of one already taken (it would end at
-    an image of the same point), starts one `refine_critical` root solve
-    of the full functional from x + psi(x), with psi warm-started from the
-    seed's row of the ranking solve.  The maximizer is a critical point
-    of J with full Hessian index k, so the highest-energy point of index k
-    among the solves is returned; when none has index k, the highest-energy
+    beyond).  A lower bound needs J and its Y-block gradient on the grid
+    (`_bracket`), so `_live_orbits` brackets only the orbits with the
+    highest upper bounds that hold six seeds, then every orbit whose upper
+    bound reaches their sixth-best lower bound; every other orbit lies
+    below six seeds, so none of its seeds is among the six best.  One
+    population solve ranks the bracketed orbits, starting from the
+    bracket's state and probing strong convexity on each of its steps.
+    The best-ranked orbits that hold six seeds (`_leading`, ties in orbit
+    order) each start one `refine_critical` root solve of the full
+    functional from x + psi(x), with psi warm-started from the orbit's row
+    of the ranking solve; another seed of the orbit would end at an image
+    of the same point.  The maximizer is a critical point of J with full
+    Hessian index k, so the highest-energy point of index k among the
+    solves is returned; when none has index k, the highest-energy
     point is, with a note.  No ascent on the reduced functional is needed:
     the ranking brings the best seeds next to the maximizer, and the root
     solve converges to saddles as well as to maxima.  The record's
-    provenance gives the box, the numbers of seeds, orbits, bracketed
-    orbits (lower bound evaluated on the grid), ranked orbits (rows Newton
-    solved) and refines (root solves), and the Newton and fallback steps
-    of the ranking solve.  Raises MaxItersExceeded when no
-    root solve converges, and AsymmetricSlopes when the tails differ
-    (`nonlinearity.coefficient_bound`).
+    provenance gives the box, the numbers of seeds, orbits, ranked orbits
+    (bracketed on the grid and Newton solved) and refines (root solves),
+    and the Newton and fallback steps of the ranking solve.  Raises
+    MaxItersExceeded when no root solve converges, and AsymmetricSlopes
+    when the tails differ (`nonlinearity.coefficient_bound`).
     """
     spec = ctx.spectrum
     func = ctx.functional
@@ -473,41 +455,28 @@ def maximize_reduced(ctx: ReductionContext):
     for t in zeros:
         seeds.append(spec.constant_field(t)[spec.x_indices])
     signs = spec.symmetry_signs(func.nonlinearity.odd)[:, spec.x_indices]
-    rep = _orbit_representatives(signs, n, zeros)
-    solved, orbit = np.unique(rep, return_inverse=True)
+    solved, orbit = np.unique(_orbit_representatives(signs, n, zeros), return_inverse=True)
+    weight = np.bincount(orbit)
     rows = np.zeros((len(solved), spec.n_modes))
     rows[:, spec.x_indices] = [seeds[i] for i in solved]
-    states = []
 
-    def lower_of(orbits):
-        lower, state = _bracket(ctx, rows[orbits])
-        states.append(state)
-        return lower
-
-    asked, keep = _live_orbits(_upper_bounds(ctx, rows), np.bincount(orbit), lower_of)
-    live = asked[keep]
-    ranked = _population(ctx, rows[live], [np.concatenate(s)[keep] for s in zip(*states)])
+    live, state = _live_orbits(ctx, rows, _upper_bounds(ctx, rows), weight)
+    ranked = _population(ctx, rows[live], state)
     reduced = np.full(len(solved), -np.inf)
     lift = np.zeros_like(rows)
     reduced[live], lift[live] = ranked.values, ranked.y
-    # ties (images) keep their seed order, so an orbit's first seed, its
-    # representative, leads it
-    order = np.argsort(-reduced[orbit], kind="stable")
+    # ties keep orbit order, the order of the orbits' first seeds
+    starts = _leading(np.argsort(-reduced, kind="stable"), weight)
 
     points = []
-    refined = set()
-    for i in order[:_BEST]:
-        if rep[i] in refined:
-            continue
-        refined.add(rep[i])
-        x = rows[orbit[i]]
-        u = refine_critical(func, x + psi(ctx, x, y0=lift[orbit[i]]))
+    for i in starts:
+        u = refine_critical(func, rows[i] + psi(ctx, rows[i], y0=lift[i]))
         if u is not None:
             points.append(u)
     if not points:
         raise MaxItersExceeded("no root solve from the best reduction seeds converged")
 
-    # records in order of energy, ties in seed order, until one has index k;
+    # records in order of energy, ties in start order, until one has index k;
     # when none has, the highest-energy one is kept with a note
     energies = np.array([func.value(u) for u in points])
     kept = None
@@ -516,8 +485,8 @@ def maximize_reduced(ctx: ReductionContext):
             func, points[j], "reduction_max",
             {"stage": "reduction", "functional": func.nonlinearity.label,
              "reduced_value": float(energies[j]), "k": k, "seed_box": box.tolist(),
-             "seeds": len(seeds), "orbits": len(solved), "bracketed": len(asked),
-             "ranked": len(live), "refines": len(refined),
+             "seeds": len(seeds), "orbits": len(solved), "ranked": len(live),
+             "refines": len(starts),
              "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
         )
         if rec.morse_index == k:

@@ -17,6 +17,7 @@ basis is the identity up to roundoff.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ __all__ = [
     "EigenPair",
     "SpectrumSlice",
     "build_spectrum",
+    "neumann_modes",
     "quad_points_per_axis",
     "resonance_margin",
     "split_spectrum",
@@ -137,6 +139,29 @@ def quad_points_per_axis(domain: Domain, n_modes: int) -> int:
     return qp
 
 
+def neumann_modes(lengths):
+    """Every Neumann mode of the box with side `lengths`, as an endless
+    stream of (eigenvalue, mode tuple) in ascending order of eigenvalue,
+    ties in lexicographic order of the mode.
+
+    A mode's one parent is the mode one lower on its last nonzero axis,
+    whose eigenvalue is at most its own, so a heap seeded with the zero
+    mode and fed each popped mode's children yields them in order.
+    """
+    ndim = len(lengths)
+
+    def entry(mode):
+        return sum((j * np.pi / L) ** 2 for L, j in zip(lengths, mode)), mode
+
+    heap = [entry((0,) * ndim)]
+    while True:
+        lam, mode = heapq.heappop(heap)
+        yield lam, mode
+        last = max((a for a in range(ndim) if mode[a]), default=0)
+        for a in range(last, ndim):
+            heapq.heappush(heap, entry(mode[:a] + (mode[a] + 1,) + mode[a + 1:]))
+
+
 class SpectrumSlice:
     """The first `n_modes` Neumann eigenpairs on a domain, plus transforms.
 
@@ -166,23 +191,18 @@ class SpectrumSlice:
         self.domain = domain
         self.n_modes = int(n_modes)
 
-        per_axis = self.n_modes  # candidate pool; the n smallest use indices < n
         self.quad_points = qp = quad_points_per_axis(domain, self.n_modes)
 
         # the box is a product of intervals: its grid, weights, eigenvalues
         # and eigenfunctions are tensor products of the axis ones
         xs, ws = zip(*(_axis_nodes_weights(L, qp) for L in domain.lengths))
-        cols = [_axis_basis(L, x, per_axis - 1) for L, x in zip(domain.lengths, xs)]
-        lams = [[(j * np.pi / L) ** 2 for j in range(per_axis)] for L in domain.lengths]
-
-        def eigenvalue(mode):
-            return sum(lam[j] for lam, j in zip(lams, mode))
-
-        self.modes = sorted(itertools.product(range(per_axis), repeat=domain.ndim),
-                            key=lambda m: (eigenvalue(m), m))[: self.n_modes]
+        eigs, modes = zip(*itertools.islice(neumann_modes(domain.lengths), self.n_modes))
+        self.modes = list(modes)
+        # the n smallest modes use axis indices below n
+        cols = [_axis_basis(L, x, self.n_modes - 1) for L, x in zip(domain.lengths, xs)]
         # 1 where a mode is odd along an axis, one row per mode
         self.parity = np.array(self.modes) % 2
-        self.eigenvalues = eigs = np.array([eigenvalue(m) for m in self.modes])
+        self.eigenvalues = eigs = np.array(eigs)
         self.points = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=1)
         self.weights = _tensor(ws)
         self.basis = np.stack(

@@ -195,6 +195,12 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["check", "--config", qp]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    # 16 modes on the square split the eigenvalue 16 of (4, 0) and (0, 4)
+    square = write_config(tmp_path, lambda cfg: cfg.update(
+        domain={"kind": "rectangle", "lengths": [3.141592653589793] * 2}), name="square.json")
+    assert main(["run", "--config", square, "--out", str(tmp_path / "square")]) == 1
+    assert capsys.readouterr().err.startswith("config error: modes=16 splits")
+    assert not (tmp_path / "square").exists()
     # nodes no cubic piece can join: a blend margin whose cube underflows,
     # two knots at one abscissa, a shape point on a knot, and a knot so far
     # out that rounding would break the C1 joins

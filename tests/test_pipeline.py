@@ -499,6 +499,25 @@ def test_validate_config_errors():
             validate_config(bad)
 
 
+def test_modes_keep_whole_clusters():
+    """A `modes` count that ends inside a cluster of equal eigenvalues is a
+    ConfigError naming the nearest whole counts: on the square [0, pi]^2
+    the 16th and 17th modes, (4, 0) and (0, 4), share the eigenvalue 16.
+    15 and 17 modes keep it whole, and the rectangle [0, pi] x [0, 1.5]
+    at 16 modes ends between clusters."""
+    def rectangle(lengths, modes):
+        cfg = reference_config()
+        cfg["domain"] = {"kind": "rectangle", "lengths": lengths}
+        cfg["modes"] = modes
+        return cfg
+
+    with pytest.raises(nc.ConfigError, match=r"modes=16 splits .* use modes=15 or 17"):
+        validate_config(rectangle([np.pi, np.pi], 16))
+    for modes in (15, 17):
+        assert validate_config(rectangle([np.pi, np.pi], modes))["modes"] == modes
+    assert validate_config(rectangle([np.pi, 1.5], 16))["modes"] == 16
+
+
 def test_stage_subset_runs_partial():
     cfg = reference_config()
     cfg["stages"] = ["constants", "ledger"]

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -273,19 +274,39 @@ def test_maximize_reduced_counts_repeat(ref5_ctx):
     counts = []
     for _ in range(2):
         prov = maximize_reduced(ref5_ctx).provenance
-        counts.append((prov["seeds"], prov["orbits"], prov["bracketed"], prov["ranked"],
-                       prov["refines"], prov["newton_steps"], prov["fallback_steps"]))
+        counts.append((prov["seeds"], prov["orbits"], prov["ranked"], prov["refines"],
+                       prov["newton_steps"], prov["fallback_steps"]))
     assert counts[0] == counts[1]
-    seeds, orbits, bracketed, ranked, refines, newton, fallback = counts[0]
+    seeds, orbits, ranked, refines, newton, fallback = counts[0]
     assert seeds == 9 ** 2 + 5   # the grid over the seed box and the five constants
     # mirror and negation pair grid index i with 8 - i on either axis (5 x 5
     # orbits) and the constants t with -t (3 orbits); the six best seeds
     # are three mirror pairs
     assert (orbits, refines) == (5 * 5 + 3, 3)
     # the closed-form upper bounds leave 4 orbits that can still reach the
-    # six best seeds: only they are bracketed on the grid, and the bracket
-    # at y = 0 rules out none of them, so Newton ranks all 4
-    assert (bracketed, ranked, newton, fallback) == (4, 4, 12, 0)
+    # six best seeds: only they are bracketed on the grid and Newton ranked
+    assert (ranked, newton, fallback) == (4, 12, 0)
+
+
+def test_maximize_reduced_nonlinearity_work(ref5_ctx, monkeypatch):
+    """Evaluation counts are deterministic, so one reduction on the
+    reference pins its nonlinearity work: the grid values and calls of f,
+    f' and F, counted by wrapping `Nonlinearity` as the reference run's
+    search counts are.  A choice of orbits that brackets, ranks or refines
+    more than these does more of this work."""
+    values, calls = Counter(), Counter()
+    for name in ("__call__", "deriv", "primitive"):
+        method = getattr(nc.Nonlinearity, name)
+
+        def wrapper(self, t, method=method, name=name):
+            values[name] += np.size(t)
+            calls[name] += 1
+            return method(self, t)
+
+        monkeypatch.setattr(nc.Nonlinearity, name, wrapper)
+    maximize_reduced(ref5_ctx)
+    assert dict(values) == {"__call__": 20_480, "deriv": 8_192, "primitive": 11_776}
+    assert dict(calls) == {"__call__": 29, "deriv": 7, "primitive": 12}
 
 
 def _box_bound(ctx):

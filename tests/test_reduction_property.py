@@ -9,8 +9,8 @@ points of the seed box against psi_population's reduced values, on the
 reference, its k = 3 variant (crossing and tail slopes 5) and the variant
 whose top zero moves to 2.25 (f not odd).  For k <= 2 the upper bound is
 the closed form of `bump_values` widened by a derived rounding bound,
-checked on the rectangle as well.  Asking lower bounds in two batches
-must keep the orbits a full bracket keeps, and dropping the orbits the
+checked on the rectangle as well.  Bracketing in two batches must keep
+every orbit a bracket of every orbit keeps, and dropping the orbits the
 bounds rule out must leave the root solves of a full ranking as they are.
 """
 
@@ -87,15 +87,15 @@ def test_bracket_keeps_the_refined_orbits(name, monkeypatch):
     """The root solves start from the same seeds, in the same order, as
     when Newton ranks every orbit, and end at the same maximizer.  With
     every upper bound infinite no orbit can be ruled out, so every orbit
-    is bracketed on the grid and ranked."""
+    is ranked."""
     ctx = CONTEXTS[name]
     rec, starts = _refine_starts(ctx, monkeypatch)
     monkeypatch.setattr(reduction, "_upper_bounds",
                         lambda ctx, rows: np.full(len(rows), np.inf))
     full, full_starts = _refine_starts(ctx, monkeypatch)
     prov, full_prov = rec.provenance, full.provenance
-    assert full_prov["ranked"] == full_prov["bracketed"] == full_prov["orbits"] == prov["orbits"]
-    assert prov["ranked"] <= prov["bracketed"] < prov["orbits"]
+    assert full_prov["ranked"] == full_prov["orbits"] == prov["orbits"]
+    assert prov["ranked"] < prov["orbits"]
     assert np.array_equal(starts, full_starts)
     assert rec.energy == pytest.approx(full.energy, rel=1e-12)
     assert rec.morse_index == full.morse_index == ctx.k
@@ -135,24 +135,33 @@ def test_closed_form_upper_bound(name, monkeypatch):
 @given(orbits=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.sampled_from([1, 2, 4])),
                        min_size=1, max_size=12))
 @example(orbits=[(3, 0, 1), (3, 2, 2), (1, 1, 1)])
-def test_two_batches_keep_the_contenders(orbits):
-    """Asking lower bounds in two batches, first of the orbits with the
-    highest upper bounds that hold six seeds, then of every orbit whose
-    upper bound reaches their sixth-best lower bound, keeps exactly the
-    orbits `_contenders` keeps when every lower bound is known.  Bounds
-    tie often here, and the orbits may hold fewer than six seeds in all.
-    No orbit is asked twice."""
+def test_live_orbits_keep_the_contenders(orbits):
+    """`_live_orbits`, with `_bracket` faked from drawn bounds, returns
+    every orbit whose upper bound reaches the sixth-best lower bound over
+    all seeds: every orbit fewer than six seeds certainly beat, which a
+    bracket of every orbit would keep.  Bounds tie often here, and the
+    orbits may hold fewer than six seeds in all.  It brackets no orbit
+    twice, in at most two calls, and hands back the state of the orbits
+    it returns, in their order."""
     upper = np.array([u for u, _, _ in orbits], dtype=float)
     lower = upper - np.array([gap for _, gap, _ in orbits])
     weight = np.array([w for _, _, w in orbits])
-    asked_in_calls = []
+    rows = np.arange(len(orbits), dtype=float)[:, None]
+    calls = []
 
-    def lower_of(idx):
-        asked_in_calls.extend(idx.tolist())
-        return lower[idx]
+    def bracket(ctx, rows):
+        idx = rows[:, 0].astype(int)
+        calls.append(idx.tolist())
+        return lower[idx], (idx, idx, idx)
 
-    asked, keep = reduction._live_orbits(upper, weight, lower_of)
-    assert asked.tolist() == asked_in_calls
-    assert len(set(asked_in_calls)) == len(asked_in_calls)
-    assert np.array_equal(np.sort(asked[keep]),
-                          np.flatnonzero(reduction._contenders(upper, lower, weight)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_bracket", bracket)
+        live, state = reduction._live_orbits(None, rows, upper, weight)
+    seeds = np.sort(np.repeat(lower, weight))
+    floor = seeds[-reduction._BEST] if seeds.size >= reduction._BEST else -np.inf
+    assert set(np.flatnonzero(upper >= floor)) <= set(live.tolist())
+    bracketed = [i for call in calls for i in call]
+    assert len(calls) <= 2
+    assert bracketed == live.tolist()
+    assert len(set(bracketed)) == len(bracketed)
+    assert all(np.array_equal(s, live) for s in state)
