@@ -31,8 +31,8 @@ def main():
           " cos^3 = (3 cos + cos 3x)/4 demands)")
 
     dom2 = nc.Domain("rectangle", (math.pi, math.pi), 64)
-    spec2 = nc.build_spectrum(dom2, 10)
-    print("\nsquare [0, pi]^2, first 10 modes, sorted by eigenvalue")
+    spec2 = nc.build_spectrum(dom2, 11)
+    print("\nsquare [0, pi]^2, first 11 modes, sorted by eigenvalue")
     for pair in spec2.pairs:
         print(f"  mode {pair.mode}  lambda = {pair.eigenvalue:.1f}")
     print("  ties such as (0,1)/(1,0) break lexicographically,"

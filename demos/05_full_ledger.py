@@ -33,8 +33,9 @@ def main():
     for row in hom["per_lambda"]:
         if row["sampled"]:
             drew = (f"drew {row['random_starts']} random starts" if row["random_starts"]
-                    else "drew no random start: its seeds already put its bound inside the ball")
-            print(f"  lam = {row['lam']:.1f}: {row['n_found']} points, {drew}")
+                    else "drew no random start: its points already put its bound inside the ball")
+            print(f"  lam = {row['lam']:.1f}: {row['n_found']} points"
+                  f" ({row['known']} held from the stages before it), {drew}")
 
     init = rep.stages["ledger"]["initial_reconciliation"]
     fin = rep.ledger_report

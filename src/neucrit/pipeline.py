@@ -1,6 +1,6 @@
 """End-to-end orchestration: spectrum, constants, three truncated mountain
 pass stages (two passes when f is odd: the above saddle is the negated
-below one), homotopy bound, reduction, degree ledger, and a multistart stage
+below one), reduction, homotopy bound, degree ledger, and a multistart stage
 that first closes the symmetry orbits of the records the ledger holds and
 spends random starts only while a deficiency remains.  The orbits are
 closed even when the first ledger balances: missing points whose degrees
@@ -30,20 +30,20 @@ from .energy import EnergyFunctional
 from .errors import ConfigError, DuplicateKnots, NeucritError, ReductionInapplicable
 from .ledger import RANGE_MARGIN, DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, node_layout, truncate
-from .records import DEDUP_RADIUS, GRAD_TOL, SolverConfig, image_record, newton_radius
+from .records import GRAD_TOL, SolverConfig, image_record, newton_radius
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import (
     SAFETY_FACTOR,
+    _distinct_points,
     find_constants,
     homotopy_bound,
     mountain_pass,
     multistart,
 )
 from .spectrum import (
-    RESONANCE_TOL,
     Domain,
     build_spectrum,
-    neumann_modes,
+    check_whole_clusters,
     quad_points_per_axis,
     split_spectrum,
 )
@@ -65,8 +65,8 @@ STAGES = (
     "truncation_below",
     "truncation_above",
     "truncation_interval",
-    "homotopy",
     "reduction",
+    "homotopy",
     "ledger",
     "multistart",
 )
@@ -158,28 +158,6 @@ def _check_points(name: str, points, size: int):
             raise ConfigError(f"bad {name} entry {p!r}")
 
 
-def _check_whole_clusters(domain, modes):
-    """Raise ConfigError when the first `modes` eigenpairs end inside a
-    cluster of eigenvalues closer than RESONANCE_TOL, naming the nearest
-    counts that end between clusters.  The truncation would keep part of
-    an eigenspace and break the domain's symmetry (on the square
-    [0, pi]^2 the modes (4, 0) and (0, 4) share the eigenvalue 16)."""
-    eigs = []
-    for lam, _ in neumann_modes(domain.lengths):
-        if len(eigs) > modes and lam - eigs[-1] >= RESONANCE_TOL:
-            break
-        eigs.append(lam)
-    if eigs[modes] - eigs[modes - 1] >= RESONANCE_TOL:
-        return
-    cuts = [n for n in range(1, modes) if eigs[n] - eigs[n - 1] >= RESONANCE_TOL]
-    start = cuts[-1] if cuts else 0
-    nearest = [n for n in (start, len(eigs)) if n >= 2]
-    raise ConfigError(
-        f"modes={modes} splits the eigenvalue {eigs[modes - 1]:.6g} of modes {start + 1} "
-        f"to {len(eigs)}; use modes={' or '.join(map(str, nearest))}"
-    )
-
-
 def validate_config(config: dict) -> dict:
     """Check a config dict; raises ConfigError on the first fault.
 
@@ -213,8 +191,10 @@ def validate_config(config: dict) -> dict:
         quad_points_per_axis(domain, modes)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad domain: {e}")
-    if domain.ndim > 1:  # an interval's eigenvalues are simple
-        _check_whole_clusters(domain, modes)
+    try:
+        check_whole_clusters(domain.lengths, modes)
+    except ValueError as e:
+        raise ConfigError(str(e))
 
     nl = cfg["nonlinearity"]
     for key in ("knots", "slope_minus_inf", "slope_plus_inf"):
@@ -357,14 +337,6 @@ class RunReport:
         return paths
 
 
-def _images(spec, coeffs, odd: bool) -> np.ndarray:
-    """The group images of a point other than itself, in the order of
-    `SpectrumSlice.symmetry_signs`: its mirrors across every nonempty set
-    of axes and, with an odd f, its negation and the negated mirrors.  For
-    a stack of points, one such block of rows per point."""
-    return spec.symmetry_signs(odd)[1:] * np.asarray(coeffs, dtype=float)[..., None, :]
-
-
 def _min_type_zeros(f):
     return sorted(t for t, s in f.knots if s < 0)
 
@@ -430,12 +402,17 @@ def run_pipeline(config: dict) -> RunReport:
 
     Stage order: spectrum and hypothesis audit, constants, the three
     truncation stages below, above and between the minimum-type zeros,
-    homotopy bound, reduction, ledger with reconciliation, orbit closure,
+    reduction, homotopy bound, ledger with reconciliation, orbit closure,
     and, while the deficiency is nonzero, random multistart chunks.  Each
     truncation stage runs a mountain pass, except the above stage when f
     is odd and the below stage found its saddle: it then keeps the
     negation of that saddle once its record passes the pass's own checks
-    (see `_truncation_stage`).
+    (see `_truncation_stage`).  The homotopy's base member is f itself, so
+    it is passed the records the stages before it found, the constants, the
+    transferred saddles and the reduction maximizer: they and their
+    distinct group images count among its solutions, so R is at least
+    SAFETY_FACTOR times each of their norms, and no start of it builds
+    their records again.
     """
     config = validate_config(config)
     report = RunReport(config)
@@ -484,13 +461,6 @@ def run_pipeline(config: dict) -> RunReport:
                 saddles[kind] = rec
     transferred = list(saddles.values())
 
-    def homotopy_stage():
-        hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, LAMBDA_COUNT), scfg)
-        report.stages["homotopy"] = hres.to_dict()
-        return hres.R
-
-    R = report.run("homotopy", homotopy_stage) if "homotopy" in stages else None
-
     def reduction_stage():
         try:
             ctx = make_reduction_context(func)
@@ -502,12 +472,19 @@ def run_pipeline(config: dict) -> RunReport:
         return rec
 
     reduction_rec = report.run("reduction", reduction_stage) if "reduction" in stages else None
+    base = [r for r in (*constants, *transferred, reduction_rec) if r is not None]
+
+    def homotopy_stage():
+        hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, LAMBDA_COUNT), scfg, base)
+        report.stages["homotopy"] = hres.to_dict()
+        return hres.R
+
+    R = report.run("homotopy", homotopy_stage) if "homotopy" in stages else None
 
     if "ledger" not in stages:
         return report
     if R is None:
-        known = constants + transferred
-        top = max((r.h1_norm for r in known), default=1.0)
+        top = max((r.h1_norm for r in base), default=1.0)
         R = SAFETY_FACTOR * max(top, 1.0)
         report.warnings.append(
             f"homotopy bound unavailable; fallback R={R:.6g} from found records"
@@ -531,35 +508,20 @@ def run_pipeline(config: dict) -> RunReport:
         return True
 
     def ledger_stage():
-        for rec in (*constants, *transferred, reduction_rec):
-            if rec is not None:
-                ledger.add(rec, qualifies)
+        for rec in base:
+            ledger.add(rec, qualifies)
         lrep = ledger.reconcile(func)
         report.ledger_report = lrep
         report.stages["ledger"] = {"initial_reconciliation": lrep.to_dict()}
         return lrep
 
     def orbit_seeds(recs):
-        # the records of the group images of the given nonconstant records
-        # that the ledger does not hold, one seed per distinct point: the
-        # images come from one sign product and their distances to the
-        # ledger's records and to each other from one array operation; a
-        # greedy pass then keeps each image that lies apart from the ledger
-        # and the seeds before it, and only the kept ones get a record
-        sources = [r for r in recs if not r.is_constant()]
-        if not sources:
-            return []
-        signs = spec.symmetry_signs(f.odd)[1:]
-        images = _images(spec, [r.coeffs for r in sources], f.odd).reshape(-1, spec.n_modes)
-        held = np.array([r.coeffs for r in ledger.records]).reshape(-1, spec.n_modes)
-        diff = images[:, None, :] - np.concatenate([held, images])[None]
-        apart = np.sqrt((diff * diff) @ (1.0 + spec.eigenvalues)) > DEDUP_RADIUS
-        from_held, from_images = apart[:, :len(held)], apart[:, len(held):]
-        kept = []
-        for i in np.flatnonzero(from_held.all(axis=1)):
-            if from_images[i, kept].all():
-                kept.append(i)
-        return [image_record(sources[i // len(signs)], signs[i % len(signs)]) for i in kept]
+        # the records of the group images of the given records, which the
+        # ledger holds, that the ledger does not hold: one seed per
+        # distinct point, and a record only for the kept ones
+        held = [r.coeffs for r in ledger.records]
+        return [image_record(recs[i], signs)
+                for i, signs in _distinct_points(spec, f.odd, recs, held)]
 
     def multistart_stage():
         # the problem is equivariant under the domain mirrors, and under

@@ -29,8 +29,8 @@ import numpy as np
 from .energy import BLOCK_ELEMENTS
 from .errors import MaxItersExceeded, ModulusViolated
 from .nonlinearity import coefficient_bound, reduction_modulus
-from .records import make_record
-from .solvers import refine_critical
+from .records import make_record, newton_radius
+from .solvers import _near, refine_critical
 
 __all__ = [
     "ReductionContext",
@@ -429,10 +429,14 @@ def maximize_reduced(ctx: ReductionContext):
     order) each start one `refine_critical` root solve of the full
     functional from x + psi(x), with psi warm-started from the orbit's row
     of the ranking solve; another seed of the orbit would end at an image
-    of the same point.  The maximizer is a critical point of J with full
-    Hessian index k, so the highest-energy point of index k among the
-    solves is returned; when none has index k, the highest-energy
-    point is, with a note.  No ascent on the reduced functional is needed:
+    of the same point.  Each root solve holds the Newton basins
+    (`records.newton_radius`) of the points the solves before it found and
+    of their group images, so a solve that enters one stops there, and
+    only a new point gets a record.  The maximizer is a critical point of
+    J with full Hessian index k, so the highest-energy point of index k
+    among the solves is returned, ties in start order; when none has index
+    k, the highest-energy point is, with a note.  No ascent on the reduced
+    functional is needed:
     the ranking brings the best seeds next to the maximizer, and the root
     solve converges to saddles as well as to maxima.  The record's
     provenance gives the box, the numbers of seeds, orbits, ranked orbits
@@ -468,31 +472,31 @@ def maximize_reduced(ctx: ReductionContext):
     # ties keep orbit order, the order of the orbits' first seeds
     starts = _leading(np.argsort(-reduced, kind="stable"), weight)
 
-    points = []
+    prov = {"stage": "reduction", "functional": func.nonlinearity.label, "k": k,
+            "seed_box": box.tolist(), "seeds": len(seeds), "orbits": len(solved),
+            "ranked": len(live), "refines": len(starts),
+            "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps}
+    group = spec.symmetry_signs(func.nonlinearity.odd)
+    found, basins = [], []
     for i in starts:
-        u = refine_critical(func, rows[i] + psi(ctx, rows[i], y0=lift[i]))
-        if u is not None:
-            points.append(u)
-    if not points:
+        u = refine_critical(func, rows[i] + psi(ctx, rows[i], y0=lift[i]), basins)
+        if u is None or _near(spec, u, basins):
+            continue
+        rec = make_record(func, u, "reduction_max", prov)
+        rec.provenance["reduced_value"] = rec.energy
+        found.append(rec)
+        radius = newton_radius(func, rec)
+        basins += [(signs * rec.coeffs, radius) for signs in group]
+    if not found:
         raise MaxItersExceeded("no root solve from the best reduction seeds converged")
 
-    # records in order of energy, ties in start order, until one has index k;
-    # when none has, the highest-energy one is kept with a note
-    energies = np.array([func.value(u) for u in points])
-    kept = None
-    for j in np.argsort(-energies, kind="stable"):
-        rec = make_record(
-            func, points[j], "reduction_max",
-            {"stage": "reduction", "functional": func.nonlinearity.label,
-             "reduced_value": float(energies[j]), "k": k, "seed_box": box.tolist(),
-             "seeds": len(seeds), "orbits": len(solved), "ranked": len(live),
-             "refines": len(starts),
-             "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps},
-        )
-        if rec.morse_index == k:
-            return rec
-        if kept is None:
-            kept = rec
+    # the highest-energy point of index k, ties in start order; when none
+    # has index k, the highest-energy one, with a note
+    by_energy = sorted(found, key=lambda rec: -rec.energy)
+    kept = next((rec for rec in by_energy if rec.morse_index == k), None)
+    if kept is not None:
+        return kept
+    kept = by_energy[0]
     if not kept.degenerate:
         kept = kept.with_notes(
             f"full Hessian index {kept.morse_index} differs from the block dimension k={k}"

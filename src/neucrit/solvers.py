@@ -59,8 +59,12 @@ skipped and never built: searching it could only enlarge R, never put a
 solution on the sphere.  The same rule applies within a member: its
 deterministic seeds are solved first, and its random starts are drawn
 only while its bound still reaches the sphere of the ball the seeds give.
-When R exceeds B(0), every member's solutions lie strictly inside the
-ball, and the degree there is proven rather than sampled.
+The base member, lam = 0, is f itself, so it starts out holding the
+critical points of J its caller already has: they count among its
+solutions, so R is never below SAFETY_FACTOR times any of their norms, and
+their Newton basins stop its starts.  When R exceeds B(0), every member's
+solutions lie strictly inside the ball, and the degree there is proven
+rather than sampled.
 """
 
 from __future__ import annotations
@@ -259,6 +263,53 @@ def _near(spec, u, basins) -> bool:
     """Is u within DEDUP_RADIUS of the zero of one of the (coeffs, radius)
     pairs in `basins`?"""
     return bool(np.any(spec.h1_dists(u, [c for c, _ in basins]) <= DEDUP_RADIUS))
+
+
+def _images(spec, coeffs, odd: bool) -> np.ndarray:
+    """The group images of a point other than itself, in the order of
+    `SpectrumSlice.symmetry_signs`: its mirrors across every nonempty set
+    of axes and, with an odd f, its negation and the negated mirrors.  For
+    a stack of points, one such block of rows per point."""
+    return spec.symmetry_signs(odd)[1:] * np.asarray(coeffs, dtype=float)[..., None, :]
+
+
+def _distinct_points(spec, odd: bool, recs, held=()) -> list:
+    """The distinct points of the group orbits of the records `recs` that
+    lie apart from `held`, a stack of coefficient rows, as pairs (i,
+    signs): the point signs * recs[i].coeffs, with signs a row of
+    `SpectrumSlice.symmetry_signs`.
+
+    The candidates are the records themselves (the identity row), then the
+    other images of the nonconstant ones, by record and group element; an
+    image of a constant field is a constant field, which `find_constants`
+    gives at its own zero.  Their distances to `held` come from one array
+    operation, and those of the candidates apart from `held` to each other
+    from another; a greedy pass in candidate order keeps each one farther
+    than DEDUP_RADIUS from `held` and from the points kept before it.  An
+    image of a critical point of J is one, with its energy, norm and
+    Hessian spectrum (`records.image_record`), so no candidate is
+    evaluated."""
+    n = spec.n_modes
+    group = spec.symmetry_signs(odd)
+    sources = [i for i, r in enumerate(recs) if not r.is_constant()]
+    cands = [(i, group[0]) for i in range(len(recs))]
+    cands += [(i, signs) for i in sources for signs in group[1:]]
+    coeffs = np.concatenate([np.reshape([r.coeffs for r in recs], (-1, n)),
+                             _images(spec, np.reshape([recs[i].coeffs for i in sources], (-1, n)),
+                                     odd).reshape(-1, n)])
+    weight = 1.0 + spec.eigenvalues
+
+    def apart(a, b):
+        diff = a[:, None, :] - b[None]
+        return np.sqrt((diff * diff) @ weight) > DEDUP_RADIUS
+
+    live = np.flatnonzero(apart(coeffs, np.reshape(held, (-1, n))).all(axis=1))
+    rows = apart(coeffs[live], coeffs[live]).tolist()
+    kept = []
+    for a in range(len(live)):
+        if all(rows[a][b] for b in kept):
+            kept.append(a)
+    return [cands[live[a]] for a in kept]
 
 
 def _redistribute(spec, path):
@@ -541,10 +592,12 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
 class HomotopyBoundResult:
     """Outcome of the homotopy sweep: the search radius R, the closed-form
     bound that decided which members were sampled, and one row per member
-    (lam, bound, sampled, n_found, max_norm, the start outcomes of its
-    seeds and random starts together, and random_starts, the number of
-    random starts it drew: 0 or HOMOTOPY_BUDGET; the last four None when
-    the member was skipped).
+    (lam, bound, sampled, known, the number of points the caller passed in
+    that it holds, n_found, max_norm, the start outcomes of its seeds and
+    random starts together, and random_starts, the number of random starts
+    it drew: 0 or HOMOTOPY_BUDGET; the last five None when the member was
+    skipped).  n_found counts the known points with the new ones, so
+    n_found = known + outcomes["new"].
 
     A member is skipped when its bound lies below SAFETY_FACTOR times the
     largest norm sampled before it, so each skipped row has bound < R, and
@@ -569,10 +622,21 @@ class HomotopyBoundResult:
         return dict(vars(self))
 
 
-def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> HomotopyBoundResult:
+def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig,
+                   known=()) -> HomotopyBoundResult:
     """Sweep the family h_lam = lam f'(inf) t + (1 - lam) f(t), multistart
     each member that could reach the sphere of the current ball, and return
     R = SAFETY_FACTOR x the largest solution norm.
+
+    `known` holds records of critical points of J, the functional of f,
+    that the caller already has.  The member lam = 0 is f itself
+    (`nonlinearity.homotopy`), so only it reads them: they and their
+    distinct group images (`_distinct_points`, no evaluation: an image has
+    its source's norm and Newton radius) belong to its solution set
+    (n_found and max_norm; the row's `known` counts them), and both of its
+    multistart calls hold their Newton basins, so a start that enters one
+    stops there and builds no record.  Every other sampled member's
+    `known` is 0.
 
     Write h_lam(t) = s t + g_lam(t) with sup |g_lam| = (1 - lam) M, M the
     base's certified offset.  At a critical point (lam_j - s) u_j =
@@ -595,13 +659,16 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     A sampled member is searched in two multistart calls.  The first
     solves its seeds alone and draws nothing from its random stream.  The
     second, the random chunk, draws HOMOTOPY_BUDGET random starts and holds
-    the Newton basins of the points the seeds found; it runs only when
+    the Newton basins of the points the seeds found and of the known ones;
+    it runs only when
     B(lam) is not below SAFETY_FACTOR x the largest norm sampled so far,
-    the seeds' included, since once the ball holds B(lam) more starts could
-    only enlarge R.  The row's random_starts says whether it ran.  When it
-    runs it draws the same starts, with the same basins held, as one call
-    of the seeds and the random starts together, so it finds the same
-    points.
+    the seeds' and the known points' included, since once the ball holds
+    B(lam) more starts could only enlarge R.  The row's random_starts says
+    whether it ran.  When it runs it draws the same starts, with the same
+    basins held, as one call of the seeds and the random starts together,
+    so it finds the same points.  The first member is always sampled, so
+    its first-mode seeds still look for a point of larger norm than any
+    known one.
 
     A sampled member is seeded at every real zero of h_lam on the whole
     line, the constant fields that solve it exactly, and at three
@@ -632,12 +699,18 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
     for li, lam in enumerate(lambdas):
         bound = (1.0 - float(lam)) * B0
         row = {"lam": float(lam), "bound": bound, "sampled": not bound < SAFETY_FACTOR * max_norm,
-               "n_found": None, "max_norm": None, "outcomes": None, "random_starts": None}
+               "known": None, "n_found": None, "max_norm": None, "outcomes": None,
+               "random_starts": None}
         per_lambda.append(row)
         if not row["sampled"]:
             continue
         g = homotopy(nonlinearity, float(lam))
         func = EnergyFunctional(spectrum, g)
+        # the base member is f itself: the known points of J and their
+        # images are its points, each image with its source's norm and
+        # Newton radius
+        points = _distinct_points(spectrum, nonlinearity.odd, known) if float(lam) == 0.0 else []
+        held = [(signs * known[i].coeffs, newton_radius(func, known[i])) for i, signs in points]
         seeds = [spectrum.constant_field(t) for t in find_zeros(g, -np.inf, np.inf)]
         # large-amplitude first-mode seeds: the norm-extremal solutions of
         # asymptotically linear problems live in this family
@@ -649,19 +722,21 @@ def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig) -> Homoto
                     e[1] = sgn * amp / amp_unit
                     seeds.append(e)
         rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
-        recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=rng)
-        top = max((r.h1_norm for r in recs), default=0.0)
+        recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=rng,
+                                    basins=held)
+        norms = [known[i].h1_norm for i, _ in points] + [r.h1_norm for r in recs]
+        top = max(norms, default=0.0)
         # the random chunk, only while the member's bound reaches the sphere
-        # of the ball its seeds and the members before it give
+        # of the ball its points and the members before it give
         random_starts = 0 if bound < SAFETY_FACTOR * max(max_norm, top) else HOMOTOPY_BUDGET
         if random_starts:
-            held = [(r.coeffs, newton_radius(func, r)) for r in recs]
+            held += [(r.coeffs, newton_radius(func, r)) for r in recs]
             more, drawn = multistart(func, start_radius, budget=random_starts, rng=rng,
                                      basins=held)
-            recs = dedup_records(spectrum, recs + more)
+            norms += [r.h1_norm for r in more]
             outcomes = {k: outcomes[k] + drawn[k] for k in outcomes}
-            top = max((r.h1_norm for r in recs), default=0.0)
-        row.update(n_found=len(recs), max_norm=top, outcomes=outcomes,
+            top = max(norms, default=0.0)
+        row.update(known=len(points), n_found=len(norms), max_norm=top, outcomes=outcomes,
                    random_starts=random_starts)
         max_norm = max(max_norm, top)
         if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:

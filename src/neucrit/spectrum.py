@@ -32,6 +32,7 @@ __all__ = [
     "EigenPair",
     "SpectrumSlice",
     "build_spectrum",
+    "check_whole_clusters",
     "neumann_modes",
     "quad_points_per_axis",
     "resonance_margin",
@@ -162,6 +163,32 @@ def neumann_modes(lengths):
             heapq.heappush(heap, entry(mode[:a] + (mode[a] + 1,) + mode[a + 1:]))
 
 
+def check_whole_clusters(lengths, n_modes):
+    """Raise ValueError when the first `n_modes` modes of the box with side
+    `lengths` end inside a cluster of eigenvalues closer than
+    RESONANCE_TOL, naming the nearest counts that end between clusters.
+    The truncation would keep part of an eigenspace and break the domain's
+    symmetry (on the square [0, pi]^2 the modes (4, 0) and (0, 4) share the
+    eigenvalue 16).  An interval's eigenvalues are simple and always pass.
+    """
+    if len(lengths) == 1:
+        return
+    eigs = []
+    for lam, _ in neumann_modes(lengths):
+        if len(eigs) > n_modes and lam - eigs[-1] >= RESONANCE_TOL:
+            break
+        eigs.append(lam)
+    if eigs[n_modes] - eigs[n_modes - 1] >= RESONANCE_TOL:
+        return
+    cuts = [n for n in range(1, n_modes) if eigs[n] - eigs[n - 1] >= RESONANCE_TOL]
+    start = cuts[-1] if cuts else 0
+    nearest = [n for n in (start, len(eigs)) if n >= 2]
+    raise ValueError(
+        f"modes={n_modes} splits the eigenvalue {eigs[n_modes - 1]:.6g} of modes {start + 1} "
+        f"to {len(eigs)}; use modes={' or '.join(map(str, nearest))}"
+    )
+
+
 class SpectrumSlice:
     """The first `n_modes` Neumann eigenpairs on a domain, plus transforms.
 
@@ -190,6 +217,7 @@ class SpectrumSlice:
             raise ValueError("need at least one mode")
         self.domain = domain
         self.n_modes = int(n_modes)
+        check_whole_clusters(domain.lengths, self.n_modes)
 
         self.quad_points = qp = quad_points_per_axis(domain, self.n_modes)
 
@@ -374,7 +402,9 @@ class SpectrumSlice:
 
 
 def build_spectrum(domain: Domain, n_modes: int) -> SpectrumSlice:
-    """Construct the first `n_modes` Neumann eigenpairs with transforms."""
+    """Construct the first `n_modes` Neumann eigenpairs with transforms.
+    A count that ends inside a cluster of equal eigenvalues raises
+    ValueError (`check_whole_clusters`)."""
     return SpectrumSlice(domain, n_modes)
 
 

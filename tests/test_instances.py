@@ -13,7 +13,7 @@ import pytest
 
 import neucrit as nc
 import neucrit.solvers as solvers
-from neucrit.pipeline import _images
+from neucrit.solvers import _images
 
 
 def _sloped_config(slope, seed):
@@ -82,6 +82,26 @@ def test_k5_reduction_grid():
     assert red["energy"] == pytest.approx(385.787173947077, rel=1e-9)
     assert red["morse_index"] == 5 and not red["degenerate"]
     assert red["notes"] == []
+
+
+def test_radius_holds_every_record_found_before_the_homotopy():
+    """The homotopy's base member is f itself and holds the records the
+    stages before it found, so R is at least SAFETY_FACTOR times the norm
+    of each.  At k = 5 the reduction maximizer (norm 65.558) lies farther
+    out than anything the base member's seeds find, and a search that did
+    not hold it gave R = 117.89 at seed 7 against 131.12 at seed 42; held,
+    it sets R at every seed."""
+    radii = []
+    for seed in (7, 42):
+        cfg = _sloped_config(20.0, seed)
+        cfg["stages"] = ["constants", "reduction", "homotopy"]
+        rep = nc.run_pipeline(cfg)
+        assert rep.ok, rep.errors
+        R = rep.stages["homotopy"]["R"]
+        held = [*rep.stages["constants"], rep.stages["reduction"]]
+        assert all(R >= solvers.SAFETY_FACTOR * rec["h1_norm"] for rec in held)
+        radii.append(R)
+    assert radii[0] == radii[1]
 
 
 @pytest.mark.parametrize("make", [_flip_config, _k3_config, _rectangle_config])

@@ -12,12 +12,12 @@ from conftest import REMOVED_SETTINGS
 from neucrit.energy import BLOCK_ELEMENTS
 from neucrit.pipeline import (
     STAGES,
-    _images,
     reference_config,
     run_pipeline,
     validate_config,
 )
 from neucrit.records import GRAD_TOL
+from neucrit.solvers import _images
 
 
 def test_reference_run_balances(reference_report):
@@ -75,8 +75,10 @@ def test_reference_homotopy_samples_one_member(reference_report):
     """Only lam = 0 is sampled: from lam = 0.1 on the closed-form bound
     B(lam) (11.89 at 0.1) lies below R = SAFETY_FACTOR x 7.208, so those ten
     members are skipped with no count or norm.  B(0) = 13.211 lies below R
-    too, so the ball holds every member's solutions.  The stage repeats for
-    the same seed."""
+    too, so the ball holds every member's solutions.  The base member holds
+    the 13 points the stages before it found, with their group images, and
+    the stage repeats for the same seed when a standalone call is passed
+    the same points."""
     h = reference_report.stages["homotopy"]
     sampled = [row for row in h["per_lambda"] if row["sampled"]]
     skipped = [row for row in h["per_lambda"] if not row["sampled"]]
@@ -84,11 +86,15 @@ def test_reference_homotopy_samples_one_member(reference_report):
     assert all(row["bound"] < h["R"] for row in skipped)
     assert skipped[0]["bound"] == pytest.approx(11.890, abs=1e-3)
     assert h["covers_bound"] and h["bound"] < h["R"]
-    assert all(row["n_found"] is row["max_norm"] is row["outcomes"] is None for row in skipped)
+    assert all(row["known"] is row["n_found"] is row["max_norm"] is row["outcomes"] is None
+               for row in skipped)
     assert h["max_norm"] == max(row["max_norm"] for row in sampled)
-    cfg = reference_config()
-    cfg["stages"] = ["homotopy"]
-    assert run_pipeline(cfg).stages["homotopy"] == h
+    assert sampled[0]["known"] == len(reference_report.records) == 13
+    f = reference_report.functional.nonlinearity
+    cfg = nc.SolverConfig(**reference_report.config["solver"])
+    alone = nc.homotopy_bound(f, reference_report.spectrum, np.linspace(0.0, 1.0, 11), cfg,
+                              reference_report.records)
+    assert alone.to_dict() == h
 
 
 def test_reference_multistart_closes_orbits_without_random_starts(reference_report):
@@ -109,19 +115,21 @@ def test_start_outcomes_sum_to_the_starts(reference_report):
     held point's basin, and failures.  A sampled homotopy member's starts
     are its zeros on the whole line, 6 first-mode seeds and, only when its
     random chunk ran, HOMOTOPY_BUDGET random ones, and none of them fails;
-    every multistart pass reports its own starts.  The counts repeat for
-    the same seed (`test_reference_homotopy_samples_one_member`)."""
+    its points are the known ones it was passed and the new ones.  Every
+    multistart pass reports its own starts.  The counts repeat for the
+    same seed (`test_reference_homotopy_samples_one_member`)."""
     f = reference_report.functional.nonlinearity
     rows = [r for r in reference_report.stages["homotopy"]["per_lambda"] if r["sampled"]]
     for row in rows:
         zeros = nc.find_zeros(nc.homotopy(f, row["lam"]), -np.inf, np.inf)
         assert row["random_starts"] in (0, solvers.HOMOTOPY_BUDGET)
         assert sum(row["outcomes"].values()) == len(zeros) + 6 + row["random_starts"]
-        assert row["outcomes"]["new"] == row["n_found"]
+        assert row["outcomes"]["new"] + row["known"] == row["n_found"]
         assert row["outcomes"]["failed"] == 0
-    # the base member's seeds give R = 2 x 7.208 > B(0), so it draws no
-    # random start
-    assert rows[0]["outcomes"] == {"new": 7, "basin": 4, "failed": 0}
+    # the base member holds the 9 records the stages before it found and
+    # their 4 other images, so every seed ends in one of their basins; they
+    # give R = 2 x 7.208 > B(0), so it draws no random start
+    assert rows[0]["outcomes"] == {"new": 0, "basin": 11, "failed": 0}
     assert rows[0]["random_starts"] == 0
     for p in reference_report.stages["multistart"]["passes"]:
         assert sum(p["outcomes"].values()) == p["starts"]
@@ -177,27 +185,27 @@ def test_reference_search_counts(monkeypatch):
     # of the below saddle and evaluates only its residual; a root solve
     # that enters the Newton basin of a point its search already holds
     # stops there, and a mountain pass builds no record for a point it
-    # dropped; the homotopy samples only its base member, whose seeds alone
-    # give R = 2 x 7.208 past B(0), so it draws no random start, and none of
-    # its seeds lies on the line of constant fields off the zeros,
-    # and the reduction bounds its orbits from above in closed form (one
-    # `bump_values`), solves psi once per orbit that can still reach its six
-    # best seeds and runs one root solve per orbit of those seeds, building
-    # the record of the best point only.  The orbit passes start from the image records of the
+    # dropped; the reduction bounds its orbits from above in closed form
+    # (one `bump_values`), solves psi once per orbit that can still reach
+    # its six best seeds and runs one root solve per orbit of those seeds,
+    # each holding the Newton basins of the points the solves before it
+    # found and of their group images, so only the first builds a record;
+    # the homotopy samples only its base member, which holds the points
+    # found so far and their images, so its seeds end in their basins and
+    # build no record, and they give R = 2 x 7.208 past B(0), so it draws
+    # no random start.  The orbit passes start from the image records of the
     # points the ledger holds; the four images that meet GRAD_TOL at the
     # first evaluation keep those records and build none.  Each pass
     # starts from the wide path, whose energies are closed-form (one
     # `bump_values` per pass, no batch), and certifies its saddle from its
     # highest node after REDISTRIBUTE_EVERY sweeps, before any
-    # redistribution, so it evaluates no batch.  Ten of the records are
-    # constant fields, the five of the constants stage and the five the
-    # homotopy's base member finds from its zero seeds; they read their
-    # energy, gradient and Morse data off one scalar and assemble no
-    # Hessian
+    # redistribution, so it evaluates no batch.  The five records of the
+    # constants stage read their energy, gradient and Morse data off one
+    # scalar and assemble no Hessian
     assert runs[0] == ([5, None, 5],
-                       {"value": 36, "bump_values": 3,
-                        "gradient": 26, "l2_gradient": 77,
-                        "hessian_pencil": 16, "morse_data": 15},
+                       {"value": 26, "bump_values": 3,
+                        "gradient": 19, "l2_gradient": 53,
+                        "hessian_pencil": 14, "morse_data": 8},
                        28, 3)
 
 
@@ -527,3 +535,11 @@ def test_stage_subset_runs_partial():
     # no homotopy stage: fallback radius with a warning
     assert any("fallback R" in w for w in rep.warnings)
     assert rep.deficiency == -4  # five +1 constants against global +1
+    # the fallback radius holds every record the run found, the reduction
+    # maximizer (norm 7.208, beyond twice the largest constant's 3.545)
+    # included
+    cfg["stages"] = ["constants", "reduction", "ledger"]
+    rep = run_pipeline(cfg)
+    assert any("fallback R" in w for w in rep.warnings)
+    assert all(r.in_ball for r in rep.records)
+    assert rep.ledger.R == 2.0 * max(r.h1_norm for r in rep.records)

@@ -72,9 +72,9 @@ def _refine_starts(ctx, monkeypatch):
     starts = []
     refine = reduction.refine_critical
 
-    def spy(func, start):
+    def spy(func, start, basins):
         starts.append(ctx.spectrum.x_projection(start))
-        return refine(func, start)
+        return refine(func, start, basins)
 
     monkeypatch.setattr(reduction, "refine_critical", spy)
     rec = maximize_reduced(ctx)

@@ -22,12 +22,30 @@ def test_interval_general_length():
 
 
 def test_rectangle_tensor_sums_sorted():
-    spec = build_spectrum(Domain("rectangle", (np.pi, np.pi)), 10)
-    # 0, 1, 1, 2, 4, 4, 5, 5, 8, 9 with the (a,b) tie order fixed
-    assert np.allclose(spec.eigenvalues, [0, 1, 1, 2, 4, 4, 5, 5, 8, 9], atol=1e-12)
+    spec = build_spectrum(Domain("rectangle", (np.pi, np.pi)), 11)
+    # 0, 1, 1, 2, 4, 4, 5, 5, 8, 9, 9 with the (a,b) tie order fixed
+    assert np.allclose(spec.eigenvalues, [0, 1, 1, 2, 4, 4, 5, 5, 8, 9, 9], atol=1e-12)
     assert spec.modes[1] == (0, 1) and spec.modes[2] == (1, 0)
     assert spec.modes[4] == (0, 2) and spec.modes[5] == (2, 0)
+    assert spec.modes[9] == (0, 3) and spec.modes[10] == (3, 0)
     assert np.all(np.diff(spec.eigenvalues) >= -1e-14)
+
+
+def test_build_spectrum_keeps_whole_clusters():
+    """A mode count that ends inside a cluster of equal eigenvalues is a
+    ValueError wherever the spectrum is built, naming the nearest whole
+    counts: on the square [0, pi]^2 the 10th and 11th modes, (0, 3) and
+    (3, 0), share the eigenvalue 9.  An interval's eigenvalues are simple,
+    so every count passes there."""
+    square = Domain("rectangle", (np.pi, np.pi))
+    with pytest.raises(ValueError, match=r"modes=10 splits the eigenvalue 9 .* use modes=9 or 11"):
+        build_spectrum(square, 10)
+    with pytest.raises(ValueError, match=r"modes=12 splits .* use modes=11 or 13"):
+        build_spectrum(square, 12)
+    for modes in (9, 11, 13):
+        assert build_spectrum(square, modes).n_modes == modes
+    for modes in range(1, 12):
+        assert build_spectrum(Domain("interval", (np.pi,)), modes).n_modes == modes
 
 
 def test_gram_identity():
@@ -85,7 +103,7 @@ def test_split_counts_and_blocks():
     assert sp.eigenvalues[sp.x_indices].max() == 1.0
     assert sp.lambda_min_y == 4.0
     # multiplicity counts on the square: slope 2.5 crosses 0, 1, 1, 2
-    sq = split_spectrum(build_spectrum(Domain("rectangle", (np.pi, np.pi)), 12), 2.5)
+    sq = split_spectrum(build_spectrum(Domain("rectangle", (np.pi, np.pi)), 13), 2.5)
     assert sq.k == 4
 
 
