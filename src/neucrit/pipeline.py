@@ -39,6 +39,8 @@ from .solvers import (
     homotopy_bound,
     mountain_pass,
     multistart,
+    proven_bound,
+    search_radius,
 )
 from .spectrum import (
     Domain,
@@ -75,8 +77,6 @@ _MULTISTART_CHUNK = 50
 # the outer endpoint of the one-sided truncated mountain passes lies this
 # many units past the anchor zero
 MP_OFFSET = 5.0
-# homotopy members h_lam, lam evenly spaced on [0, 1]
-LAMBDA_COUNT = 11
 
 
 def reference_config() -> dict:
@@ -407,12 +407,15 @@ def run_pipeline(config: dict) -> RunReport:
     truncation stage runs a mountain pass, except the above stage when f
     is odd and the below stage found its saddle: it then keeps the
     negation of that saddle once its record passes the pass's own checks
-    (see `_truncation_stage`).  The homotopy's base member is f itself, so
-    it is passed the records the stages before it found, the constants, the
+    (see `_truncation_stage`).  The homotopy stage searches f itself
+    holding the records the stages before it found, the constants, the
     transferred saddles and the reduction maximizer: they and their
-    distinct group images count among its solutions, so R is at least
-    SAFETY_FACTOR times each of their norms, and no start of it builds
-    their records again.
+    distinct group images count among its solutions, so no start of it
+    builds their records again.  R is `solvers.search_radius`: above the
+    closed-form bound B(0) on every member's solutions, and at least
+    SAFETY_FACTOR times each norm held.  Without a homotopy result the
+    ledger takes the same rule over the records found, or, when the tails
+    differ and there is no B(0), SAFETY_FACTOR times their largest norm.
     """
     config = validate_config(config)
     report = RunReport(config)
@@ -475,7 +478,7 @@ def run_pipeline(config: dict) -> RunReport:
     base = [r for r in (*constants, *transferred, reduction_rec) if r is not None]
 
     def homotopy_stage():
-        hres = homotopy_bound(f, spec, np.linspace(0.0, 1.0, LAMBDA_COUNT), scfg, base)
+        hres = homotopy_bound(f, spec, base)
         report.stages["homotopy"] = hres.to_dict()
         return hres.R
 
@@ -484,11 +487,13 @@ def run_pipeline(config: dict) -> RunReport:
     if "ledger" not in stages:
         return report
     if R is None:
-        top = max((r.h1_norm for r in base), default=1.0)
-        R = SAFETY_FACTOR * max(top, 1.0)
-        report.warnings.append(
-            f"homotopy bound unavailable; fallback R={R:.6g} from found records"
-        )
+        top = max((r.h1_norm for r in base), default=0.0)
+        # unequal tails leave M infinite and no closed-form bound
+        if np.isfinite(f.M):
+            R = search_radius(proven_bound(f, spec)[0], top)
+        else:
+            R = SAFETY_FACTOR * max(top, 1.0)
+        report.warnings.append(f"homotopy stage gave no radius; fallback R={R:.6g}")
 
     ledger = DegreeLedger(spec.k, R, spec)
     report.ledger = ledger

@@ -49,22 +49,14 @@ its first attempt evaluates no batch.  A dropped point's basin is passed
 to the later refines, and one that ends there is dropped without
 rebuilding its record.
 
-The homotopy bound multistarts the members h_lam of the homotopy to the
-linearization at infinity and takes R, SAFETY_FACTOR times the largest
-solution norm it finds.  Each member's solutions obey the closed-form
-bound ||u||_H1 <= (1 - lam) B(0), read off the base nonlinearity's
-`coefficient_bound`, so a member whose bound lies strictly inside the
-current ball (below SAFETY_FACTOR times the largest norm found so far) is
-skipped and never built: searching it could only enlarge R, never put a
-solution on the sphere.  The same rule applies within a member: its
-deterministic seeds are solved first, and its random starts are drawn
-only while its bound still reaches the sphere of the ball the seeds give.
-The base member, lam = 0, is f itself, so it starts out holding the
-critical points of J its caller already has: they count among its
-solutions, so R is never below SAFETY_FACTOR times any of their norms, and
-their Newton basins stop its starts.  When R exceeds B(0), every member's
-solutions lie strictly inside the ball, and the degree there is proven
-rather than sampled.
+The homotopy bound takes the search radius R of the degree ledger.  Every
+solution of every member h_lam of the homotopy to the linearization at
+infinity obeys the closed-form bound ||u||_H1 <= (1 - lam) B(0), read off
+the base nonlinearity's `coefficient_bound`, so a ball of radius R > B(0)
+holds them all strictly inside, and the degree there is proven rather
+than sampled.  R is also at least SAFETY_FACTOR times the largest norm of
+a solution of f the stage holds: the critical points of J its caller
+already has, and the points one seeded multistart of f finds.
 """
 
 from __future__ import annotations
@@ -75,7 +67,7 @@ import numpy as np
 from scipy.optimize import root
 
 from .errors import MaxItersExceeded, PathCollapse
-from .nonlinearity import coefficient_bound, find_zeros, homotopy
+from .nonlinearity import coefficient_bound, find_zeros
 from .records import (
     DEDUP_RADIUS,
     GRAD_TOL,
@@ -105,11 +97,9 @@ PATH_NODES = 41
 # sweeps between two attempts to certify a saddle from the highest node;
 # the polyline is redistributed after every attempt that fails
 REDISTRIBUTE_EVERY = 5
-# the homotopy bound scales the largest solution norm it sees by this
-# factor into the search radius R
+# the search radius R is at least this factor times the largest norm of a
+# solution the homotopy bound holds
 SAFETY_FACTOR = 2.0
-# random starts per homotopy member, on top of its deterministic seeds
-HOMOTOPY_BUDGET = 32
 
 
 def find_constants(functional) -> list:
@@ -588,159 +578,100 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
     return dedup_records(spec, records), outcomes
 
 
+def proven_bound(nonlinearity, spectrum) -> tuple:
+    """B(0) = max_j sqrt(1 + lam_j) b_j and the mode j that attains it, with
+    b_j the per-mode bound of `nonlinearity.coefficient_bound` that the
+    reduction's seed box reads too.
+
+    Write h_lam(t) = s t + g_lam(t) with sup |g_lam| = (1 - lam) M, M the
+    base's certified offset.  At a critical point (lam_j - s) u_j =
+    P_j g_lam(u), and Gram = I gives ||u||_H1 <= (1 - lam) B(0) for every
+    member of the homotopy.  Raises ResonantSlope, or AsymmetricSlopes when
+    the tails differ (M is infinite).
+    """
+    spread = np.sqrt(1.0 + spectrum.eigenvalues) * coefficient_bound(nonlinearity, spectrum)
+    mode = int(np.argmax(spread))
+    return float(spread[mode]), mode
+
+
+def search_radius(bound: float, max_norm: float) -> float:
+    """The ledger's radius R: SAFETY_FACTOR x `max_norm`, the largest norm
+    of a solution held, but never below the float just above the proven
+    bound B(0), so no member of the homotopy has a solution on the sphere."""
+    return max(SAFETY_FACTOR * max_norm, float(np.nextafter(bound, np.inf)))
+
+
 @dataclass
 class HomotopyBoundResult:
-    """Outcome of the homotopy sweep: the search radius R, the closed-form
-    bound that decided which members were sampled, and one row per member
-    (lam, bound, sampled, known, the number of points the caller passed in
-    that it holds, n_found, max_norm, the start outcomes of its seeds and
-    random starts together, and random_starts, the number of random starts
-    it drew: 0 or HOMOTOPY_BUDGET; the last five None when the member was
-    skipped).  n_found counts the known points with the new ones, so
-    n_found = known + outcomes["new"].
-
-    A member is skipped when its bound lies below SAFETY_FACTOR times the
-    largest norm sampled before it, so each skipped row has bound < R, and
-    a sampled member draws no random start when its bound lies below
-    SAFETY_FACTOR times the largest norm sampled up to its own seeds.
-    covers_bound is bound < R: then every member, for every lam in [0, 1],
-    has its solutions strictly inside the ball of radius R, and the degree
-    there is proven rather than sampled."""
+    """Outcome of the homotopy stage: the search radius R, the largest
+    solution norm it holds, the closed-form bound B(0) < R, and the base
+    member's search: `known`, the number of points the caller passed in
+    that it holds with their distinct group images, n_found = known +
+    outcomes["new"], and the outcomes of its seeds."""
 
     R: float
     max_norm: float
-    safety_factor: float
     M: float  # sup |f(t) - s t| of the base member
     mode: int  # the mode j that attains B(0) = sqrt(1 + lam_j) b_j
-    bound: float  # B(0) = max_j sqrt(1 + lam_j) b_j, the proven norm bound of every member
-    per_lambda: list
-    lambda_one_clean: bool
-    covers_bound: bool  # bound < R: no member has a solution on the sphere
+    bound: float  # B(0), the proven norm bound of every member
+    known: int
+    n_found: int
+    outcomes: dict
 
     def to_dict(self):
         # shallow: the report's `_jsonable` copies it on the way out
         return dict(vars(self))
 
 
-def homotopy_bound(nonlinearity, spectrum, lambdas, cfg: SolverConfig,
-                   known=()) -> HomotopyBoundResult:
-    """Sweep the family h_lam = lam f'(inf) t + (1 - lam) f(t), multistart
-    each member that could reach the sphere of the current ball, and return
-    R = SAFETY_FACTOR x the largest solution norm.
+def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
+    """R = `search_radius` of the proven bound B(0) (`proven_bound`) and the
+    largest norm of a solution of f held.
 
+    The family h_lam = lam f'(inf) t + (1 - lam) f(t) runs from f at
+    lam = 0 to the nonresonant linearization at infinity at lam = 1, and
+    every member's solutions lie in the ball of radius B(0), which R
+    exceeds; so the degree on that ball is that of the linear end.  Only
+    the member lam = 0, f itself, is searched, for R's SAFETY_FACTOR term.
     `known` holds records of critical points of J, the functional of f,
-    that the caller already has.  The member lam = 0 is f itself
-    (`nonlinearity.homotopy`), so only it reads them: they and their
-    distinct group images (`_distinct_points`, no evaluation: an image has
-    its source's norm and Newton radius) belong to its solution set
-    (n_found and max_norm; the row's `known` counts them), and both of its
-    multistart calls hold their Newton basins, so a start that enters one
-    stops there and builds no record.  Every other sampled member's
-    `known` is 0.
+    that the caller already has: they and their distinct group images
+    (`_distinct_points`, no evaluation: an image has its source's norm and
+    Newton radius) count among its solutions (n_found and max_norm), and
+    the multistart holds their Newton basins, so a start that enters one
+    stops there and builds no record.
 
-    Write h_lam(t) = s t + g_lam(t) with sup |g_lam| = (1 - lam) M, M the
-    base's certified offset.  At a critical point (lam_j - s) u_j =
-    P_j g_lam(u), and Gram = I gives the proven bound ||u||_H1 <= B(lam) =
-    (1 - lam) B(0), B(0) = max_j sqrt(1 + lam_j) b_j attained at `mode`,
-    with b_j the per-mode bound of `nonlinearity.coefficient_bound` that
-    the reduction's seed box reads too.  A member with
-    B(lam) < SAFETY_FACTOR x the largest norm sampled so far has every
-    solution strictly inside the current ball, so searching it could only
-    enlarge R, never put a solution on its sphere; it is skipped and never
-    built: no member, functional, seeds or multistart.  B falls as lam
-    rises, so an ascending sweep samples a prefix of the members.  The
-    comparison is strict and the largest norm starts at 0, so the first
-    member is always sampled and a one-member call always samples.
-    Skipped and sampled members alike keep their random stream,
-    rng_seed + 1000 + their index in `lambdas`.  covers_bound reports
-    B(0) < R, in which case no member of the whole family [0, 1] has a
-    solution on the sphere, sampled or not.
+    The multistart is seeded at every real zero of f on the whole line,
+    the constant fields that solve it exactly, and at three amplitudes of
+    either sign of the first nonconstant mode, where the norm-extremal
+    solutions of asymptotically linear problems live; it draws no random
+    start.  No other start lies on the line of constant fields: f of a
+    constant field is constant, and Gram = I projects it onto the constant
+    mode alone, so a root solve from there never leaves that line
+    (`refine_critical` solves such a start on the line) and can only end
+    at a constant zero, which is already seeded.
 
-    A sampled member is searched in two multistart calls.  The first
-    solves its seeds alone and draws nothing from its random stream.  The
-    second, the random chunk, draws HOMOTOPY_BUDGET random starts and holds
-    the Newton basins of the points the seeds found and of the known ones;
-    it runs only when
-    B(lam) is not below SAFETY_FACTOR x the largest norm sampled so far,
-    the seeds' and the known points' included, since once the ball holds
-    B(lam) more starts could only enlarge R.  The row's random_starts says
-    whether it ran.  When it runs it draws the same starts, with the same
-    basins held, as one call of the seeds and the random starts together,
-    so it finds the same points.  The first member is always sampled, so
-    its first-mode seeds still look for a point of larger norm than any
-    known one.
-
-    A sampled member is seeded at every real zero of h_lam on the whole
-    line, the constant fields that solve it exactly, and at three
-    amplitudes of either sign of the first nonconstant mode.  No other
-    start lies on the line of constant fields: h_lam of a constant field is
-    constant, and Gram = I projects it onto the constant mode alone, so a
-    root solve from there never leaves that line (`refine_critical` solves
-    such a start on the line) and can only end at a constant zero, which
-    the member already seeds.
-
-    At lam = 1 the member is linear and nonresonant, so the only solution is
-    0 (B(1) = 0 proves it when the member is skipped); lambda_one_clean
-    reports whether the sweep respected that.  Raises ResonantSlope, or
-    AsymmetricSlopes when the tails differ (M is infinite), before sweeping.
+    Raises ResonantSlope, or AsymmetricSlopes when the tails differ, before
+    any search.
     """
     from .energy import EnergyFunctional
 
-    spread = np.sqrt(1.0 + spectrum.eigenvalues) * coefficient_bound(nonlinearity, spectrum)
-    mode = int(np.argmax(spread))
-    B0 = float(spread[mode])
+    bound, mode = proven_bound(nonlinearity, spectrum)
     knot_ts = [t for t, _ in nonlinearity.knots]
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
     start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
-
-    per_lambda = []
-    max_norm = 0.0
-    clean = True
-    for li, lam in enumerate(lambdas):
-        bound = (1.0 - float(lam)) * B0
-        row = {"lam": float(lam), "bound": bound, "sampled": not bound < SAFETY_FACTOR * max_norm,
-               "known": None, "n_found": None, "max_norm": None, "outcomes": None,
-               "random_starts": None}
-        per_lambda.append(row)
-        if not row["sampled"]:
-            continue
-        g = homotopy(nonlinearity, float(lam))
-        func = EnergyFunctional(spectrum, g)
-        # the base member is f itself: the known points of J and their
-        # images are its points, each image with its source's norm and
-        # Newton radius
-        points = _distinct_points(spectrum, nonlinearity.odd, known) if float(lam) == 0.0 else []
-        held = [(signs * known[i].coeffs, newton_radius(func, known[i])) for i, signs in points]
-        seeds = [spectrum.constant_field(t) for t in find_zeros(g, -np.inf, np.inf)]
-        # large-amplitude first-mode seeds: the norm-extremal solutions of
-        # asymptotically linear problems live in this family
-        if spectrum.n_modes > 1:
-            amp_unit = spectrum.pairs[1].norm_constant
-            for amp in (span + 1.0, 2.0 * span + 2.0, 3.0 * span + 3.0):
-                for sgn in (1.0, -1.0):
-                    e = np.zeros(spectrum.n_modes)
-                    e[1] = sgn * amp / amp_unit
-                    seeds.append(e)
-        rng = np.random.default_rng(cfg.rng_seed + 1000 + li)
-        recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=rng,
-                                    basins=held)
-        norms = [known[i].h1_norm for i, _ in points] + [r.h1_norm for r in recs]
-        top = max(norms, default=0.0)
-        # the random chunk, only while the member's bound reaches the sphere
-        # of the ball its points and the members before it give
-        random_starts = 0 if bound < SAFETY_FACTOR * max(max_norm, top) else HOMOTOPY_BUDGET
-        if random_starts:
-            held += [(r.coeffs, newton_radius(func, r)) for r in recs]
-            more, drawn = multistart(func, start_radius, budget=random_starts, rng=rng,
-                                     basins=held)
-            norms += [r.h1_norm for r in more]
-            outcomes = {k: outcomes[k] + drawn[k] for k in outcomes}
-            top = max(norms, default=0.0)
-        row.update(known=len(points), n_found=len(norms), max_norm=top, outcomes=outcomes,
-                   random_starts=random_starts)
-        max_norm = max(max_norm, top)
-        if abs(float(lam) - 1.0) < 1e-12 and top > 1e-6:
-            clean = False
-    R = SAFETY_FACTOR * max_norm
-    return HomotopyBoundResult(R, max_norm, SAFETY_FACTOR, nonlinearity.M, mode, B0, per_lambda,
-                               clean, B0 < R)
+    func = EnergyFunctional(spectrum, nonlinearity)
+    points = _distinct_points(spectrum, nonlinearity.odd, known)
+    held = [(signs * known[i].coeffs, newton_radius(func, known[i])) for i, signs in points]
+    seeds = [spectrum.constant_field(t) for t in find_zeros(nonlinearity, -np.inf, np.inf)]
+    if spectrum.n_modes > 1:
+        amp_unit = spectrum.pairs[1].norm_constant
+        for amp in (span + 1.0, 2.0 * span + 2.0, 3.0 * span + 3.0):
+            for sgn in (1.0, -1.0):
+                e = np.zeros(spectrum.n_modes)
+                e[1] = sgn * amp / amp_unit
+                seeds.append(e)
+    recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=None,
+                                basins=held)
+    norms = [known[i].h1_norm for i, _ in points] + [r.h1_norm for r in recs]
+    max_norm = max(norms, default=0.0)
+    return HomotopyBoundResult(search_radius(bound, max_norm), max_norm, nonlinearity.M, mode,
+                               bound, len(points), len(norms), outcomes)

@@ -31,11 +31,6 @@ def ref5():
 
 
 @pytest.fixture(scope="session")
-def solver_cfg():
-    return nc.SolverConfig(rng_seed=7)
-
-
-@pytest.fixture(scope="session")
 def ref5_ctx(ref5):
     _, _, func = ref5
     return nc.make_reduction_context(func)

@@ -17,6 +17,7 @@ from scipy.linalg import eigh
 
 import neucrit as nc
 from neucrit.records import GRAD_TOL
+from neucrit.solvers import SAFETY_FACTOR
 
 
 def _verdict(num, label, ok, detail=""):
@@ -289,12 +290,12 @@ def _tail_offset_sup(f):
 
 
 def test_09_homotopy_bound(reference_report):
-    """Every member h_lam of the sweep, sampled alone (a one-member sweep
-    never skips), has solution norms at most (1 - lam) B(0), where
-    B(0) = M sqrt(|Omega| max_j (1 + lam_j) / (lam_j - s)^2) is the closed
-    form; at the linear end only u = 0 survives; and no member the sweep
-    skipped holds a norm above the sweep's max_norm, so R = safety x
-    max_norm is what sampling every member would give."""
+    """Every member h_lam of an 11-point grid, searched alone from its
+    zeros, six first-mode seeds and 32 random starts, has solution norms at
+    most (1 - lam) B(0), where B(0) = M sqrt(|Omega| max_j (1 + lam_j) /
+    (lam_j - s)^2) is the closed form; at the linear end only u = 0
+    survives; and R exceeds B(0), so the ball holds every member's
+    solutions strictly inside, while R = safety x max_norm."""
     h = reference_report.stages["homotopy"]
     spec = reference_report.spectrum
     f = reference_report.functional.nonlinearity
@@ -302,22 +303,28 @@ def test_09_homotopy_bound(reference_report):
     s = f.slope_plus_inf
     proven = _tail_offset_sup(f) * math.sqrt(
         spec.domain.measure * np.max((1.0 + lam) / (lam - s) ** 2))
-    cfg = nc.SolverConfig(**reference_report.config["solver"])
-    alone = {row["lam"]: nc.homotopy_bound(f, spec, [row["lam"]], cfg).per_lambda[0]
-             for row in h["per_lambda"]}
-    above_own_bound = [l for l, row in alone.items()
-                       if not row["sampled"] or row["max_norm"] > (1.0 - l) * proven]
-    skipped = [row["lam"] for row in h["per_lambda"] if not row["sampled"]]
-    worst_skipped = max(alone[l]["max_norm"] for l in skipped)
+    span = max(abs(t) for t, _ in f.knots)
+    radius = 4.0 * max(1.0, span * math.sqrt(spec.domain.measure))
+    first_mode = [sgn * amp / spec.pairs[1].norm_constant * np.eye(spec.n_modes)[1]
+                  for amp in (span + 1.0, 2.0 * span + 2.0, 3.0 * span + 3.0)
+                  for sgn in (1.0, -1.0)]
+    alone = {}
+    for l in np.linspace(0.0, 1.0, 11):
+        g = nc.homotopy(f, float(l))
+        seeds = [spec.constant_field(t) for t in nc.find_zeros(g, -np.inf, np.inf)]
+        rng = np.random.default_rng(reference_report.config["solver"]["rng_seed"] + 1000)
+        recs, _ = nc.multistart(nc.EnergyFunctional(spec, g), radius, seeds + first_mode,
+                                budget=32, rng=rng)
+        alone[float(l)] = [r.h1_norm for r in recs]
+    above_own_bound = [l for l, norms in alone.items()
+                       if max(norms, default=0.0) > (1.0 - l) * proven]
     end = alone[1.0]
-    ok = (not above_own_bound and worst_skipped <= h["max_norm"]
-          and end["n_found"] == 1 and end["max_norm"] < 1e-6 and h["lambda_one_clean"]
+    ok = (not above_own_bound and len(end) == 1 and end[0] < 1e-6
           and h["bound"] == pytest.approx(proven, rel=1e-12)
-          and h["R"] == h["safety_factor"] * h["max_norm"])
+          and h["R"] > h["bound"] and h["R"] == SAFETY_FACTOR * h["max_norm"])
     _verdict(9, "homotopy norm bound", ok,
              f"11 members alone within (1 - lam) x closed form {proven:.4f};"
-             f" {len(skipped)} skipped members reach {worst_skipped:.4f}"
-             f" <= max norm {h['max_norm']:.4f}; end-point norm {end['max_norm']:.1e}")
+             f" R {h['R']:.4f} > B(0); end-point norm {max(end, default=0.0):.1e}")
 
 
 # ---------------------------------------------------------------- 10

@@ -106,23 +106,17 @@ def test_radius_holds_every_record_found_before_the_homotopy():
 
 @pytest.mark.parametrize("make", [_flip_config, _k3_config, _rectangle_config])
 def test_homotopy_radius_is_the_full_sweep_radius(make):
-    """The sweep skips every member whose closed-form bound lies inside the
-    current ball, so R must be what sampling every member gives: each
-    member sampled alone (a one-member call never skips) has no solution
-    norm above the sweep's max_norm.  On these instances only lam = 0 is
-    sampled, and R exceeds the closed-form bound B(0)."""
-    cfg = make(7)
-    cfg["stages"] = ["homotopy"]
-    rep = nc.run_pipeline(cfg)
-    h = rep.stages["homotopy"]
-    assert [row["lam"] for row in h["per_lambda"] if row["sampled"]] == [0.0]
-    assert h["covers_bound"] and h["bound"] < h["R"]
-    spec, f = rep.spectrum, rep.functional.nonlinearity
-    scfg = nc.SolverConfig(**rep.config["solver"])
-    for row in h["per_lambda"]:
-        (alone,) = nc.homotopy_bound(f, spec, [row["lam"]], scfg).per_lambda
-        assert alone["sampled"]
-        assert alone["max_norm"] <= h["max_norm"], row["lam"]
+    """Every member h_lam of the full sweep lam in [0, 1] has its solutions
+    within (1 - lam) B(0), so R > B(0) holds them all strictly inside the
+    ball, with no member searched but f itself; R is SAFETY_FACTOR times
+    the largest norm the base member's seeds find when that lies above
+    B(0), and the float just above B(0) otherwise (k = 3, whose seeds reach
+    only 5.115 against B(0) = 39.633)."""
+    h, recs, _ = _base_member_search(make(7))
+    assert h["bound"] < h["R"]
+    top = max(r.h1_norm for r in recs)
+    assert h["max_norm"] == top
+    assert h["R"] == max(solvers.SAFETY_FACTOR * top, np.nextafter(h["bound"], np.inf))
 
 
 def _middle_slope_config(seed, slope=0.9):
@@ -132,53 +126,93 @@ def _middle_slope_config(seed, slope=0.9):
     return cfg
 
 
-def _base_member_searches(cfg, monkeypatch):
-    """The homotopy stage of `cfg`, and the records and outcomes of one
-    multistart of its base member's seeds and HOMOTOPY_BUDGET random
-    starts together, drawn from the member's random stream."""
-    seed_calls = []
+def _base_member_search(cfg):
+    """The homotopy stage of `cfg` run alone, and the records and outcomes
+    of one multistart of its base member's seeds, the zeros of f and the
+    six first-mode amplitudes, with no random start."""
+    calls = []
     search = solvers.multistart
 
     def spy(func, radius, seeds=(), **kw):
-        if seeds:
-            seed_calls.append((func, radius, seeds))
-        return search(func, radius, seeds, **kw)
+        found = search(func, radius, seeds, **kw)
+        calls.append((kw["budget"], found))
+        return found
 
-    monkeypatch.setattr(solvers, "multistart", spy)
     cfg["stages"] = ["homotopy"]
-    h = nc.run_pipeline(cfg).stages["homotopy"]
-    func, radius, seeds = seed_calls[0]
-    rng = np.random.default_rng(cfg["solver"]["rng_seed"] + 1000)
-    recs, outcomes = search(func, radius, seeds, budget=solvers.HOMOTOPY_BUDGET, rng=rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "multistart", spy)
+        h = nc.run_pipeline(cfg).stages["homotopy"]
+    ((budget, (recs, outcomes)),) = calls
+    assert budget == 0
     return h, recs, outcomes
 
 
 @pytest.mark.parametrize("make", [nc.reference_config, lambda: _rectangle_config(7),
                                   lambda: _flip_config(7), lambda: _middle_slope_config(7)],
                          ids=["interval", "rectangle", "flip", "slope0.9"])
-def test_seeds_alone_give_the_full_search_radius(make, monkeypatch):
-    """The base member's seeds put R past B(0), so it draws no random
-    start, and R is what its seeds and HOMOTOPY_BUDGET random starts
-    together give."""
-    h, recs, _ = _base_member_searches(make(), monkeypatch)
-    (base,) = [row for row in h["per_lambda"] if row["sampled"]]
-    assert base["random_starts"] == 0
-    assert h["covers_bound"]
+def test_seeds_alone_give_the_full_search_radius(make):
+    """The base member's seeds put SAFETY_FACTOR times their largest norm
+    past B(0), so that product is R."""
+    h, recs, _ = _base_member_search(make())
+    assert h["bound"] < h["R"]
     assert h["R"] == solvers.SAFETY_FACTOR * max(r.h1_norm for r in recs)
 
 
-def test_k3_base_member_still_draws_its_random_starts(monkeypatch):
-    """At k = 3 the seeds leave B(0) past the ball they give, so the random
-    chunk runs; it draws the same starts as the search of the seeds and
-    the random starts together, and the member reports the same points and
-    outcomes."""
-    h, recs, outcomes = _base_member_searches(_k3_config(7), monkeypatch)
-    (base,) = [row for row in h["per_lambda"] if row["sampled"]]
-    assert base["random_starts"] == solvers.HOMOTOPY_BUDGET
-    assert base["outcomes"] == outcomes == {"new": 16, "basin": 27, "failed": 0}
-    assert base["n_found"] == len(recs)
-    assert base["max_norm"] == max(r.h1_norm for r in recs)
-    assert h["R"] == solvers.SAFETY_FACTOR * base["max_norm"]
+def test_k3_radius_is_the_proven_bound():
+    """At k = 3 the base member's seeds reach only 5.115 against
+    B(0) = 39.633, so R is the float just above B(0), not a sampled radius.
+    Without the reduction maximizer (norm 35.553) to raise it, the ledger
+    on that ball balances with all 21 records."""
+    cfg = _k3_config(7)
+    cfg["stages"] = ["homotopy"]
+    h = nc.run_pipeline(cfg).stages["homotopy"]
+    assert h["R"] == np.nextafter(h["bound"], np.inf)
+    assert h["R"] == pytest.approx(39.633, abs=1e-3)
+    assert solvers.SAFETY_FACTOR * h["max_norm"] < h["bound"]
+    cfg["stages"] = ["homotopy", "ledger", "multistart"]
+    rep = nc.run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    assert rep.ledger.R == h["R"]
+    assert rep.ledger_report.balanced
+    assert len(rep.records) == 21
+
+
+@pytest.mark.parametrize("middle, indices", [(0.5, [0, 0, 1, 1, 1]),
+                                             (1.5, [0, 0, 1, 1, 1, 1, 2]),
+                                             (3.0, [0, 0, 1, 1, 1, 1, 2])])
+def test_k1_corner_radius_is_proven(middle, indices):
+    """At tail and crossing slopes 0.8 (k = 1) the reduction does not apply,
+    and the largest norm held is a constant's, 3.545, so SAFETY_FACTOR
+    times it, 7.09, lies below B(0) = 21.1057: R is the float just above
+    B(0) instead, and the ledger, which balances, counts on a ball whose
+    degree is proven."""
+    cfg = _sloped_config(0.8, 7)
+    cfg["nonlinearity"]["knots"][2][1] = middle
+    rep = nc.run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    assert rep.hypotheses.k == 1
+    h = rep.stages["homotopy"]
+    assert h["max_norm"] == pytest.approx(2.0 * np.sqrt(np.pi), rel=1e-12)
+    assert rep.ledger.R == h["R"] == np.nextafter(h["bound"], np.inf)
+    assert h["R"] > h["bound"] == pytest.approx(21.1057, abs=1e-4)
+    assert rep.ledger_report.balanced
+    assert sorted(r.morse_index for r in rep.records) == indices
+
+
+def test_k3_middle_slope_17_balances():
+    """At tail and crossing slopes 5 with f'(0) = 17 the reduction does not
+    apply and the largest norm held is 5.09, so R is the float just above
+    B(0) = 39.633.  On that ball the multistart stage finds the index-4
+    pair at E = -3.87329e-4 too: 25 records, balanced."""
+    cfg = _k3_config(7)
+    cfg["nonlinearity"]["knots"][2][1] = 17.0
+    rep = nc.run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    assert rep.ledger.R == np.nextafter(rep.stages["homotopy"]["bound"], np.inf)
+    assert rep.ledger_report.balanced
+    assert len(rep.records) == 25
+    pair = [r for r in rep.records if r.energy == pytest.approx(-3.87329e-4, rel=1e-5)]
+    assert [r.morse_index for r in pair] == [4, 4]
 
 
 def test_k3_balances():

@@ -122,7 +122,8 @@ def test_tail_offset_sup_with_subnormal_quadratic_coefficient():
 @example(knots=[(1.0, 1.8612954071127512e-162)], centre=None, tail=0.0, margin=1.0, lam=0.5)
 def test_homotopy_member_offset_scales(knots, centre, tail, margin, lam):
     """M of the member h_lam = lam s t + (1 - lam) f is (1 - lam) M of f;
-    the homotopy sweep's skip rule rests on it.  The error is taken
+    the proven bound (1 - lam) B(0) on every member's solutions rests on
+    it.  The error is taken
     relative to f's M: the blended coefficients carry rounding of order
     eps |s t|, which does not shrink with 1 - lam.  Below the smallest
     normal float values keep only an absolute precision, so a subnormal M

@@ -63,7 +63,7 @@ def test_reference_run_stage_surface(reference_report):
                 "truncation_interval", "homotopy", "reduction", "ledger",
                 "multistart"):
         assert key in rep.stages, key
-    assert rep.stages["homotopy"]["lambda_one_clean"]
+    assert rep.stages["homotopy"]["bound"] < rep.stages["homotopy"]["R"]
     assert rep.stages["multistart"]["final_deficiency"] == 0
     assert rep.stages["ledger"]["initial_reconciliation"]["deficiency"] != 0
     assert rep.stages["ledger"]["final_reconciliation"]["deficiency"] == 0
@@ -72,28 +72,20 @@ def test_reference_run_stage_surface(reference_report):
 
 
 def test_reference_homotopy_samples_one_member(reference_report):
-    """Only lam = 0 is sampled: from lam = 0.1 on the closed-form bound
-    B(lam) (11.89 at 0.1) lies below R = SAFETY_FACTOR x 7.208, so those ten
-    members are skipped with no count or norm.  B(0) = 13.211 lies below R
-    too, so the ball holds every member's solutions.  The base member holds
-    the 13 points the stages before it found, with their group images, and
-    the stage repeats for the same seed when a standalone call is passed
-    the same points."""
+    """Only lam = 0, f itself, is searched: the closed-form bound B(0) =
+    13.211 holds every member's solutions, and R = SAFETY_FACTOR x 7.208
+    lies above it.  The base member holds the 13 points the stages before
+    it found, with their group images, and the stage repeats for the same
+    seed when a standalone call is passed the same points.  The block
+    holds no per-member row."""
     h = reference_report.stages["homotopy"]
-    sampled = [row for row in h["per_lambda"] if row["sampled"]]
-    skipped = [row for row in h["per_lambda"] if not row["sampled"]]
-    assert [row["lam"] for row in sampled] == [0.0] and len(skipped) == 10
-    assert all(row["bound"] < h["R"] for row in skipped)
-    assert skipped[0]["bound"] == pytest.approx(11.890, abs=1e-3)
-    assert h["covers_bound"] and h["bound"] < h["R"]
-    assert all(row["known"] is row["n_found"] is row["max_norm"] is row["outcomes"] is None
-               for row in skipped)
-    assert h["max_norm"] == max(row["max_norm"] for row in sampled)
-    assert sampled[0]["known"] == len(reference_report.records) == 13
+    assert set(h) == {"R", "max_norm", "M", "mode", "bound", "known", "n_found", "outcomes"}
+    assert h["bound"] == pytest.approx(13.211, abs=1e-3) and h["bound"] < h["R"]
+    assert h["R"] == solvers.SAFETY_FACTOR * h["max_norm"]
+    assert h["max_norm"] == pytest.approx(7.208, abs=1e-3)
+    assert h["known"] == len(reference_report.records) == 13
     f = reference_report.functional.nonlinearity
-    cfg = nc.SolverConfig(**reference_report.config["solver"])
-    alone = nc.homotopy_bound(f, reference_report.spectrum, np.linspace(0.0, 1.0, 11), cfg,
-                              reference_report.records)
+    alone = nc.homotopy_bound(f, reference_report.spectrum, reference_report.records)
     assert alone.to_dict() == h
 
 
@@ -112,25 +104,19 @@ def test_reference_multistart_closes_orbits_without_random_starts(reference_repo
 
 def test_start_outcomes_sum_to_the_starts(reference_report):
     """Every multistart call sorts its starts into new points, ends in a
-    held point's basin, and failures.  A sampled homotopy member's starts
-    are its zeros on the whole line, 6 first-mode seeds and, only when its
-    random chunk ran, HOMOTOPY_BUDGET random ones, and none of them fails;
+    held point's basin, and failures.  The homotopy's starts are the zeros
+    of f on the whole line and 6 first-mode seeds, and none of them fails;
     its points are the known ones it was passed and the new ones.  Every
     multistart pass reports its own starts.  The counts repeat for the
     same seed (`test_reference_homotopy_samples_one_member`)."""
     f = reference_report.functional.nonlinearity
-    rows = [r for r in reference_report.stages["homotopy"]["per_lambda"] if r["sampled"]]
-    for row in rows:
-        zeros = nc.find_zeros(nc.homotopy(f, row["lam"]), -np.inf, np.inf)
-        assert row["random_starts"] in (0, solvers.HOMOTOPY_BUDGET)
-        assert sum(row["outcomes"].values()) == len(zeros) + 6 + row["random_starts"]
-        assert row["outcomes"]["new"] + row["known"] == row["n_found"]
-        assert row["outcomes"]["failed"] == 0
-    # the base member holds the 9 records the stages before it found and
-    # their 4 other images, so every seed ends in one of their basins; they
-    # give R = 2 x 7.208 > B(0), so it draws no random start
-    assert rows[0]["outcomes"] == {"new": 0, "basin": 11, "failed": 0}
-    assert rows[0]["random_starts"] == 0
+    h = reference_report.stages["homotopy"]
+    zeros = nc.find_zeros(f, -np.inf, np.inf)
+    assert sum(h["outcomes"].values()) == len(zeros) + 6 == 11
+    assert h["outcomes"]["new"] + h["known"] == h["n_found"]
+    # the stage holds the 9 records the stages before it found and their 4
+    # other images, so every seed ends in one of their basins
+    assert h["outcomes"] == {"new": 0, "basin": 11, "failed": 0}
     for p in reference_report.stages["multistart"]["passes"]:
         assert sum(p["outcomes"].values()) == p["starts"]
 
@@ -190,15 +176,14 @@ def test_reference_search_counts(monkeypatch):
     # its six best seeds and runs one root solve per orbit of those seeds,
     # each holding the Newton basins of the points the solves before it
     # found and of their group images, so only the first builds a record;
-    # the homotopy samples only its base member, which holds the points
-    # found so far and their images, so its seeds end in their basins and
-    # build no record, and they give R = 2 x 7.208 past B(0), so it draws
-    # no random start.  The orbit passes start from the image records of the
-    # points the ledger holds; the four images that meet GRAD_TOL at the
-    # first evaluation keep those records and build none.  Each pass
-    # starts from the wide path, whose energies are closed-form (one
-    # `bump_values` per pass, no batch), and certifies its saddle from its
-    # highest node after REDISTRIBUTE_EVERY sweeps, before any
+    # the homotopy searches f alone, holding the points found so far and
+    # their images, so its seeds end in their basins and build no record,
+    # and it draws no random start.  The orbit passes start from the image
+    # records of the points the ledger holds; the four images that meet
+    # GRAD_TOL at the first evaluation keep those records and build none.
+    # Each pass starts from the wide path, whose energies are closed-form
+    # (one `bump_values` per pass, no batch), and certifies its saddle from
+    # its highest node after REDISTRIBUTE_EVERY sweeps, before any
     # redistribution, so it evaluates no batch.  The five records of the
     # constants stage read their energy, gradient and Morse data off one
     # scalar and assemble no Hessian
@@ -532,8 +517,14 @@ def test_stage_subset_runs_partial():
     rep = run_pipeline(cfg)
     assert rep.ok
     assert "multistart" not in rep.stages
-    # no homotopy stage: fallback radius with a warning
+    # no homotopy stage: fallback radius with a warning, the homotopy's
+    # rule over the records found, so it lies above the closed-form bound
+    # B(0) = 13.211 and not at twice the largest constant's norm, 7.09,
+    # where the ball's degree would be unproven
     assert any("fallback R" in w for w in rep.warnings)
+    bound, _ = solvers.proven_bound(rep.functional.nonlinearity, rep.spectrum)
+    assert rep.ledger.R == np.nextafter(bound, np.inf)
+    assert bound == pytest.approx(13.211, abs=1e-3)
     assert rep.deficiency == -4  # five +1 constants against global +1
     # the fallback radius holds every record the run found, the reduction
     # maximizer (norm 7.208, beyond twice the largest constant's 3.545)
@@ -543,3 +534,9 @@ def test_stage_subset_runs_partial():
     assert any("fallback R" in w for w in rep.warnings)
     assert all(r.in_ball for r in rep.records)
     assert rep.ledger.R == 2.0 * max(r.h1_norm for r in rep.records)
+    # unequal tails have no B(0): R is twice the largest norm found
+    cfg["nonlinearity"]["slope_plus_inf"] = 3.1
+    rep = run_pipeline(cfg)
+    assert any("fallback R" in w for w in rep.warnings)
+    assert rep.ledger.R == 2.0 * max(r.h1_norm for r in rep.records)
+

@@ -318,11 +318,10 @@ def test_refine_critical_stays_on_the_constant_line_where_the_hessian_is_singula
         assert min(spec.h1_dist(u, spec.constant_field(z)) for z in (-2, -1, 0, 1, 2)) <= 1e-6
 
 
-def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
-    """The sweep builds its own functionals, so count at the class.  Only
-    lam = 0 is sampled: its max_norm exceeds B(0.5) and B(1).  Its seeds
-    alone put R past B(0), so it draws no random start, and no seed lies
-    on the line of constant fields off the member's zeros."""
+def test_homotopy_bound_gradient_calls(ref5, monkeypatch):
+    """The stage builds its own functional, so count at the class.  Only
+    f itself is searched, from its seeds alone, and no seed lies on the
+    line of constant fields off the zeros of f."""
     spec, f, _ = ref5
     calls = []
     l2_gradient = nc.EnergyFunctional.l2_gradient
@@ -332,40 +331,18 @@ def test_homotopy_bound_gradient_calls(ref5, solver_cfg, monkeypatch):
         return l2_gradient(self, u)
 
     monkeypatch.setattr(nc.EnergyFunctional, "l2_gradient", counted)
-    nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
+    nc.homotopy_bound(f, spec)
     assert len(calls) == 25
 
 
-def test_homotopy_bound_builds_only_sampled_members(ref5, solver_cfg, monkeypatch):
-    """Every member's bound is (1 - lam) C M of the base, so only the
-    sampled members are built: 1 of the reference run's 11, and only
-    lam = 0 of [0, 0.5, 1]."""
-    spec, f, _ = ref5
-    built = []
-
-    def counted(g, lam):
-        built.append(lam)
-        return nc.homotopy(g, lam)
-
-    monkeypatch.setattr(solvers, "homotopy", counted)
-    cfg = nc.reference_config()
-    cfg["stages"] = ["homotopy"]
-    rows = nc.run_pipeline(cfg).stages["homotopy"]["per_lambda"]
-    assert built == [row["lam"] for row in rows if row["sampled"]]
-    assert built == [0.0]
-    built.clear()
-    nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
-    assert built == [0.0]
-
-
-def test_homotopy_bound_needs_exactly_equal_tails(ref5, solver_cfg):
+def test_homotopy_bound_needs_exactly_equal_tails(ref5):
     """Equal tails means equal slopes, the case in which M is finite; a
     difference of 1e-13 leaves M infinite and no member bound."""
     spec, _, _ = ref5
     near = nc.build_nonlinearity(REF5_KNOTS, 2.5, 2.5 + 1e-13)
     assert near.M == np.inf
     with pytest.raises(nc.AsymmetricSlopes):
-        nc.homotopy_bound(near, spec, [0.0, 1.0], solver_cfg)
+        nc.homotopy_bound(near, spec)
     with pytest.raises(nc.AsymmetricSlopes):
         nc.homotopy(near, 0.5)
     assert not nc.check_hypotheses(near, spec).symmetric_slopes
@@ -459,45 +436,33 @@ def test_dedup_records(ref5):
     assert all(a is b for a, b in zip(dedup_records(spec, recs[::-1]), kept))
 
 
-def test_homotopy_bound_reference(ref5, solver_cfg):
-    """The base member's widest orbit, norm 7.208, sets max_norm; the
-    closed-form bounds B(0.5) = 6.606 and B(1) = 0 lie below R, so those
-    members are skipped, and lam = 1 stays clean since B(1) = 0 leaves only
-    u = 0.  Alone, [1.0] is sampled and finds only u = 0."""
+def test_homotopy_bound_reference(ref5):
+    """The base member's widest orbit, norm 7.208, sets max_norm, and
+    R = SAFETY_FACTOR x 7.208 = 14.417 exceeds the closed-form bound
+    B(0) = 13.211, so no member of [0, 1] reaches the sphere.  B(0) is the
+    base's M times C, the constant of the closed form, and each member's
+    bound is its own M times C, which is (1 - lam) B(0)."""
     spec, f, func = ref5
-    res = nc.homotopy_bound(f, spec, [0.0, 0.5, 1.0], solver_cfg)
+    res = nc.homotopy_bound(f, spec)
     assert 7.0 < res.max_norm < 7.5
-    assert res.R == pytest.approx(SAFETY_FACTOR * res.max_norm)
+    assert res.R == SAFETY_FACTOR * res.max_norm
     assert res.M == f.M and res.mode == 2
-    assert res.bound == pytest.approx(13.2111, abs=1e-4)
-    base, half, linear = res.per_lambda
-    assert base["sampled"] and base["max_norm"] == res.max_norm and base["bound"] == res.bound
-    assert not half["sampled"] and half["bound"] == pytest.approx(6.606, abs=1e-3)
-    assert not linear["sampled"] and linear["bound"] == 0.0
-    assert half["n_found"] is half["max_norm"] is linear["n_found"] is linear["max_norm"] is None
-    assert res.lambda_one_clean
-    # R = 14.417 exceeds B(0), so no member of [0, 1] reaches the sphere
-    assert res.covers_bound
-    assert res.to_dict()["per_lambda"] == res.per_lambda
-    # each bound is the member's own M times C, the constant of the closed form
+    assert res.bound == pytest.approx(13.2111, abs=1e-4) and res.bound < res.R
+    assert (res.known, res.n_found) == (0, 7)
+    assert res.outcomes == {"new": 7, "basin": 4, "failed": 0}
+    assert res.to_dict() == vars(res)
     lam_j = spec.eigenvalues
     C = np.sqrt(spec.domain.measure * np.max((1.0 + lam_j) / (lam_j - 2.5) ** 2))
-    for row in res.per_lambda:
-        assert row["bound"] == pytest.approx(nc.homotopy(f, row["lam"]).M * C, rel=1e-14)
-
-    linear_only = nc.homotopy_bound(f, spec, [1.0], solver_cfg)
-    (alone,) = linear_only.per_lambda
-    assert alone["sampled"] and alone["bound"] == 0.0
-    assert alone["n_found"] == 1 and alone["max_norm"] < 1e-6
-    # B(0) is the bound of the whole family, which lam = 1 alone cannot cover
-    assert not linear_only.covers_bound
+    for lam in (0.0, 0.5, 1.0):
+        assert nc.homotopy(f, lam).M * C == pytest.approx((1.0 - lam) * res.bound,
+                                                          rel=1e-14, abs=1e-14)
 
 
-def test_homotopy_bound_preconditions(ref5, solver_cfg):
+def test_homotopy_bound_preconditions(ref5):
     spec, _, _ = ref5
     resonant = nc.build_nonlinearity([(0.0, -1.0)], 4.0, 4.0)
     with pytest.raises(nc.ResonantSlope):
-        nc.homotopy_bound(resonant, spec, [0.0, 1.0], solver_cfg)
+        nc.homotopy_bound(resonant, spec)
     lopsided = nc.build_nonlinearity([(0.0, -1.0)], 2.5, 3.1)
     with pytest.raises(nc.AsymmetricSlopes):
-        nc.homotopy_bound(lopsided, spec, [0.0, 1.0], solver_cfg)
+        nc.homotopy_bound(lopsided, spec)

@@ -3,7 +3,7 @@
 The reduced map psi is equivariant under the symmetry group
 (`SpectrumSlice.symmetry_signs`), so `maximize_reduced` solves it once per
 orbit; and the line of constant fields is invariant under the root solve,
-so the homotopy sweep starts on it only at a member's zeros.  Both are
+so the homotopy stage starts on it only at the zeros of f.  Both are
 checked on the interval and rectangle spectra of the benchmark workloads,
 the first with an odd and a non-odd f.
 """
@@ -62,10 +62,10 @@ def test_psi_is_equivariant(key, xs):
 def test_root_solve_stays_on_the_constant_line(kind, lam, t):
     """A root solve from a constant field of a homotopy member fails or
     ends at the constant field of one of the member's zeros, the starts
-    the sweep seeds, also where f' meets an eigenvalue (t = 1/3 at
-    lam = 0 on the interval).  The solve keeps to the line, so only the
-    constant coefficient can differ from the zero's, by far less than
-    DEDUP_RADIUS."""
+    the homotopy stage seeds at lam = 0, also where f' meets an
+    eigenvalue (t = 1/3 at lam = 0 on the interval).  The solve keeps to
+    the line, so only the constant coefficient can differ from the zero's,
+    by far less than DEDUP_RADIUS."""
     spec = SPECTRA[kind]
     g = nc.homotopy(NONLINEARITIES["odd"], lam)
     u = nc.refine_critical(nc.EnergyFunctional(spec, g), spec.constant_field(t))
