@@ -52,12 +52,13 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--modes", type=int, help="override mode count")
     run.add_argument("--seed", type=int, help="override solver rng seed")
     run.add_argument("--stage", help="comma-separated stage subset "
-                                     f"(of: {','.join(STAGES)})")
+                                     f"(of: {','.join(STAGES)}); ledger needs "
+                                     "homotopy, multistart needs ledger")
     spectrum.add_argument("--format", choices=("json", "csv"), default="json",
                           help="format of the eigenvalue table")
     run.add_argument("--format", choices=("json", "csv"), default="json",
                      help="stdout format: the report as JSON, or the ledger "
-                          "table as CSV (needs the ledger stage)")
+                          "table as CSV (needs the homotopy and ledger stages)")
     run.add_argument("--strict", action="store_true",
                      help="exit 3 when the final deficiency is nonzero")
     plot = sub.add_parser("plot", help="render profile SVG from a saved report")
@@ -82,7 +83,7 @@ def _load_config(args) -> dict:
         cfg["modes"] = args.modes
     if getattr(args, "seed", None) is not None:
         cfg.setdefault("solver", {})["rng_seed"] = args.seed
-    if getattr(args, "stage", None):
+    if getattr(args, "stage", None) is not None:
         cfg["stages"] = [s.strip() for s in args.stage.split(",") if s.strip()]
     return validate_config(cfg)
 
@@ -133,7 +134,7 @@ def _cmd_check(args, cfg) -> int:
 
 def _cmd_run(args, cfg) -> int:
     if args.format == "csv" and "ledger" not in cfg["stages"]:
-        print("error: --format csv prints the ledger table; add the ledger stage",
+        print("error: --format csv prints the ledger table; add the homotopy and ledger stages",
               file=sys.stderr)
         return 1
     report = run_pipeline(cfg)

@@ -196,7 +196,6 @@ class DegreeLedger:
         self.R = float(R)
         self.spectrum = spectrum
         self.records = []
-        self.flags = []
 
     def __len__(self):
         return len(self.records)
@@ -229,12 +228,9 @@ class DegreeLedger:
             return f"merged into record {i}"
         if check is not None and not check(record):
             return "rejected"
-        record.in_ball = bool(record.h1_norm <= self.R + 1e-9)
+        record.in_ball = bool(record.h1_norm <= self.R)
         self.records.append(record)
-        i = len(self.records) - 1
-        if not record.in_ball:
-            self.flags.append((i, f"norm {record.h1_norm:.6g} outside the ball R={self.R:.6g}"))
-        return f"added as record {i}"
+        return f"added as record {len(self.records) - 1}"
 
     def reconcile(self, functional) -> LedgerReport:
         global_degree = (-1) ** self.k
@@ -250,9 +246,6 @@ class DegreeLedger:
                 d = local_degree(rec, self.k)
             except UnclassifiedDegenerate as e:
                 flagged.append((i, str(e)))
-                flag = (i, "degenerate without signature; no degree")
-                if flag not in self.flags:
-                    self.flags.append(flag)
                 continue
             rec.local_degree = d
             total += d
@@ -272,16 +265,8 @@ class DegreeLedger:
 
     # report emission -----------------------------------------------------
 
-    def to_json_dict(self, report: LedgerReport | None = None):
-        out = {
-            "k": self.k,
-            "R": self.R,
-            "records": [r.to_dict() for r in self.records],
-            "flags": [{"record": i, "reason": s} for i, s in self.flags],
-        }
-        if report is not None:
-            out["reconciliation"] = report.to_dict()
-        return out
+    def to_json_dict(self):
+        return {"k": self.k, "R": self.R, "records": [r.to_dict() for r in self.records]}
 
     def to_csv(self) -> str:
         buf = io.StringIO()

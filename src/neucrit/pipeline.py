@@ -32,16 +32,7 @@ from .ledger import RANGE_MARGIN, DegreeLedger, qualitative_classify, transfer_t
 from .nonlinearity import build_nonlinearity, check_hypotheses, node_layout, truncate
 from .records import GRAD_TOL, SolverConfig, image_record, newton_radius
 from .reduction import make_reduction_context, maximize_reduced
-from .solvers import (
-    SAFETY_FACTOR,
-    _distinct_points,
-    find_constants,
-    homotopy_bound,
-    mountain_pass,
-    multistart,
-    proven_bound,
-    search_radius,
-)
+from .solvers import _distinct_points, find_constants, homotopy_bound, mountain_pass, multistart
 from .spectrum import (
     Domain,
     build_spectrum,
@@ -72,6 +63,9 @@ STAGES = (
     "ledger",
     "multistart",
 )
+# the stage whose output each stage reads: the ledger counts on the
+# homotopy's radius, and the multistart adds to the ledger
+_NEEDS = {"ledger": "homotopy", "multistart": "ledger"}
 
 _MULTISTART_CHUNK = 50
 # the outer endpoint of the one-sided truncated mountain passes lies this
@@ -218,6 +212,14 @@ def validate_config(config: dict) -> dict:
         bad = [s for s in stages if s not in STAGES]
         if bad:
             raise ConfigError(f"unknown stages: {bad}; known: {list(STAGES)}")
+        if not stages:
+            raise ConfigError("stages must name at least one stage")
+        repeated = sorted({s for s in stages if stages.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"stages named more than once: {repeated}")
+        for stage, need in _NEEDS.items():
+            if stage in stages and need not in stages:
+                raise ConfigError(f"stage {stage!r} needs the {need!r} stage")
         cfg["stages"] = list(stages)
     return cfg
 
@@ -304,7 +306,7 @@ class RunReport:
             "timings": self.timings,
         }
         if self.ledger is not None:
-            out["ledger"] = self.ledger.to_json_dict(self.ledger_report)
+            out["ledger"] = self.ledger.to_json_dict()
         return _jsonable(out)
 
     def to_json(self) -> str:
@@ -344,7 +346,9 @@ def _min_type_zeros(f):
 def _truncation_stage(report, kind, mins, below=None):
     """One truncated mountain pass plus the transfer back, on the window
     of stage `kind` between the sorted minimum-type zeros `mins`.  Returns
-    the transferred record.
+    the transferred record.  The stage entry holds it and the truncated
+    record's energy: the transfer changes nothing else but the provenance
+    (`ledger.transfer_to_original`).
 
     With an odd f, J(-u) = J(u) and the above truncation is the negation
     of the below one, so the negation of a saddle of one is a saddle of the
@@ -354,7 +358,7 @@ def _truncation_stage(report, kind, mins, below=None):
     (`records.image_record`, no evaluation but one residual) and keeps it,
     with no pass, when its residual meets GRAD_TOL, it lies in the above
     window with the transfer's RANGE_MARGIN and it is "mp_type"; its stage
-    entry then holds `image_of` in place of the truncated record.  The
+    entry then holds `image_of` in place of the truncated energy.  The
     residual is evaluated because oddness is decided to a tolerance
     (`nonlinearity._ODD_TOL`), not exactly.  Otherwise the pass runs as for
     any stage.
@@ -391,7 +395,7 @@ def _truncation_stage(report, kind, mins, below=None):
     transferred = transfer_to_original(rec, func, tfunc)
     report.stages[stage] = {
         "anchors": anchors,
-        "truncated_record": rec.to_dict(),
+        "truncated_energy": rec.energy,
         "transferred_record": transferred.to_dict(),
     }
     return transferred
@@ -413,9 +417,9 @@ def run_pipeline(config: dict) -> RunReport:
     distinct group images count among its solutions, so no start of it
     builds their records again.  R is `solvers.search_radius`: above the
     closed-form bound B(0) on every member's solutions, and at least
-    SAFETY_FACTOR times each norm held.  Without a homotopy result the
-    ledger takes the same rule over the records found, or, when the tails
-    differ and there is no B(0), SAFETY_FACTOR times their largest norm.
+    SAFETY_FACTOR times each norm held.  It is the ledger's only radius:
+    when the homotopy stage fails (unequal tails leave no B(0)) the ledger
+    and multistart stages are skipped and no count is stated.
     """
     config = validate_config(config)
     report = RunReport(config)
@@ -487,13 +491,12 @@ def run_pipeline(config: dict) -> RunReport:
     if "ledger" not in stages:
         return report
     if R is None:
-        top = max((r.h1_norm for r in base), default=0.0)
-        # unequal tails leave M infinite and no closed-form bound
-        if np.isfinite(f.M):
-            R = search_radius(proven_bound(f, spec)[0], top)
-        else:
-            R = SAFETY_FACTOR * max(top, 1.0)
-        report.warnings.append(f"homotopy stage gave no radius; fallback R={R:.6g}")
+        error = report.errors["homotopy"]
+        reason = f"no radius: the homotopy stage failed with {error['type']}: {error['message']}"
+        for stage in ("ledger", "multistart"):
+            if stage in stages:
+                report.skips[stage] = reason
+        return report
 
     ledger = DegreeLedger(spec.k, R, spec)
     report.ledger = ledger
@@ -541,7 +544,6 @@ def run_pipeline(config: dict) -> RunReport:
         # holds builds no record.
         lrep = report.ledger_report
         passes = []
-        found = []
         budget_left = scfg.multistart_budget
         rng = np.random.default_rng(scfg.rng_seed + 10_000)
         fresh = list(ledger.records)
@@ -569,13 +571,7 @@ def run_pipeline(config: dict) -> RunReport:
             fresh = ledger.records[held:]
             passes.append({"kind": kind, "starts": len(seeds) + n, "outcomes": outcomes,
                            "added": len(fresh), "deficiency": lrep.deficiency})
-        report.stages["multistart"] = {
-            "passes": passes,
-            "chunks": sum(p["kind"] == "random" for p in passes),
-            "last_chunk_found": [r.to_dict() for r in found],
-            "final_deficiency": lrep.deficiency,
-        }
-        report.stages["ledger"]["final_reconciliation"] = lrep.to_dict()
+        report.stages["multistart"] = {"passes": passes}
 
     if report.run("ledger", ledger_stage) is None:
         return report
@@ -583,6 +579,7 @@ def run_pipeline(config: dict) -> RunReport:
         report.run("multistart", multistart_stage)
 
     report.records = list(ledger.records)
+    report.stages["ledger"]["final_reconciliation"] = report.ledger_report.to_dict()
     report.stages["ledger"]["qualitative"] = qual
     report.timings["total"] = time.perf_counter() - t_start
     return report

@@ -114,7 +114,7 @@ def test_reduction_inapplicable_is_a_skip(tmp_path, capsys):
 
 
 def test_ledger_csv_stdout(capsys):
-    rc = main(["run", "--format", "csv", "--stage", "constants,ledger"])
+    rc = main(["run", "--format", "csv", "--stage", "constants,homotopy,ledger"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("index,classification")
@@ -134,10 +134,15 @@ def test_csv_without_ledger_stage_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_strict_deficiency_exits_three(tmp_path, capsys):
-    rc = main(["run", "--stage", "constants,ledger", "--strict",
-               "--out", str(tmp_path / "strict")])
+    """The five constants alone, counted on the homotopy's radius, leave
+    the ledger four degrees over, and --strict turns that into exit 3."""
+    out_dir = tmp_path / "strict"
+    rc = main(["run", "--stage", "constants,homotopy,ledger", "--strict",
+               "--out", str(out_dir)])
     assert rc == 3
     capsys.readouterr()
+    blob = json.loads((out_dir / "report.json").read_text())
+    assert blob["stages"]["ledger"]["final_reconciliation"]["deficiency"] == -4
 
 
 def test_run_writes_artifacts_and_plot(tmp_path, capsys):
@@ -148,7 +153,7 @@ def test_run_writes_artifacts_and_plot(tmp_path, capsys):
     assert names == ["profiles.svg", "report.json", "summary.csv"]
     with open(out_dir / "report.json") as fh:
         blob = json.load(fh)
-    assert blob["ledger"]["reconciliation"]["balanced"] is True
+    assert blob["stages"]["ledger"]["final_reconciliation"]["balanced"] is True
 
     plot_dir = tmp_path / "plots"
     assert main(["plot", str(out_dir / "report.json"),
@@ -188,8 +193,19 @@ def test_config_errors_exit_one(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["check", "--config", str(bad)]) == 1
     capsys.readouterr()
-    assert main(["run", "--stage", "warp_drive"]) == 1
-    assert "unknown stages" in capsys.readouterr().err
+    # stage lists: an unknown, empty or repeated name, and a stage without
+    # the stage whose output it reads
+    for stage, message in (
+        ("warp_drive", "unknown stages"),
+        ("", "at least one stage"),
+        (",", "at least one stage"),
+        ("constants,constants", "more than once: ['constants']"),
+        ("constants,ledger", "'ledger' needs the 'homotopy' stage"),
+        ("constants,multistart", "'multistart' needs the 'ledger' stage"),
+    ):
+        assert main(["run", "--stage", stage]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, stage
     qp = write_config(tmp_path, lambda cfg: cfg["domain"].update(quad_points="x"),
                       name="quad_points.json")
     assert main(["check", "--config", qp]) == 1

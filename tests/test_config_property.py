@@ -1,14 +1,15 @@
 """validate_config is total: whatever JSON value lands in a config key, it
-either accepts the config or raises ConfigError."""
+either accepts the config or raises ConfigError.  The configs it accepts
+run: their nodes build, and their stage lists give each stage its input."""
 
 import dataclasses
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neucrit as nc
 from conftest import REMOVED_SETTINGS
-from neucrit.pipeline import reference_config, validate_config
+from neucrit.pipeline import STAGES, reference_config, run_pipeline, validate_config
 
 
 def _key_paths(cfg, prefix=()):
@@ -80,3 +81,31 @@ def test_accepted_nodes_build(knots, shape_points, margin):
         return
     assert not faulty
     nc.build_nonlinearity(knots, 2.5, 2.5, shape_points=shape_points, blend_margin=margin)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stages=st.lists(st.sampled_from(STAGES), max_size=len(STAGES) + 1))
+@example(stages=["constants", "multistart"])
+@example(stages=["homotopy", "ledger", "multistart"])
+def test_stage_lists(stages):
+    """A stage list is a ConfigError exactly when it is empty, repeats a
+    name, names the ledger without the homotopy, whose radius it counts on,
+    or names the multistart without the ledger it adds to.  Any other list
+    runs on the reference, and every stage it names is run, skipped or
+    failed; a ledger is kept only on the homotopy's radius."""
+    cfg = reference_config()
+    cfg["stages"] = stages
+    faulty = (not stages or len(set(stages)) < len(stages)
+              or ("ledger" in stages and "homotopy" not in stages)
+              or ("multistart" in stages and "ledger" not in stages))
+    try:
+        validate_config(cfg)
+    except nc.ConfigError as e:
+        assert faulty, e
+        return
+    assert not faulty
+    report = run_pipeline(cfg).to_dict()
+    for stage in stages:
+        assert any(stage in report[key] for key in ("stages", "skips", "errors")), stage
+    if report["ledger"] is not None:
+        assert report["ledger"]["R"] == report["stages"]["homotopy"]["R"]

@@ -57,15 +57,14 @@ def test_crossing_slope_flip_balances(seed):
     assert rep.ledger_report.balanced
     assert rep.ledger_report.degree_sum == 1
     assert sorted(r.morse_index for r in rep.records) == [0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2]
-    assert rep.stages["multistart"]["chunks"] == 0
+    assert all(p["kind"] == "orbit" for p in rep.stages["multistart"]["passes"])
 
 
 def test_k5_reduction_grid():
     """At k = 5 the reduction seeds 5 points per axis over the closed-form
     box, 5^5 grid points and the five constants, and solves psi for 822
     orbit representatives.  Its maximizer has full index 5.  The box reads
-    nothing but the problem, so a run without the homotopy stage needs no
-    fallback radius for it."""
+    nothing but the problem, so the stage runs without the homotopy stage."""
     cfg = _sloped_config(20.0, 7)
     cfg["stages"] = ["constants", "reduction"]
     rep = nc.run_pipeline(cfg)
@@ -259,7 +258,7 @@ def test_k3_seed42_multistart_builds_no_known_record(k3_seed42):
         assert p["outcomes"]["new"] == p["added"]
         assert p["outcomes"]["failed"] == 0
     assert [p["added"] for p in passes if p["kind"] == "random"] == [5, 0, 0, 0, 0, 0, 1]
-    assert k3_seed42.stages["multistart"]["chunks"] == 7
+    assert sum(p["kind"] == "random" for p in passes) == 7
 
 
 def test_k3_reports_honest_deficiency():
@@ -276,10 +275,12 @@ def test_k3_reports_honest_deficiency():
     assert lrep.deficiency == 2
     assert lrep.message.startswith("deficiency 2: at least one undiscovered solution")
     assert lrep.suggestions
-    assert rep.stages["multistart"]["chunks"] == 2
-    for p in rep.stages["multistart"]["passes"]:
+    passes = rep.stages["multistart"]["passes"]
+    assert sum(p["kind"] == "random" for p in passes) == 2
+    for p in passes:
         assert sum(p["outcomes"].values()) == p["starts"]
-    assert rep.stages["multistart"]["final_deficiency"] == 2
+    assert passes[-1]["deficiency"] == 2
+    assert rep.stages["ledger"]["final_reconciliation"]["deficiency"] == 2
     assert len(rep.records) == 19
     # a multistart copy of the constant 0 merges into it, not rejected
     assert not any("failed qualitative checks" in w for w in rep.warnings)

@@ -64,9 +64,10 @@ def test_reference_run_stage_surface(reference_report):
                 "multistart"):
         assert key in rep.stages, key
     assert rep.stages["homotopy"]["bound"] < rep.stages["homotopy"]["R"]
-    assert rep.stages["multistart"]["final_deficiency"] == 0
+    assert rep.stages["multistart"]["passes"][-1]["deficiency"] == 0
     assert rep.stages["ledger"]["initial_reconciliation"]["deficiency"] != 0
-    assert rep.stages["ledger"]["final_reconciliation"]["deficiency"] == 0
+    assert rep.stages["ledger"]["final_reconciliation"] == rep.ledger_report.to_dict()
+    assert rep.deficiency == 0
     assert "total" in rep.timings
     assert rep.warnings == []
 
@@ -92,12 +93,13 @@ def test_reference_homotopy_samples_one_member(reference_report):
 def test_reference_multistart_closes_orbits_without_random_starts(reference_report):
     """The reference ledger balances after one orbit pass: the four group
     images the ledger lacks, refined, and no random chunk.  Each image is
-    a new point.  The passes repeat for the same seed."""
+    a new point, and the ledger holds its record.  The passes repeat for
+    the same seed."""
     ms = reference_report.stages["multistart"]
-    assert ms["passes"] == [{"kind": "orbit", "starts": 4, "added": 4, "deficiency": 0,
-                             "outcomes": {"new": 4, "basin": 0, "failed": 0}}]
-    assert ms["chunks"] == 0
-    assert len(ms["last_chunk_found"]) == 4
+    assert ms == {"passes": [{"kind": "orbit", "starts": 4, "added": 4, "deficiency": 0,
+                              "outcomes": {"new": 4, "basin": 0, "failed": 0}}]}
+    found = [r for r in reference_report.records if r.provenance["stage"] == "multistart"]
+    assert len(found) == 4
     again = run_pipeline(reference_config()).stages["multistart"]
     assert again["passes"] == ms["passes"]
 
@@ -160,7 +162,7 @@ def test_reference_search_counts(monkeypatch):
     for _ in range(2):
         calls.clear()
         rep = run_pipeline(reference_config())
-        sweeps = [rep.stages[f"truncation_{kind}"].get("truncated_record", {}).get("iterations")
+        sweeps = [rep.stages[f"truncation_{kind}"]["transferred_record"]["iterations"]
                   for kind in ("below", "above", "interval")]
         red = rep.stages["reduction"]["provenance"]
         runs.append((sweeps, dict(calls), red["orbits"], red["refines"]))
@@ -187,7 +189,7 @@ def test_reference_search_counts(monkeypatch):
     # redistribution, so it evaluates no batch.  The five records of the
     # constants stage read their energy, gradient and Morse data off one
     # scalar and assemble no Hessian
-    assert runs[0] == ([5, None, 5],
+    assert runs[0] == ([5, 0, 5],
                        {"value": 26, "bump_values": 3,
                         "gradient": 19, "l2_gradient": 53,
                         "hessian_pencil": 14, "morse_data": 8},
@@ -208,7 +210,7 @@ def test_above_saddle_is_the_negated_below_saddle(ref5, reference_report):
     spec, f, func = ref5
     stage = reference_report.stages["truncation_above"]
     assert stage["image_of"] == "truncation_below"
-    assert "truncated_record" not in stage
+    assert "truncated_energy" not in stage
     below, above = _record_of(reference_report, "below"), _record_of(reference_report, "above")
     assert np.array_equal(np.array(stage["transferred_record"]["coeffs"]), above.coeffs)
     assert np.array_equal(above.coeffs, -below.coeffs)
@@ -248,7 +250,7 @@ def test_above_stage_runs_its_own_pass(case):
     assert rep.ok, rep.errors
     stage = rep.stages["truncation_above"]
     assert "image_of" not in stage
-    assert stage["truncated_record"]["iterations"] > 0
+    assert stage["transferred_record"]["iterations"] > 0
     prov = stage["transferred_record"]["provenance"]
     assert prov["kind"] == "above" and prov["transferred_from"].startswith("above(")
     assert stage["transferred_record"]["classification"] == "mp_type"
@@ -330,7 +332,11 @@ def test_reference_run_report_dict(reference_report):
     blob = json.dumps(d)
     back = json.loads(blob)
     assert back["schema_version"] == 1
-    assert back["ledger"]["reconciliation"]["balanced"] is True
+    # the count is stated once, in the ledger stage's final reconciliation;
+    # the ledger block holds the ball and the records
+    assert back["stages"]["ledger"]["final_reconciliation"]["balanced"] is True
+    assert blob.count('"final_reconciliation"') == 1
+    assert sorted(back["ledger"]) == ["R", "k", "records"]
     assert len(back["ledger"]["records"]) == 13
     assert back["hypotheses"]["k"] == 2
 
@@ -393,7 +399,7 @@ def test_report_write(tmp_path, reference_report):
         "report.json", "summary.csv", "profiles.svg"]
     with open(paths[0]) as fh:
         blob = json.load(fh)
-    assert blob["ledger"]["reconciliation"]["deficiency"] == 0
+    assert blob["stages"]["ledger"]["final_reconciliation"]["deficiency"] == 0
     with open(paths[1]) as fh:
         lines = fh.read().strip().splitlines()
     assert len(lines) == 14  # header + 13 records
@@ -456,10 +462,20 @@ def test_validate_config_errors():
     with pytest.raises(nc.ConfigError, match="bad knot entry"):
         validate_config(bad)
 
-    bad = reference_config()
-    bad["stages"] = ["constants", "warp_drive"]
-    with pytest.raises(nc.ConfigError, match="unknown stages"):
-        validate_config(bad)
+    # stage lists: unknown, empty or repeated names, and a stage without
+    # the stage whose output it reads
+    for stages, match in (
+        (["constants", "warp_drive"], "unknown stages"),
+        ([], "at least one stage"),
+        (["constants", "reduction", "constants"], r"more than once: \['constants'\]"),
+        (["constants", "ledger"], "'ledger' needs the 'homotopy' stage"),
+        (["constants", "multistart"], "'multistart' needs the 'ledger' stage"),
+        (["homotopy", "multistart"], "'multistart' needs the 'ledger' stage"),
+    ):
+        bad = reference_config()
+        bad["stages"] = stages
+        with pytest.raises(nc.ConfigError, match=match):
+            validate_config(bad)
 
     bad = reference_config()
     bad["domain"]["kind"] = "disk"
@@ -512,31 +528,44 @@ def test_modes_keep_whole_clusters():
 
 
 def test_stage_subset_runs_partial():
+    """The ledger counts on the homotopy's radius alone, so a stage list
+    that names the ledger without the homotopy is a config error.  With it,
+    the five constants are counted on R > B(0) = 13.211 and leave the
+    ledger four degrees over; unequal tails leave no radius, and the ledger
+    is skipped."""
     cfg = reference_config()
-    cfg["stages"] = ["constants", "ledger"]
+    for stages in (["constants", "ledger"], ["constants", "reduction", "ledger"]):
+        cfg["stages"] = stages
+        with pytest.raises(nc.ConfigError, match="'ledger' needs the 'homotopy' stage"):
+            run_pipeline(cfg)
+    cfg["stages"] = ["constants", "homotopy", "ledger"]
     rep = run_pipeline(cfg)
-    assert rep.ok
+    assert rep.ok and rep.warnings == []
     assert "multistart" not in rep.stages
-    # no homotopy stage: fallback radius with a warning, the homotopy's
-    # rule over the records found, so it lies above the closed-form bound
-    # B(0) = 13.211 and not at twice the largest constant's norm, 7.09,
-    # where the ball's degree would be unproven
-    assert any("fallback R" in w for w in rep.warnings)
-    bound, _ = solvers.proven_bound(rep.functional.nonlinearity, rep.spectrum)
-    assert rep.ledger.R == np.nextafter(bound, np.inf)
-    assert bound == pytest.approx(13.211, abs=1e-3)
+    h = rep.stages["homotopy"]
+    assert rep.ledger.R == h["R"] > h["bound"]
+    assert h["bound"] == pytest.approx(13.211, abs=1e-3)
     assert rep.deficiency == -4  # five +1 constants against global +1
-    # the fallback radius holds every record the run found, the reduction
-    # maximizer (norm 7.208, beyond twice the largest constant's 3.545)
-    # included
-    cfg["stages"] = ["constants", "reduction", "ledger"]
-    rep = run_pipeline(cfg)
-    assert any("fallback R" in w for w in rep.warnings)
-    assert all(r.in_ball for r in rep.records)
-    assert rep.ledger.R == 2.0 * max(r.h1_norm for r in rep.records)
-    # unequal tails have no B(0): R is twice the largest norm found
+    assert rep.stages["ledger"]["final_reconciliation"]["deficiency"] == -4
     cfg["nonlinearity"]["slope_plus_inf"] = 3.1
     rep = run_pipeline(cfg)
-    assert any("fallback R" in w for w in rep.warnings)
-    assert rep.ledger.R == 2.0 * max(r.h1_norm for r in rep.records)
+    assert rep.errors["homotopy"]["type"] == "AsymmetricSlopes"
+    assert list(rep.skips) == ["ledger"] and rep.ledger is None
 
+
+def test_unequal_tails_state_no_count():
+    """Unequal tails leave the coefficients without a closed-form bound, so
+    the reduction and the homotopy fail and no radius exists.  The ledger
+    and the multistart stage are skipped with that reason, and the report
+    states no count."""
+    cfg = reference_config()
+    cfg["nonlinearity"]["slope_plus_inf"] = 3.1
+    rep = run_pipeline(cfg)
+    assert sorted(rep.errors) == ["homotopy", "reduction"]
+    assert {e["type"] for e in rep.errors.values()} == {"AsymmetricSlopes"}
+    assert sorted(rep.skips) == ["ledger", "multistart"]
+    for reason in rep.skips.values():
+        assert reason.startswith("no radius: the homotopy stage failed with AsymmetricSlopes")
+    assert rep.ledger is None and rep.deficiency is None
+    assert "ledger" not in rep.stages and "multistart" not in rep.stages
+    assert "reconciliation" not in rep.to_json()
