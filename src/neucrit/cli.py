@@ -142,7 +142,9 @@ def _cmd_run(args, cfg) -> int:
         paths = report.write(args.out)
         for p in paths:
             print(p)
-    elif args.format == "csv" and report.ledger is not None:
+    elif args.format == "csv" and report.ledger is None:
+        print(f"no ledger table: {report.skips.get('ledger') or report.errors}", file=sys.stderr)
+    elif args.format == "csv":
         print(report.ledger.to_csv(), end="")
     else:
         print(report.to_json())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import RangeEscape, UnclassifiedDegenerate
-from .records import DEDUP_RADIUS
+from .records import DEDUP_RADIUS, newton_radius
 
 __all__ = [
     "DegreeLedger",
@@ -116,9 +116,11 @@ def transfer_to_original(record, functional_original, functional_truncated):
     f' agree, so the residual, norm, range, Hessian eigenvalues and
     principal vector are those of the truncated record, bit for bit; only
     the energy shifts, since the primitives differ by a constant on that
-    region.  The result is the truncated record with the original energy
-    and `transferred_from` added to its provenance; classification,
-    iterations and notes carry over.  Raises RangeEscape otherwise.
+    region.  The Newton radius is recomputed: it reads the curvature of the
+    whole nonlinearity, which the truncation can lower.  The result is the
+    truncated record with the original energy and radius and
+    `transferred_from` added to its provenance; classification, iterations
+    and notes carry over.  Raises RangeEscape otherwise.
     """
     region = functional_truncated.nonlinearity.untouched
     if region is None:
@@ -138,7 +140,8 @@ def transfer_to_original(record, functional_original, functional_truncated):
         )
     prov = dict(record.provenance)
     prov["transferred_from"] = functional_truncated.nonlinearity.label
-    return replace(record, energy=functional_original.value(record.coeffs), provenance=prov)
+    return replace(record, energy=functional_original.value(record.coeffs), provenance=prov,
+                   newton_radius=newton_radius(functional_original, record))
 
 
 def _suggest_regions(ledger, functional):

@@ -30,7 +30,7 @@ from .energy import EnergyFunctional
 from .errors import ConfigError, DuplicateKnots, NeucritError, ReductionInapplicable
 from .ledger import RANGE_MARGIN, DegreeLedger, qualitative_classify, transfer_to_original
 from .nonlinearity import build_nonlinearity, check_hypotheses, node_layout, truncate
-from .records import GRAD_TOL, SolverConfig, image_record, newton_radius
+from .records import GRAD_TOL, SolverConfig, image_record
 from .reduction import make_reduction_context, maximize_reduced
 from .solvers import _distinct_points, find_constants, homotopy_bound, mountain_pass, multistart
 from .spectrum import (
@@ -419,11 +419,20 @@ def run_pipeline(config: dict) -> RunReport:
     closed-form bound B(0) on every member's solutions, and at least
     SAFETY_FACTOR times each norm held.  It is the ledger's only radius:
     when the homotopy stage fails (unequal tails leave no B(0)) the ledger
-    and multistart stages are skipped and no count is stated.
+    and multistart stages are skipped and no count is stated.  Every run
+    that returns a report times its total, early ends included.
     """
-    config = validate_config(config)
-    report = RunReport(config)
+    report = RunReport(validate_config(config))
     t_start = time.perf_counter()
+    _run_stages(report)
+    report.timings["total"] = time.perf_counter() - t_start
+    return report
+
+
+def _run_stages(report):
+    """The stages of `run_pipeline` on the report of a validated config;
+    each return ends the run."""
+    config = report.config
 
     # spectrum, split and hypotheses; nothing runs without them
     def problem():
@@ -436,7 +445,7 @@ def run_pipeline(config: dict) -> RunReport:
 
     f = report.run("spectrum", problem)
     if f is None:
-        return report
+        return
     spec = report.spectrum
     func = report.functional
     scfg = SolverConfig(**config.get("solver", {}))
@@ -489,14 +498,14 @@ def run_pipeline(config: dict) -> RunReport:
     R = report.run("homotopy", homotopy_stage) if "homotopy" in stages else None
 
     if "ledger" not in stages:
-        return report
+        return
     if R is None:
         error = report.errors["homotopy"]
         reason = f"no radius: the homotopy stage failed with {error['type']}: {error['message']}"
         for stage in ("ledger", "multistart"):
             if stage in stages:
                 report.skips[stage] = reason
-        return report
+        return
 
     ledger = DegreeLedger(spec.k, R, spec)
     report.ledger = ledger
@@ -518,18 +527,9 @@ def run_pipeline(config: dict) -> RunReport:
     def ledger_stage():
         for rec in base:
             ledger.add(rec, qualifies)
-        lrep = ledger.reconcile(func)
-        report.ledger_report = lrep
+        report.ledger_report = lrep = ledger.reconcile(func)
         report.stages["ledger"] = {"initial_reconciliation": lrep.to_dict()}
         return lrep
-
-    def orbit_seeds(recs):
-        # the records of the group images of the given records, which the
-        # ledger holds, that the ledger does not hold: one seed per
-        # distinct point, and a record only for the kept ones
-        held = [r.coeffs for r in ledger.records]
-        return [image_record(recs[i], signs)
-                for i, signs in _distinct_points(spec, f.odd, recs, held)]
 
     def multistart_stage():
         # the problem is equivariant under the domain mirrors, and under
@@ -539,20 +539,17 @@ def run_pipeline(config: dict) -> RunReport:
         # that draw nothing from the random stream: a balanced ledger can
         # still miss points whose degrees cancel.  A random chunk runs only
         # while the deficiency stays nonzero, and the orbits of what it
-        # finds are closed in turn.  Every pass holds the Newton basins of
-        # the ledger's records, so a start that ends at a point the ledger
-        # holds builds no record.
+        # finds are closed in turn.  Every pass holds the ledger's records,
+        # so a start that ends in the Newton basin of one builds no record.
         lrep = report.ledger_report
         passes = []
         budget_left = scfg.multistart_budget
         rng = np.random.default_rng(scfg.rng_seed + 10_000)
         fresh = list(ledger.records)
-        # the Newton basins of the ledger's records; a merge keeps a
-        # record's coefficients and Hessian spectrum, so only the records a
-        # pass adds extend it
-        known = []
         while True:
-            seeds = orbit_seeds(fresh)
+            # one seed per distinct group image of the fresh records that
+            # the ledger does not hold
+            seeds = _distinct_points(spec, f.odd, fresh, ledger.records)
             if seeds:
                 kind, n = "orbit", 0
             elif budget_left > 0 and lrep.deficiency != 0:
@@ -560,26 +557,22 @@ def run_pipeline(config: dict) -> RunReport:
                 budget_left -= n
             else:
                 break
-            held = len(ledger.records)
-            known += [(r.coeffs, newton_radius(func, r)) for r in fresh]
+            before = len(ledger.records)
             found, outcomes = multistart(func, R, seeds=seeds, budget=n, rng=rng,
-                                         basins=known)
+                                         held=ledger.records)
             for rec in found:
                 ledger.add(rec, qualifies)
-            lrep = ledger.reconcile(func)
-            report.ledger_report = lrep
-            fresh = ledger.records[held:]
+            report.ledger_report = lrep = ledger.reconcile(func)
+            fresh = ledger.records[before:]
             passes.append({"kind": kind, "starts": len(seeds) + n, "outcomes": outcomes,
                            "added": len(fresh), "deficiency": lrep.deficiency})
         report.stages["multistart"] = {"passes": passes}
 
     if report.run("ledger", ledger_stage) is None:
-        return report
+        return
     if "multistart" in stages:
         report.run("multistart", multistart_stage)
 
     report.records = list(ledger.records)
     report.stages["ledger"]["final_reconciliation"] = report.ledger_report.to_dict()
     report.stages["ledger"]["qualitative"] = qual
-    report.timings["total"] = time.perf_counter() - t_start
-    return report

@@ -47,6 +47,10 @@ class CriticalPointRecord:
     classification is one of "constant", "minimizer", "mp_type",
     "reduction_max", "other".  provenance is a JSON-friendly dict recording
     which stage produced the point and under which functional.
+    newton_radius is the Sobolev radius of the point's certified Newton
+    basin under the record's functional (`newton_radius` below), set once
+    by `make_record`: a search holds the records of the points it has found
+    and stops a root solve that enters one of their basins.
     """
 
     coeffs: np.ndarray
@@ -62,6 +66,7 @@ class CriticalPointRecord:
     principal_vec: np.ndarray = field(repr=False, default=None)
     iterations: int = 0
     notes: tuple = ()
+    newton_radius: float = 0.0
     # ledger bookkeeping, filled in once a DegreeLedger accepts the record
     in_ball: bool = True
     local_degree: int | None = None
@@ -94,11 +99,12 @@ class CriticalPointRecord:
 
 def make_record(functional, coeffs, classification: str, provenance: dict,
                 iterations: int = 0, notes: tuple = ()) -> CriticalPointRecord:
-    """Assemble a record: energy, residual, range and full Morse data."""
+    """Assemble a record: energy, residual, range, full Morse data and the
+    Newton radius they give."""
     coeffs = np.asarray(coeffs, dtype=float).copy()
     spec = functional.spectrum
     evals, evecs, index, degenerate = functional.morse_data(coeffs)
-    return CriticalPointRecord(
+    rec = CriticalPointRecord(
         coeffs=coeffs,
         energy=functional.value(coeffs),
         residual=functional.residual(coeffs),
@@ -113,6 +119,8 @@ def make_record(functional, coeffs, classification: str, provenance: dict,
         iterations=iterations,
         notes=tuple(notes),
     )
+    rec.newton_radius = newton_radius(functional, rec)
+    return rec
 
 
 def image_record(record, signs) -> CriticalPointRecord:
@@ -122,8 +130,8 @@ def image_record(record, signs) -> CriticalPointRecord:
     `signs` is a row of `SpectrumSlice.symmetry_signs`.  J is invariant
     under the group and the Hessian at the image is S H S, S = diag(signs),
     so the image keeps the energy, residual, norm, Hessian spectrum, Morse
-    index and degenerate flag, and its principal eigenfield is
-    signs * principal_vec.  A mirror permutes the grid values, so the range
+    index, degenerate flag and Newton radius, and its principal eigenfield
+    is signs * principal_vec.  A mirror permutes the grid values, so the range
     stays; a sign -1 on mode 0 belongs to u -> -u, which negates the range
     and swaps its ends.  Classification, provenance, iterations and notes
     are the source's, and the ledger bookkeeping starts afresh.

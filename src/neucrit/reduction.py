@@ -29,7 +29,7 @@ import numpy as np
 from .energy import BLOCK_ELEMENTS
 from .errors import MaxItersExceeded, ModulusViolated
 from .nonlinearity import coefficient_bound, reduction_modulus
-from .records import make_record, newton_radius
+from .records import image_record, make_record
 from .solvers import _near, refine_critical
 
 __all__ = [
@@ -429,16 +429,16 @@ def maximize_reduced(ctx: ReductionContext):
     order) each start one `refine_critical` root solve of the full
     functional from x + psi(x), with psi warm-started from the orbit's row
     of the ranking solve; another seed of the orbit would end at an image
-    of the same point.  Each root solve holds the Newton basins
-    (`records.newton_radius`) of the points the solves before it found and
-    of their group images, so a solve that enters one stops there, and
-    only a new point gets a record.  The maximizer is a critical point of
-    J with full Hessian index k, so the highest-energy point of index k
-    among the solves is returned, ties in start order; when none has index
-    k, the highest-energy point is, with a note.  No ascent on the reduced
-    functional is needed:
-    the ranking brings the best seeds next to the maximizer, and the root
-    solve converges to saddles as well as to maxima.  The record's
+    of the same point.  Each root solve holds the records of the points the
+    solves before it found and of their group images (`image_record`, each
+    with its source's Newton radius), so a solve that enters one of their
+    basins stops there, and only a new point gets a record.  The maximizer
+    is a critical point of J with full Hessian index k, so the
+    highest-energy point of index k among the solves is returned, ties in
+    start order; when none has index k, the highest-energy point is, with a
+    note.  No ascent on the reduced functional is needed: the ranking
+    brings the best seeds next to the maximizer, and the root solve
+    converges to saddles as well as to maxima.  The record's
     provenance gives the box, the numbers of seeds, orbits, ranked orbits
     (bracketed on the grid and Newton solved) and refines (root solves),
     and the Newton and fallback steps of the ranking solve.  Raises
@@ -477,16 +477,15 @@ def maximize_reduced(ctx: ReductionContext):
             "ranked": len(live), "refines": len(starts),
             "newton_steps": ranked.newton_steps, "fallback_steps": ranked.fallback_steps}
     group = spec.symmetry_signs(func.nonlinearity.odd)
-    found, basins = [], []
+    found, held = [], []
     for i in starts:
-        u = refine_critical(func, rows[i] + psi(ctx, rows[i], y0=lift[i]), basins)
-        if u is None or _near(spec, u, basins):
+        u = refine_critical(func, rows[i] + psi(ctx, rows[i], y0=lift[i]), held)
+        if u is None or _near(spec, u, held):
             continue
         rec = make_record(func, u, "reduction_max", prov)
         rec.provenance["reduced_value"] = rec.energy
         found.append(rec)
-        radius = newton_radius(func, rec)
-        basins += [(signs * rec.coeffs, radius) for signs in group]
+        held += [image_record(rec, signs) for signs in group]
     if not found:
         raise MaxItersExceeded("no root solve from the best reduction seeds converged")
 

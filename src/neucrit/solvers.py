@@ -13,19 +13,19 @@ own step test (xtol = 1e-13) lies below the rounding noise of the
 iterates, so without that stop hybr keeps iterating on a converged point
 until it reports poor progress.
 
-Every point a search finds has a certified Newton basin, the Sobolev ball
-of radius `records.newton_radius` from which plain Newton provably
-converges to it.  A root solve passed such basins stops at the first point
-that enters one and returns that basin's zero, with no further evaluation.
-Multistart builds a point's full record (Morse data included, which gives
-the radius) when it finds the point, and passes the basins of the points
-it holds, those its caller passed in included, to every later start; a
-start that ends at a held point adds nothing.  A seed may be a record,
-such as a group image (`records.image_record`): when its root solve stops
-at the seed's own coefficients, which then meet GRAD_TOL, the seed's
-record is kept and none is built.  Every test of a point against a set of
-points takes the distances to the whole set from one
-`SpectrumSlice.h1_dists` call.
+Every point a search finds has a record, and a held point is its record:
+the record carries the radius of the point's certified Newton basin
+(`CriticalPointRecord.newton_radius`), the Sobolev ball from which plain
+Newton provably converges to it.  A root solve passed held records stops
+at the first point that enters one of their basins and returns that
+record's coefficients, with no further evaluation.  Multistart builds a
+point's full record when it finds the point and holds it, with the
+records its caller passed in, for every later start; a start that ends at
+a held point adds nothing.  A seed may be a record, such as a group image
+(`records.image_record`): when its root solve stops at the seed's own
+coefficients, which then meet GRAD_TOL, the seed's record is kept and none
+is built.  Every test of a point against a set of points takes the
+distances to the whole set from one `SpectrumSlice.h1_dists` call.
 
 The mountain pass is a discrete path method: keep a polyline between two
 low-energy endpoints, repeatedly pick the maximal-energy node, slide it
@@ -73,8 +73,8 @@ from .records import (
     GRAD_TOL,
     CriticalPointRecord,
     SolverConfig,
+    image_record,
     make_record,
-    newton_radius,
     principal_simple_signdef,
 )
 
@@ -147,7 +147,7 @@ class _LastPoint:
         self.fn = self.value = None
 
 
-def refine_critical(functional, start, basins=()):
+def refine_critical(functional, start, held=()):
     """Newton-type polish of the gradient system from `start`.
 
     Returns refined coefficients with residual <= GRAD_TOL, or None if the
@@ -162,11 +162,12 @@ def refine_critical(functional, start, basins=()):
     in the same basin; the stop only drops the evaluations hybr would spend
     on a converged point chasing xtol, which rounding keeps out of reach.
 
-    `basins` holds (coeffs, radius) pairs: zeros found earlier, each with
-    the radius of its certified Newton basin (`records.newton_radius`).
-    Every point is tested against them before it is evaluated, and the
-    first point that lies in a basin ends the solve, which returns that
-    zero's coefficients: plain Newton from there provably converges to it.
+    `held` holds the records of zeros found earlier, each with the radius
+    of its certified Newton basin (`CriticalPointRecord.newton_radius`).
+    Every point is tested against those basins before it is evaluated, and
+    the first point that lies in one ends the solve, which returns that
+    record's coefficients: plain Newton from there provably converges to
+    its zero.
 
     scipy evaluates the gradient and the Jacobian at the start once to
     check their shapes, and MINPACK then evaluates both there again; each
@@ -184,15 +185,15 @@ def refine_critical(functional, start, basins=()):
     spec = functional.spectrum
     one_plus_lam = 1.0 + spec.eigenvalues
     weight = 1.0 / one_plus_lam
-    centers = np.array([c for c, _ in basins], dtype=float).reshape(-1, spec.n_modes)
-    radii = np.array([r for _, r in basins], dtype=float)
+    centers = np.array([r.coeffs for r in held], dtype=float).reshape(-1, spec.n_modes)
+    radii = np.array([r.newton_radius for r in held], dtype=float)
 
-    def held(c):
+    def basin_zero(c):
         """The zero whose basin holds c, or None."""
-        if not basins:
+        if not held:
             return None
         inside = np.flatnonzero(np.sqrt((centers - c) ** 2 @ one_plus_lam) < radii)
-        return basins[inside[0]][0] if inside.size else None
+        return held[inside[0]].coeffs if inside.size else None
 
     start = np.asarray(start, dtype=float)
     # the unknowns: every coefficient, or the constant one alone for a start
@@ -204,7 +205,7 @@ def refine_critical(functional, start, basins=()):
 
     def gradient(x):
         c = full(x)
-        zero = held(c)
+        zero = basin_zero(c)
         if zero is not None:
             raise _Converged(zero)
         g = functional.l2_gradient(c)
@@ -231,7 +232,7 @@ def refine_critical(functional, start, basins=()):
     # up to 8 plain Newton steps, each point tested as hybr's are
     for steps in range(9):
         u = full(x)
-        zero = held(u)
+        zero = basin_zero(u)
         if zero is not None:
             return zero
         if functional.residual(u) <= GRAD_TOL:
@@ -249,10 +250,9 @@ def refine_critical(functional, start, basins=()):
         x = x + delta
 
 
-def _near(spec, u, basins) -> bool:
-    """Is u within DEDUP_RADIUS of the zero of one of the (coeffs, radius)
-    pairs in `basins`?"""
-    return bool(np.any(spec.h1_dists(u, [c for c, _ in basins]) <= DEDUP_RADIUS))
+def _near(spec, u, held) -> bool:
+    """Is u within DEDUP_RADIUS of one of the records in `held`?"""
+    return bool(np.any(spec.h1_dists(u, [r.coeffs for r in held]) <= DEDUP_RADIUS))
 
 
 def _images(spec, coeffs, odd: bool) -> np.ndarray:
@@ -264,10 +264,11 @@ def _images(spec, coeffs, odd: bool) -> np.ndarray:
 
 
 def _distinct_points(spec, odd: bool, recs, held=()) -> list:
-    """The distinct points of the group orbits of the records `recs` that
-    lie apart from `held`, a stack of coefficient rows, as pairs (i,
-    signs): the point signs * recs[i].coeffs, with signs a row of
-    `SpectrumSlice.symmetry_signs`.
+    """The records of the distinct points of the group orbits of the
+    records `recs` that lie apart from the records `held`: each is
+    `records.image_record(rec, signs)`, the point signs * rec.coeffs for a
+    record rec of `recs` and a row signs of `SpectrumSlice.symmetry_signs`,
+    and carries its source's Newton radius.
 
     The candidates are the records themselves (the identity row), then the
     other images of the nonconstant ones, by record and group element; an
@@ -277,15 +278,14 @@ def _distinct_points(spec, odd: bool, recs, held=()) -> list:
     from another; a greedy pass in candidate order keeps each one farther
     than DEDUP_RADIUS from `held` and from the points kept before it.  An
     image of a critical point of J is one, with its energy, norm and
-    Hessian spectrum (`records.image_record`), so no candidate is
-    evaluated."""
+    Hessian spectrum, so no candidate is evaluated."""
     n = spec.n_modes
     group = spec.symmetry_signs(odd)
-    sources = [i for i, r in enumerate(recs) if not r.is_constant()]
-    cands = [(i, group[0]) for i in range(len(recs))]
-    cands += [(i, signs) for i in sources for signs in group[1:]]
+    sources = [r for r in recs if not r.is_constant()]
+    cands = [(r, group[0]) for r in recs]
+    cands += [(r, signs) for r in sources for signs in group[1:]]
     coeffs = np.concatenate([np.reshape([r.coeffs for r in recs], (-1, n)),
-                             _images(spec, np.reshape([recs[i].coeffs for i in sources], (-1, n)),
+                             _images(spec, np.reshape([r.coeffs for r in sources], (-1, n)),
                                      odd).reshape(-1, n)])
     weight = 1.0 + spec.eigenvalues
 
@@ -293,13 +293,13 @@ def _distinct_points(spec, odd: bool, recs, held=()) -> list:
         diff = a[:, None, :] - b[None]
         return np.sqrt((diff * diff) @ weight) > DEDUP_RADIUS
 
-    live = np.flatnonzero(apart(coeffs, np.reshape(held, (-1, n))).all(axis=1))
+    live = np.flatnonzero(apart(coeffs, np.reshape([h.coeffs for h in held], (-1, n))).all(1))
     rows = apart(coeffs[live], coeffs[live]).tolist()
     kept = []
     for a in range(len(live)):
         if all(rows[a][b] for b in kept):
             kept.append(a)
-    return [cands[live[a]] for a in kept]
+    return [image_record(*cands[live[a]]) for a in kept]
 
 
 def _redistribute(spec, path):
@@ -342,9 +342,9 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
     (`EnergyFunctional.bump_values`), and those of the interior nodes come
     from one batch (`EnergyFunctional.values`) after each redistribution,
     so a pass certified at its first attempt evaluates no batch.  The
-    Newton basins of the points dropped by the shape check are passed to
-    the later attempts, and an attempt that ends at one of those points is
-    dropped without building its record again.
+    records of the points dropped by the shape check are held by the later
+    attempts, and an attempt that ends in the Newton basin of one of those
+    points is dropped without building its record again.
 
     Two triggers end the pass without that certificate: a node residual
     <= 1e-4, or 50 sweeps without residual progress.  Either refines the
@@ -378,8 +378,8 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
 
     steps = np.full(n, 0.2)
     best = None
-    # (coeffs, Newton radius) of the refined points that failed the
-    # mountain-pass shape check; an attempt that ends at one is dropped
+    # the records of the refined points that failed the mountain-pass shape
+    # check; an attempt that ends at one is dropped
     dropped = []
     # node energies: those of the first path in closed form, each node a
     # constant plus a multiple of the bump; a moved node keeps the energy
@@ -443,7 +443,7 @@ def mountain_pass(functional, end_a, end_b) -> CriticalPointRecord:
                     rec = _finish_mp(functional, cand, sweep + 1, end_a=a, end_b=b)
                     if rec.classification == "mp_type":
                         return rec
-                    dropped.append((rec.coeffs, newton_radius(functional, rec)))
+                    dropped.append(rec)
             path = _redistribute(spec, path)
             energies[1:-1] = functional.values(path[1:-1])
     raise MaxItersExceeded(f"mountain pass did not settle in {MAX_ITERS} sweeps")
@@ -520,7 +520,7 @@ def dedup_records(spec, records):
     return kept
 
 
-def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple:
+def multistart(functional, radius, seeds=(), *, budget, rng, held=()) -> tuple:
     """`budget` random starts from `rng` in the Sobolev ball of the given
     radius, each refined by one Newton-type root solve.  Returns the records
     of the distinct points found, deterministically ordered (energy, then
@@ -529,15 +529,15 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
     Seeds are extra deterministic starts prepended to the random ones and do
     not count against the budget: coefficient vectors, or records, such as
     the group images of `records.image_record`, whose coefficients are the
-    start.  A point is given its full record, Morse data included, when it
-    is found, and with it the radius of its certified Newton basin
-    (`records.newton_radius`); every later start's root solve is passed
-    those basins and stops on entering one.  A record seed whose root solve
-    stops at its own coefficients, because they meet GRAD_TOL at the first
-    evaluation, is kept as the point's record instead, under this call's
-    provenance and classification.
-    `basins` holds the (coeffs, radius) pairs of points the caller already
-    holds; the call starts out holding them, and builds no record for them.
+    start.  A point is given its full record, Morse data and the radius of
+    its certified Newton basin included, when it is found, and the call
+    holds it: every later start's root solve is passed the held records
+    and stops on entering one of their basins.  A record seed whose root
+    solve stops at its own coefficients, because they meet GRAD_TOL at the
+    first evaluation, is kept as the point's record instead, under this
+    call's provenance and classification.  `held` holds the records of
+    points the caller already has; the call starts out holding them, and
+    builds no record for them.
     Each start counts once in the outcomes: "new" when it finds a point,
     "basin" when it ends in the basin of, or within DEDUP_RADIUS of, a
     point the call holds, and "failed" when its solve stalls or converges
@@ -549,13 +549,13 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
               for s in seeds]
     starts += _random_ball_starts(spec, rng, budget, radius)
 
-    records, basins = [], list(basins)
+    records, held = [], list(held)
     outcomes = {"new": 0, "basin": 0, "failed": 0}
     for idx, start in enumerate(starts):
-        u = refine_critical(functional, start, basins)
+        u = refine_critical(functional, start, held)
         if u is None or spec.h1_norm(u) > 4.0 * radius + 10.0:
             outcomes["failed"] += 1
-        elif _near(spec, u, basins):
+        elif _near(spec, u, held):
             outcomes["basin"] += 1
         else:
             prov = {"stage": "multistart", "start_index": idx,
@@ -571,7 +571,7 @@ def multistart(functional, radius, seeds=(), *, budget, rng, basins=()) -> tuple
             elif rec.morse_index == 0:
                 rec.classification = "minimizer"
             records.append(rec)
-            basins.append((rec.coeffs, newton_radius(functional, rec)))
+            held.append(rec)
             outcomes["new"] += 1
     # the records lie pairwise farther apart than DEDUP_RADIUS, so this
     # only orders them
@@ -634,10 +634,10 @@ def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
     the member lam = 0, f itself, is searched, for R's SAFETY_FACTOR term.
     `known` holds records of critical points of J, the functional of f,
     that the caller already has: they and their distinct group images
-    (`_distinct_points`, no evaluation: an image has its source's norm and
-    Newton radius) count among its solutions (n_found and max_norm), and
-    the multistart holds their Newton basins, so a start that enters one
-    stops there and builds no record.
+    (`_distinct_points`, records built with no evaluation: an image has its
+    source's norm and Newton radius) count among its solutions (n_found and
+    max_norm), and the multistart holds those records, so a start that
+    enters one of their basins stops there and builds no record.
 
     The multistart is seeded at every real zero of f on the whole line,
     the constant fields that solve it exactly, and at three amplitudes of
@@ -659,8 +659,7 @@ def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
     start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
     func = EnergyFunctional(spectrum, nonlinearity)
-    points = _distinct_points(spectrum, nonlinearity.odd, known)
-    held = [(signs * known[i].coeffs, newton_radius(func, known[i])) for i, signs in points]
+    held = _distinct_points(spectrum, nonlinearity.odd, known)
     seeds = [spectrum.constant_field(t) for t in find_zeros(nonlinearity, -np.inf, np.inf)]
     if spectrum.n_modes > 1:
         amp_unit = spectrum.pairs[1].norm_constant
@@ -670,8 +669,8 @@ def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
                 e[1] = sgn * amp / amp_unit
                 seeds.append(e)
     recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=None,
-                                basins=held)
-    norms = [known[i].h1_norm for i, _ in points] + [r.h1_norm for r in recs]
+                                held=held)
+    norms = [r.h1_norm for r in (*held, *recs)]
     max_norm = max(norms, default=0.0)
     return HomotopyBoundResult(search_radius(bound, max_norm), max_norm, nonlinearity.M, mode,
-                               bound, len(points), len(norms), outcomes)
+                               bound, len(held), len(norms), outcomes)

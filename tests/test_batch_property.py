@@ -87,7 +87,7 @@ def test_stacked_distances_match_the_pair_loop(kind, seed, count, size, spread, 
     ledger = nc.DegreeLedger(2, 10.0, spec)
     ledger.records = [SimpleNamespace(coeffs=p) for p in points]
     assert ledger.match(u) == _first_within(loop)
-    assert _near(spec, u, [(p, 0.0) for p in points]) == (_first_within(loop) is not None)
+    assert _near(spec, u, ledger.records) == (_first_within(loop) is not None)
 
 
 @settings(max_examples=25, deadline=None)

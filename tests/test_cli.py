@@ -133,6 +133,20 @@ def test_csv_without_ledger_stage_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == "" and "ledger stage" in captured.err
 
 
+def test_csv_with_the_ledger_skipped_prints_no_table(tmp_path, capsys):
+    """Unequal tails leave no radius, so the ledger is skipped while the
+    run goes on: `--format csv` prints nothing to stdout, the skip reason
+    to stderr, and exits 2 for the failed homotopy stage."""
+    def unequal(cfg):
+        cfg["nonlinearity"]["slope_plus_inf"] = 3.1
+
+    path = write_config(tmp_path, unequal)
+    assert main(["run", "--format", "csv", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no radius: the homotopy stage failed with AsymmetricSlopes" in captured.err
+
+
 def test_strict_deficiency_exits_three(tmp_path, capsys):
     """The five constants alone, counted on the homotopy's radius, leave
     the ledger four degrees over, and --strict turns that into exit 3."""

@@ -31,8 +31,8 @@ def test_radius_rule(ref5, norms):
     fields = itertools.count(1)
     calls = []
 
-    def fake_multistart(func, radius, seeds=(), *, budget, rng, basins=()):
-        calls.append((len(seeds), budget, len(basins)))
+    def fake_multistart(func, radius, seeds=(), *, budget, rng, held=()):
+        calls.append((len(seeds), budget, len(held)))
         found = [SimpleNamespace(h1_norm=n, energy=0.0, degenerate=True,
                                  coeffs=spec.constant_field(float(next(fields))))
                  for n in norms]

@@ -248,8 +248,8 @@ def test_k3_seed42_balances(k3_seed42):
 
 
 def test_k3_seed42_multistart_builds_no_known_record(k3_seed42):
-    """Every multistart pass holds the Newton basins of the ledger's
-    records, so a start that ends at a point the ledger holds counts as
+    """Every multistart pass holds the ledger's records, Newton radii
+    included, so a start that ends at a point the ledger holds counts as
     "basin" and builds no record: each pass reports as new exactly the
     points it adds.  Five of the seven random chunks find nothing new."""
     passes = k3_seed42.stages["multistart"]["passes"]

@@ -104,9 +104,10 @@ def test_images_of_reference_records_keep_their_certificates(reference_report):
 def test_image_record_matches_the_record_built_at_the_image(reference_report, domain):
     """`image_record` of every reference and `rectangle` record under every
     group element agrees with `make_record` at the image: energy to 1e-12
-    relative, Hessian eigenvalues to 1e-12, equal Morse index, degenerate
-    flag and range, and both residuals within GRAD_TOL.  Its principal
-    eigenfield is an eigenfield of the image's Hessian pencil."""
+    relative, Hessian eigenvalues to 1e-12, Newton radius to 1e-10
+    relative, equal Morse index, degenerate flag and range, and both
+    residuals within GRAD_TOL.  Its principal eigenfield is an eigenfield
+    of the image's Hessian pencil."""
     if domain == "interval":
         report = reference_report
     else:
@@ -124,6 +125,7 @@ def test_image_record_matches_the_record_built_at_the_image(reference_report, do
             assert np.array_equal(image.coeffs, built.coeffs)
             assert abs(image.energy - built.energy) <= 1e-12 * max(1.0, abs(built.energy))
             assert np.max(np.abs(image.hessian_eigs - built.hessian_eigs)) <= 1e-12
+            assert image.newton_radius == pytest.approx(built.newton_radius, rel=1e-10)
             assert (image.morse_index, image.degenerate) == (built.morse_index, built.degenerate)
             assert image.urange == built.urange
             assert image.is_constant() == built.is_constant()

@@ -1,5 +1,6 @@
-"""Certified Newton basins: the constants behind their radius, the root
-solve that stops on entering one, and the searches that pass them on.
+"""Certified Newton basins: the constants behind their radius, the record
+that carries it, the root solve that stops on entering one, and the
+searches that hold them.
 
 A zero x* with Hessian eigenvalues nu has the basin radius
 r* = 2 min |nu| / (3 L), L = sup |f''| C, where C is the spectrum's
@@ -7,6 +8,7 @@ discrete Sobolev embedding constant (`records.newton_radius`).
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -117,15 +119,15 @@ class CountingGradient(nc.EnergyFunctional):
 @given(st.integers(0, 12), directions, st.floats(0.0, 0.99))
 def test_refine_inside_a_basin_returns_the_held_zero(reference_report, which,
                                                      direction, fraction):
-    """A start inside a held zero's basin returns that zero's coefficients,
-    never None, with no gradient evaluation."""
+    """A start inside a held record's Newton basin returns that record's
+    coefficients, never None, with no gradient evaluation."""
     spec = reference_report.spectrum
     func = CountingGradient(spec, reference_report.functional.nonlinearity)
-    basins = [(r.coeffs, nc.newton_radius(func, r)) for r in reference_report.records]
-    center, radius = basins[which]
-    u = nc.refine_critical(func, _ball_point(spec, center, radius, direction, fraction),
-                           basins)
-    assert u is center
+    held = reference_report.records
+    rec = held[which]
+    u = nc.refine_critical(
+        func, _ball_point(spec, rec.coeffs, rec.newton_radius, direction, fraction), held)
+    assert u is rec.coeffs
     assert func.calls == 0
 
 
@@ -169,3 +171,64 @@ def test_degenerate_record_has_no_basin(ref5):
     rec = nc.make_record(func, spec.constant_field(1.0), "constant", {})
     assert nc.newton_radius(func, rec) > 0.0
     assert nc.newton_radius(func, dataclasses.replace(rec, degenerate=True)) == 0.0
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_every_record_carries_its_radius(reference_report, domain):
+    """Every record of the reference and `rectangle` runs carries the
+    radius `newton_radius` gives it under the run's functional: the
+    records it was built from, the transferred saddles and the group
+    images alike."""
+    if domain == "interval":
+        report = reference_report
+    else:
+        cfg = nc.reference_config()
+        cfg["domain"] = {"kind": "rectangle", "lengths": [np.pi, 1.5]}
+        report = nc.run_pipeline(cfg)
+    assert len(report.records) == 13
+    for rec in report.records:
+        assert rec.newton_radius == nc.newton_radius(report.functional, rec) > 0.0
+
+
+def test_transferred_saddle_carries_the_original_radius():
+    """A shape point at t = 3 bends f beyond the top zero: f'' reaches 19
+    there, while the below and interval truncations end at -1 and 1 and
+    keep the reference's 7.  Their saddles, transferred to f, carry the
+    radius under f, 7/19 of the one under their truncation."""
+    cfg = nc.reference_config()
+    cfg["nonlinearity"]["shape_points"] = [[3.0, 4.0, 0.0]]
+    rep = nc.run_pipeline(cfg)
+    assert rep.ok, rep.errors
+    f = rep.functional.nonlinearity
+    spec = rep.spectrum
+    windows = {"below": (None, -1.0), "interval": (-1.0, 1.0)}
+    for kind, window in windows.items():
+        (rec,) = [r for r in rep.records if r.provenance["stage"] == f"truncation_{kind}"]
+        truncated = nc.EnergyFunctional(spec, nc.truncate(f, *window))
+        assert truncated.nonlinearity.curvature == 7.0 < f.curvature == 19.0
+        assert rec.provenance["transferred_from"] == truncated.nonlinearity.label
+        assert rec.newton_radius == nc.newton_radius(rep.functional, rec) > 0.0
+        assert rec.newton_radius == pytest.approx(
+            7.0 / 19.0 * nc.newton_radius(truncated, rec), rel=1e-12)
+
+
+def test_reference_solve_computes_ten_radii(monkeypatch):
+    """A reference solve computes one Newton radius per record it builds,
+    8 (the five constants, the below and interval saddles and the
+    reduction maximizer), and one per transferred saddle, 2.  Every other
+    held point reuses the radius its record carries: the above saddle and
+    the orbit seeds are group images, and the ledger's records are held
+    as they are."""
+    calls = []
+    radius = nc.newton_radius
+
+    def counted(functional, record):
+        calls.append(1)
+        return radius(functional, record)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("neucrit.")]:
+        if getattr(module, "newton_radius", None) is radius:
+            monkeypatch.setattr(module, "newton_radius", counted)
+    rep = nc.run_pipeline(nc.reference_config())
+    assert len(rep.records) == 13
+    assert len(calls) == 10

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import neucrit as nc
+import neucrit.pipeline as pipeline
 import neucrit.solvers as solvers
 from conftest import REMOVED_SETTINGS
 from neucrit.energy import BLOCK_ELEMENTS
@@ -176,8 +177,8 @@ def test_reference_search_counts(monkeypatch):
     # dropped; the reduction bounds its orbits from above in closed form
     # (one `bump_values`), solves psi once per orbit that can still reach
     # its six best seeds and runs one root solve per orbit of those seeds,
-    # each holding the Newton basins of the points the solves before it
-    # found and of their group images, so only the first builds a record;
+    # each holding the records of the points the solves before it found
+    # and of their group images, so only the first builds a record;
     # the homotopy searches f alone, holding the points found so far and
     # their images, so its seeds end in their basins and build no record,
     # and it draws no random start.  The orbit passes start from the image
@@ -551,6 +552,36 @@ def test_stage_subset_runs_partial():
     rep = run_pipeline(cfg)
     assert rep.errors["homotopy"]["type"] == "AsymmetricSlopes"
     assert list(rep.skips) == ["ledger"] and rep.ledger is None
+
+
+@pytest.mark.parametrize("end", ["no ledger", "unequal tails", "spectrum fails",
+                                 "ledger fails"])
+def test_every_run_times_its_total(end, monkeypatch):
+    """A run that ends before the ledger's last reconciliation times its
+    total as a full run does: a stage list without the ledger, unequal
+    tails (no radius, the ledger skipped), a failed spectrum stage and a
+    failed ledger stage.  The total holds every stage it timed."""
+    cfg = reference_config()
+    nl = cfg["nonlinearity"]
+    if end == "no ledger":
+        cfg["stages"] = ["reduction"]
+    elif end == "unequal tails":
+        nl["slope_plus_inf"] = 3.1
+    elif end == "spectrum fails":
+        nl["slope_minus_inf"] = nl["slope_plus_inf"] = 4.0
+    else:
+        def refuse(record, functional):
+            raise nc.RangeEscape("refused")
+
+        monkeypatch.setattr(pipeline, "qualitative_classify", refuse)
+    rep = run_pipeline(cfg)
+    stage_times = {k: v for k, v in rep.timings.items() if k != "total"}
+    timed = {"no ledger": ["reduction"], "unequal tails": STAGES[:6],
+             "spectrum fails": [], "ledger fails": STAGES[:7]}[end]
+    assert sorted(stage_times) == sorted(["spectrum", *timed])
+    assert rep.timings["total"] >= sum(stage_times.values())
+    if end == "ledger fails":
+        assert rep.errors["ledger"]["type"] == "RangeEscape"
 
 
 def test_unequal_tails_state_no_count():

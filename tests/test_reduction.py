@@ -260,7 +260,7 @@ def test_maximize_reduced_without_a_converged_solve(ref5_ctx, monkeypatch):
     """When no root solve from the best seeds converges there is no
     maximizer: MaxItersExceeded, which the pipeline records as the
     reduction stage's error."""
-    monkeypatch.setattr(reduction, "refine_critical", lambda functional, start, basins: None)
+    monkeypatch.setattr(reduction, "refine_critical", lambda functional, start, held: None)
     with pytest.raises(nc.MaxItersExceeded):
         maximize_reduced(ref5_ctx)
     cfg = nc.reference_config()

@@ -72,9 +72,9 @@ def _refine_starts(ctx, monkeypatch):
     starts = []
     refine = reduction.refine_critical
 
-    def spy(func, start, basins):
+    def spy(func, start, held):
         starts.append(ctx.spectrum.x_projection(start))
-        return refine(func, start, basins)
+        return refine(func, start, held)
 
     monkeypatch.setattr(reduction, "refine_critical", spy)
     rec = maximize_reduced(ctx)

@@ -198,8 +198,9 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     tail slopes 5) the attempt after sweep 5 lands on an index-2 point,
     which does not end the pass and is dropped; the path is redistributed
     and re-evaluated in one batch, the pass's only one.  The attempt after
-    sweep 10 is passed that point's Newton basin, ends outside it at the
-    well saddle, and ends the pass before a second redistribution."""
+    sweep 10 holds that point's record, with its Newton radius, ends
+    outside its basin at the well saddle, and ends the pass before a second
+    redistribution."""
     spec, _, _ = ref5
     knots = [(t, 5.0 if s > 0 else s) for t, s in REF5_KNOTS]
     f = nc.build_nonlinearity(knots, 5.0, 5.0)
@@ -212,8 +213,8 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
         finished.append(finish_mp(*args, **kwargs))
         return finished[-1]
 
-    def refined_from(functional, start, basins=()):
-        refined.append((refine(functional, start, basins), list(basins)))
+    def refined_from(functional, start, held=()):
+        refined.append((refine(functional, start, held), list(held)))
         return refined[-1][0]
 
     monkeypatch.setattr(solvers, "_finish_mp", kept)
@@ -241,10 +242,10 @@ def test_mountain_pass_returns_first_certified_saddle(ref5, monkeypatch):
     assert dropped.morse_index == 2 and dropped.classification == "other"
     assert len(refined) == 2
     assert refined[0][1] == []
-    ((center, radius),) = refined[1][1]
-    assert np.array_equal(center, dropped.coeffs)
-    assert radius == nc.newton_radius(func, dropped) > 0
-    assert spec.h1_dist(rec.coeffs, center) > radius
+    (held,) = refined[1][1]
+    assert held is dropped
+    assert dropped.newton_radius == nc.newton_radius(func, dropped) > 0
+    assert spec.h1_dist(rec.coeffs, dropped.coeffs) > dropped.newton_radius
 
 
 class TrialPoints(nc.EnergyFunctional):
