@@ -22,6 +22,7 @@ from .errors import ConfigError, NeucritError
 from .nonlinearity import check_hypotheses
 from .pipeline import (
     STAGES,
+    _jsonable,
     build_problem,
     reference_config,
     run_pipeline,
@@ -104,7 +105,8 @@ def _emit(args, text: str, suffix: str = "json"):
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # RFC 8259 has no NaN or Infinity: non-finite floats print as null
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _cmd_spectrum(args, cfg) -> int:
@@ -169,7 +171,6 @@ def _cmd_plot(args, cfg) -> int:
                 coeffs=np.asarray(r["coeffs"], dtype=float),
                 classification=r.get("classification", "other"),
                 energy=r.get("energy", 0.0),
-                in_ball=r.get("in_ball", True),
             )
             for r in (rep.get("ledger") or {}).get("records", [])
         ]

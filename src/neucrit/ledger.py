@@ -2,10 +2,14 @@
 transfer of truncated solutions to the original functional, and the global
 count (-1)^k = sum of local degrees on the ball of radius R.
 
-The ledger never forces the books to balance.  A nonzero deficiency is a
-statement: at least one critical point inside the ball has not been found.
-Degenerate records without a verified saddle signature carry no degree at
-all; they are flagged and left out of the sum.
+R exceeds the proven bound B(0) on every critical point's norm
+(`solvers.search_radius`), so every record lies in the ball and every
+record counts; a record outside R would void the count, and the ledger
+refuses it.  The ledger never forces the books to balance.  A nonzero
+deficiency is a statement: at least one critical point inside the ball
+has not been found.  Degenerate records without a verified saddle
+signature carry no degree at all; they are flagged and left out of the
+sum.
 """
 
 from __future__ import annotations
@@ -149,10 +153,7 @@ def _suggest_regions(ledger, functional):
     between consecutive minimum-type zeros and the two tails."""
     mins = [t for t, s in functional.nonlinearity.knots if s < 0]
     edges = [-np.inf] + sorted(mins) + [np.inf]
-    covered = []
-    for rec in ledger.records:
-        if not rec.is_constant() and rec.in_ball:
-            covered.append(rec.urange)
+    covered = [rec.urange for rec in ledger.records if not rec.is_constant()]
     out = []
     for i in range(len(edges) - 1):
         a, b = edges[i], edges[i + 1]
@@ -169,6 +170,11 @@ def _suggest_regions(ledger, functional):
 
 @dataclass
 class LedgerReport:
+    """The count on the ball of radius R: the local degrees of the
+    `counted` records sum to `degree_sum`, `deficiency` = global_degree -
+    degree_sum, and `flagged` lists the (index, reason) of each degenerate
+    record with no degree recipe, which the sum leaves out."""
+
     k: int
     R: float
     global_degree: int
@@ -176,7 +182,6 @@ class LedgerReport:
     deficiency: int
     balanced: bool
     counted: int
-    excluded_out_of_ball: list
     flagged: list
     message: str
     suggestions: list
@@ -187,12 +192,10 @@ class LedgerReport:
 
 
 class DegreeLedger:
-    """Deduplicated record store plus the degree arithmetic.
-
-    Records whose Sobolev norm exceeds R are kept (they are solutions) but
-    excluded from the global count, which the degree identity only states
-    on the ball of radius R.
-    """
+    """Deduplicated record store plus the degree arithmetic on the ball of
+    radius R, which holds every critical point: `add` refuses a record
+    whose Sobolev norm exceeds R, since R would then not bound the
+    critical points and the degree identity would count nothing."""
 
     def __init__(self, k, R, spectrum):
         self.k = int(k)
@@ -215,8 +218,10 @@ class DegreeLedger:
         incumbent coefficients and upgrades the classification if the
         newcomer's label carries more degree information.  A new point is
         inserted only when `check`, if given, accepts it (`check(record)`
-        is true), and is in the ball when the norm `make_record` stored,
-        `record.h1_norm`, is at most R.  Returns a short disposition."""
+        is true).  Returns a short disposition.  Raises ValueError when a
+        new point's norm, the `record.h1_norm` that `make_record` stored,
+        exceeds R: R does not bound the critical points, and the count is
+        void."""
         i = self.match(record.coeffs)
         if i is not None:
             old = self.records[i]
@@ -231,7 +236,9 @@ class DegreeLedger:
             return f"merged into record {i}"
         if check is not None and not check(record):
             return "rejected"
-        record.in_ball = bool(record.h1_norm <= self.R)
+        if record.h1_norm > self.R:
+            raise ValueError(f"a critical point of norm {record.h1_norm:.6g} lies outside "
+                             f"the ball of radius R = {self.R:.6g}: the count is void")
         self.records.append(record)
         return f"added as record {len(self.records) - 1}"
 
@@ -239,12 +246,8 @@ class DegreeLedger:
         global_degree = (-1) ** self.k
         total = 0
         counted = 0
-        excluded = []
         flagged = []
         for i, rec in enumerate(self.records):
-            if not rec.in_ball:
-                excluded.append(i)
-                continue
             try:
                 d = local_degree(rec, self.k)
             except UnclassifiedDegenerate as e:
@@ -264,7 +267,7 @@ class DegreeLedger:
                    f"inside the ball of radius {self.R:.6g}")
             suggestions = _suggest_regions(self, functional)
         return LedgerReport(self.k, self.R, global_degree, total, deficiency,
-                            balanced, counted, excluded, flagged, msg, suggestions)
+                            balanced, counted, flagged, msg, suggestions)
 
     # report emission -----------------------------------------------------
 
@@ -275,13 +278,12 @@ class DegreeLedger:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["index", "classification", "energy", "h1_norm", "residual",
-                    "morse_index", "degenerate", "degree", "in_ball",
-                    "u_min", "u_max", "stage"])
+                    "morse_index", "degenerate", "degree", "u_min", "u_max", "stage"])
         for i, r in enumerate(self.records):
             w.writerow([
                 i, r.classification, f"{r.energy:.12g}", f"{r.h1_norm:.12g}",
                 f"{r.residual:.3e}", r.morse_index, int(r.degenerate),
-                "" if r.local_degree is None else r.local_degree, int(r.in_ball),
+                "" if r.local_degree is None else r.local_degree,
                 f"{r.urange[0]:.12g}", f"{r.urange[1]:.12g}",
                 r.provenance.get("stage", ""),
             ])

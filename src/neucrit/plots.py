@@ -116,10 +116,9 @@ def render_profiles(spectrum, records) -> str:
     for rec, ys in curves:
         color = _COLORS.get(rec.classification, "#000000")
         pts = " ".join(map(_POINT, px, sy(ys).tolist()))
-        dash = "" if rec.in_ball else ' stroke-dasharray="6 4"'
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"{dash}/>'
+            f'stroke-width="1.5"/>'
         )
     # legend
     lx = _ML + pw + 12

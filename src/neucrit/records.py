@@ -67,8 +67,7 @@ class CriticalPointRecord:
     iterations: int = 0
     notes: tuple = ()
     newton_radius: float = 0.0
-    # ledger bookkeeping, filled in once a DegreeLedger accepts the record
-    in_ball: bool = True
+    # ledger bookkeeping, filled in once a DegreeLedger reconciles the record
     local_degree: int | None = None
 
     def is_constant(self) -> bool:
@@ -91,7 +90,6 @@ class CriticalPointRecord:
             "provenance": self.provenance,
             "iterations": self.iterations,
             "notes": list(self.notes),
-            "in_ball": self.in_ball,
             "local_degree": self.local_degree,
             "coeffs": np.asarray(self.coeffs, dtype=float).tolist(),
         }
@@ -144,7 +142,6 @@ def image_record(record, signs) -> CriticalPointRecord:
         urange=(lo, hi) if signs[0] > 0 else (-hi, -lo),
         principal_vec=signs * record.principal_vec,
         provenance=dict(record.provenance),
-        in_ball=True,
         local_degree=None,
     )
 

@@ -540,8 +540,10 @@ def multistart(functional, radius, seeds=(), *, budget, rng, held=()) -> tuple:
     builds no record for them.
     Each start counts once in the outcomes: "new" when it finds a point,
     "basin" when it ends in the basin of, or within DEDUP_RADIUS of, a
-    point the call holds, and "failed" when its solve stalls or converges
-    outside the Sobolev ball of radius 4 radius + 10.
+    point the call holds, and "failed" when its solve stalls.  A point the
+    solve returns meets GRAD_TOL, so it is a critical point wherever it
+    lies: `radius` bounds where the random starts are drawn, not where the
+    points found may lie.
     """
     spec = functional.spectrum
     seeds = list(seeds)
@@ -553,7 +555,7 @@ def multistart(functional, radius, seeds=(), *, budget, rng, held=()) -> tuple:
     outcomes = {"new": 0, "basin": 0, "failed": 0}
     for idx, start in enumerate(starts):
         u = refine_critical(functional, start, held)
-        if u is None or spec.h1_norm(u) > 4.0 * radius + 10.0:
+        if u is None:
             outcomes["failed"] += 1
         elif _near(spec, u, held):
             outcomes["basin"] += 1
@@ -643,11 +645,13 @@ def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
     the constant fields that solve it exactly, and at three amplitudes of
     either sign of the first nonconstant mode, where the norm-extremal
     solutions of asymptotically linear problems live; it draws no random
-    start.  No other start lies on the line of constant fields: f of a
-    constant field is constant, and Gram = I projects it onto the constant
-    mode alone, so a root solve from there never leaves that line
-    (`refine_critical` solves such a start on the line) and can only end
-    at a constant zero, which is already seeded.
+    start, so the radius it is passed, B(0), bounds nothing, and a seed
+    counts "failed" only when its root solve stalls.  No other start lies
+    on the line of constant fields: f of a constant field is constant, and
+    Gram = I projects it onto the constant mode alone, so a root solve
+    from there never leaves that line (`refine_critical` solves such a
+    start on the line) and can only end at a constant zero, which is
+    already seeded.
 
     Raises ResonantSlope, or AsymmetricSlopes when the tails differ, before
     any search.
@@ -657,7 +661,6 @@ def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
     bound, mode = proven_bound(nonlinearity, spectrum)
     knot_ts = [t for t, _ in nonlinearity.knots]
     span = max(abs(t) for t in knot_ts) if knot_ts else 1.0
-    start_radius = 4.0 * max(1.0, span * np.sqrt(spectrum.domain.measure))
     func = EnergyFunctional(spectrum, nonlinearity)
     held = _distinct_points(spectrum, nonlinearity.odd, known)
     seeds = [spectrum.constant_field(t) for t in find_zeros(nonlinearity, -np.inf, np.inf)]
@@ -668,8 +671,7 @@ def homotopy_bound(nonlinearity, spectrum, known=()) -> HomotopyBoundResult:
                 e = np.zeros(spectrum.n_modes)
                 e[1] = sgn * amp / amp_unit
                 seeds.append(e)
-    recs, outcomes = multistart(func, start_radius, seeds=seeds, budget=0, rng=None,
-                                held=held)
+    recs, outcomes = multistart(func, bound, seeds=seeds, budget=0, rng=None, held=held)
     norms = [r.h1_norm for r in (*held, *recs)]
     max_norm = max(norms, default=0.0)
     return HomotopyBoundResult(search_radius(bound, max_norm), max_norm, nonlinearity.M, mode,

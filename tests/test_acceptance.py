@@ -140,8 +140,6 @@ def test_05_reduction_correspondence(ref5, ref5_ctx, reference_report):
     worst = 0.0
     n = 0
     for rec in reference_report.records:
-        if not rec.in_ball:
-            continue
         x = spec.x_projection(rec.coeffs)
         y = spec.y_projection(rec.coeffs)
         worst = max(worst, spec.h1_norm(nc.psi(ref5_ctx, x) - y))
@@ -159,7 +157,7 @@ def test_06_qualitative_bounds(ref5, reference_report):
     violations = []
     n = 0
     for i, rec in enumerate(reference_report.records):
-        if rec.is_constant() or not rec.in_ball:
+        if rec.is_constant():
             continue
         n += 1
         lo, hi = rec.urange
@@ -249,7 +247,7 @@ def test_08_degree_reconciliation(ref5, reference_report):
     triggered = "multistart" in rep.stages
     fin = rep.stages["ledger"]["final_reconciliation"]
     resolved = fin["deficiency"] == 0 or (fin["flagged"] and fin["message"])
-    nonconstant = [r for r in rep.records if not r.is_constant() and r.in_ball]
+    nonconstant = [r for r in rep.records if not r.is_constant()]
 
     t0 = time.perf_counter()
     oracle = _grid_oracle(spec, f, func, rep.ledger_report.R)
@@ -334,8 +332,8 @@ def test_10_spectral_convergence(reference_report):
     cfg = json.loads(json.dumps(nc.reference_config()))
     cfg["modes"] = 32
     rep32 = nc.run_pipeline(cfg)
-    e16 = sorted(r.energy for r in reference_report.records if r.in_ball)
-    e32 = sorted(r.energy for r in rep32.records if r.in_ball)
+    e16 = sorted(r.energy for r in reference_report.records)
+    e32 = sorted(r.energy for r in rep32.records)
     same_count = len(e16) == len(e32)
     drift = (max(abs(a - b) for a, b in zip(e16, e32)) if same_count else np.inf)
     _verdict(10, "energies stable from 16 to 32 modes",

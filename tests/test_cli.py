@@ -39,6 +39,20 @@ def test_check_reports_hypotheses(capsys):
     assert out["modulus"] == pytest.approx(0.3)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_check_with_an_empty_y_block_prints_strict_json(capsys):
+    """At 2 modes every mode lies in X, so the Y block has no smallest
+    eigenvalue: the check prints null for it, never NaN, which RFC 8259
+    JSON has no token for."""
+    assert main(["check", "--modes", "2"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["lambda_min_y"] is None
+    assert "the Y block is empty: every mode lies in X" in out["notes"]
+
+
 def test_check_resonant_exits_two(tmp_path, capsys):
     def resonant(cfg):
         cfg["nonlinearity"]["slope_minus_inf"] = 4.0
@@ -117,7 +131,8 @@ def test_ledger_csv_stdout(capsys):
     rc = main(["run", "--format", "csv", "--stage", "constants,homotopy,ledger"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("index,classification")
+    assert lines[0] == ("index,classification,energy,h1_norm,residual,morse_index,"
+                        "degenerate,degree,u_min,u_max,stage")
     assert len(lines) == 6
 
 

@@ -214,6 +214,23 @@ def test_k3_middle_slope_17_balances():
     assert [r.morse_index for r in pair] == [4, 4]
 
 
+def test_slope_10_base_search_fails_no_start_that_reaches_a_point():
+    """At tail and crossing slopes 10 (k = 4) two of the base member's
+    seeds end at held points of norm 100.84, inside B(0) = 112.10 but far
+    past the seeds' own amplitudes.  A returned point is a critical point
+    wherever it lies, so both count as basin, and no start fails; R is
+    SAFETY_FACTOR times that norm and the ledger balances with 13 records,
+    every one inside the proven bound."""
+    rep = nc.run_pipeline(_sloped_config(10.0, 7))
+    assert rep.ok, rep.errors
+    h = rep.stages["homotopy"]
+    assert h["outcomes"] == {"new": 2, "basin": 9, "failed": 0}
+    assert h["R"] == pytest.approx(201.674, abs=1e-3)
+    assert rep.ledger_report.balanced
+    assert len(rep.records) == 13
+    assert all(r.h1_norm < h["bound"] for r in rep.records)
+
+
 def test_k3_balances():
     rep = nc.run_pipeline(_k3_config(7))
     assert rep.ok, rep.errors

@@ -276,6 +276,9 @@ def test_ledger_with_saddles_arithmetic(ref5, interval_saddle, well_saddle):
 
 
 def test_ledger_out_of_ball_excluded(ref5):
+    """A critical point of norm above R means R bounds no count: the ledger
+    refuses it with a ValueError naming the norm and R, and still holds
+    and counts the point inside."""
     spec, f, func = ref5
     led = DegreeLedger(k=2, R=1.0, spectrum=spec)
     inside = nc.make_record(func, spec.constant_field(0.0),
@@ -283,11 +286,11 @@ def test_ledger_out_of_ball_excluded(ref5):
     outside = nc.make_record(func, spec.constant_field(2.0),
                              "constant", {"stage": "constants"})
     led.add(inside)
-    led.add(outside)
-    assert led.records[0].in_ball and not led.records[1].in_ball
+    with pytest.raises(ValueError, match=f"norm {outside.h1_norm:.6g} .* R = 1"):
+        led.add(outside)
+    assert led.records == [inside]
     rep = led.reconcile(func)
-    assert rep.counted == 1
-    assert rep.excluded_out_of_ball == [1] and rep.flagged == []
+    assert rep.counted == 1 and rep.flagged == []
     assert rep.degree_sum == 1
     assert rep.deficiency == 0 and rep.balanced
 
@@ -303,7 +306,7 @@ def test_ledger_flags_unclassified_degenerate(ref5):
     # reconciling again reports the record once, not once per pass
     assert [i for i, _ in rep.flagged] == [0]
     assert "has no degree recipe" in rep.flagged[0][1]
-    assert rep.counted == 0 and rep.excluded_out_of_ball == []
+    assert rep.counted == 0
     assert not rep.balanced  # flags block the balanced verdict
     assert led.records[0].local_degree is None
 

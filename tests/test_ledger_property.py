@@ -54,31 +54,27 @@ def test_images_of_reference_records_are_critical(reference_report, data, mirror
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_reconcile_ignores_insertion_order(reference_report, data):
-    """The 13 reference records, copies of three of them a rounding step
-    away, and one record outside the ball give the same degree sum,
-    deficiency, count and verdict in any order."""
+    """The 13 reference records and copies of three of them a rounding step
+    away give the same degree sum, deficiency, count and verdict in any
+    order."""
     func = reference_report.functional
     spec = func.spectrum
     R = reference_report.ledger.R
     recs = list(reference_report.records)
     copies = [dataclasses.replace(r, coeffs=r.coeffs + DEDUP_RADIUS / 10.0 / spec.h1_norm(
         np.ones(MODES)), provenance={"stage": "copy"}) for r in recs[:3]]
-    far = max(recs, key=lambda r: r.h1_norm)
-    scaled = far.coeffs * (2.0 * R / far.h1_norm)
-    # a record keeps the norm of its coefficients, as `make_record` stores it
-    outside = dataclasses.replace(far, coeffs=scaled, h1_norm=spec.h1_norm(scaled))
-    pool = recs + copies + [outside]
+    pool = recs + copies
     order = data.draw(st.permutations(range(len(pool))))
 
     def reconciled(indices):
         ledger = nc.DegreeLedger(spec.k, R, spec)
         for i in indices:
-            ledger.add(dataclasses.replace(pool[i], in_ball=True, local_degree=None))
+            ledger.add(dataclasses.replace(pool[i], local_degree=None))
         rep = ledger.reconcile(func)
         return rep.degree_sum, rep.deficiency, rep.counted, rep.balanced, len(ledger)
 
     expect = reconciled(range(len(pool)))
-    assert expect == (1, 0, 13, True, 14)
+    assert expect == (1, 0, 13, True, 13)
     assert reconciled(order) == expect
 
 

@@ -35,7 +35,7 @@ def test_reference_run_balances(reference_report):
     assert len(nonconstant) == 8
     for r in rep.records:
         assert r.residual <= 1e-9
-        assert r.in_ball
+        assert r.h1_norm < rep.stages["homotopy"]["bound"]
 
 
 def test_reference_run_energy_census(reference_report):
@@ -582,6 +582,19 @@ def test_every_run_times_its_total(end, monkeypatch):
     assert rep.timings["total"] >= sum(stage_times.values())
     if end == "ledger fails":
         assert rep.errors["ledger"]["type"] == "RangeEscape"
+
+
+def test_a_record_outside_R_fails_the_ledger_stage(monkeypatch):
+    """A radius that misses a critical point bounds no count: with R forced
+    to 5, below the reduction maximizer's norm 7.208, the ledger refuses
+    that record and the ledger stage fails with a ValueError naming the
+    norm and R, instead of counting the records inside."""
+    monkeypatch.setattr(solvers, "search_radius", lambda bound, max_norm: 5.0)
+    rep = run_pipeline(reference_config())
+    assert rep.errors["ledger"]["type"] == "ValueError"
+    assert "norm 7.208" in rep.errors["ledger"]["message"]
+    assert "R = 5" in rep.errors["ledger"]["message"]
+    assert "ledger" not in rep.stages and "multistart" not in rep.stages
 
 
 def test_unequal_tails_state_no_count():
